@@ -12,18 +12,27 @@
 // where rank_i is the 1-based rank of id in subquery i ordered by
 // (distance ascending, id ascending), and a subquery that did not report
 // id contributes nothing. The final ranking orders by (fused score
-// descending, id ascending). Every tie-break is total, and contributions
-// are accumulated in a fixed order (id-major, then subquery order), so the
-// merge is bit-deterministic across runs, thread counts, and SIMD tiers —
-// the per-id distances it consumes come from the scalar scoring helpers,
-// not the vectorized verify kernels.
+// descending, id ascending). Every tie-break is total, and each id's
+// contributions are added in subquery order starting from 0.0, so the
+// merge is bit-deterministic across runs, thread counts, SIMD tiers, and
+// the order entries arrive in within a list — the per-id distances it
+// consumes come from the scalar scoring helpers, not the vectorized
+// verify kernels.
+//
+// Cost is linear in the entries for lists that arrive ranked. A list
+// already in rank order (the engine emits every list that way) is detected
+// in one pass and consumed as is; any other list is ranked with the
+// flat-key radix sort the engine uses (RankScoredList). Contributions
+// accumulate through an open-addressing table keyed by id, sized by the
+// number of entries — never by the largest id — with no sort. The final
+// ranking is a natural merge sort, which costs one pass over the hits when
+// ranked inputs leave them in order.
 
 #ifndef HYBRIDLSH_CORE_FUSION_H_
 #define HYBRIDLSH_CORE_FUSION_H_
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -43,7 +52,8 @@ inline const char* FusionModeName(FusionMode mode) {
 struct FusionOptions {
   FusionMode mode = FusionMode::kRrf;
   /// RRF rank constant: larger values flatten the rank curve. 60 is the
-  /// conventional default from the TREC fusion literature.
+  /// conventional default from the TREC fusion literature. The engine
+  /// requires it finite and >= 0.
   double rrf_k = 60.0;
 };
 
@@ -64,21 +74,39 @@ struct ScoredList {
   std::vector<double> distances;
 };
 
-/// Reusable allocation scratch for FuseScoredLists (the query paths keep
-/// one per QueryScratch so steady-state fusion does not allocate).
+/// Reusable allocation scratch for RankScoredList and FuseScoredLists (the
+/// query paths keep one per QueryScratch so steady-state fusion does not
+/// allocate).
 struct FusionScratch {
-  std::vector<uint32_t> order;
-  /// (id << 32 | subquery index, contribution): sorting by the packed key
-  /// fixes the accumulation order and makes an in-list duplicate a
-  /// repeated key.
-  std::vector<std::pair<uint64_t, double>> contributions;
+  /// Rank sort: order-preserving distance bits and the radix ping-pong
+  /// halves.
+  std::vector<uint64_t> keys, keys_tmp;
+  std::vector<uint32_t> ids_tmp;
+  /// A rank-ordered copy of an input list that did not arrive ranked.
+  ScoredList ranked;
+  /// The accumulator: an open-addressing table of (hit index + 1, 0 =
+  /// empty) slots keyed by id, and per hit the last subquery that
+  /// contributed — a second contribution from the same subquery is an
+  /// in-list duplicate.
+  std::vector<uint32_t> slots;
+  std::vector<uint32_t> last_list;
+  /// Final ranking: run boundaries and the merge buffer.
+  std::vector<size_t> run_bounds;
+  std::vector<FusedHit> merged;
 };
 
+/// Sorts `list` in place into rank order with an LSD radix sort over flat
+/// keys (the distance's order-preserving IEEE bits, then the id) — no
+/// comparator, O(n) per non-constant key byte. A -0.0 distance is stored
+/// back as +0.0, which it compares equal to. `scratch` may be null.
+void RankScoredList(ScoredList* list, FusionScratch* scratch);
+
 /// Merges `lists` into *out (cleared first) under `options`; see the file
-/// comment for the exact semantics. Duplicate ids within one list are
-/// invalid (the radius-search paths never produce them) and flagged with
-/// InvalidArgument. `scratch` may be null (a local is used).
-util::Status FuseScoredLists(std::span<ScoredList> lists,
+/// comment for the exact semantics. Lists are read, never reordered.
+/// Duplicate ids within one list are invalid (the radius-search paths
+/// never produce them) and flagged with InvalidArgument. `scratch` may be
+/// null (a local is used).
+util::Status FuseScoredLists(std::span<const ScoredList> lists,
                              const FusionOptions& options,
                              FusionScratch* scratch,
                              std::vector<FusedHit>* out);

@@ -6,8 +6,9 @@
 //
 //   plan    hash the query once per (query, family): lsh::ComputePlan /
 //           ComputePlanBatch, shared across shards and subqueries;
-//   probe   per shard, per subquery: EstimateProbe over the epoch
-//           snapshot's sketches feeds the cost model;
+//   probe   once per shard: EstimateProbe over the epoch snapshot's
+//           sketches feeds the cost model (a fused query's same-metric
+//           radius clauses share one walk at the widest radius);
 //   gather  S2 bucket merge into the VisitedSet (tombstone-filtered), or
 //           the filtered linear path's survivor enumeration;
 //   filter  evaluate the predicate into a BitVector over [0, id_bound),
@@ -16,8 +17,10 @@
 //           cost model (BuildFilterContext below, once per query);
 //   verify  the kernels of core/kernels.h with the filter pushed down —
 //           a candidate pays a bit test before it pays a distance;
-//   score   recompute exact per-id distances for fused subqueries with
-//           the scalar data/metric.h references (tier-independent);
+//   score   one exact distance per fused hit with the scalar data/metric.h
+//           references (tier-independent), then one flat-key sort into
+//           rank order; narrower clauses are carved out of the shared
+//           walk's hits by re-verifying them at their own radius;
 //   merge   deterministic RRF / LINEAR fusion (core/fusion.h) with stable
 //           tie-breaks.
 //
@@ -46,7 +49,8 @@ namespace engine {
 /// query point and the same per-shard snapshot acquisition; they differ in
 /// radius, metric, or by being an attribute-only scan.
 struct SubquerySpec {
-  /// Search radius (ignored for attribute_only clauses).
+  /// Search radius (ignored for attribute_only clauses). Like the weight,
+  /// it must be finite and >= 0.
   double radius = 0.0;
 
   /// This clause's weight in the fused score.
@@ -55,8 +59,8 @@ struct SubquerySpec {
   /// Optional metric override (dense engines only). A subquery with a
   /// metric different from the engine's LSH family cannot use the index's
   /// buckets, so it executes as a (filtered) linear scan under that
-  /// metric; subqueries without an override run the full hybrid
-  /// LSH-vs-linear decision.
+  /// metric; subqueries without an override share one hybrid
+  /// LSH-vs-linear walk at the widest of their radii.
   std::optional<data::Metric> metric;
 
   /// Attribute-only clause: geometry is ignored; every id passing the
@@ -68,8 +72,8 @@ struct SubquerySpec {
 /// default-constructed spec with just `radius` set reproduces the legacy
 /// single-radius query exactly.
 struct QuerySpec {
-  /// Radius of the single (non-fused) query. Ignored when subqueries are
-  /// present.
+  /// Radius of the single (non-fused) query; must be finite and >= 0.
+  /// Ignored when subqueries are present.
   double radius = 0.0;
 
   /// Optional pushdown predicate over the engine's attached
@@ -77,9 +81,10 @@ struct QuerySpec {
   /// call.
   const data::Predicate* predicate = nullptr;
 
-  /// Fusion clauses. Empty = plain single query; otherwise each subquery
-  /// executes independently (sharing plan, filter, and snapshot) and the
-  /// lists merge under `fusion`.
+  /// Fusion clauses. Empty = plain single query; otherwise the clauses
+  /// share one plan, filter and per-shard snapshot — the same-metric
+  /// radius clauses as one walk at the widest radius — and their lists
+  /// merge under `fusion`.
   std::vector<SubquerySpec> subqueries;
 
   /// Scoring semantics for the merge stage.

@@ -105,8 +105,9 @@ class SearchEngine {
 
   // --- Single queries, one typed overload per point representation. ------
   // The overload matching the engine's family succeeds and appends global
-  // ids to *out; the others return InvalidArgument. Defaults here reject
-  // everything; adapters override exactly one.
+  // ids to *out; the others return InvalidArgument, and so does a negative
+  // or non-finite radius (each is the spec form with QuerySpec::Radius).
+  // Defaults here reject everything; adapters override exactly one.
 
   /// Dense float vector (kL1, kL2, kCosine engines).
   virtual util::Status Query(const float* query, double radius,
@@ -162,7 +163,8 @@ class SearchEngine {
   // --- Batches, one typed overload per dataset container. ---------------
   // Pooled execution with per-worker scratch reuse (ShardedEngine::
   // QueryBatch); results are positionally aligned with the query set.
-  // `wall_seconds` (optional) receives the batch wall time.
+  // `wall_seconds` (optional) receives the batch wall time. A negative or
+  // non-finite radius returns InvalidArgument.
 
   virtual util::StatusOr<std::vector<ShardedBatchResult>> QueryBatch(
       const data::DenseDataset& queries, double radius,
@@ -291,34 +293,22 @@ class ShardedEngineAdapter final : public SearchEngine {
   util::Status Query(const float* query, double radius,
                      std::vector<uint32_t>* out,
                      ShardedQueryStats* stats) override {
-    if constexpr (std::is_same_v<Point, const float*>) {
-      engine_.Query(query, radius, out, stats);
-      return util::Status::Ok();
-    } else {
-      return WrongPointType("dense float");
-    }
+    return SpecQueryImpl(query, QuerySpec::Radius(radius), out, stats,
+                         "dense float");
   }
 
   util::Status Query(const uint64_t* query, double radius,
                      std::vector<uint32_t>* out,
                      ShardedQueryStats* stats) override {
-    if constexpr (std::is_same_v<Point, const uint64_t*>) {
-      engine_.Query(query, radius, out, stats);
-      return util::Status::Ok();
-    } else {
-      return WrongPointType("packed binary");
-    }
+    return SpecQueryImpl(query, QuerySpec::Radius(radius), out, stats,
+                         "packed binary");
   }
 
   util::Status Query(std::span<const uint32_t> query, double radius,
                      std::vector<uint32_t>* out,
                      ShardedQueryStats* stats) override {
-    if constexpr (std::is_same_v<Point, std::span<const uint32_t>>) {
-      engine_.Query(query, radius, out, stats);
-      return util::Status::Ok();
-    } else {
-      return WrongPointType("sparse id-set");
-    }
+    return SpecQueryImpl(query, QuerySpec::Radius(radius), out, stats,
+                         "sparse id-set");
   }
 
   util::StatusOr<std::vector<ShardedBatchResult>> QueryBatch(
@@ -405,7 +395,8 @@ class ShardedEngineAdapter final : public SearchEngine {
       const QuerySet& queries, double radius, double* wall_seconds,
       const char* got) {
     if constexpr (std::is_same_v<QuerySet, Dataset>) {
-      return engine_.QueryBatch(queries, radius, wall_seconds);
+      return engine_.QueryBatch(queries, QuerySpec::Radius(radius),
+                                wall_seconds);
     } else {
       return WrongPointType(got);
     }

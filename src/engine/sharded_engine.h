@@ -65,16 +65,19 @@
 // radius calls are thin wrappers over QuerySpec::Radius(r); a predicate
 // pushes a BitVector filter into the verify kernels (candidates pay a bit
 // test before a distance, and the cost model prices the linear scan at
-// LinearCost(live, selectivity)); fusion runs N subqueries against the
-// same per-shard snapshot acquisition, sharing the hash-once plan and the
-// filter, and merges with deterministic RRF / LINEAR scoring
+// LinearCost(live, selectivity)); fusion runs all its same-metric radius
+// clauses as ONE ordinary radius query at the widest radius, carves each
+// narrower clause out of that walk's hits by re-verifying them at its own
+// radius, and merges with deterministic RRF / LINEAR scoring
 // (core/fusion.h). Attach an AttributeStore (row == global id) with
 // AttachAttributes before issuing filtered specs.
 
 #ifndef HYBRIDLSH_ENGINE_SHARDED_ENGINE_H_
 #define HYBRIDLSH_ENGINE_SHARDED_ENGINE_H_
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -140,9 +143,9 @@ struct ShardedQueryStats {
   double filter_seconds = 0.0;
   /// Fusion clauses executed (0 for plain queries).
   size_t fusion_subqueries = 0;
-  /// Per-shard detail, indexed by shard ordinal. On fused queries each
-  /// shard's counters accumulate over its geometric subqueries and
-  /// `strategy` reflects the last one.
+  /// Per-shard detail, indexed by shard ordinal. On fused queries it
+  /// describes the one shared walk at the widest same-metric radius (all
+  /// zero when no clause walks the index).
   std::vector<core::QueryStats> per_shard;
 };
 
@@ -254,9 +257,9 @@ class ShardedEngine {
     lsh::PlanScratch plan_scratch;   // hash-once S1 workspace
     lsh::ProbePlan plan;             // the query's plan, shared by all shards
     util::BitVector filter;          // filter stage: predicate ∧ ¬tombstone
+    core::ScoredList walk_hits;      // fused: the shared walk's scored hits
     std::vector<core::ScoredList> sub_lists;  // fused per-subquery results
-    std::vector<uint32_t> sub_ids;   // per-(shard, subquery) gather buffer
-    core::FusionScratch fusion;      // merge-stage workspace
+    core::FusionScratch fusion;      // score + merge workspace
   };
 
   /// Builds all shards in parallel. The dataset is retained by pointer and
@@ -490,9 +493,11 @@ class ShardedEngine {
     return util::Status::Ok();
   }
 
-  /// Concurrent fused query: N subqueries against one snapshot acquisition
-  /// per shard, merged into (id, score) hits under the spec's fusion mode.
-  /// Lock-free like QueryConcurrent; one scratch per reader thread.
+  /// Concurrent fused query, merged into (id, score) hits under the spec's
+  /// fusion mode. Its same-metric radius clauses share one QueryConcurrent
+  /// walk at the widest radius (shards sequential on the calling thread);
+  /// see QueryFusedOnScratch. Lock-free like QueryConcurrent; one scratch
+  /// per reader thread.
   util::Status QueryFusedConcurrent(Point query, const QuerySpec& spec,
                                     std::vector<core::FusedHit>* out,
                                     QueryScratch* scratch,
@@ -500,7 +505,11 @@ class ShardedEngine {
     HLSH_RETURN_IF_ERROR(ValidateSpec(spec, /*fused=*/true));
     ShardedQueryStats local_stats;
     ShardedQueryStats* s = stats != nullptr ? stats : &local_stats;
-    return QueryFusedOnScratch(query, spec, out, scratch, s);
+    return QueryFusedOnScratch(
+        query, spec, out, scratch, s,
+        [&](const QuerySpec& walk, std::vector<uint32_t>* ids) {
+          return QueryOnScratch(query, walk, ids, scratch, s);
+        });
   }
 
   /// A scratch sized for this engine: dedup over the current id space
@@ -531,51 +540,26 @@ class ShardedEngine {
                      ShardedQueryStats* stats = nullptr) {
     HLSH_RETURN_IF_ERROR(ValidateSpec(spec, /*fused=*/false));
     ShardedQueryStats local_stats;
-    ShardedQueryStats* s = stats != nullptr ? stats : &local_stats;
-    ResetStats(s);
-    util::WallTimer timer;
-    const FilterContext fctx = BuildFilterStage(spec, &fanout_filter_, s);
-
-    // S1 once, on the calling thread: every worker reads the one plan
-    // (const; the pool dispatch orders the writes before the reads).
-    const lsh::ProbePlan* plan = nullptr;
-    if (options_.searcher.forced != core::ForcedStrategy::kAlwaysLinear) {
-      util::WallTimer hash_timer;
-      ComputePlan(query, &fanout_plan_scratch_, &fanout_plan_);
-      s->hash_seconds = hash_timer.ElapsedSeconds();
-      s->hash_evals = fanout_plan_.num_tables();
-      plan = &fanout_plan_;
-    }
-
-    util::ParallelForOn(pool_.get(), 0, shards_.size(), [&](size_t i) {
-      fanout_out_[i].clear();
-      QueryScratch& scratch = fanout_scratch_[i];
-      RefreshShardView(i, &scratch);
-      QueryShard(shards_[i], scratch.views[i].snapshot, query, spec.radius,
-                 plan, fctx, &scratch, &fanout_out_[i], &s->per_shard[i]);
-    });
-
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      out->insert(out->end(), fanout_out_[i].begin(), fanout_out_[i].end());
-    }
-    FoldStats(s);
-    NoteQueryCounters(*s);
-    s->total_seconds = timer.ElapsedSeconds();
+    FanOutQuery(query, spec, out, stats != nullptr ? stats : &local_stats);
     return util::Status::Ok();
   }
 
-  /// Fused query on engine-owned scratch (one caller at a time): executes
-  /// every subquery per shard over one snapshot acquisition, scores with
-  /// the scalar reference metrics, and merges under the spec's fusion
-  /// options. Shards run sequentially — fusion gathers per-subquery lists,
-  /// which the parallel fan-out buffers are not shaped for.
+  /// Fused query on engine-owned scratch (one caller at a time), merged
+  /// into (id, score) hits under the spec's fusion options. Its same-metric
+  /// radius clauses share one walk at the widest radius through the same
+  /// parallel shard fan-out as Query, so every shard estimates, decides,
+  /// gathers and verifies once; see QueryFusedOnScratch.
   util::Status QueryFused(Point query, const QuerySpec& spec,
                           std::vector<core::FusedHit>* out,
                           ShardedQueryStats* stats = nullptr) {
     HLSH_RETURN_IF_ERROR(ValidateSpec(spec, /*fused=*/true));
     ShardedQueryStats local_stats;
     ShardedQueryStats* s = stats != nullptr ? stats : &local_stats;
-    return QueryFusedOnScratch(query, spec, out, &fanout_scratch_[0], s);
+    return QueryFusedOnScratch(
+        query, spec, out, &fanout_scratch_[0], s,
+        [&](const QuerySpec& walk, std::vector<uint32_t>* ids) {
+          return FanOutQuery(query, walk, ids, s);
+        });
   }
 
   /// Answers a whole query set (any container with size() and point(i)) on
@@ -1095,32 +1079,67 @@ class ShardedEngine {
     }
   }
 
-  /// Re-acquires shard s's snapshot into the scratch's view cache (two
-  /// atomic loads when the segment list is unchanged) and widens the dedup
-  /// set to cover every id the snapshot can emit. VisitedSet spans the
-  /// *global* id space — shard buckets store global ids, so no translation
-  /// is needed anywhere.
-  void RefreshShardView(size_t s, QueryScratch* scratch) const {
-    auto& view = scratch->views[s];
-    shards_[s].index->AcquireCached(&view.snapshot, &view.version);
-    if (scratch->visited.capacity() < view.snapshot.id_bound()) {
-      scratch->visited.Resize(view.snapshot.id_bound());
+  /// Re-acquires shard s's snapshot into a view cache slot (two atomic
+  /// loads when the segment list is unchanged).
+  void RefreshShardView(size_t s,
+                        typename QueryScratch::ShardView* view) const {
+    shards_[s].index->AcquireCached(&view->snapshot, &view->version);
+  }
+
+  /// The pool fan-out behind Query and QueryFused: the filter stage and S1
+  /// run once on the calling thread, then worker i walks shard i on
+  /// fanout_scratch_[i]. Worker i caches its snapshot in slot i of
+  /// fanout_scratch_[0].views (no slot has two writers), so after the
+  /// barrier that one scratch holds every shard's snapshot, as
+  /// QueryOnScratch leaves its scratch. Returns the filter stage's product.
+  FilterContext FanOutQuery(Point query, const QuerySpec& spec,
+                            std::vector<uint32_t>* out,
+                            ShardedQueryStats* s) {
+    ResetStats(s);
+    util::WallTimer timer;
+    const FilterContext fctx = BuildFilterStage(spec, &fanout_filter_, s);
+
+    // S1 once, on the calling thread: every worker reads the one plan
+    // (const; the pool dispatch orders the writes before the reads).
+    const lsh::ProbePlan* plan = nullptr;
+    if (options_.searcher.forced != core::ForcedStrategy::kAlwaysLinear) {
+      util::WallTimer hash_timer;
+      ComputePlan(query, &fanout_plan_scratch_, &fanout_plan_);
+      s->hash_seconds = hash_timer.ElapsedSeconds();
+      s->hash_evals = fanout_plan_.num_tables();
+      plan = &fanout_plan_;
     }
+
+    util::ParallelForOn(pool_.get(), 0, shards_.size(), [&](size_t i) {
+      fanout_out_[i].clear();
+      auto& view = fanout_scratch_[0].views[i];
+      RefreshShardView(i, &view);
+      QueryShard(shards_[i], view.snapshot, query, spec.radius, plan, fctx,
+                 &fanout_scratch_[i], &fanout_out_[i], &s->per_shard[i]);
+    });
+
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      out->insert(out->end(), fanout_out_[i].begin(), fanout_out_[i].end());
+    }
+    FoldStats(s);
+    NoteQueryCounters(*s);
+    s->total_seconds = timer.ElapsedSeconds();
+    return fctx;
   }
 
   /// One full query over every shard on the caller's scratch: compute (or
   /// adopt) the probe plan once, refresh each shard's snapshot, run
   /// Algorithm 2 per shard sequentially, fold stats. Lock-free — shared by
-  /// QueryConcurrent and the batch workers. `shared_plan` (batch path) is a
-  /// plan precomputed for this query; nullptr computes one into the
-  /// scratch. Forced-linear skips planning entirely — no hash function
-  /// runs.
-  void QueryOnScratch(Point query, const QuerySpec& spec,
-                      std::vector<uint32_t>* out, QueryScratch* scratch,
-                      ShardedQueryStats* s,
-                      const lsh::ProbePlan* shared_plan = nullptr,
-                      double shared_hash_seconds = 0.0,
-                      const FilterContext* shared_filter = nullptr) const {
+  /// QueryConcurrent, QueryFusedConcurrent and the batch workers.
+  /// `shared_plan` (batch path) is a plan precomputed for this query;
+  /// nullptr computes one into the scratch. Forced-linear skips planning
+  /// entirely — no hash function runs. Returns the filter stage's product.
+  FilterContext QueryOnScratch(
+      Point query, const QuerySpec& spec, std::vector<uint32_t>* out,
+      QueryScratch* scratch, ShardedQueryStats* s,
+      const lsh::ProbePlan* shared_plan = nullptr,
+      double shared_hash_seconds = 0.0,
+      const FilterContext* shared_filter = nullptr) const {
     ResetStats(s);
     util::WallTimer timer;
     FilterContext fctx;
@@ -1144,109 +1163,122 @@ class ShardedEngine {
     }
     if (plan != nullptr) s->hash_evals = plan->num_tables();
     for (size_t i = 0; i < shards_.size(); ++i) {
-      RefreshShardView(i, scratch);
+      RefreshShardView(i, &scratch->views[i]);
       QueryShard(shards_[i], scratch->views[i].snapshot, query, spec.radius,
                  plan, fctx, scratch, out, &s->per_shard[i]);
     }
     FoldStats(s);
     NoteQueryCounters(*s);
     s->total_seconds = timer.ElapsedSeconds();
+    return fctx;
   }
 
-  /// The fused execution path (score + merge stages live here). Shards are
-  /// walked sequentially; each shard's snapshot is acquired ONCE and every
-  /// subquery runs against it, so all clauses see the same epoch. Gather
-  /// results land in per-subquery ScoredLists; the score stage prices every
-  /// id with the scalar reference metrics (data/metric.h) — deterministic
-  /// across SIMD tiers, so fused scores are reproducible bit-for-bit — and
-  /// FuseScoredLists merges with stable tie-breaks.
+  /// The fused execution path (score + merge stages live here).
+  ///
+  /// Gather: every same-metric radius clause runs inside ONE ordinary
+  /// radius query at the widest such radius, through the entry point's own
+  /// gather (`gather(walk_spec, &ids)`: Query's pool fan-out or
+  /// QueryOnScratch), so each shard estimates, decides, gathers and
+  /// verifies once. A narrower clause is carved out by re-verifying the
+  /// walk's hits at its own radius. That is exact: the Algorithm 2
+  /// decision does not read the radius, so a separate query at the
+  /// narrower radius would verify the same candidates, and every verify
+  /// test (d^2 <= r^2, or d <= r; the int8 screen is bit-identical to the
+  /// float verify) is monotone in the radius. Metric-override clauses scan
+  /// the snapshots that walk used; attribute-only clauses report the
+  /// composed filter's survivors.
+  ///
+  /// Score: one scalar reference distance per hit (data/metric.h —
+  /// tier-independent, so fused scores reproduce bit-for-bit), then one
+  /// flat-key sort into rank order. The re-verify preserves candidate
+  /// order, so every clause's list comes out already ranked: RRF reads the
+  /// ranks off as is, and in both modes the fused hits reach the final
+  /// ranking nearly in order (core/fusion.h).
+  template <typename Gather>
   util::Status QueryFusedOnScratch(Point query, const QuerySpec& spec,
                                    std::vector<core::FusedHit>* out,
-                                   QueryScratch* scratch,
-                                   ShardedQueryStats* s) const {
-    ResetStats(s);
+                                   QueryScratch* scratch, ShardedQueryStats* s,
+                                   Gather gather) const {
     util::WallTimer timer;
-    s->fusion_subqueries = spec.subqueries.size();
-    const FilterContext fctx = BuildFilterStage(spec, &scratch->filter, s);
-
-    // Plan once iff some clause runs the hybrid path: metric overrides
-    // bypass the index (their buckets hash a different geometry) and
-    // attribute-only clauses never touch it.
     const data::Metric engine_metric = shards_[0].index->family().metric();
-    bool needs_plan = false;
-    if (options_.searcher.forced != core::ForcedStrategy::kAlwaysLinear) {
-      for (const SubquerySpec& sub : spec.subqueries) {
-        needs_plan |= !sub.attribute_only &&
-                      (!sub.metric.has_value() || *sub.metric == engine_metric);
+    auto walks_index = [&](const SubquerySpec& sub) {
+      return !sub.attribute_only &&
+             (!sub.metric.has_value() || *sub.metric == engine_metric);
+    };
+    std::optional<double> widest;
+    for (const SubquerySpec& sub : spec.subqueries) {
+      if (walks_index(sub)) {
+        widest = std::max(widest.value_or(sub.radius), sub.radius);
       }
     }
-    const lsh::ProbePlan* plan = nullptr;
-    if (needs_plan) {
-      util::WallTimer hash_timer;
-      ComputePlan(query, &scratch->plan_scratch, &scratch->plan);
-      s->hash_seconds = hash_timer.ElapsedSeconds();
-      s->hash_evals = scratch->plan.num_tables();
-      plan = &scratch->plan;
+
+    core::ScoredList& walk = scratch->walk_hits;
+    walk.ids.clear();
+    FilterContext fctx;
+    if (widest.has_value()) {
+      QuerySpec walk_spec = QuerySpec::Radius(*widest);
+      walk_spec.predicate = spec.predicate;
+      fctx = gather(walk_spec, &walk.ids);
+    } else {
+      ResetStats(s);
+      fctx = BuildFilterStage(spec, &scratch->filter, s);
+      for (size_t i = 0; i < shards_.size(); ++i) {
+        RefreshShardView(i, &scratch->views[i]);
+      }
     }
+
+    walk.distances.resize(walk.ids.size());
+    for (size_t k = 0; k < walk.ids.size(); ++k) {
+      walk.distances[k] = ExactDistance(query, walk.ids[k], engine_metric);
+    }
+    core::RankScoredList(&walk, &scratch->fusion);
 
     auto& lists = scratch->sub_lists;
     lists.resize(spec.subqueries.size());
     for (size_t j = 0; j < lists.size(); ++j) {
-      lists[j].weight = spec.subqueries[j].weight;
-      lists[j].ids.clear();
-      lists[j].distances.clear();
-    }
-
-    // Gather: shard-major so each snapshot is acquired once per query, not
-    // once per (shard, subquery).
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      RefreshShardView(i, scratch);
-      const auto& snap = scratch->views[i].snapshot;
-      for (size_t j = 0; j < spec.subqueries.size(); ++j) {
-        const SubquerySpec& sub = spec.subqueries[j];
-        if (sub.attribute_only) continue;  // global, handled below
-        if (sub.metric.has_value() && *sub.metric != engine_metric) {
-          ExecuteOverrideScan(snap, query, sub, fctx, &lists[j]);
-          continue;
-        }
-        scratch->sub_ids.clear();
-        core::QueryStats sub_st;
-        QueryShard(shards_[i], snap, query, sub.radius, plan, fctx, scratch,
-                   &scratch->sub_ids, &sub_st);
-        AccumulateShardStats(sub_st, &s->per_shard[i]);
-        lists[j].ids.insert(lists[j].ids.end(), scratch->sub_ids.begin(),
-                            scratch->sub_ids.end());
-      }
-    }
-
-    // Score: exact scalar distances under the engine's metric for every
-    // hybrid clause (override clauses scored theirs during the scan).
-    for (size_t j = 0; j < spec.subqueries.size(); ++j) {
       const SubquerySpec& sub = spec.subqueries[j];
-      if (sub.attribute_only) {
-        // Every composed-filter survivor, distance 0: the predicate IS the
-        // clause. ForEachSetBitInRange emits ascending ids — stable.
-        fctx.filter->ForEachSetBitInRange(
-            0, fctx.filter->size(), [&](size_t id) {
-              lists[j].ids.push_back(static_cast<uint32_t>(id));
-              lists[j].distances.push_back(0.0);
-            });
+      core::ScoredList& list = lists[j];
+      list.weight = sub.weight;
+      if (walks_index(sub) && sub.radius == *widest) {
+        list.ids = walk.ids;
+        list.distances = walk.distances;
         continue;
       }
-      if (sub.metric.has_value() && *sub.metric != engine_metric) continue;
-      lists[j].distances.reserve(lists[j].ids.size());
-      for (const uint32_t id : lists[j].ids) {
-        lists[j].distances.push_back(ExactDistance(query, id, engine_metric));
+      list.ids.clear();
+      list.distances.clear();
+      if (sub.attribute_only) {
+        // Every composed-filter survivor, distance 0: the predicate IS the
+        // clause. Ascending ids at one distance — already in rank order.
+        fctx.filter->ForEachSetBitInRange(
+            0, fctx.filter->size(), [&](size_t id) {
+              list.ids.push_back(static_cast<uint32_t>(id));
+              list.distances.push_back(0.0);
+            });
+      } else if (!walks_index(sub)) {
+        for (size_t i = 0; i < shards_.size(); ++i) {
+          ExecuteOverrideScan(scratch->views[i].snapshot, query, sub, fctx,
+                              &list);
+        }
+        core::RankScoredList(&list, &scratch->fusion);
+      } else {
+        // A narrower clause: its hits are the walk's hits that pass the
+        // verify at its radius, emitted in the walk's order — so the
+        // distances pair up in one forward pass.
+        core::kernels::VerifyCandidatesQuantized(
+            *shards_[0].index, *dataset_, mirror_.get(), query, walk.ids,
+            sub.radius, &list.ids);
+        size_t k = 0;
+        for (const uint32_t id : list.ids) {
+          while (walk.ids[k] != id) ++k;
+          list.distances.push_back(walk.distances[k]);
+        }
       }
     }
 
-    // Merge.
-    HLSH_RETURN_IF_ERROR(core::FuseScoredLists(
-        std::span<core::ScoredList>(lists.data(), lists.size()), spec.fusion,
-        &scratch->fusion, out));
-    FoldStats(s);
-    s->output_size = out->size();  // fused hits, not the per-shard sum
-    NoteQueryCounters(*s);
+    HLSH_RETURN_IF_ERROR(
+        core::FuseScoredLists(lists, spec.fusion, &scratch->fusion, out));
+    s->fusion_subqueries = spec.subqueries.size();
+    s->output_size = out->size();  // fused hits, not the walk's
     s->total_seconds = timer.ElapsedSeconds();
     return util::Status::Ok();
   }
@@ -1350,6 +1382,11 @@ class ShardedEngine {
 
     if (use_lsh) {
       st->strategy = core::Strategy::kLsh;
+      // The dedup set spans the *global* id space (shard buckets store
+      // global ids): widen it to every id this snapshot can emit.
+      if (scratch->visited.capacity() < snap.id_bound()) {
+        scratch->visited.Resize(snap.id_bound());
+      }
       scratch->visited.Reset();
       st->collisions = snap.CollectCandidates(*plan, &scratch->visited);
       st->cand_actual = scratch->visited.size();
@@ -1438,7 +1475,10 @@ class ShardedEngine {
     }
   }
 
-  /// Validates a spec against this engine before anything executes: a
+  /// Validates a spec against this engine before anything executes: every
+  /// radius, clause weight and the RRF constant must be finite and >= 0
+  /// (the dense kernels compare squared distances against radius^2, so a
+  /// negative radius would otherwise answer as its absolute value); a
   /// predicate needs an attached AttributeStore; attribute-only clauses
   /// need a predicate (they report its survivors); metric overrides exist
   /// for dense float data only, and only among the dense metrics. The
@@ -1449,12 +1489,26 @@ class ShardedEngine {
           fused ? "QueryFused needs a spec with subqueries"
                 : "fused specs return scored hits: call QueryFused");
     }
+    auto finite_non_negative = [](double v) {
+      return std::isfinite(v) && v >= 0.0;
+    };
+    if (!finite_non_negative(spec.radius)) {
+      return util::Status::InvalidArgument("radius must be finite and >= 0");
+    }
+    if (!finite_non_negative(spec.fusion.rrf_k)) {
+      return util::Status::InvalidArgument("rrf_k must be finite and >= 0");
+    }
     if (spec.predicate != nullptr && attributes_ == nullptr) {
       return util::Status::FailedPrecondition(
           "filtered spec without an attached AttributeStore "
           "(AttachAttributes)");
     }
     for (const SubquerySpec& sub : spec.subqueries) {
+      if (!finite_non_negative(sub.radius) ||
+          !finite_non_negative(sub.weight)) {
+        return util::Status::InvalidArgument(
+            "subquery radius and weight must be finite and >= 0");
+      }
       if (sub.attribute_only && spec.predicate == nullptr) {
         return util::Status::InvalidArgument(
             "attribute-only subquery requires a predicate");
@@ -1497,22 +1551,6 @@ class ShardedEngine {
     s->filtered = true;
     s->filter_selectivity = fctx.selectivity;
     s->filter_survivors = fctx.survivors;
-  }
-
-  /// Accumulates one subquery's shard stats into the per-shard slot (the
-  /// fused gather runs several QueryShard passes per shard).
-  static void AccumulateShardStats(const core::QueryStats& sub,
-                                   core::QueryStats* total) {
-    total->strategy = sub.strategy;
-    total->collisions += sub.collisions;
-    total->cand_estimate += sub.cand_estimate;
-    total->cand_actual += sub.cand_actual;
-    total->output_size += sub.output_size;
-    total->plan_reuse += sub.plan_reuse;
-    total->lsh_cost += sub.lsh_cost;
-    total->linear_cost += sub.linear_cost;
-    total->estimate_seconds += sub.estimate_seconds;
-    total->total_seconds += sub.total_seconds;
   }
 
   Options options_;

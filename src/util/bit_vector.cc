@@ -30,7 +30,7 @@ uint64_t TailMask(size_t bits) {
 void BitVector::AndWith(const BitVector& other) {
   uint64_t* words = words_.mutable_data();
   const size_t my_words = WordCount(size());
-  const size_t common = std::min(my_words, WordCount(other.size()));
+  const size_t common = std::min(my_words, WordCount(other.AcquireSize()));
   for (size_t w = 0; w < common; ++w) {
     words[w] &= other.LoadWord(w, std::memory_order_acquire);
   }
@@ -43,7 +43,7 @@ void BitVector::AndWith(const BitVector& other) {
 void BitVector::OrWith(const BitVector& other) {
   uint64_t* words = words_.mutable_data();
   const size_t my_words = WordCount(size());
-  const size_t common = std::min(my_words, WordCount(other.size()));
+  const size_t common = std::min(my_words, WordCount(other.AcquireSize()));
   for (size_t w = 0; w < common; ++w) {
     words[w] |= other.LoadWord(w, std::memory_order_acquire);
   }
@@ -57,7 +57,7 @@ void BitVector::OrWith(const BitVector& other) {
 void BitVector::AndWithNot(const BitVector& other) {
   uint64_t* words = words_.mutable_data();
   const size_t common =
-      std::min(WordCount(size()), WordCount(other.size()));
+      std::min(WordCount(size()), WordCount(other.AcquireSize()));
   for (size_t w = 0; w < common; ++w) {
     words[w] &= ~other.LoadWord(w, std::memory_order_acquire);
   }
@@ -68,7 +68,7 @@ void BitVector::AndWithNot(const BitVector& other) {
 
 size_t BitVector::CountAnd(const BitVector& other) const {
   const size_t common =
-      std::min(WordCount(size()), WordCount(other.size()));
+      std::min(WordCount(AcquireSize()), WordCount(other.AcquireSize()));
   size_t total = 0;
   for (size_t w = 0; w < common; ++w) {
     total += static_cast<size_t>(

@@ -144,10 +144,11 @@ class BitVector {
   /// Word-wise this &= other. Bits of *this at positions >= other.size()
   /// are cleared (a bit the operand cannot vouch for does not survive an
   /// intersection). *this must be thread-private; `other` may be shared
-  /// with concurrent SetConcurrent writers — its words are loaded with
-  /// acquire ordering, so sets published before the caller's
+  /// with a concurrent writer's SetConcurrent and Grow — its words are
+  /// loaded with acquire ordering, so sets published before the caller's
   /// synchronization point are honored, and a torn view is impossible
-  /// (loads are word-atomic).
+  /// (loads are word-atomic); its size is read with acquire ordering, so
+  /// every word below it already holds Grow's zero fill.
   void AndWith(const BitVector& other);
 
   /// Word-wise this |= other over the common prefix; bits of `other` at
@@ -233,6 +234,10 @@ class BitVector {
   static util::StatusOr<BitVector> Deserialize(ByteReader* reader);
 
  private:
+  /// size() with acquire ordering, pairing with Grow's release store: word
+  /// reads bounded by it never race the zero fill of a concurrent Grow.
+  size_t AcquireSize() const { return size_.load(std::memory_order_acquire); }
+
   uint64_t LoadWord(size_t w, std::memory_order order) const {
     // atomic_ref<const T> is not available until C++26; the const_cast is
     // sound because only load() is performed.

@@ -9,12 +9,17 @@
 // (kAlwaysLsh / kAlwaysLinear), where both runs walk identical candidate
 // sets; auto mode is bracketed between them, exactly like the engine's
 // existing equivalence tests. Fusion tests pin the deterministic RRF /
-// LINEAR merge: the engine's fused output must equal what a caller gets by
-// composing single-subquery results and FuseScoredLists by hand.
+// LINEAR merge: the engine's fused output (one shared walk for all
+// same-metric radius clauses) must equal, score for score, what a caller
+// gets by composing single-subquery results and FuseScoredLists by hand,
+// and FuseScoredLists itself must equal a comparator-and-map reference.
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -72,6 +77,109 @@ std::vector<uint32_t> Sorted(std::vector<uint32_t> ids) {
   return ids;
 }
 
+/// A fusion clause over the engine's own metric.
+SubquerySpec Clause(double radius, double weight) {
+  SubquerySpec sub;
+  sub.radius = radius;
+  sub.weight = weight;
+  return sub;
+}
+
+/// A rank-ordered copy of `list`, sorted with a plain comparator: the
+/// oracle for RankScoredList.
+core::ScoredList ComparatorRanked(const core::ScoredList& list) {
+  std::vector<size_t> order(list.ids.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (list.distances[a] != list.distances[b]) {
+      return list.distances[a] < list.distances[b];
+    }
+    return list.ids[a] < list.ids[b];
+  });
+  core::ScoredList ranked;
+  ranked.weight = list.weight;
+  for (const size_t i : order) {
+    ranked.ids.push_back(list.ids[i]);
+    ranked.distances.push_back(list.distances[i]);
+  }
+  return ranked;
+}
+
+/// The fusion semantics of core/fusion.h written the obvious way: ranks
+/// from a comparator sort, an ordered map accumulating each id's
+/// contributions in list order, a comparator sort of the result. The
+/// oracle FuseScoredLists must match bit for bit.
+std::vector<core::FusedHit> ReferenceFuse(
+    const std::vector<core::ScoredList>& lists,
+    const core::FusionOptions& options) {
+  std::map<uint32_t, double> scores;
+  for (const core::ScoredList& list : lists) {
+    const core::ScoredList ranked = ComparatorRanked(list);
+    for (size_t r = 0; r < ranked.ids.size(); ++r) {
+      scores[ranked.ids[r]] +=
+          options.mode == core::FusionMode::kRrf
+              ? ranked.weight / (options.rrf_k + static_cast<double>(r + 1))
+              : ranked.weight / (1.0 + ranked.distances[r]);
+    }
+  }
+  std::vector<core::FusedHit> hits;
+  for (const auto& [id, score] : scores) hits.push_back({id, score});
+  std::sort(hits.begin(), hits.end(),
+            [](const core::FusedHit& a, const core::FusedHit& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.id < b.id;
+            });
+  return hits;
+}
+
+/// Exact (not approximate) equality of two fused rankings.
+void ExpectSameHits(const std::vector<core::FusedHit>& got,
+                    const std::vector<core::FusedHit>& expected) {
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, expected[i].id) << "pos=" << i;
+    EXPECT_EQ(got[i].score, expected[i].score) << "pos=" << i;
+  }
+}
+
+/// What a fused query must reproduce exactly: one single-clause Query per
+/// clause, scalar distances (`distance(id)`), FuseScoredLists. Checks both
+/// fused entry points — QueryFused (the pool fan-out) and
+/// QueryFusedConcurrent (the sequential walk) — and that the same spec
+/// twice is bit-identical.
+template <typename Engine, typename Distance>
+void ExpectFusedMatchesHandComposition(Engine& engine,
+                                       typename Engine::Point query,
+                                       const QuerySpec& fused,
+                                       Distance distance) {
+  std::vector<core::ScoredList> lists(fused.subqueries.size());
+  for (size_t j = 0; j < lists.size(); ++j) {
+    QuerySpec single = QuerySpec::Radius(fused.subqueries[j].radius);
+    single.predicate = fused.predicate;
+    lists[j].weight = fused.subqueries[j].weight;
+    ASSERT_TRUE(engine.Query(query, single, &lists[j].ids).ok());
+    for (const uint32_t id : lists[j].ids) {
+      lists[j].distances.push_back(distance(id));
+    }
+  }
+  std::vector<core::FusedHit> expected;
+  ASSERT_TRUE(
+      core::FuseScoredLists(lists, fused.fusion, nullptr, &expected).ok());
+
+  auto scratch = engine.MakeQueryScratch();
+  std::vector<core::FusedHit> got, again, concurrent;
+  ShardedQueryStats stats;
+  ASSERT_TRUE(engine.QueryFused(query, fused, &got, &stats).ok());
+  ASSERT_TRUE(engine.QueryFused(query, fused, &again).ok());
+  ASSERT_TRUE(
+      engine.QueryFusedConcurrent(query, fused, &concurrent, &scratch).ok());
+  ExpectSameHits(got, expected);
+  ExpectSameHits(again, got);
+  ExpectSameHits(concurrent, got);
+  EXPECT_EQ(stats.fusion_subqueries, fused.subqueries.size());
+  EXPECT_EQ(stats.output_size, got.size());
+}
+
 class FilteredFusionTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -111,6 +219,27 @@ class FilteredFusionTest : public ::testing::Test {
     HLSH_CHECK(engine.ok());
     engine->AttachAttributes(&attributes_);
     return std::move(*engine);
+  }
+
+  /// Churns a mutable engine built over a copy of dataset_: appends 400
+  /// points (attribute rows in lockstep), removes every 7th original id
+  /// and every 5th inserted one, then quiesces and compacts.
+  void Churn(Engine* engine, data::AttributeStore* attributes) const {
+    const data::DenseDataset extra = data::MakeCorelLike(400, kDim, 99);
+    for (size_t i = 0; i < extra.size(); ++i) {
+      auto id = engine->Insert(extra.point(i));
+      ASSERT_TRUE(id.ok());
+      AppendRowFor(attributes, *id);
+    }
+    for (size_t id = 0; id < dataset_.size(); id += 7) {
+      ASSERT_TRUE(engine->Remove(static_cast<uint32_t>(id)).ok());
+    }
+    for (size_t i = 0; i < extra.size(); i += 5) {
+      ASSERT_TRUE(
+          engine->Remove(static_cast<uint32_t>(dataset_.size() + i)).ok());
+    }
+    engine->DrainMaintenance();
+    engine->CompactAll();
   }
 
   /// Predicate bits only (the post-filter reference never composes
@@ -244,34 +373,16 @@ TEST_F(FilteredFusionTest, ShardedEnginePushdownBitIdentical) {
 }
 
 TEST_F(FilteredFusionTest, ShardedEngineChurnPushdownStaysExact) {
-  data::DenseDataset mutable_dataset = dataset_;
-  const data::DenseDataset extra = data::MakeCorelLike(400, kDim, 99);
   for (const auto forced : {core::ForcedStrategy::kAlwaysLsh,
                             core::ForcedStrategy::kAlwaysLinear}) {
-    data::DenseDataset working = mutable_dataset;
+    data::DenseDataset working = dataset_;
     data::AttributeStore attributes;
     FillAttributes(&attributes, working.size());
     auto built = Engine::Build(Family(), &working, ShardOptions(3, forced));
     ASSERT_TRUE(built.ok());
     Engine engine = std::move(*built);
     engine.AttachAttributes(&attributes);
-
-    // Churn: append 400 points (attribute rows in lockstep), remove every
-    // 7th original id and every 5th inserted one, then quiesce.
-    for (size_t i = 0; i < extra.size(); ++i) {
-      auto id = engine.Insert(extra.point(i));
-      ASSERT_TRUE(id.ok());
-      AppendRowFor(&attributes, *id);
-    }
-    for (size_t id = 0; id < dataset_.size(); id += 7) {
-      ASSERT_TRUE(engine.Remove(static_cast<uint32_t>(id)).ok());
-    }
-    for (size_t i = 0; i < extra.size(); i += 5) {
-      ASSERT_TRUE(
-          engine.Remove(static_cast<uint32_t>(dataset_.size() + i)).ok());
-    }
-    engine.DrainMaintenance();
-    engine.CompactAll();
+    Churn(&engine, &attributes);
 
     const data::Predicate pred = data::Predicate::Between(1, 0, 499);
     util::BitVector filter;
@@ -455,51 +566,295 @@ TEST_F(FilteredFusionTest, LinearMergeHandComputedWithStableTieBreak) {
   EXPECT_EQ(out[1].id, 7u);
 }
 
-// --- Deterministic fusion: engine path == hand-composed. --------------------
-
-TEST_F(FilteredFusionTest, EngineFusedTwoRadiiEqualsHandComposition) {
-  auto engine = MakeEngine(3);
-  const data::Predicate pred = data::Predicate::Between(1, 0, 599);
-  const double radii[2] = {kRadius, kRadius * 1.5};
-  const double weights[2] = {1.0, 0.5};
-
-  QuerySpec fused;
-  fused.predicate = &pred;
-  for (int j = 0; j < 2; ++j) {
-    fused.subqueries.push_back({radii[j], weights[j], std::nullopt, false});
+/// Three overlapping lists over a small id space with many distance ties
+/// (distances on a 1/8 grid), in arbitrary order.
+std::vector<core::ScoredList> RandomLists(uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<core::ScoredList> lists(3);
+  const double weights[3] = {1.0, 0.5, 2.0};
+  for (size_t j = 0; j < lists.size(); ++j) {
+    lists[j].weight = weights[j];
+    std::vector<uint32_t> ids(300);
+    for (uint32_t i = 0; i < ids.size(); ++i) ids[i] = i * 7;
+    std::shuffle(ids.begin(), ids.end(), rng);
+    ids.resize(100 + 50 * j);
+    for (const uint32_t id : ids) {
+      lists[j].ids.push_back(id);
+      lists[j].distances.push_back(static_cast<double>(rng() % 16) / 8.0);
+    }
   }
+  return lists;
+}
 
-  for (size_t q = 0; q < queries_.size(); ++q) {
-    // Hand composition: one single-subquery spec per clause, scalar L2
-    // distances, FuseScoredLists.
-    std::vector<core::ScoredList> lists(2);
-    for (int j = 0; j < 2; ++j) {
-      QuerySpec single = QuerySpec::Radius(radii[j]);
-      single.predicate = &pred;
-      lists[j].weight = weights[j];
-      ASSERT_TRUE(engine.Query(queries_.point(q), single, &lists[j].ids).ok());
-      for (const uint32_t id : lists[j].ids) {
-        lists[j].distances.push_back(
-            ScalarL2(queries_.point(q), dataset_.point(id)));
+TEST_F(FilteredFusionTest, RankScoredListMatchesComparatorSort) {
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    for (core::ScoredList list : RandomLists(seed)) {
+      // Large ids (every id byte varies) and a signed zero among the ties.
+      for (uint32_t& id : list.ids) id = id * 14316557u + 3u;
+      list.distances[0] = -0.0;
+      const core::ScoredList expected = ComparatorRanked(list);
+      core::RankScoredList(&list, nullptr);
+      EXPECT_EQ(list.ids, expected.ids);
+      EXPECT_EQ(list.distances, expected.distances);
+    }
+  }
+}
+
+TEST_F(FilteredFusionTest, FuseRankedOrShuffledListsBitIdentical) {
+  for (const auto mode : {core::FusionMode::kRrf, core::FusionMode::kLinear}) {
+    core::FusionOptions options;
+    options.mode = mode;
+    for (uint32_t seed = 1; seed <= 5; ++seed) {
+      SCOPED_TRACE(seed);
+      const std::vector<core::ScoredList> shuffled = RandomLists(seed);
+      std::vector<core::ScoredList> ranked;
+      for (const core::ScoredList& list : shuffled) {
+        ranked.push_back(ComparatorRanked(list));
+      }
+      std::vector<core::FusedHit> from_ranked, from_shuffled;
+      core::FusionScratch scratch;  // reused across calls, like the engine
+      ASSERT_TRUE(
+          core::FuseScoredLists(ranked, options, &scratch, &from_ranked).ok());
+      ASSERT_TRUE(core::FuseScoredLists(shuffled, options, &scratch,
+                                        &from_shuffled)
+                      .ok());
+      ExpectSameHits(from_shuffled, from_ranked);
+      ExpectSameHits(from_ranked, ReferenceFuse(shuffled, options));
+    }
+  }
+}
+
+TEST_F(FilteredFusionTest, FuseRejectsInListDuplicatesAnywhere) {
+  for (const auto mode : {core::FusionMode::kRrf, core::FusionMode::kLinear}) {
+    core::FusionOptions options;
+    options.mode = mode;
+    const std::vector<core::ScoredList> clean = RandomLists(9);
+    for (size_t j = 0; j < clean.size(); ++j) {
+      const size_t n = clean[j].ids.size();
+      // (copy from, copy to): adjacent, far apart, at either end.
+      const std::pair<size_t, size_t> placements[] = {
+          {0, 1}, {1, 0}, {0, n - 1}, {n - 1, 0}, {n / 2, n / 2 + 1},
+          {n - 2, n - 1}};
+      for (const auto& [from, to] : placements) {
+        for (const bool ranked : {false, true}) {
+          std::vector<core::ScoredList> lists = clean;
+          lists[j].ids[to] = lists[j].ids[from];
+          if (ranked) lists[j] = ComparatorRanked(lists[j]);
+          std::vector<core::FusedHit> out;
+          EXPECT_EQ(core::FuseScoredLists(lists, options, nullptr, &out).code(),
+                    util::StatusCode::kInvalidArgument)
+              << "list=" << j << " from=" << from << " to=" << to
+              << " ranked=" << ranked;
+        }
       }
     }
-    std::vector<core::FusedHit> expected;
-    ASSERT_TRUE(
-        core::FuseScoredLists(lists, fused.fusion, nullptr, &expected).ok());
+  }
+}
 
-    std::vector<core::FusedHit> got, again;
-    ShardedQueryStats stats;
-    ASSERT_TRUE(engine.QueryFused(queries_.point(q), fused, &got, &stats).ok());
-    ASSERT_TRUE(engine.QueryFused(queries_.point(q), fused, &again).ok());
-    ASSERT_EQ(got.size(), expected.size()) << "query=" << q;
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].id, expected[i].id) << "query=" << q << " pos=" << i;
-      EXPECT_DOUBLE_EQ(got[i].score, expected[i].score);
-      // Determinism: the same spec twice is bit-identical.
-      EXPECT_EQ(got[i].id, again[i].id);
-      EXPECT_EQ(got[i].score, again[i].score);
+TEST_F(FilteredFusionTest, FuseIdsNearUint32Max) {
+  constexpr uint32_t kMax = std::numeric_limits<uint32_t>::max();
+  std::vector<core::ScoredList> lists(2);
+  lists[0].ids = {kMax, 0, kMax - 1, kMax - 2};
+  lists[0].distances = {0.5, 0.5, 0.25, 1.0};
+  lists[1].weight = 0.5;
+  lists[1].ids = {kMax - 2, kMax, 1u << 31};
+  lists[1].distances = {0.0, 0.75, 0.75};
+  for (const auto mode : {core::FusionMode::kRrf, core::FusionMode::kLinear}) {
+    core::FusionOptions options;
+    options.mode = mode;
+    std::vector<core::FusedHit> out;
+    ASSERT_TRUE(core::FuseScoredLists(lists, options, nullptr, &out).ok());
+    ExpectSameHits(out, ReferenceFuse(lists, options));
+    ASSERT_EQ(out.size(), 5u);
+  }
+  // RRF by hand. List 0 ranks: kMax-1, 0, kMax, kMax-2 (tie at 0.5 broken
+  // by id); list 1 ranks: kMax-2, 2^31, kMax (tie at 0.75 likewise).
+  core::FusionOptions rrf;
+  std::vector<core::FusedHit> out;
+  ASSERT_TRUE(core::FuseScoredLists(lists, rrf, nullptr, &out).ok());
+  const double k = rrf.rrf_k;
+  std::map<uint32_t, double> want = {
+      {kMax - 1, 1.0 / (k + 1)},
+      {0u, 1.0 / (k + 2)},
+      {kMax, 1.0 / (k + 3) + 0.5 / (k + 3)},
+      {kMax - 2, 1.0 / (k + 4) + 0.5 / (k + 1)},
+      {1u << 31, 0.5 / (k + 2)}};
+  for (const core::FusedHit& hit : out) EXPECT_EQ(hit.score, want[hit.id]);
+}
+
+// --- Deterministic fusion: engine path == hand-composed. --------------------
+
+// One row of the shared-walk table: a fused spec shape and the engine it
+// runs on.
+struct FusedCase {
+  const char* name;
+  core::FusionMode mode;
+  std::vector<SubquerySpec> clauses;
+  bool filtered;
+  core::ForcedStrategy forced;
+  bool churn;          // inserts, removes and CompactAll before querying
+  size_t num_threads;  // engine pool; >= 2 runs the fused fan-out on it
+};
+
+TEST_F(FilteredFusionTest, EngineFusedTwoRadiiEqualsHandComposition) {
+  using core::ForcedStrategy;
+  using core::FusionMode;
+  const double r = kRadius;
+  const std::vector<FusedCase> cases = {
+      {"rrf", FusionMode::kRrf, {Clause(r, 1.0), Clause(1.5 * r, 0.5)},
+       true, ForcedStrategy::kAuto, false, 1},
+      {"linear", FusionMode::kLinear, {Clause(r, 1.0), Clause(1.5 * r, 0.5)},
+       false, ForcedStrategy::kAuto, false, 1},
+      {"radii_out_of_order", FusionMode::kRrf,
+       {Clause(1.5 * r, 0.5), Clause(r, 1.0)}, false,
+       ForcedStrategy::kAlwaysLsh, false, 1},
+      {"duplicate_radii", FusionMode::kLinear,
+       {Clause(r, 1.0), Clause(r, 0.25)}, true,
+       ForcedStrategy::kAlwaysLinear, false, 1},
+      {"three_clauses", FusionMode::kRrf,
+       {Clause(r, 1.0), Clause(1.5 * r, 0.5), Clause(0.5 * r, 2.0)}, false,
+       ForcedStrategy::kAlwaysLinear, false, 1},
+      {"three_clauses_duplicate_widest", FusionMode::kLinear,
+       {Clause(1.5 * r, 0.5), Clause(0.75 * r, 1.0), Clause(1.5 * r, 0.75)},
+       true, ForcedStrategy::kAlwaysLsh, false, 1},
+      {"after_churn", FusionMode::kRrf, {Clause(r, 1.0), Clause(1.5 * r, 0.5)},
+       true, ForcedStrategy::kAuto, true, 1},
+      {"after_churn_linear", FusionMode::kLinear,
+       {Clause(1.5 * r, 1.0), Clause(r, 0.5)}, false,
+       ForcedStrategy::kAlwaysLsh, true, 1},
+      {"pool_fan_out", FusionMode::kRrf,
+       {Clause(r, 1.0), Clause(1.5 * r, 0.5)}, true, ForcedStrategy::kAuto,
+       false, 3},
+  };
+  const data::Predicate pred = data::Predicate::Between(1, 0, 599);
+
+  for (const FusedCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    data::DenseDataset working = dataset_;
+    data::AttributeStore attributes;
+    FillAttributes(&attributes, working.size());
+    Engine::Options options = ShardOptions(3, c.forced);
+    options.num_threads = c.num_threads;
+    auto built = Engine::Build(Family(), &working, options);
+    ASSERT_TRUE(built.ok());
+    Engine engine = std::move(*built);
+    engine.AttachAttributes(&attributes);
+    if (c.churn) Churn(&engine, &attributes);
+
+    QuerySpec fused;
+    fused.fusion.mode = c.mode;
+    fused.subqueries = c.clauses;
+    if (c.filtered) fused.predicate = &pred;
+    for (size_t q = 0; q < queries_.size(); ++q) {
+      SCOPED_TRACE(q);
+      const float* query = queries_.point(q);
+      ExpectFusedMatchesHandComposition(engine, query, fused, [&](uint32_t id) {
+        return ScalarL2(query, working.point(id));
+      });
     }
-    EXPECT_EQ(stats.fusion_subqueries, 2u);
+  }
+}
+
+TEST_F(FilteredFusionTest, EngineFusedHammingAndJaccardEqualHandComposition) {
+  {
+    // Random 64-bit codes plus planted neighbors of query 0 at 1..12 flips,
+    // so the fused lists are not empty.
+    data::BinaryDataset codes = data::MakeRandomCodes(1200, 64, 61);
+    const data::BinaryDataset queries = data::MakeRandomCodes(4, 64, 62);
+    util::Rng rng(63);
+    data::PlantNeighborsHamming(&codes, queries.point(0), 12, 60, &rng);
+    using HammingEngine = ShardedEngine<lsh::BitSamplingFamily>;
+    HammingEngine::Options options;
+    options.num_shards = 3;
+    options.index.num_tables = 20;
+    options.index.k = 10;
+    options.index.seed = 64;
+    options.searcher = searcher_options_;
+    auto engine =
+        HammingEngine::Build(lsh::BitSamplingFamily(64), codes, options);
+    ASSERT_TRUE(engine.ok());
+    QuerySpec fused;
+    fused.subqueries = {Clause(12, 1.0), Clause(8, 0.5), Clause(22, 0.25)};
+    for (const auto mode :
+         {core::FusionMode::kRrf, core::FusionMode::kLinear}) {
+      fused.fusion.mode = mode;
+      for (size_t q = 0; q < queries.size(); ++q) {
+        SCOPED_TRACE(q);
+        const uint64_t* query = queries.point(q);
+        ExpectFusedMatchesHandComposition(*engine, query, fused,
+                                          [&](uint32_t id) {
+          return static_cast<double>(data::HammingDistance(
+              query, codes.point(id), codes.words_per_code()));
+        });
+      }
+    }
+  }
+  {
+    const data::SparseDataset sets = data::MakeRandomSparse(800, 300, 30, 65);
+    using JaccardEngine = ShardedEngine<lsh::MinHashFamily>;
+    JaccardEngine::Options options;
+    options.num_shards = 2;
+    options.index.num_tables = 20;
+    options.index.k = 3;
+    options.index.seed = 66;
+    options.searcher = searcher_options_;
+    auto engine = JaccardEngine::Build(lsh::MinHashFamily(), sets, options);
+    ASSERT_TRUE(engine.ok());
+    QuerySpec fused;
+    fused.subqueries = {Clause(0.9, 1.0), Clause(0.8, 2.0)};
+    for (const auto mode :
+         {core::FusionMode::kRrf, core::FusionMode::kLinear}) {
+      fused.fusion.mode = mode;
+      for (size_t q = 0; q < 6; ++q) {
+        SCOPED_TRACE(q);
+        const auto query = sets.point(q);
+        ExpectFusedMatchesHandComposition(*engine, query, fused,
+                                          [&](uint32_t id) {
+          return static_cast<double>(
+              data::JaccardDistance(query, sets.point(id)));
+        });
+      }
+    }
+  }
+}
+
+TEST_F(FilteredFusionTest, EngineFusedWalksEachShardOnce) {
+  // Two radius clauses run as ONE walk at the wider radius: every shard's
+  // Algorithm 2 counters equal a plain Query's at that radius, and each
+  // shard consumes the shared plan exactly once.
+  auto engine = MakeEngine(3);
+  QuerySpec fused;
+  fused.subqueries = {Clause(kRadius, 1.0), Clause(1.5 * kRadius, 0.5)};
+  auto scratch = engine.MakeQueryScratch();
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    SCOPED_TRACE(q);
+    std::vector<uint32_t> ids;
+    ShardedQueryStats widest;
+    ASSERT_TRUE(engine
+                    .Query(queries_.point(q), QuerySpec::Radius(1.5 * kRadius),
+                           &ids, &widest)
+                    .ok());
+    std::vector<core::FusedHit> hits;
+    ShardedQueryStats fan_out, sequential;
+    ASSERT_TRUE(engine.QueryFused(queries_.point(q), fused, &hits, &fan_out)
+                    .ok());
+    ASSERT_TRUE(engine
+                    .QueryFusedConcurrent(queries_.point(q), fused, &hits,
+                                          &scratch, &sequential)
+                    .ok());
+    for (const ShardedQueryStats* stats : {&fan_out, &sequential}) {
+      EXPECT_EQ(stats->plan_reuse, engine.num_shards());
+      EXPECT_EQ(stats->hash_evals, widest.hash_evals);
+      ASSERT_EQ(stats->per_shard.size(), engine.num_shards());
+      for (size_t s = 0; s < engine.num_shards(); ++s) {
+        const core::QueryStats& got = stats->per_shard[s];
+        const core::QueryStats& want = widest.per_shard[s];
+        EXPECT_EQ(got.collisions, want.collisions) << "shard=" << s;
+        EXPECT_EQ(got.cand_estimate, want.cand_estimate) << "shard=" << s;
+        EXPECT_EQ(got.cand_actual, want.cand_actual) << "shard=" << s;
+        EXPECT_EQ(got.strategy, want.strategy) << "shard=" << s;
+      }
+    }
   }
 }
 
@@ -603,6 +958,53 @@ TEST_F(FilteredFusionTest, SpecValidationRejectsBadSpecs) {
   attr_only.subqueries.push_back({kRadius, 1.0, std::nullopt, false});
   EXPECT_EQ(engine.QueryFused(queries_.point(0), attr_only, &fused_out).code(),
             util::StatusCode::kInvalidArgument);
+  // Radii, weights and the RRF constant must be finite and >= 0. A
+  // negative radius is rejected rather than answered as its absolute value
+  // (the dense kernels compare squared distances against radius^2).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto scratch = engine.MakeQueryScratch();
+  for (const double bad : {-1.0, -1e-12, nan, inf, -inf}) {
+    SCOPED_TRACE(bad);
+    out.clear();
+    EXPECT_EQ(engine.Query(queries_.point(0), QuerySpec::Radius(bad), &out)
+                  .code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine
+                  .QueryConcurrent(queries_.point(0), QuerySpec::Radius(bad),
+                                   &out, &scratch)
+                  .code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(
+        engine.QueryBatch(queries_, QuerySpec::Radius(bad)).status().code(),
+        util::StatusCode::kInvalidArgument);
+    QuerySpec bad_radius;
+    bad_radius.subqueries = {Clause(kRadius, 1.0), Clause(bad, 1.0)};
+    QuerySpec bad_weight;
+    bad_weight.subqueries = {Clause(kRadius, bad), Clause(kRadius, 1.0)};
+    QuerySpec bad_rrf_k;
+    bad_rrf_k.subqueries = {Clause(kRadius, 1.0)};
+    bad_rrf_k.fusion.rrf_k = bad;
+    for (const QuerySpec* spec : {&bad_radius, &bad_weight, &bad_rrf_k}) {
+      EXPECT_EQ(engine.QueryFused(queries_.point(0), *spec, &fused_out).code(),
+                util::StatusCode::kInvalidArgument);
+      EXPECT_EQ(engine
+                    .QueryFusedConcurrent(queries_.point(0), *spec, &fused_out,
+                                          &scratch)
+                    .code(),
+                util::StatusCode::kInvalidArgument);
+    }
+  }
+  // Zero stays valid everywhere: radius 0 reports exact duplicates only,
+  // weight 0 adds nothing, and rrf_k 0 is a plain 1/rank.
+  EXPECT_TRUE(
+      engine.Query(queries_.point(0), QuerySpec::Radius(0.0), &out).ok());
+  QuerySpec zeros;
+  zeros.subqueries = {Clause(0.0, 0.0), Clause(kRadius, 1.0)};
+  zeros.fusion.rrf_k = 0.0;
+  EXPECT_TRUE(engine.QueryFused(queries_.point(0), zeros, &fused_out).ok());
+
   // Predicate without an attached store.
   engine.AttachAttributes(nullptr);
   QuerySpec filtered = QuerySpec::Radius(kRadius);

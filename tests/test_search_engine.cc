@@ -5,6 +5,7 @@
 #include "engine/search_engine.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -185,6 +186,47 @@ TEST_F(SearchEngineTest, RejectsMismatchedPointRepresentation) {
   auto batch = (*l2)->QueryBatch(binary_queries_, kDenseRadius);
   EXPECT_EQ(batch.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_TRUE(out.empty());
+}
+
+TEST_F(SearchEngineTest, RadiusOverloadsRejectBadRadiiWithStatus) {
+  // The radius overloads are the spec forms with QuerySpec::Radius: a
+  // negative or non-finite radius is an InvalidArgument, not an answer (an
+  // L2 engine used to report radius -r as radius r) and not an abort.
+  EngineOptions options = BaseOptions();
+  options.pstable_w = 2 * kDenseRadius;
+  auto l2 = BuildEngine(data::Metric::kL2, &dense_, options);
+  ASSERT_TRUE(l2.ok());
+  auto hamming = BuildEngine(data::Metric::kHamming, &binary_, BaseOptions());
+  ASSERT_TRUE(hamming.ok());
+  const data::SparseDataset sparse = data::MakeRandomSparse(200, 500, 20, 82);
+  auto jaccard = BuildEngine(data::Metric::kJaccard, &sparse, BaseOptions());
+  ASSERT_TRUE(jaccard.ok());
+
+  std::vector<uint32_t> out;
+  for (const double bad : {-1.0, -kDenseRadius,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ((*l2)->Query(dense_queries_.point(0), bad, &out).code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ((*hamming)->Query(binary_queries_.point(0), bad, &out).code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ((*jaccard)->Query(sparse.point(0), bad, &out).code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ((*l2)->QueryBatch(dense_queries_, bad).status().code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ((*hamming)->QueryBatch(binary_queries_, bad).status().code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ((*jaccard)->QueryBatch(sparse, bad).status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
+  // Radius 0 is valid: it reports exact duplicates (the query itself).
+  ASSERT_TRUE((*jaccard)->Query(sparse.point(0), 0.0, &out).ok());
+  EXPECT_TRUE(std::find(out.begin(), out.end(), 0u) != out.end());
+  auto batch = (*l2)->QueryBatch(dense_queries_, 0.0);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(batch->size(), dense_queries_.size());
 }
 
 TEST_F(SearchEngineTest, RejectsMismatchedDatasetContainer) {

@@ -32,6 +32,7 @@ RATIO_METRICS = {
     "speedup_restore_vs_build": "higher",
     "speedup_vs_scalar_single": "higher",
     "speedup_pushdown_vs_postfilter": "higher",
+    "wall_vs_two_sequential": "lower",
 }
 ABSOLUTE_METRICS = {
     "mcand_per_sec": "higher",
@@ -65,7 +66,6 @@ UNGATED = {
     "qps_pushdown",
     "qps_postfilter",
     "avg_results_per_query",
-    "wall_vs_two_sequential",
 }
 
 
