@@ -419,8 +419,8 @@ class SegmentedIndex {
       scratch->Clear();
       lsh::ProbeEstimate estimate;
       for (const auto& segment : view_->sealed) {
-        lsh::AccumulateProbe<lsh::LshTable>(segment->tables, keys, scratch,
-                                            &estimate.collisions);
+        lsh::AccumulateProbe(segment->tables, keys, scratch,
+                             &estimate.collisions);
       }
       for (const auto& log : view_->frozen) {
         log->AccumulateProbe(keys, log->size_acquire(), scratch,
@@ -442,8 +442,8 @@ class SegmentedIndex {
       scratch->Clear();
       lsh::ProbeEstimate estimate;
       for (const auto& segment : view_->sealed) {
-        lsh::AccumulateProbe<lsh::LshTable>(segment->tables, plan, scratch,
-                                            &estimate.collisions);
+        lsh::AccumulateProbe(segment->tables, plan, scratch,
+                             &estimate.collisions);
       }
       for (const auto& log : view_->frozen) {
         log->AccumulateProbe(plan, log->size_acquire(), scratch,
@@ -465,8 +465,8 @@ class SegmentedIndex {
                                util::VisitedSet* visited) const {
       uint64_t collisions = 0;
       for (const auto& segment : view_->sealed) {
-        collisions += lsh::CollectProbedIds<lsh::LshTable>(
-            segment->tables, keys, visited, tombstones_);
+        collisions += lsh::CollectProbedIds(segment->tables, keys, visited,
+                                            tombstones_);
       }
       for (const auto& log : view_->frozen) {
         collisions += log->CollectProbedIds(keys, log->size_acquire(),
@@ -484,8 +484,8 @@ class SegmentedIndex {
                                util::VisitedSet* visited) const {
       uint64_t collisions = 0;
       for (const auto& segment : view_->sealed) {
-        collisions += lsh::CollectProbedIds<lsh::LshTable>(
-            segment->tables, plan, visited, tombstones_);
+        collisions += lsh::CollectProbedIds(segment->tables, plan, visited,
+                                            tombstones_);
       }
       for (const auto& log : view_->frozen) {
         collisions += log->CollectProbedIds(plan, log->size_acquire(),

@@ -161,16 +161,13 @@ struct EngineStats {
   size_t num_shards = 0;
   size_t num_threads = 0;
   double build_seconds = 0.0;   // wall time of the parallel shard build
-  size_t memory_bytes = 0;      // summed over shard indexes
+  size_t memory_bytes = 0;      // index: shard segments + tombstones
   size_t sketch_bytes = 0;
-  /// Memory accounting, split by what the bytes buy: the point container
-  /// (with its norm cache), the int8 quantized mirror (0 when the screen
-  /// is off or the container is not dense — expect ~dataset_bytes/4 when
-  /// on), and the index structures (segments + tombstones; equals
-  /// memory_bytes, kept under both names for compatibility).
+  /// Memory outside the index: the point container (with its norm cache)
+  /// and the int8 quantized mirror (0 when the screen is off or the
+  /// container is not dense — expect ~dataset_bytes/4 when on).
   size_t dataset_bytes = 0;
   size_t mirror_bytes = 0;
-  size_t index_bytes = 0;
   /// Whether the int8 screen is active (a mirror is built and queries
   /// verify through VerifyBlockQuantized).
   bool quantized_verify = false;
@@ -675,7 +672,6 @@ class ShardedEngine {
     if (tombstones_ != nullptr) {
       stats.memory_bytes += tombstones_->MemoryBytes();
     }
-    stats.index_bytes = stats.memory_bytes;
     stats.dataset_bytes = dataset_->MemoryBytes();
     stats.mirror_bytes = mirror_ != nullptr ? mirror_->MemoryBytes() : 0;
     stats.quantized_verify = mirror_ != nullptr;

@@ -18,8 +18,8 @@
 // engine::SegmentedIndex owns one FunctionSet and *many* table sets (the
 // sealed and active segments of its LSM-style lifecycle). The estimate and
 // collect steps are likewise free functions over any table range
-// (AccumulateProbe / CollectProbedIds) so segments of either table kind sum
-// into one decision.
+// (AccumulateProbe / CollectProbedIds) so several segments sum into one
+// decision.
 //
 // The template parameter Family supplies the point type, the atomic hash
 // sampler, the paired metric, and multi-probe costs (see lsh/families.h).
@@ -608,11 +608,10 @@ inline bool IsRepeatedProbe(std::span<const uint64_t> keys, size_t table_begin,
 /// Accumulates one table range's contribution to the Alg. 2 estimate:
 /// adds the probed buckets' sizes to *collisions and merges (or folds)
 /// their sketches into *scratch, which is NOT cleared — callers sum several
-/// segments into one estimate. Table may be LshTable or DynamicLshTable.
-template <typename Table>
-void AccumulateProbe(std::span<const Table> tables,
-                     std::span<const uint64_t> keys, hll::HyperLogLog* scratch,
-                     uint64_t* collisions) {
+/// segments into one estimate.
+inline void AccumulateProbe(std::span<const LshTable> tables,
+                            std::span<const uint64_t> keys,
+                            hll::HyperLogLog* scratch, uint64_t* collisions) {
   const size_t probes_per_table = keys.size() / tables.size();
   for (size_t i = 0; i < keys.size(); ++i) {
     const size_t t = i / probes_per_table;
@@ -636,11 +635,10 @@ void AccumulateProbe(std::span<const Table> tables,
 /// the probe loop. Ids whose `tombstones` bit is set are counted as
 /// collisions (the probe cost was paid) but not inserted, so deleted
 /// points never reach verification.
-template <typename Table>
-uint64_t CollectProbedIds(std::span<const Table> tables,
-                          std::span<const uint64_t> keys,
-                          util::VisitedSet* visited,
-                          const util::BitVector* tombstones = nullptr) {
+inline uint64_t CollectProbedIds(std::span<const LshTable> tables,
+                                 std::span<const uint64_t> keys,
+                                 util::VisitedSet* visited,
+                                 const util::BitVector* tombstones = nullptr) {
   uint64_t collisions = 0;
   const size_t probes_per_table = keys.size() / tables.size();
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -659,14 +657,24 @@ uint64_t CollectProbedIds(std::span<const Table> tables,
 
 // --- Plan-based probe walks. ------------------------------------------------
 // The ProbePlan forms of AccumulateProbe / CollectProbedIds: per-table keys
-// are already unique (no IsRepeatedProbe rescans), and the walk is windowed —
-// a batch of bucket views is resolved and its id/sketch storage prefetched
-// before any bucket is consumed, hiding the dependent-load latency of the
-// bucket lookups behind the HLL merges and dedup inserts.
+// are already unique (no IsRepeatedProbe rescans), and the walk is
+// prefetched in two stages. First the directory slot of every probe of the
+// table range is prefetched, so the range's lookups (most of which miss)
+// overlap their cache misses instead of paying them one at a time. Then the
+// walk is windowed — a batch of bucket views is resolved and its id/sketch
+// storage prefetched before any bucket is consumed, hiding those dependent
+// loads behind the HLL merges and dedup inserts.
 
 namespace internal {
 /// Buckets resolved (and prefetched) ahead of consumption in one window.
 inline constexpr size_t kProbeWindow = 8;
+
+inline void PrefetchProbedSlots(std::span<const LshTable> tables,
+                                const ProbePlan& plan) {
+  for (size_t t = 0; t < tables.size(); ++t) {
+    for (const uint64_t key : plan.TableKeys(t)) tables[t].PrefetchSlot(key);
+  }
+}
 
 inline void PrefetchBucket(const LshTable::BucketView& bucket) {
   if (bucket.empty()) return;
@@ -677,10 +685,11 @@ inline void PrefetchBucket(const LshTable::BucketView& bucket) {
 
 /// AccumulateProbe over a precomputed plan (see the keys form above for the
 /// contract: *scratch is NOT cleared, segments sum into one estimate).
-template <typename Table>
-void AccumulateProbe(std::span<const Table> tables, const ProbePlan& plan,
-                     hll::HyperLogLog* scratch, uint64_t* collisions) {
+inline void AccumulateProbe(std::span<const LshTable> tables,
+                            const ProbePlan& plan, hll::HyperLogLog* scratch,
+                            uint64_t* collisions) {
   HLSH_DCHECK(plan.num_tables() == tables.size());
+  internal::PrefetchProbedSlots(tables, plan);
   LshTable::BucketView window[internal::kProbeWindow];
   for (size_t t = 0; t < tables.size(); ++t) {
     const std::span<const uint64_t> keys = plan.TableKeys(t);
@@ -707,11 +716,12 @@ void AccumulateProbe(std::span<const Table> tables, const ProbePlan& plan,
 }
 
 /// CollectProbedIds over a precomputed plan (see the keys form above).
-template <typename Table>
-uint64_t CollectProbedIds(std::span<const Table> tables, const ProbePlan& plan,
-                          util::VisitedSet* visited,
-                          const util::BitVector* tombstones = nullptr) {
+inline uint64_t CollectProbedIds(std::span<const LshTable> tables,
+                                 const ProbePlan& plan,
+                                 util::VisitedSet* visited,
+                                 const util::BitVector* tombstones = nullptr) {
   HLSH_DCHECK(plan.num_tables() == tables.size());
+  internal::PrefetchProbedSlots(tables, plan);
   uint64_t collisions = 0;
   LshTable::BucketView window[internal::kProbeWindow];
   for (size_t t = 0; t < tables.size(); ++t) {
@@ -874,7 +884,7 @@ class LshIndex {
     HLSH_DCHECK(scratch->precision() == options_.hll_precision);
     scratch->Clear();
     ProbeEstimate estimate;
-    AccumulateProbe<LshTable>(tables_, keys, scratch, &estimate.collisions);
+    AccumulateProbe(tables_, keys, scratch, &estimate.collisions);
     estimate.cand_estimate =
         estimate.collisions == 0 ? 0.0 : scratch->Estimate();
     return estimate;
@@ -886,7 +896,7 @@ class LshIndex {
     HLSH_DCHECK(scratch->precision() == options_.hll_precision);
     scratch->Clear();
     ProbeEstimate estimate;
-    AccumulateProbe<LshTable>(tables_, plan, scratch, &estimate.collisions);
+    AccumulateProbe(tables_, plan, scratch, &estimate.collisions);
     estimate.cand_estimate =
         estimate.collisions == 0 ? 0.0 : scratch->Estimate();
     return estimate;
@@ -897,13 +907,13 @@ class LshIndex {
   /// distinct candidate set for S3.
   uint64_t CollectCandidates(std::span<const uint64_t> keys,
                              util::VisitedSet* visited) const {
-    return CollectProbedIds<LshTable>(tables_, keys, visited);
+    return CollectProbedIds(tables_, keys, visited);
   }
 
   /// S2 over a precomputed plan (hash-once path).
   uint64_t CollectCandidates(const ProbePlan& plan,
                              util::VisitedSet* visited) const {
-    return CollectProbedIds<LshTable>(tables_, plan, visited);
+    return CollectProbedIds(tables_, plan, visited);
   }
 
   /// Bucket access for inspection and tests.

@@ -14,6 +14,12 @@
 //      reported when in radius: the insert's count store is release-ordered
 //      before the epoch publication, so the reader's snapshot covers it.
 //
+// A third test covers the LSH side of completeness: a point collides with
+// itself in every table, so an always-LSH query at its own coordinates
+// finds it in whichever segment holds it — the build's tables, tables
+// rebuilt by a background seal or compaction, the active log, or tables
+// reloaded from a snapshot.
+//
 // The tests are also the TSan workload for the engine (.github/workflows):
 // they exercise epoch publication, tombstone bits, the packed live/dead
 // counter, concurrent stats() polling, and the background maintenance
@@ -22,7 +28,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -300,6 +308,87 @@ TEST_F(ConcurrentEngineTest, LinearPathSeesEveryInsertThatHappenedBefore) {
   EXPECT_EQ(violations.load(), 0u);
   engine.DrainMaintenance();
   EXPECT_EQ(engine.size(), base_.size() + kInserts);
+}
+
+// LSH-side completeness under churn: every live id p comes back from an
+// always-LSH query for point(p) at radius 0, and no removed id does —
+// during interleaved inserts and removes with background seals and
+// compactions, after the maintenance drains, and after a snapshot round
+// trip (covering all three ways a sealed table's bucket directory is built:
+// Build, BuildFromEntries, Deserialize). With one table, any bucket a
+// directory loses drops points from the answer; with several, the plan
+// walks span many tables per segment.
+TEST_F(ConcurrentEngineTest, LshPathFindsEveryLivePointUnderChurn) {
+  for (const int num_tables : {1, 15}) {
+    SCOPED_TRACE("num_tables " + std::to_string(num_tables));
+    index_options_.num_tables = num_tables;
+    data::DenseDataset dataset = base_;  // grows with inserts
+    Engine engine = MakeEngine(&dataset, 3, core::ForcedStrategy::kAlwaysLsh);
+
+    std::vector<char> removed(dataset.size(), 0);  // by id
+    size_t checks = 0;
+    // 1 when the answer for id is wrong: a live id not reported, or a
+    // removed id reported.
+    std::vector<uint32_t> out;
+    const auto check = [&](Engine& target, const data::DenseDataset& points,
+                           Engine::QueryScratch* scratch, uint32_t id) {
+      out.clear();
+      target.QueryConcurrent(points.point(id), 0.0, &out, scratch);
+      ++checks;
+      const bool reported =
+          std::find(out.begin(), out.end(), id) != out.end();
+      return reported == static_cast<bool>(removed[id]) ? size_t{1}
+                                                        : size_t{0};
+    };
+
+    Engine::QueryScratch scratch = engine.MakeQueryScratch();
+    util::Rng rng(66);
+    size_t churn_errors = 0;
+    const size_t kSteps = 1200;
+    for (size_t i = 0; i < kSteps; ++i) {
+      auto id = engine.Insert(incoming_.point(i));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      removed.resize(dataset.size(), 0);
+      churn_errors += check(engine, dataset, &scratch, *id);
+      if (i % 2 == 0) {
+        const uint32_t victim = static_cast<uint32_t>(
+            rng.UniformInt(0, static_cast<int64_t>(dataset.size() - 1)));
+        if (!removed[victim]) {
+          ASSERT_TRUE(engine.Remove(victim).ok());
+          removed[victim] = 1;
+          churn_errors += check(engine, dataset, &scratch, victim);
+        }
+      }
+      const uint32_t probe = static_cast<uint32_t>(
+          rng.UniformInt(0, static_cast<int64_t>(dataset.size() - 1)));
+      churn_errors += check(engine, dataset, &scratch, probe);
+    }
+    EXPECT_EQ(churn_errors, 0u) << "of " << checks << " checks during churn";
+
+    engine.DrainMaintenance();
+    size_t drained_errors = 0;
+    for (uint32_t id = 0; id < dataset.size(); ++id) {
+      drained_errors += check(engine, dataset, &scratch, id);
+    }
+    EXPECT_EQ(drained_errors, 0u) << "after DrainMaintenance";
+
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        "hybridlsh_concurrent_lsh_completeness";
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(engine.SaveSnapshot(dir.string()).ok());
+    data::DenseDataset restored_dataset;
+    auto restored = Engine::OpenSnapshot(dir.string(), &restored_dataset);
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    Engine::QueryScratch restored_scratch = restored->MakeQueryScratch();
+    size_t restored_errors = 0;
+    for (uint32_t id = 0; id < restored_dataset.size(); ++id) {
+      restored_errors +=
+          check(*restored, restored_dataset, &restored_scratch, id);
+    }
+    EXPECT_EQ(restored_errors, 0u) << "after a snapshot round trip";
+  }
 }
 
 TEST_F(ConcurrentEngineTest, InlineModeKeepsDeterministicLifecycle) {
