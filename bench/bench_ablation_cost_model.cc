@@ -36,9 +36,7 @@ int main(int argc, char** argv) {
   options.seed = 213;
   options.num_build_threads = 16;
   options.small_bucket_threshold = 16;
-  auto index =
-      CosineIndex::Build(lsh::SimHashFamily(full.dim()), split.base, options);
-  HLSH_CHECK(index.ok());
+  const lsh::SimHashFamily family(full.dim());
 
   const float* probe = split.queries.point(0);
   const auto calibrated = core::CostCalibrator::Calibrate(
@@ -54,7 +52,7 @@ int main(int argc, char** argv) {
               "oracle_s", "regret%", "%LS");
   auto run_ratio = [&](double ratio, const char* label) {
     const auto result = bench::RunStrategies(
-        *index, split.base, split.queries, radius,
+        family, split.base, options, split.queries, radius,
         core::CostModel::FromRatio(ratio), {}, 1);
     const double oracle = std::min(result.lsh_seconds, result.linear_seconds);
     std::printf("  %-10s %-12.5f %-12.5f %-12.1f %-8.1f\n", label,

@@ -42,12 +42,10 @@ int main(int argc, char** argv) {
     options.num_build_threads = 16;
     options.hll_precision = precision;
     options.small_bucket_threshold = 16;
-    auto index = L2Index::Build(lsh::PStableFamily::L2(32, 2 * radius),
-                                split.base, options);
-    HLSH_CHECK(index.ok());
 
-    const auto result = bench::RunStrategies(*index, split.base, split.queries,
-                                             radius, model, truth, 1);
+    const auto result = bench::RunStrategies(
+        lsh::PStableFamily::L2(32, 2 * radius), split.base, options,
+        split.queries, radius, model, truth, 1);
     const double m = static_cast<double>(size_t{1} << precision);
     std::printf("  %-4d %-6.0f %-12.2f %-10.2f %-10.2f %-12.3g %-12.3f\n",
                 precision, m, 100.0 * 1.04 / std::sqrt(m),
@@ -55,7 +53,7 @@ int main(int argc, char** argv) {
                 100.0 * result.sd_cand_rel_error,
                 result.estimate_seconds /
                     static_cast<double>(split.queries.size()),
-                static_cast<double>(index->stats().sketch_bytes) /
+                static_cast<double>(result.sketch_bytes) /
                     (1024.0 * 1024.0));
   }
   std::printf("#\n# Expectation: err%% tracks ~1.04/sqrt(m); estimation time\n"

@@ -35,50 +35,20 @@ int main(int argc, char** argv) {
   const auto truth = data::GroundTruthDense(split.base, split.queries, radius,
                                             data::Metric::kL2, 16);
 
-  auto run_config = [&](const L2Index& index, size_t probes) {
-    core::SearcherOptions hybrid_options;
-    hybrid_options.cost_model = model;
-    hybrid_options.probes_per_table = probes;
-    L2Searcher hybrid(&index, &split.base, hybrid_options);
-
-    std::vector<uint32_t> out;
-    core::QueryStats stats;
-    util::WallTimer timer;
-    for (size_t q = 0; q < split.queries.size(); ++q) {
-      out.clear();
-      hybrid.Query(split.queries.point(q), radius, &out);
-    }
-    const double hybrid_seconds = timer.ElapsedSeconds();
-
-    double rec_hyb = 0;
-    size_t linear_calls = 0;
-    for (size_t q = 0; q < split.queries.size(); ++q) {
-      out.clear();
-      hybrid.Query(split.queries.point(q), radius, &out, &stats);
-      rec_hyb += data::Recall(out, truth[q]);
-      linear_calls += stats.strategy == core::Strategy::kLinear;
-    }
-    rec_hyb /= static_cast<double>(split.queries.size());
-
-    std::printf("  %-4d %-4zu %-12.5f %-10.3f %-12.2f %-8.1f\n",
-                index.num_tables(), probes, hybrid_seconds, rec_hyb,
-                static_cast<double>(index.stats().memory_bytes) /
-                    (1024.0 * 1024.0),
-                100.0 * static_cast<double>(linear_calls) /
-                    static_cast<double>(split.queries.size()));
-  };
-
-  auto build_index = [&](int tables) {
+  auto run_config = [&](int tables, size_t probes) {
     L2Index::Options options;
     options.num_tables = tables;
     options.k = 7;
     options.seed = 233;
     options.num_build_threads = 16;
     options.small_bucket_threshold = 16;
-    auto index = L2Index::Build(lsh::PStableFamily::L2(32, 2 * radius),
-                                split.base, options);
-    HLSH_CHECK(index.ok());
-    return std::move(*index);
+    const auto result = bench::RunStrategies(
+        lsh::PStableFamily::L2(32, 2 * radius), split.base, options,
+        split.queries, radius, model, truth, /*runs=*/1, probes);
+    std::printf("  %-4d %-4zu %-12.5f %-10.3f %-12.2f %-8.1f\n", tables,
+                probes, result.hybrid_seconds, result.hybrid_recall,
+                static_cast<double>(result.table_bytes) / (1024.0 * 1024.0),
+                result.pct_linear_calls);
   };
 
   std::printf("#\n# --- block 1: fixed probe budget L*T = 50 ---\n");
@@ -91,8 +61,7 @@ int main(int argc, char** argv) {
     };
     for (const Config& cfg : {Config{50, 1}, Config{25, 2}, Config{10, 5},
                               Config{5, 10}, Config{2, 25}}) {
-      const L2Index index = build_index(cfg.tables);
-      run_config(index, cfg.probes);
+      run_config(cfg.tables, cfg.probes);
     }
   }
 
@@ -100,12 +69,9 @@ int main(int argc, char** argv) {
               "probes ---\n");
   std::printf("# %-4s %-4s %-12s %-10s %-12s %-8s\n", "L", "T", "hybrid_s",
               "rec_hyb", "memory_MiB", "%LS");
-  {
-    const L2Index index = build_index(10);
-    for (size_t probes : {size_t{1}, size_t{2}, size_t{5}, size_t{15},
-                          size_t{30}, size_t{60}}) {
-      run_config(index, probes);
-    }
+  for (size_t probes : {size_t{1}, size_t{2}, size_t{5}, size_t{15},
+                        size_t{30}, size_t{60}}) {
+    run_config(10, probes);
   }
   std::printf("#\n# Expectation: block 1 — memory shrinks ~linearly with L\n"
               "# while recall degrades gracefully; block 2 — at 1/5 the\n"

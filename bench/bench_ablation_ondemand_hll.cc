@@ -48,15 +48,13 @@ int main(int argc, char** argv) {
     options.seed = 233;
     options.num_build_threads = 16;
     options.small_bucket_threshold = threshold.value;
-    auto index = L2Index::Build(lsh::PStableFamily::L2(32, 2 * radius),
-                                split.base, options);
-    HLSH_CHECK(index.ok());
 
-    const auto result = bench::RunStrategies(*index, split.base, split.queries,
-                                             radius, model, {}, 1);
+    const auto result = bench::RunStrategies(
+        lsh::PStableFamily::L2(32, 2 * radius), split.base, options,
+        split.queries, radius, model, {}, 1);
     std::printf("  %-12s %-10zu %-12.3f %-14.2f %-12.5f\n", threshold.label,
-                index->stats().total_sketches,
-                static_cast<double>(index->stats().sketch_bytes) /
+                result.total_sketches,
+                static_cast<double>(result.sketch_bytes) /
                     (1024.0 * 1024.0),
                 1e6 * result.estimate_seconds /
                     static_cast<double>(split.queries.size()),

@@ -80,31 +80,82 @@ struct StrategyResult {
   double avg_output = 0;
   size_t min_output = 0;
   size_t max_output = 0;
+  // Footprint of the hybrid engine's sealed tables (buckets, ids and
+  // sketches): exactly what a static LshIndex over the same points holds.
+  // The engine's empty active log (a fixed num_tables x seal-threshold
+  // allocation) and the segment's id list are not counted.
+  size_t table_bytes = 0;
+  size_t sketch_bytes = 0;
+  size_t total_sketches = 0;
 };
 
-/// Runs hybrid, forced-LSH and forced-linear passes over the query set,
-/// `runs` times, and aggregates. Ground truth may be empty (skips recall).
-template <typename Index, typename Dataset, typename QuerySet>
-StrategyResult RunStrategies(const Index& index, const Dataset& base,
-                             const QuerySet& queries, double radius,
-                             const core::CostModel& model,
-                             const std::vector<std::vector<uint32_t>>& truth,
-                             int runs) {
-  StrategyResult result;
-  core::SearcherOptions hybrid_options;
-  hybrid_options.cost_model = model;
-  core::SearcherOptions lsh_options = hybrid_options;
-  lsh_options.forced = core::ForcedStrategy::kAlwaysLsh;
-  core::SearcherOptions linear_options = hybrid_options;
-  linear_options.forced = core::ForcedStrategy::kAlwaysLinear;
+/// A static 1-shard engine over `base`: the paper's hybrid searcher. Its
+/// pool has index_options.num_build_threads threads, so the L tables build
+/// in parallel; the benches query it on the calling thread
+/// (QueryConcurrent). The strategy is fixed by searcher.forced.
+template <typename Family, typename Dataset>
+engine::ShardedEngine<Family, Dataset> BuildEngine(
+    const Family& family, const Dataset& base,
+    const typename lsh::LshIndex<Family>::Options& index_options,
+    const core::SearcherOptions& searcher) {
+  typename engine::ShardedEngine<Family, Dataset>::Options options;
+  options.num_shards = 1;
+  options.num_threads = std::max<size_t>(1, index_options.num_build_threads);
+  options.index = index_options;
+  options.searcher = searcher;
+  options.background_maintenance = false;  // static: nothing to seal
+  auto built =
+      engine::ShardedEngine<Family, Dataset>::Build(family, base, options);
+  HLSH_CHECK(built.ok());
+  return std::move(*built);
+}
 
-  core::HybridSearcher<Index, Dataset> hybrid(&index, &base, hybrid_options);
-  core::HybridSearcher<Index, Dataset> lsh(&index, &base, lsh_options);
-  core::HybridSearcher<Index, Dataset> linear(&index, &base, linear_options);
+/// One query on a static engine, on the calling thread; returns its one
+/// shard's Algorithm 2 stats.
+template <typename Engine, typename Point>
+core::QueryStats QueryOnce(const Engine& engine, Point query, double radius,
+                           typename Engine::QueryScratch* scratch,
+                           std::vector<uint32_t>* out) {
+  engine::ShardedQueryStats stats;
+  out->clear();
+  HLSH_CHECK(engine.QueryConcurrent(query, radius, out, scratch, &stats).ok());
+  return stats.per_shard[0];
+}
+
+/// Runs hybrid, forced-LSH and forced-linear passes over the query set,
+/// `runs` times, and aggregates. Each strategy is its own 1-shard engine
+/// over `base` (BuildEngine; the forced modes are engine options, not
+/// per-query overrides). Ground truth may be empty (skips recall).
+template <typename Family, typename Dataset, typename QuerySet>
+StrategyResult RunStrategies(
+    const Family& family, const Dataset& base,
+    const typename lsh::LshIndex<Family>::Options& index_options,
+    const QuerySet& queries, double radius, const core::CostModel& model,
+    const std::vector<std::vector<uint32_t>>& truth, int runs,
+    size_t probes_per_table = 1) {
+  StrategyResult result;
+  core::SearcherOptions searcher;
+  searcher.cost_model = model;
+  searcher.probes_per_table = probes_per_table;
+  const auto hybrid = BuildEngine(family, base, index_options, searcher);
+  searcher.forced = core::ForcedStrategy::kAlwaysLsh;
+  const auto lsh = BuildEngine(family, base, index_options, searcher);
+  searcher.forced = core::ForcedStrategy::kAlwaysLinear;
+  const auto linear = BuildEngine(family, base, index_options, searcher);
+  auto hybrid_scratch = hybrid.MakeQueryScratch();
+  auto lsh_scratch = lsh.MakeQueryScratch();
+  auto linear_scratch = linear.MakeQueryScratch();
+
+  for (const auto& segment : hybrid.shard_index(0).Acquire().view().sealed) {
+    for (const lsh::LshTable& table : segment->tables) {
+      result.table_bytes += table.MemoryBytes();
+      result.sketch_bytes += table.SketchBytes();
+      result.total_sketches += table.num_sketches();
+    }
+  }
 
   const size_t num_queries = queries.size();
   std::vector<uint32_t> out;
-  core::QueryStats stats;
 
   // Timed passes contain NOTHING but the queries. Wall-clock timing:
   // query execution is single-threaded, so wall time equals CPU time (the
@@ -114,24 +165,21 @@ StrategyResult RunStrategies(const Index& index, const Dataset& base,
     {
       util::WallTimer timer;
       for (size_t q = 0; q < num_queries; ++q) {
-        out.clear();
-        hybrid.Query(queries.point(q), radius, &out);
+        QueryOnce(hybrid, queries.point(q), radius, &hybrid_scratch, &out);
       }
       result.hybrid_seconds += timer.ElapsedSeconds();
     }
     {
       util::WallTimer timer;
       for (size_t q = 0; q < num_queries; ++q) {
-        out.clear();
-        lsh.Query(queries.point(q), radius, &out);
+        QueryOnce(lsh, queries.point(q), radius, &lsh_scratch, &out);
       }
       result.lsh_seconds += timer.ElapsedSeconds();
     }
     {
       util::WallTimer timer;
       for (size_t q = 0; q < num_queries; ++q) {
-        out.clear();
-        linear.Query(queries.point(q), radius, &out);
+        QueryOnce(linear, queries.point(q), radius, &linear_scratch, &out);
       }
       result.linear_seconds += timer.ElapsedSeconds();
     }
@@ -146,8 +194,8 @@ StrategyResult RunStrategies(const Index& index, const Dataset& base,
   util::RunningStat output_sizes;
   size_t linear_calls = 0;
   for (size_t q = 0; q < num_queries; ++q) {
-    out.clear();
-    hybrid.Query(queries.point(q), radius, &out, &stats);
+    const core::QueryStats stats =
+        QueryOnce(hybrid, queries.point(q), radius, &hybrid_scratch, &out);
     result.estimate_seconds += stats.estimate_seconds;
     linear_calls += (stats.strategy == core::Strategy::kLinear);
     output_sizes.Add(static_cast<double>(out.size()));
@@ -158,8 +206,7 @@ StrategyResult RunStrategies(const Index& index, const Dataset& base,
                    static_cast<double>(stats.cand_actual));
     }
     if (!truth.empty()) {
-      out.clear();
-      lsh.Query(queries.point(q), radius, &out);
+      QueryOnce(lsh, queries.point(q), radius, &lsh_scratch, &out);
       result.lsh_recall += data::Recall(out, truth[q]);
     }
   }

@@ -39,49 +39,38 @@ int main(int argc, char** argv) {
     const auto truth =
         data::GroundTruthBinary(split.base, split.queries, radius, 16);
 
-    // Covering LSH: 2^(r+1)-1 tables, deterministic guarantee.
-    {
-      lsh::CoveringLshIndex::Options options;
-      options.radius = radius;
-      options.seed = 204;
-      options.num_build_threads = 16;
-      options.small_bucket_threshold = 16;
-      auto index = lsh::CoveringLshIndex::Build(split.base, options);
-      HLSH_CHECK(index.ok());
-
-      const auto result = bench::RunStrategies(*index, split.base,
-                                               split.queries, radius, model,
-                                               truth, scale.runs);
+    auto print_row = [&](const char* scheme, int tables,
+                         const bench::StrategyResult& result) {
       std::printf("  %-7u %-10s %-8d %-12.5f %-10.3f %-12.2f %-8.1f\n", radius,
-                  "covering", index->num_tables(), result.hybrid_seconds,
-                  result.hybrid_recall,
-                  static_cast<double>(index->MemoryBytes()) / (1024.0 * 1024.0),
+                  scheme, tables, result.hybrid_seconds, result.hybrid_recall,
+                  static_cast<double>(result.table_bytes) / (1024.0 * 1024.0),
                   result.pct_linear_calls);
-    }
+    };
+
+    // Covering LSH: 2^(r+1)-1 tables, deterministic guarantee.
+    const lsh::CoveringFamily covering(64, radius, /*seed=*/204);
+    lsh::LshIndex<lsh::CoveringFamily>::Options options;
+    options.num_tables = covering.num_tables();
+    options.seed = 204;
+    options.num_build_threads = 16;
+    options.small_bucket_threshold = 16;
+    print_row("covering", options.num_tables,
+              bench::RunStrategies(covering, split.base, options,
+                                   split.queries, radius, model, truth,
+                                   scale.runs));
 
     // Classic bit sampling with the same number of tables.
-    {
-      HammingIndex::Options options;
-      options.num_tables = (1 << (radius + 1)) - 1;
-      options.delta = 0.1;
-      options.radius = radius;
-      options.seed = 205;
-      options.num_build_threads = 16;
-      options.small_bucket_threshold = 16;
-      auto index =
-          HammingIndex::Build(lsh::BitSamplingFamily(64), split.base, options);
-      HLSH_CHECK(index.ok());
-
-      const auto result = bench::RunStrategies(*index, split.base,
-                                               split.queries, radius, model,
-                                               truth, scale.runs);
-      std::printf("  %-7u %-10s %-8d %-12.5f %-10.3f %-12.2f %-8.1f\n", radius,
-                  "classic", index->num_tables(), result.hybrid_seconds,
-                  result.hybrid_recall,
-                  static_cast<double>(index->stats().memory_bytes) /
-                      (1024.0 * 1024.0),
-                  result.pct_linear_calls);
-    }
+    HammingIndex::Options classic;
+    classic.num_tables = covering.num_tables();
+    classic.delta = 0.1;
+    classic.radius = radius;
+    classic.seed = 205;
+    classic.num_build_threads = 16;
+    classic.small_bucket_threshold = 16;
+    print_row("classic", classic.num_tables,
+              bench::RunStrategies(lsh::BitSamplingFamily(64), split.base,
+                                   classic, split.queries, radius, model,
+                                   truth, scale.runs));
   }
   std::printf("#\n# Expectation: covering recall = 1.000 exactly at every\n"
               "# radius (classic < 1); comparable table counts and times.\n");

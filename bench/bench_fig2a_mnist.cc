@@ -49,14 +49,12 @@ int main(int argc, char** argv) {
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;
-    auto index =
-        HammingIndex::Build(lsh::BitSamplingFamily(64), split.base, options);
-    HLSH_CHECK(index.ok());
 
     const auto truth =
         data::GroundTruthBinary(split.base, split.queries, radius, 16);
-    const auto result = bench::RunStrategies(*index, split.base, split.queries,
-                                             radius, model, truth, scale.runs);
+    const auto result =
+        bench::RunStrategies(lsh::BitSamplingFamily(64), split.base, options,
+                             split.queries, radius, model, truth, scale.runs);
     bench::PrintFig2Row(radius, result);
   }
   return 0;

@@ -62,19 +62,18 @@ int main(int argc, char** argv) {
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;
-    auto index = CosineIndex::Build(lsh::SimHashFamily(full.dim()), split.base,
-                                    options);
-    HLSH_CHECK(index.ok());
+    const lsh::SimHashFamily family(full.dim());
 
     const auto truth = data::GroundTruthDense(split.base, split.queries, radius,
                                               data::Metric::kCosine, 16);
     Row row;
     row.radius = radius;
-    row.measured = bench::RunStrategies(*index, split.base, split.queries,
-                                        radius, model, truth, scale.runs);
-    row.paper_model = bench::RunStrategies(*index, split.base, split.queries,
-                                           radius, core::CostModel::FromRatio(10.0),
-                                           truth, scale.runs);
+    row.measured = bench::RunStrategies(family, split.base, options,
+                                        split.queries, radius, model, truth,
+                                        scale.runs);
+    row.paper_model = bench::RunStrategies(
+        family, split.base, options, split.queries, radius,
+        core::CostModel::FromRatio(10.0), truth, scale.runs);
     rows.push_back(row);
   }
 

@@ -43,14 +43,12 @@ int main(int argc, char** argv) {
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;
-    auto index = L1Index::Build(lsh::PStableFamily::L1(54, 4 * radius),
-                                split.base, options);
-    HLSH_CHECK(index.ok());
 
     const auto truth = data::GroundTruthDense(split.base, split.queries, radius,
                                               data::Metric::kL1, 16);
-    const auto result = bench::RunStrategies(*index, split.base, split.queries,
-                                             radius, model, truth, scale.runs);
+    const auto result = bench::RunStrategies(
+        lsh::PStableFamily::L1(54, 4 * radius), split.base, options,
+        split.queries, radius, model, truth, scale.runs);
     bench::PrintFig2Row(radius, result);
   }
   return 0;

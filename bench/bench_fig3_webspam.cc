@@ -53,9 +53,7 @@ int main(int argc, char** argv) {
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;
-    auto index = CosineIndex::Build(lsh::SimHashFamily(full.dim()), split.base,
-                                    options);
-    HLSH_CHECK(index.ok());
+    const lsh::SimHashFamily family(full.dim());
 
     // Exact output sizes come from ground truth (the paper plots true
     // output sizes); %LS comes from the hybrid decision.
@@ -64,17 +62,22 @@ int main(int argc, char** argv) {
     util::RunningStat output_sizes;
     for (const auto& t : truth) output_sizes.Add(static_cast<double>(t.size()));
 
-    const auto result = bench::RunStrategies(*index, split.base, split.queries,
-                                             radius, model, truth, 1);
-    // Decision mix under the paper's pinned ratio, via estimate-only
-    // passes (no execution needed for the strategy count).
+    const auto result = bench::RunStrategies(family, split.base, options,
+                                             split.queries, radius, model,
+                                             truth, 1);
+    // Decision mix under the paper's pinned ratio: one hybrid pass.
     core::SearcherOptions paper_options;
     paper_options.cost_model = core::CostModel::FromRatio(10.0);
-    CosineSearcher paper_searcher(&*index, &split.base, paper_options);
+    const auto paper_engine =
+        bench::BuildEngine(family, split.base, options, paper_options);
+    auto scratch = paper_engine.MakeQueryScratch();
+    std::vector<uint32_t> out;
     size_t paper_linear_calls = 0;
     for (size_t q = 0; q < split.queries.size(); ++q) {
-      paper_linear_calls += paper_searcher.EstimateOnly(split.queries.point(q))
-                                .strategy == core::Strategy::kLinear;
+      paper_linear_calls +=
+          bench::QueryOnce(paper_engine, split.queries.point(q), radius,
+                           &scratch, &out)
+              .strategy == core::Strategy::kLinear;
     }
     const double pct_paper = 100.0 * static_cast<double>(paper_linear_calls) /
                              static_cast<double>(split.queries.size());

@@ -112,9 +112,11 @@ int main(int argc, char** argv) {
       // non-matching ids. The predicate evaluation itself is part of the
       // cost (it is exactly what the pushdown pays in its filter stage).
       util::WallTimer timer;
-      auto unfiltered = engine.QueryBatch(batch, radius);
+      auto unfiltered =
+          engine.QueryBatch(batch, engine::QuerySpec::Radius(radius));
+      HLSH_CHECK(unfiltered.ok());
       postfilter_results = 0;
-      for (const auto& r : unfiltered) {
+      for (const auto& r : *unfiltered) {
         for (const uint32_t id : r.neighbors) {
           postfilter_results += pred.Matches(attributes, id);
         }

@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
 
     // Phase 3: queries against the fragmented engine.
     double churn_seconds = 0;
-    const auto churn_results =
-        engine.QueryBatch(split.queries, radius, &churn_seconds);
+    const auto churn_results = engine.QueryBatch(
+        split.queries, engine::QuerySpec::Radius(radius), &churn_seconds);
 
     // Phase 4: compaction.
     util::WallTimer compact_timer;
@@ -97,9 +97,10 @@ int main(int argc, char** argv) {
 
     // Phase 5: queries against the compacted engine.
     double steady_seconds = 0;
-    const auto steady_results =
-        engine.QueryBatch(split.queries, radius, &steady_seconds);
-    HLSH_CHECK(churn_results.size() == steady_results.size());
+    const auto steady_results = engine.QueryBatch(
+        split.queries, engine::QuerySpec::Radius(radius), &steady_seconds);
+    HLSH_CHECK(churn_results.ok() && steady_results.ok() &&
+               churn_results->size() == steady_results->size());
 
     const double nq = static_cast<double>(split.queries.size());
     std::printf(

@@ -64,17 +64,15 @@ int main(int argc, char** argv) {
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;
-    auto index =
-        CosineIndex::Build(lsh::SimHashFamily(254), split.base, options);
-    HLSH_CHECK(index.ok());
     const float* probe = split.queries.point(0);
     const core::CostModel model = bench::CalibratedModel(
         [&](size_t i) {
           return data::CosineDistance(split.base.point(i), probe, 254);
         },
         std::min<size_t>(10000, split.base.size()), split.base.size(), 10.0);
-    const auto result = bench::RunStrategies(*index, split.base, split.queries,
-                                             radius, model, {}, scale.runs);
+    const auto result =
+        bench::RunStrategies(lsh::SimHashFamily(254), split.base, options,
+                             split.queries, radius, model, {}, scale.runs);
     PrintRow({"Webspam", 1.31, 5.99,
               100.0 * result.estimate_seconds / result.hybrid_seconds,
               100.0 * result.mean_cand_rel_error,
@@ -96,17 +94,16 @@ int main(int argc, char** argv) {
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;
-    auto index = L1Index::Build(lsh::PStableFamily::L1(54, 4 * radius),
-                                split.base, options);
-    HLSH_CHECK(index.ok());
     const float* probe = split.queries.point(0);
     const core::CostModel model = bench::CalibratedModel(
         [&](size_t i) {
           return data::L1Distance(split.base.point(i), probe, 54);
         },
         std::min<size_t>(10000, split.base.size()), split.base.size(), 10.0);
-    const auto result = bench::RunStrategies(*index, split.base, split.queries,
-                                             radius, model, {}, scale.runs);
+    const auto result =
+        bench::RunStrategies(lsh::PStableFamily::L1(54, 4 * radius), split.base,
+                             options, split.queries, radius, model, {},
+                             scale.runs);
     PrintRow({"CoverType", 0.12, 5.86,
               100.0 * result.estimate_seconds / result.hybrid_seconds,
               100.0 * result.mean_cand_rel_error,
@@ -128,17 +125,16 @@ int main(int argc, char** argv) {
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;
-    auto index = L2Index::Build(lsh::PStableFamily::L2(32, 2 * radius),
-                                split.base, options);
-    HLSH_CHECK(index.ok());
     const float* probe = split.queries.point(0);
     const core::CostModel model = bench::CalibratedModel(
         [&](size_t i) {
           return data::L2Distance(split.base.point(i), probe, 32);
         },
         std::min<size_t>(10000, split.base.size()), split.base.size(), 6.0);
-    const auto result = bench::RunStrategies(*index, split.base, split.queries,
-                                             radius, model, {}, scale.runs);
+    const auto result =
+        bench::RunStrategies(lsh::PStableFamily::L2(32, 2 * radius), split.base,
+                             options, split.queries, radius, model, {},
+                             scale.runs);
     PrintRow({"Corel", 3.18, 6.74,
               100.0 * result.estimate_seconds / result.hybrid_seconds,
               100.0 * result.mean_cand_rel_error,
@@ -164,9 +160,6 @@ int main(int argc, char** argv) {
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;
-    auto index =
-        HammingIndex::Build(lsh::BitSamplingFamily(64), split.base, options);
-    HLSH_CHECK(index.ok());
     const uint64_t* probe = split.queries.point(0);
     const core::CostModel model = bench::CalibratedModel(
         [&](size_t i) {
@@ -174,8 +167,9 @@ int main(int argc, char** argv) {
               data::HammingDistance(split.base.point(i), probe, 1));
         },
         std::min<size_t>(10000, split.base.size()), split.base.size(), 1.0);
-    const auto result = bench::RunStrategies(*index, split.base, split.queries,
-                                             radius, model, {}, scale.runs);
+    const auto result =
+        bench::RunStrategies(lsh::BitSamplingFamily(64), split.base, options,
+                             split.queries, radius, model, {}, scale.runs);
     PrintRow({"MNIST", 17.54, 6.80,
               100.0 * result.estimate_seconds / result.hybrid_seconds,
               100.0 * result.mean_cand_rel_error,

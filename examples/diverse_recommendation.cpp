@@ -77,30 +77,31 @@ int main() {
   config.seed = 11;
   const data::DenseDataset articles = data::MakeWebspamLike(config);
 
-  CosineIndex::Options options;
-  options.num_tables = 50;
-  options.delta = 0.1;
-  options.radius = radius;
-  options.num_build_threads = 8;
-  auto index = CosineIndex::Build(lsh::SimHashFamily(dim), articles, options);
-  if (!index.ok()) {
-    std::fprintf(stderr, "build failed: %s\n", index.status().ToString().c_str());
+  CosineEngine::Options options;
+  options.index.num_tables = 50;
+  options.index.delta = 0.1;
+  options.index.radius = radius;
+  options.num_threads = 8;
+  options.searcher.cost_model = core::CostModel::FromRatio(10.0);
+  auto engine = CosineEngine::Build(lsh::SimHashFamily(dim), articles, options);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "build failed: %s\n",
+                 engine.status().ToString().c_str());
     return 1;
   }
 
-  core::SearcherOptions searcher_options;
-  searcher_options.cost_model = core::CostModel::FromRatio(10.0);
-  CosineSearcher searcher(&*index, &articles, searcher_options);
-
   for (size_t doc : {size_t{100}, size_t{25000}}) {
     std::vector<uint32_t> related;
-    core::QueryStats stats;
-    searcher.Query(articles.point(doc), radius, &related, &stats);
+    engine::ShardedQueryStats stats;
+    if (!engine->Query(articles.point(doc), radius, &related, &stats).ok()) {
+      return 1;
+    }
 
     const auto picked = DiversifyGreedy(articles, articles.point(doc), related, k);
     std::printf("article %zu: %zu related (strategy=%s); %zu diverse picks:",
                 doc, related.size(),
-                std::string(core::StrategyName(stats.strategy)).c_str(),
+                std::string(core::StrategyName(stats.per_shard[0].strategy))
+                    .c_str(),
                 picked.size());
     for (uint32_t id : picked) std::printf(" %u", id);
     // Diversity achieved: min pairwise distance of the picked set.

@@ -31,35 +31,37 @@ int main() {
     queries.Append(&query);
   }
 
-  lsh::CoveringLshIndex::Options options;
-  options.radius = radius;
-  options.num_build_threads = 8;
-  auto index = lsh::CoveringLshIndex::Build(codes, options);
-  if (!index.ok()) {
-    std::fprintf(stderr, "build failed: %s\n", index.status().ToString().c_str());
+  const lsh::CoveringFamily family(width, radius, /*seed=*/1);
+  CoveringEngine::Options options;
+  options.index.num_tables = family.num_tables();
+  options.num_threads = 8;
+  options.searcher.cost_model = core::CostModel::FromRatio(1.0);
+  auto engine = CoveringEngine::Build(family, codes, options);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "build failed: %s\n",
+                 engine.status().ToString().c_str());
     return 1;
   }
-  std::printf("covering index: %d masked tables for radius %u (%.1f MiB)\n",
-              index->num_tables(), index->radius(),
-              static_cast<double>(index->MemoryBytes()) / (1024 * 1024));
-
-  core::SearcherOptions searcher_options;
-  searcher_options.cost_model = core::CostModel::FromRatio(1.0);
-  CoveringSearcher searcher(&*index, &codes, searcher_options);
+  std::printf("covering engine: %d masked tables for radius %u "
+              "(index %.1f MiB)\n",
+              engine->shard_index(0).num_tables(), family.radius(),
+              static_cast<double>(engine->stats().memory_bytes) /
+                  (1024 * 1024));
 
   std::vector<uint32_t> out;
-  core::QueryStats stats;
+  engine::ShardedQueryStats stats;
   size_t exact_matches = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
     out.clear();
-    searcher.Query(queries.point(q), radius, &out, &stats);
+    if (!engine->Query(queries.point(q), radius, &out, &stats).ok()) return 1;
     const auto truth = data::RangeScanBinary(codes, queries.point(q), radius);
     const bool exact = data::Recall(out, truth) == 1.0 &&
                        out.size() == truth.size();
     exact_matches += exact;
     std::printf("query %zu: %zu neighbors, strategy=%s, exact=%s\n", q,
                 out.size(),
-                std::string(core::StrategyName(stats.strategy)).c_str(),
+                std::string(core::StrategyName(stats.per_shard[0].strategy))
+                    .c_str(),
                 exact ? "yes" : "NO");
   }
   std::printf("%zu/%zu queries answered exactly (expected: all — covering\n"

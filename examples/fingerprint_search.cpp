@@ -36,42 +36,46 @@ int main() {
   }
   const data::BinarySplit split = data::SplitQueriesBinary(*codes, 10, 5);
 
-  // 3. Bit-sampling index over the 64-bit codes.
-  HammingIndex::Options options;
-  options.num_tables = 50;
-  options.delta = 0.1;
-  options.radius = radius;
-  options.num_build_threads = 8;
-  auto index =
-      HammingIndex::Build(lsh::BitSamplingFamily(64), split.base, options);
-  if (!index.ok()) {
-    std::fprintf(stderr, "build failed: %s\n", index.status().ToString().c_str());
+  // 3. A 1-shard engine: one bit-sampling index over the 64-bit codes.
+  //    beta/alpha = 1 (paper's MNIST ratio): popcount distances cost about
+  //    as much as dedup probes.
+  HammingEngine::Options options;
+  options.index.num_tables = 50;
+  options.index.delta = 0.1;
+  options.index.radius = radius;
+  options.num_threads = 8;
+  options.searcher.cost_model = core::CostModel::FromRatio(1.0);
+  auto engine =
+      HammingEngine::Build(lsh::BitSamplingFamily(64), split.base, options);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "build failed: %s\n",
+                 engine.status().ToString().c_str());
     return 1;
   }
-  std::printf("indexed %zu fingerprints, L=%d k=%d\n", index->size(),
-              index->num_tables(), index->k());
+  std::printf("indexed %zu fingerprints, L=%d k=%d\n", engine->size(),
+              engine->shard_index(0).num_tables(), engine->shard_index(0).k());
 
-  // 4. Search. beta/alpha = 1 (paper's MNIST ratio): popcount distances
-  //    cost about as much as dedup probes.
-  core::SearcherOptions searcher_options;
-  searcher_options.cost_model = core::CostModel::FromRatio(1.0);
-  HammingSearcher searcher(&*index, &split.base, searcher_options);
-
+  // 4. Search.
   std::vector<uint32_t> neighbors;
-  core::QueryStats stats;
+  engine::ShardedQueryStats stats;
   double recall = 0;
   for (size_t q = 0; q < split.queries.size(); ++q) {
     neighbors.clear();
-    searcher.Query(split.queries.point(q), radius, &neighbors, &stats);
+    if (!engine->Query(split.queries.point(q), radius, &neighbors, &stats)
+             .ok()) {
+      return 1;
+    }
+    const core::QueryStats& decision = stats.per_shard[0];
     const auto truth =
         data::RangeScanBinary(split.base, split.queries.point(q), radius);
     recall += data::Recall(neighbors, truth);
     std::printf(
         "query %zu: %-6s  reported=%zu / true=%zu  collisions=%llu  "
         "candSize~%.0f\n",
-        q, std::string(core::StrategyName(stats.strategy)).c_str(),
+        q, std::string(core::StrategyName(decision.strategy)).c_str(),
         neighbors.size(), truth.size(),
-        static_cast<unsigned long long>(stats.collisions), stats.cand_estimate);
+        static_cast<unsigned long long>(decision.collisions),
+        decision.cand_estimate);
   }
   std::printf("average recall: %.3f\n", recall / split.queries.size());
   return 0;

@@ -34,41 +34,42 @@ int main() {
   config.seed = 7;
   const data::DenseDataset corpus = data::MakeWebspamLike(config);
 
-  // SimHash index: 50 tables, k auto-tuned for the radius at delta = 0.1.
-  CosineIndex::Options options;
-  options.num_tables = 50;
-  options.delta = 0.1;
-  options.radius = radius;
-  options.num_build_threads = 8;
-  auto index = CosineIndex::Build(lsh::SimHashFamily(dim), corpus, options);
-  if (!index.ok()) {
-    std::fprintf(stderr, "build failed: %s\n", index.status().ToString().c_str());
+  // A 1-shard SimHash engine: 50 tables, k auto-tuned for the radius at
+  // delta = 0.1. The paper pins beta/alpha = 10 for Webspam; calibrate
+  // instead if your hardware differs (core::CostCalibrator).
+  CosineEngine::Options options;
+  options.index.num_tables = 50;
+  options.index.delta = 0.1;
+  options.index.radius = radius;
+  options.num_threads = 8;
+  options.searcher.cost_model = core::CostModel::FromRatio(10.0);
+  auto engine = CosineEngine::Build(lsh::SimHashFamily(dim), corpus, options);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "build failed: %s\n",
+                 engine.status().ToString().c_str());
     return 1;
   }
-
-  // The paper pins beta/alpha = 10 for Webspam; calibrate instead if your
-  // hardware differs (core::CostCalibrator).
-  core::SearcherOptions searcher_options;
-  searcher_options.cost_model = core::CostModel::FromRatio(10.0);
-  CosineSearcher searcher(&*index, &corpus, searcher_options);
 
   // Probe 6 documents from the farm and 6 ordinary ones.
   std::printf("%-10s %-9s %-10s %-12s %-10s\n", "query", "kind", "duplicates",
               "collisions", "strategy");
   std::vector<uint32_t> duplicates;
-  core::QueryStats stats;
+  engine::ShardedQueryStats stats;
   int linear_calls = 0;
   for (int i = 0; i < 12; ++i) {
     const bool in_farm = i < 6;
     const size_t doc = in_farm ? static_cast<size_t>(i) * 3000
                                : 20000 + static_cast<size_t>(i - 6) * 3000;
     duplicates.clear();
-    searcher.Query(corpus.point(doc), radius, &duplicates, &stats);
-    linear_calls += stats.strategy == core::Strategy::kLinear;
+    if (!engine->Query(corpus.point(doc), radius, &duplicates, &stats).ok()) {
+      return 1;
+    }
+    const core::QueryStats& decision = stats.per_shard[0];
+    linear_calls += decision.strategy == core::Strategy::kLinear;
     std::printf("doc %-6zu %-9s %-10zu %-12llu %-10s\n", doc,
                 in_farm ? "farm" : "ordinary", duplicates.size(),
-                static_cast<unsigned long long>(stats.collisions),
-                std::string(core::StrategyName(stats.strategy)).c_str());
+                static_cast<unsigned long long>(decision.collisions),
+                std::string(core::StrategyName(decision.strategy)).c_str());
   }
   std::printf(
       "\n%d of 12 queries routed to linear search by the cost model\n"

@@ -112,23 +112,14 @@ struct CostModel {
     return Clamp01(Clamp01(live_fraction) * Clamp01(selectivity));
   }
 
-  /// Tombstone correction for segmented indexes (engine/segmented_index.h).
-  /// Dead ids still sit in buckets and sketches, so the summed ProbeEstimate
-  /// overstates S3: of `cand_size` estimated distinct candidates only
-  /// ~live_fraction reach the distance check (dead ones are dropped at S2,
-  /// whose alpha cost is already fully counted in #collisions). Subtract
-  /// this from LshCost before comparing against LinearCost(live_n).
-  double TombstoneCorrection(double cand_size, double live_fraction) const {
-    return DeadWeightCorrection(cand_size,
-                                EffectiveLiveFraction(live_fraction, 1.0));
-  }
-
   /// The LSH side of the hybrid decision with the tombstone and filter
-  /// discounts applied — the single formula every decision site
-  /// (HybridSearcher, ShardedEngine::QueryShard) compares against
-  /// LinearCost(live_n, selectivity). Candidates that are dead or filtered
-  /// are rejected by a bit test at S2/verify-screen whose cost is already
-  /// inside alpha*#collisions + the screen share of VerifyBeta(); only the
+  /// discounts applied — the formula the one decision site
+  /// (ShardedEngine::QueryShard) compares against
+  /// LinearCost(live_n, selectivity). Dead ids still sit in buckets and
+  /// sketches (engine/segmented_index.h), so the summed ProbeEstimate
+  /// overstates S3: candidates that are dead or filtered are rejected by a
+  /// bit test at S2/verify-screen whose cost is already inside
+  /// alpha*#collisions + the screen share of VerifyBeta(); only the
   /// effective live fraction of them pays an exact distance. The defaults
   /// (live_fraction 1, selectivity 1) reduce to Eq. 1.
   double CorrectedLshCost(uint64_t collisions, double cand_size,

@@ -6,32 +6,31 @@
 //   using namespace hybridlsh;
 //
 //   data::DenseDataset points = ...;                     // n x d, L2 metric
-//   lsh::PStableFamily family = lsh::PStableFamily::L2(d, /*w=*/2 * r);
-//   L2Index::Options options;
-//   options.radius = r;                                  // k auto-tuned
-//   auto index = L2Index::Build(family, points, options);
-//
-//   core::SearcherOptions searcher_options;
-//   searcher_options.cost_model = core::CostModel::FromRatio(6.0);
-//   L2Searcher searcher(&*index, &points, searcher_options);
+//   L2Engine::Options options;                           // one shard
+//   options.index.radius = r;                            // k auto-tuned
+//   options.searcher.cost_model = core::CostModel::FromRatio(6.0);
+//   auto engine =
+//       L2Engine::Build(lsh::PStableFamily::L2(d, /*w=*/2 * r), points,
+//                       options);
 //
 //   std::vector<uint32_t> neighbors;
-//   core::QueryStats stats;
-//   searcher.Query(query, r, &neighbors, &stats);
+//   engine::ShardedQueryStats stats;  // per_shard[0]: the Alg. 2 decision
+//   util::Status status = engine->Query(query, r, &neighbors, &stats);
 
 #ifndef HYBRIDLSH_CORE_HYBRIDLSH_H_
 #define HYBRIDLSH_CORE_HYBRIDLSH_H_
 
 #include "core/cost_model.h"
-#include "core/hybrid_searcher.h"
 #include "core/kernels.h"
+#include "core/strategy.h"
 #include "data/dataset.h"
 #include "data/io.h"
 #include "data/metric.h"
 #include "data/synthetic.h"
 #include "data/workload.h"
+#include "engine/search_engine.h"
+#include "engine/sharded_engine.h"
 #include "hll/hyperloglog.h"
-#include "lsh/covering.h"
 #include "lsh/families.h"
 #include "lsh/fingerprint.h"
 #include "lsh/index.h"
@@ -46,16 +45,14 @@ using L1Index = lsh::LshIndex<lsh::PStableFamily>;
 using HammingIndex = lsh::LshIndex<lsh::BitSamplingFamily>;
 using JaccardIndex = lsh::LshIndex<lsh::MinHashFamily>;
 
-/// Searcher aliases over the standard dataset containers.
-using CosineSearcher = core::HybridSearcher<CosineIndex, data::DenseDataset>;
-using L2Searcher = core::HybridSearcher<L2Index, data::DenseDataset>;
-using L1Searcher = core::HybridSearcher<L1Index, data::DenseDataset>;
-using HammingSearcher =
-    core::HybridSearcher<HammingIndex, data::BinaryDataset>;
-using JaccardSearcher =
-    core::HybridSearcher<JaccardIndex, data::SparseDataset>;
-using CoveringSearcher =
-    core::HybridSearcher<lsh::CoveringLshIndex, data::BinaryDataset>;
+/// Engine aliases over the standard dataset containers (plus covering LSH
+/// over packed codes). A 1-shard engine is the paper's hybrid searcher.
+using CosineEngine = engine::ShardedEngine<lsh::SimHashFamily>;
+using L2Engine = engine::ShardedEngine<lsh::PStableFamily>;
+using L1Engine = engine::ShardedEngine<lsh::PStableFamily>;
+using HammingEngine = engine::ShardedEngine<lsh::BitSamplingFamily>;
+using JaccardEngine = engine::ShardedEngine<lsh::MinHashFamily>;
+using CoveringEngine = engine::ShardedEngine<lsh::CoveringFamily>;
 
 }  // namespace hybridlsh
 

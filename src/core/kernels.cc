@@ -1001,13 +1001,11 @@ const ProjectionKernelTable kProjAvx2Table = {
 };
 #endif  // HLSH_SIMD_X86
 
-/// Dense verification over any id sequence. `id_at(j)` maps a block
-/// position to a candidate id; the flat-buffer and contiguous-range entry
-/// points both inline through here so their behavior cannot diverge.
-template <typename IdAt>
+/// Dense verification over a flat id buffer.
 size_t VerifyDenseImpl(const data::DenseDataset& dataset, data::Metric metric,
-                       const float* query, size_t count, IdAt id_at,
+                       const float* query, std::span<const uint32_t> ids,
                        double radius, std::vector<uint32_t>* out) {
+  const size_t count = ids.size();
   const size_t dim = dataset.dim();
   const size_t row_bytes = dim * sizeof(float);
   const KernelTable& table = Kernels();
@@ -1022,9 +1020,9 @@ size_t VerifyDenseImpl(const data::DenseDataset& dataset, data::Metric metric,
       const double r2 = radius * radius;
       for (size_t j = 0; j < count; ++j) {
         if (j + kPrefetchAhead < count) {
-          PrefetchRow(dataset.point(id_at(j + kPrefetchAhead)), row_bytes);
+          PrefetchRow(dataset.point(ids[j + kPrefetchAhead]), row_bytes);
         }
-        const uint32_t id = id_at(j);
+        const uint32_t id = ids[j];
         if (static_cast<double>(table.l2sq(dataset.point(id), query, dim)) <=
             r2) {
           report(id);
@@ -1035,9 +1033,9 @@ size_t VerifyDenseImpl(const data::DenseDataset& dataset, data::Metric metric,
     case data::Metric::kL1: {
       for (size_t j = 0; j < count; ++j) {
         if (j + kPrefetchAhead < count) {
-          PrefetchRow(dataset.point(id_at(j + kPrefetchAhead)), row_bytes);
+          PrefetchRow(dataset.point(ids[j + kPrefetchAhead]), row_bytes);
         }
-        const uint32_t id = id_at(j);
+        const uint32_t id = ids[j];
         if (static_cast<double>(table.l1(dataset.point(id), query, dim)) <=
             radius) {
           report(id);
@@ -1053,9 +1051,9 @@ size_t VerifyDenseImpl(const data::DenseDataset& dataset, data::Metric metric,
         const float query_norm = std::sqrt(table.dot(query, query, dim));
         for (size_t j = 0; j < count; ++j) {
           if (j + kPrefetchAhead < count) {
-            PrefetchRow(dataset.point(id_at(j + kPrefetchAhead)), row_bytes);
+            PrefetchRow(dataset.point(ids[j + kPrefetchAhead]), row_bytes);
           }
-          const uint32_t id = id_at(j);
+          const uint32_t id = ids[j];
           const float dot = table.dot(dataset.point(id), query, dim);
           const float dist = CosineFromParts(dot, norms[id] * query_norm);
           if (static_cast<double>(dist) <= radius) report(id);
@@ -1063,9 +1061,9 @@ size_t VerifyDenseImpl(const data::DenseDataset& dataset, data::Metric metric,
       } else {
         for (size_t j = 0; j < count; ++j) {
           if (j + kPrefetchAhead < count) {
-            PrefetchRow(dataset.point(id_at(j + kPrefetchAhead)), row_bytes);
+            PrefetchRow(dataset.point(ids[j + kPrefetchAhead]), row_bytes);
           }
-          const uint32_t id = id_at(j);
+          const uint32_t id = ids[j];
           const float dist = table.cosine(dataset.point(id), query, dim);
           if (static_cast<double>(dist) <= radius) report(id);
         }
@@ -1078,19 +1076,19 @@ size_t VerifyDenseImpl(const data::DenseDataset& dataset, data::Metric metric,
   }
 }
 
-template <typename IdAt>
 size_t VerifyBinaryImpl(const data::BinaryDataset& dataset,
-                        const uint64_t* query, size_t count, IdAt id_at,
+                        const uint64_t* query, std::span<const uint32_t> ids,
                         double radius, std::vector<uint32_t>* out) {
+  const size_t count = ids.size();
   const size_t words = dataset.words_per_code();
   const size_t row_bytes = words * sizeof(uint64_t);
   const KernelTable& table = Kernels();
   size_t reported = 0;
   for (size_t j = 0; j < count; ++j) {
     if (j + kPrefetchAhead < count) {
-      PrefetchRow(dataset.point(id_at(j + kPrefetchAhead)), row_bytes);
+      PrefetchRow(dataset.point(ids[j + kPrefetchAhead]), row_bytes);
     }
-    const uint32_t id = id_at(j);
+    const uint32_t id = ids[j];
     const uint32_t dist = table.hamming(dataset.point(id), query, words);
     if (static_cast<double>(dist) <= radius) {
       out->push_back(id);
@@ -1121,18 +1119,6 @@ void CompactFiltered(std::span<const uint32_t> ids,
     const uint32_t id = ids[j];
     if (id < bound && filter.Get(id)) survivors->push_back(id);
   }
-}
-
-/// The contiguous-range analogue: survivors of [begin, end) by
-/// word-skipping the filter bitmap — O(range/64 + survivors), which is
-/// what makes the filtered linear scan profitable at low selectivity.
-void CompactFilteredRange(uint32_t begin, uint32_t end,
-                          const util::BitVector& filter,
-                          std::vector<uint32_t>* survivors) {
-  survivors->clear();
-  filter.ForEachSetBitInRange(begin, end, [&](size_t id) {
-    survivors->push_back(static_cast<uint32_t>(id));
-  });
 }
 
 }  // namespace
@@ -1204,30 +1190,9 @@ size_t VerifyBlock(const data::DenseDataset& dataset, data::Metric metric,
   if (filter != nullptr) {
     thread_local std::vector<uint32_t> survivors;
     CompactFiltered(ids, *filter, &survivors);
-    return VerifyDenseImpl(
-        dataset, metric, query, survivors.size(),
-        [&](size_t j) { return survivors[j]; }, radius, out);
+    ids = survivors;
   }
-  return VerifyDenseImpl(
-      dataset, metric, query, ids.size(), [&](size_t j) { return ids[j]; },
-      radius, out);
-}
-
-size_t VerifyRange(const data::DenseDataset& dataset, data::Metric metric,
-                   const float* query, uint32_t begin, uint32_t end,
-                   double radius, std::vector<uint32_t>* out,
-                   const util::BitVector* filter) {
-  if (end <= begin) return 0;
-  if (filter != nullptr) {
-    thread_local std::vector<uint32_t> survivors;
-    CompactFilteredRange(begin, end, *filter, &survivors);
-    return VerifyDenseImpl(
-        dataset, metric, query, survivors.size(),
-        [&](size_t j) { return survivors[j]; }, radius, out);
-  }
-  return VerifyDenseImpl(
-      dataset, metric, query, static_cast<size_t>(end - begin),
-      [&](size_t j) { return begin + static_cast<uint32_t>(j); }, radius, out);
+  return VerifyDenseImpl(dataset, metric, query, ids, radius, out);
 }
 
 size_t VerifyBlockQuantized(const data::DenseDataset& dataset,
@@ -1561,29 +1526,9 @@ size_t VerifyBlock(const data::BinaryDataset& dataset, const uint64_t* query,
   if (filter != nullptr) {
     thread_local std::vector<uint32_t> survivors;
     CompactFiltered(ids, *filter, &survivors);
-    return VerifyBinaryImpl(
-        dataset, query, survivors.size(),
-        [&](size_t j) { return survivors[j]; }, radius, out);
+    ids = survivors;
   }
-  return VerifyBinaryImpl(
-      dataset, query, ids.size(), [&](size_t j) { return ids[j]; }, radius,
-      out);
-}
-
-size_t VerifyRange(const data::BinaryDataset& dataset, const uint64_t* query,
-                   uint32_t begin, uint32_t end, double radius,
-                   std::vector<uint32_t>* out, const util::BitVector* filter) {
-  if (end <= begin) return 0;
-  if (filter != nullptr) {
-    thread_local std::vector<uint32_t> survivors;
-    CompactFilteredRange(begin, end, *filter, &survivors);
-    return VerifyBinaryImpl(
-        dataset, query, survivors.size(),
-        [&](size_t j) { return survivors[j]; }, radius, out);
-  }
-  return VerifyBinaryImpl(
-      dataset, query, static_cast<size_t>(end - begin),
-      [&](size_t j) { return begin + static_cast<uint32_t>(j); }, radius, out);
+  return VerifyBinaryImpl(dataset, query, ids, radius, out);
 }
 
 }  // namespace kernels

@@ -11,16 +11,17 @@
 //     codes, plus the HLL register ops from util/simd.h), one table per
 //     instruction-set tier, dispatched once per process on
 //     util::simd::ResolvedTier();
-//   * VerifyBlock / VerifyRange: block-batched verification that walks a
-//     flat candidate-id buffer in cache-friendly blocks with software
-//     prefetch, uses squared-L2 against radius^2 (no per-candidate sqrt),
-//     and takes the precomputed-norm fast path for cosine when the
-//     DenseDataset has them cached;
-//   * VerifyCandidates / VerifyAllIds: the generic entry points
-//     core::HybridSearcher and engine::ShardedEngine verify through, which
-//     pick the typed block path per dataset container (dense, packed
-//     binary) and fall back to per-id Family::Distance elsewhere (sparse
-//     Jaccard).
+//   * VerifyBlock: block-batched verification that walks a flat
+//     candidate-id buffer in cache-friendly blocks with software prefetch,
+//     uses squared-L2 against radius^2 (no per-candidate sqrt), and takes
+//     the precomputed-norm fast path for cosine when the DenseDataset has
+//     them cached;
+//   * VerifyCandidatesQuantized: the generic entry point
+//     engine::ShardedEngine verifies both strategies through (the LSH
+//     path's deduplicated candidates, the linear path's live ids), which
+//     picks the typed block path per dataset container (dense with or
+//     without the int8 screen, packed binary) and falls back to per-id
+//     Family::Distance elsewhere (sparse Jaccard).
 //
 // Every tier of every float kernel follows the canonical 8-lane
 // accumulation order documented in util/simd.h, so scalar-forced
@@ -40,7 +41,6 @@
 #ifndef HYBRIDLSH_CORE_KERNELS_H_
 #define HYBRIDLSH_CORE_KERNELS_H_
 
-#include <concepts>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -192,13 +192,6 @@ size_t VerifyBlock(const data::DenseDataset& dataset, data::Metric metric,
                    double radius, std::vector<uint32_t>* out,
                    const util::BitVector* filter = nullptr);
 
-/// Dense contiguous id range [begin, end) — the linear-scan path, which
-/// streams rows without an id gather.
-size_t VerifyRange(const data::DenseDataset& dataset, data::Metric metric,
-                   const float* query, uint32_t begin, uint32_t end,
-                   double radius, std::vector<uint32_t>* out,
-                   const util::BitVector* filter = nullptr);
-
 /// Two-phase quantized verification: an int8 screen over the mirror's
 /// codes classifies each candidate as definitely-in / definitely-out /
 /// borderline under a conservative error bound, and only borderline
@@ -231,63 +224,16 @@ size_t VerifyBlock(const data::BinaryDataset& dataset, const uint64_t* query,
                    std::span<const uint32_t> ids, double radius,
                    std::vector<uint32_t>* out,
                    const util::BitVector* filter = nullptr);
-size_t VerifyRange(const data::BinaryDataset& dataset, const uint64_t* query,
-                   uint32_t begin, uint32_t end, double radius,
-                   std::vector<uint32_t>* out,
-                   const util::BitVector* filter = nullptr);
 
-// --- Generic entry points for the searcher / engine layers. ----------------
+// --- Generic entry point for the engine. ------------------------------------
 
-namespace detail {
-/// Whether the index can name its metric (LshIndex / SegmentedIndex via
-/// their family; CoveringLshIndex has no family but is Hamming-only, which
-/// the BinaryDataset overloads cover without one).
-template <typename Index>
-concept HasFamilyMetric = requires(const Index& index) {
-  { index.family().metric() } -> std::convertible_to<data::Metric>;
-};
-
-/// The one filter predicate every verify path applies (see the
-/// block-batched section comment): null filter passes everything, ids the
-/// filter does not cover fail.
-inline bool FilterPass(const util::BitVector* filter, uint32_t id) {
-  return filter == nullptr || (id < filter->size() && filter->Get(id));
-}
-}  // namespace detail
-
-/// Verifies a flat candidate-id buffer (e.g. VisitedSet::touched() after
-/// CollectCandidates) against `query`, appending reported ids to *out.
-/// Dense and packed-binary datasets take the block-batched kernels;
-/// anything else (sparse Jaccard) verifies per id through Index::Distance.
-template <typename Index, typename Dataset>
-size_t VerifyCandidates(const Index& index, const Dataset& dataset,
-                        typename Index::Point query,
-                        std::span<const uint32_t> ids, double radius,
-                        std::vector<uint32_t>* out,
-                        const util::BitVector* filter = nullptr) {
-  if constexpr (std::is_same_v<Dataset, data::DenseDataset> &&
-                detail::HasFamilyMetric<Index>) {
-    return VerifyBlock(dataset, index.family().metric(), query, ids, radius,
-                       out, filter);
-  } else if constexpr (std::is_same_v<Dataset, data::BinaryDataset>) {
-    return VerifyBlock(dataset, query, ids, radius, out, filter);
-  } else {
-    size_t reported = 0;
-    for (const uint32_t id : ids) {
-      if (!detail::FilterPass(filter, id)) continue;
-      if (index.Distance(dataset.point(id), query) <= radius) {
-        out->push_back(id);
-        ++reported;
-      }
-    }
-    return reported;
-  }
-}
-
-/// VerifyCandidates with the quantized screen in front: dense datasets
-/// with a live mirror screen through VerifyBlockQuantized; every other
-/// container (and a null/disabled mirror) takes the exact path unchanged.
-/// The engine's query paths call this with its engine-level mirror.
+/// Verifies a flat candidate-id buffer — the LSH path's deduplicated
+/// candidates (VisitedSet::touched()) or the linear path's live ids —
+/// against `query`, appending reported ids to *out. Dense datasets screen
+/// through VerifyBlockQuantized when the engine's int8 mirror is live and
+/// take VerifyBlock otherwise; packed-binary datasets take the
+/// block-batched Hamming kernel; anything else (sparse Jaccard) verifies
+/// per id through Index::Distance. `filter` as in the kernels above.
 template <typename Index, typename Dataset>
 size_t VerifyCandidatesQuantized(const Index& index, const Dataset& dataset,
                                  const data::QuantizedMirror* mirror,
@@ -295,33 +241,21 @@ size_t VerifyCandidatesQuantized(const Index& index, const Dataset& dataset,
                                  std::span<const uint32_t> ids, double radius,
                                  std::vector<uint32_t>* out,
                                  const util::BitVector* filter = nullptr) {
-  if constexpr (std::is_same_v<Dataset, data::DenseDataset> &&
-                detail::HasFamilyMetric<Index>) {
+  if constexpr (std::is_same_v<Dataset, data::DenseDataset>) {
+    const data::Metric metric = index.family().metric();
     if (mirror != nullptr && mirror->enabled()) {
-      return VerifyBlockQuantized(dataset, *mirror, index.family().metric(),
-                                  query, ids, radius, out, nullptr, filter);
+      return VerifyBlockQuantized(dataset, *mirror, metric, query, ids, radius,
+                                  out, nullptr, filter);
     }
-  }
-  return VerifyCandidates(index, dataset, query, ids, radius, out, filter);
-}
-
-/// Verifies the contiguous id range [begin, end) — the static linear-scan
-/// path. Same container dispatch as VerifyCandidates.
-template <typename Index, typename Dataset>
-size_t VerifyAllIds(const Index& index, const Dataset& dataset,
-                    typename Index::Point query, uint32_t begin, uint32_t end,
-                    double radius, std::vector<uint32_t>* out,
-                    const util::BitVector* filter = nullptr) {
-  if constexpr (std::is_same_v<Dataset, data::DenseDataset> &&
-                detail::HasFamilyMetric<Index>) {
-    return VerifyRange(dataset, index.family().metric(), query, begin, end,
-                       radius, out, filter);
+    return VerifyBlock(dataset, metric, query, ids, radius, out, filter);
   } else if constexpr (std::is_same_v<Dataset, data::BinaryDataset>) {
-    return VerifyRange(dataset, query, begin, end, radius, out, filter);
+    return VerifyBlock(dataset, query, ids, radius, out, filter);
   } else {
     size_t reported = 0;
-    for (uint32_t id = begin; id < end; ++id) {
-      if (!detail::FilterPass(filter, id)) continue;
+    for (const uint32_t id : ids) {
+      if (filter != nullptr && (id >= filter->size() || !filter->Get(id))) {
+        continue;
+      }
       if (index.Distance(dataset.point(id), query) <= radius) {
         out->push_back(id);
         ++reported;

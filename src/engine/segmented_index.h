@@ -38,7 +38,7 @@
 //
 // The hybrid decision sums ProbeEstimates across segments; tombstones bias
 // the estimate upward (dead ids still sit in the merged sketches), which
-// core::CostModel::TombstoneCorrection subtracts before the LSH-vs-linear
+// core::CostModel::CorrectedLshCost discounts before the LSH-vs-linear
 // comparison.
 //
 // --- Concurrency model (the PR 6 serving core) -----------------------------
@@ -221,23 +221,8 @@ class ActiveLshLog {
 
   /// Alg. 2 estimate contribution over entries [0, limit): adds probed
   /// collision counts and folds probed ids into *scratch (active buckets
-  /// have no sketches — §3.2 on-demand folding). Mirrors
-  /// lsh::AccumulateProbe's multi-probe dedup.
-  void AccumulateProbe(std::span<const uint64_t> keys, size_t limit,
-                       hll::HyperLogLog* scratch, uint64_t* collisions) const {
-    const size_t probes_per_table = keys.size() / num_tables_;
-    for (size_t p = 0; p < keys.size(); ++p) {
-      const size_t t = p / probes_per_table;
-      if (lsh::IsRepeatedProbe(keys, t * probes_per_table, p)) continue;
-      ForEachInBucket(t, keys[p], limit, [&](uint32_t id) {
-        ++*collisions;
-        scratch->AddPoint(id);
-      });
-    }
-  }
-
-  /// AccumulateProbe over a precomputed plan: per-table keys are already
-  /// unique, so the walk is a straight replay with no dedup rescans.
+  /// have no sketches — §3.2 on-demand folding). Per-table plan keys are
+  /// already unique, so the walk is a straight replay.
   void AccumulateProbe(const lsh::ProbePlan& plan, size_t limit,
                        hll::HyperLogLog* scratch, uint64_t* collisions) const {
     HLSH_DCHECK(plan.num_tables() == num_tables_);
@@ -253,25 +238,6 @@ class ActiveLshLog {
 
   /// S2 over entries [0, limit): dedups probed live ids into *visited and
   /// returns the collision count. Mirrors lsh::CollectProbedIds.
-  uint64_t CollectProbedIds(std::span<const uint64_t> keys, size_t limit,
-                            util::VisitedSet* visited,
-                            const util::BitVector* tombstones) const {
-    uint64_t collisions = 0;
-    const size_t probes_per_table = keys.size() / num_tables_;
-    for (size_t p = 0; p < keys.size(); ++p) {
-      const size_t t = p / probes_per_table;
-      if (lsh::IsRepeatedProbe(keys, t * probes_per_table, p)) continue;
-      ForEachInBucket(t, keys[p], limit, [&](uint32_t id) {
-        ++collisions;
-        if (tombstones == nullptr || !tombstones->TestAcquire(id)) {
-          visited->Insert(id);
-        }
-      });
-    }
-    return collisions;
-  }
-
-  /// CollectProbedIds over a precomputed plan (no dedup rescans).
   uint64_t CollectProbedIds(const lsh::ProbePlan& plan, size_t limit,
                             util::VisitedSet* visited,
                             const util::BitVector* tombstones) const {
@@ -338,6 +304,13 @@ struct LshSegment {
   std::vector<lsh::LshTable> tables;
   std::vector<uint32_t> ids;
 
+  /// True when the (ascending) ids are one run [ids.front(), ids.back()] —
+  /// an initial range segment, or a sealed log of a one-shard engine.
+  bool contiguous() const {
+    return !ids.empty() &&
+           static_cast<size_t>(ids.back() - ids.front()) + 1 == ids.size();
+  }
+
   size_t MemoryBytes() const {
     size_t total = ids.capacity() * sizeof(uint32_t);
     for (const lsh::LshTable& table : tables) total += table.MemoryBytes();
@@ -359,15 +332,11 @@ struct SegmentListView {
   std::shared_ptr<const ActiveLshLog> active;
 };
 
-/// Mutable LSH index over a (possibly growing) dataset (see file comment).
-///
-/// Exposes the same query surface as LshIndex — QueryKeys,
-/// QueryKeysMultiProbe, EstimateProbe, CollectCandidates, Distance, size(),
-/// MakeScratchSketch() — so core::HybridSearcher and the sharded fan-out
-/// run over either, plus the lifecycle surface: Insert, Remove, Compact,
-/// live_size, ForEachLiveId. The convenience query methods acquire a fresh
-/// snapshot per call; the engine's lock-free path acquires one
-/// SegmentSnapshot per query instead (Acquire()).
+/// Mutable LSH index over a (possibly growing) dataset (see file comment):
+/// the shard index of engine::ShardedEngine. Queries run on a
+/// SegmentSnapshot (Acquire / AcquireCached) — plan walks, the summed
+/// estimate, and the linear scan's live ids; the lifecycle surface is
+/// Insert, Remove, SealActive, Compact and the maintenance hooks.
 template <typename Family,
           typename Dataset =
               typename DefaultDataset<typename Family::Point>::type>
@@ -409,34 +378,12 @@ class SegmentedIndex {
   /// concurrently with Insert/Remove/maintenance.
   class SegmentSnapshot {
    public:
-    /// Sums the Alg. 2 lines 1-2 estimate across every segment: collisions
-    /// exactly, candSize from ONE merged HLL (sketches from sealed
-    /// buckets, on-demand folding for small/active buckets). Tombstoned
-    /// ids are still counted — apply CostModel::TombstoneCorrection with
-    /// live_fraction() before comparing against the linear cost.
-    lsh::ProbeEstimate EstimateProbe(std::span<const uint64_t> keys,
-                                     hll::HyperLogLog* scratch) const {
-      scratch->Clear();
-      lsh::ProbeEstimate estimate;
-      for (const auto& segment : view_->sealed) {
-        lsh::AccumulateProbe(segment->tables, keys, scratch,
-                             &estimate.collisions);
-      }
-      for (const auto& log : view_->frozen) {
-        log->AccumulateProbe(keys, log->size_acquire(), scratch,
-                             &estimate.collisions);
-      }
-      if (active_count_ > 0) {
-        view_->active->AccumulateProbe(keys, active_count_, scratch,
-                                       &estimate.collisions);
-      }
-      estimate.cand_estimate =
-          estimate.collisions == 0 ? 0.0 : scratch->Estimate();
-      return estimate;
-    }
-
-    /// EstimateProbe over a precomputed plan (hash-once path): the same
-    /// summed estimate, replaying one ProbePlan against every segment.
+    /// Sums the Alg. 2 lines 1-2 estimate across every segment, replaying
+    /// one ProbePlan against each: collisions exactly, candSize from ONE
+    /// merged HLL (sketches from sealed buckets, on-demand folding for
+    /// small/active buckets). Tombstoned ids are still counted — apply
+    /// CostModel's tombstone correction with the live fraction before
+    /// comparing against the linear cost.
     lsh::ProbeEstimate EstimateProbe(const lsh::ProbePlan& plan,
                                      hll::HyperLogLog* scratch) const {
       scratch->Clear();
@@ -461,25 +408,6 @@ class SegmentedIndex {
     /// S2 across every segment. Tombstoned ids count as collisions (their
     /// probe cost was paid) but are never inserted, so S3 only verifies
     /// live candidates.
-    uint64_t CollectCandidates(std::span<const uint64_t> keys,
-                               util::VisitedSet* visited) const {
-      uint64_t collisions = 0;
-      for (const auto& segment : view_->sealed) {
-        collisions += lsh::CollectProbedIds(segment->tables, keys, visited,
-                                            tombstones_);
-      }
-      for (const auto& log : view_->frozen) {
-        collisions += log->CollectProbedIds(keys, log->size_acquire(),
-                                            visited, tombstones_);
-      }
-      if (active_count_ > 0) {
-        collisions += view_->active->CollectProbedIds(keys, active_count_,
-                                                      visited, tombstones_);
-      }
-      return collisions;
-    }
-
-    /// S2 over a precomputed plan (hash-once path).
     uint64_t CollectCandidates(const lsh::ProbePlan& plan,
                                util::VisitedSet* visited) const {
       uint64_t collisions = 0;
@@ -498,55 +426,54 @@ class SegmentedIndex {
       return collisions;
     }
 
-    /// Calls fn(id) for every live id in the snapshot (linear-scan
-    /// support; segment order, ascending within a sealed segment).
-    template <typename Fn>
-    void ForEachLiveId(Fn&& fn) const {
-      for (const auto& segment : view_->sealed) {
-        for (const uint32_t id : segment->ids) {
-          if (!tombstones_->TestAcquire(id)) fn(id);
+    /// The linear scan's id source: appends the snapshot's live ids to *ids
+    /// in segment order (ascending within a sealed segment), only those set
+    /// in `filter` when one is pushed down (ids past its bound fail). The
+    /// filtered output is a subsequence of the unfiltered one, so pushdown
+    /// results are bit-identical to post-filtering. A sealed segment whose
+    /// ids are one contiguous run skips the per-id tombstone test: it is
+    /// appended whole when an acquire scan finds no tombstone bit in its
+    /// range, or read from the filter's words, which already exclude the
+    /// filter stage's tombstones (BuildFilterContext). Other segments and
+    /// the logs test each id.
+    void GatherLiveIds(const util::BitVector* filter,
+                       std::vector<uint32_t>* ids) const {
+      auto gather = [&](uint32_t id) {
+        if (tombstones_->TestAcquire(id)) return;
+        if (filter != nullptr && (id >= filter->size() || !filter->Get(id))) {
+          return;
         }
+        ids->push_back(id);
+      };
+      for (const auto& segment : view_->sealed) {
+        if (segment->contiguous()) {
+          const size_t begin = segment->ids.front();
+          const size_t end = begin + segment->ids.size();
+          if (filter != nullptr) {
+            filter->ForEachSetBitInRange(begin, end, [&](size_t id) {
+              ids->push_back(static_cast<uint32_t>(id));
+            });
+            continue;
+          }
+          if (!tombstones_->AnySetInRangeAcquire(begin, end)) {
+            ids->insert(ids->end(), segment->ids.begin(), segment->ids.end());
+            continue;
+          }
+        }
+        for (const uint32_t id : segment->ids) gather(id);
       }
       for (const auto& log : view_->frozen) {
         const size_t n = log->size_acquire();
-        for (size_t i = 0; i < n; ++i) {
-          const uint32_t id = log->id(i);
-          if (!tombstones_->TestAcquire(id)) fn(id);
-        }
+        for (size_t i = 0; i < n; ++i) gather(log->id(i));
       }
-      for (size_t i = 0; i < active_count_; ++i) {
-        const uint32_t id = view_->active->id(i);
-        if (!tombstones_->TestAcquire(id)) fn(id);
-      }
-    }
-
-    /// ForEachLiveId through a pushdown filter: fn(id) for every live id
-    /// whose bit is set in `filter` (ids at or past the filter's bound
-    /// fail — the filter was built over the id space visible when the
-    /// query started). Emission order is exactly ForEachLiveId's with
-    /// non-survivors skipped — a subsequence — which is what makes
-    /// filtered linear scans bit-identical to post-filtered ones.
-    template <typename Fn>
-    void ForEachLiveIdFiltered(const util::BitVector& filter,
-                               Fn&& fn) const {
-      const size_t bound = filter.size();
-      ForEachLiveId([&](uint32_t id) {
-        if (id < bound && filter.Get(id)) fn(id);
-      });
+      for (size_t i = 0; i < active_count_; ++i) gather(view_->active->id(i));
     }
 
     /// Every id visible through this snapshot is below this bound (sizes a
     /// VisitedSet / result buffer).
     size_t id_bound() const { return id_bound_; }
 
-    /// True when the snapshot holds no indexed ids at all.
-    bool empty() const {
-      return view_->sealed.empty() && view_->frozen.empty() &&
-             active_count_ == 0;
-    }
-
     const SegmentListView& view() const { return *view_; }
-    size_t active_count() const { return active_count_; }
 
    private:
     friend class SegmentedIndex;
@@ -861,14 +788,6 @@ class SegmentedIndex {
     snapshot->id_bound_ = dataset_->size();
   }
 
-  void QueryKeys(Point query, std::vector<uint64_t>* keys) const {
-    functions_.QueryKeys(query, keys);
-  }
-  util::Status QueryKeysMultiProbe(Point query, size_t probes_per_table,
-                                   std::vector<uint64_t>* keys) const {
-    return functions_.QueryKeysMultiProbe(query, probes_per_table, keys);
-  }
-
   /// S1, hash-once form (see lsh::FunctionSet::ComputePlan). The plan is
   /// valid for every snapshot of this index — segments share the one
   /// FunctionSet — and for any other index sampled with the same
@@ -886,25 +805,6 @@ class SegmentedIndex {
                                        scratch, plans);
   }
 
-  /// Convenience wrappers over Acquire() — one snapshot per call, so two
-  /// calls may see different epochs; use Acquire() directly when one query
-  /// must estimate and collect against the same snapshot.
-  lsh::ProbeEstimate EstimateProbe(std::span<const uint64_t> keys,
-                                   hll::HyperLogLog* scratch) const {
-    HLSH_DCHECK(scratch->precision() == options_.index.hll_precision);
-    return Acquire().EstimateProbe(keys, scratch);
-  }
-
-  uint64_t CollectCandidates(std::span<const uint64_t> keys,
-                             util::VisitedSet* visited) const {
-    return Acquire().CollectCandidates(keys, visited);
-  }
-
-  template <typename Fn>
-  void ForEachLiveId(Fn&& fn) const {
-    Acquire().ForEachLiveId(std::forward<Fn>(fn));
-  }
-
   bool is_live(uint32_t id) const {
     return id >= tombstones_->size() || !tombstones_->TestAcquire(id);
   }
@@ -919,7 +819,6 @@ class SegmentedIndex {
     return static_cast<int>(functions_.num_tables());
   }
   uint32_t id_base() const { return id_base_; }
-  int hll_precision() const { return options_.index.hll_precision; }
   const Options& options() const { return options_; }
 
   /// Coherent (live, indexed) pair from ONE atomic load — both counters
@@ -935,10 +834,6 @@ class SegmentedIndex {
   /// Live points — what a query can report. Atomic counter reads.
   size_t size() const { return live_stats().live; }
   size_t live_size() const { return size(); }
-  /// Live + dead ids still occupying buckets.
-  size_t indexed_size() const { return live_stats().indexed; }
-  /// Fraction of indexed ids that are live (1.0 right after compaction).
-  double live_fraction() const { return live_stats().fraction(); }
 
   hll::HyperLogLog MakeScratchSketch() const {
     return hll::HyperLogLog(options_.index.hll_precision);
@@ -1051,6 +946,11 @@ class SegmentedIndex {
       HLSH_RETURN_IF_ERROR(reader->ReadU64(&num_ids));
       HLSH_RETURN_IF_ERROR(
           reader->ReadArray<uint32_t>(num_ids, &segment->ids));
+      if (!std::is_sorted(segment->ids.begin(), segment->ids.end()) ||
+          std::adjacent_find(segment->ids.begin(), segment->ids.end()) !=
+              segment->ids.end()) {
+        return util::Status::DataLoss("segment ids are not ascending");
+      }
       for (const uint32_t id : segment->ids) {
         if (id >= dataset->size()) {
           return util::Status::DataLoss("segment id exceeds the dataset");

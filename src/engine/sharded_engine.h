@@ -9,13 +9,15 @@
 // fall back to an exact scan of its range while the others stay on LSH.
 //
 // Shards share the hash-function seed: table t of every shard samples the
-// same k-wise functions and bucket-key seed as a monolithic index built
+// same k-wise functions and bucket-key seed as a monolithic LshIndex built
 // with the same Options. A bucket of the monolithic index is therefore the
 // exact union of the shards' corresponding buckets, which gives the
 // engine's equivalence guarantee: with the same (seed, k, L), the union of
-// per-shard LSH candidate sets equals the monolithic candidate set, and
-// forced-LSH / forced-linear results are identical to the single-index
-// path for any shard count (tests/test_sharded_engine.cc).
+// per-shard LSH candidate sets equals the monolithic index's plan walk, so
+// forced-LSH results equal that walk's in-radius candidates and
+// forced-linear results equal a brute-force scan, for any shard count
+// (tests/test_sharded_engine.cc). A 1-shard engine is the paper's static
+// hybrid searcher; the paper benches and examples run on it.
 //
 // Shard indexes carry *global* ids directly (the initial segment is built
 // with the range start as its id offset) — no per-result offset translation
@@ -53,16 +55,16 @@
 //   - SaveSnapshot and CompactAll take the writer mutex and drain
 //     maintenance first: they block writers, not readers.
 //
-// The legacy Query / QueryBatch entry points (internal shard fan-out /
-// batch pooling) use engine-owned scratch: at most one thread may be in
-// them at a time, but they may run concurrently with writers and
-// maintenance — they ride the same snapshot path underneath.
+// The Query / QueryBatch entry points (internal shard fan-out / batch
+// pooling) use engine-owned scratch: at most one thread may be in them at a
+// time, but they may run concurrently with writers and maintenance — they
+// ride the same snapshot path underneath.
 //
 // --- The composable query pipeline (engine/query_pipeline.h) ----------------
 //
 // Every entry point executes one QuerySpec through the same stage chain:
-// plan -> probe -> gather -> filter -> verify -> score -> merge. The legacy
-// radius calls are thin wrappers over QuerySpec::Radius(r); a predicate
+// plan -> probe -> gather -> filter -> verify -> score -> merge. The radius
+// calls are thin wrappers over QuerySpec::Radius(r); a predicate
 // pushes a BitVector filter into the verify kernels (candidates pay a bit
 // test before a distance, and the cost model prices the linear scan at
 // LinearCost(live, selectivity)); fusion runs all its same-metric radius
@@ -89,8 +91,8 @@
 #include <vector>
 
 #include "core/fusion.h"
-#include "core/hybrid_searcher.h"
 #include "core/kernels.h"
+#include "core/strategy.h"
 #include "data/attributes.h"
 #include "data/dataset.h"
 #include "data/metric.h"
@@ -203,10 +205,10 @@ class ShardedEngine {
     /// fan-out, batch execution). 0 = one per shard.
     size_t num_threads = 0;
     /// Per-shard index parameters. `id_base` is overwritten per shard and
-    /// `num_build_threads` is ignored (shard builds already saturate the
-    /// pool); everything else — including `seed` — is shared by all shards,
-    /// which is what makes the engine candidate-equivalent to a monolithic
-    /// index (see file comment).
+    /// `num_build_threads` by the shard's share of the pool (max(1,
+    /// num_threads / num_shards)); everything else — including `seed` — is
+    /// shared by all shards, which is what makes the engine
+    /// candidate-equivalent to a monolithic index (see file comment).
     typename Index::Options index;
     /// Segment lifecycle knobs, applied per shard (segmented_index.h).
     size_t active_seal_threshold = 4096;
@@ -306,13 +308,9 @@ class ShardedEngine {
     engine.tombstones_ = std::make_unique<util::BitVector>(n);
     util::WallTimer build_timer;
     std::vector<util::Status> statuses(num_shards, util::Status::Ok());
+    const typename ShardIndex::Options shard_options = engine.ShardOptions();
     util::ParallelForOn(engine.pool_.get(), 0, num_shards, [&](size_t s) {
       Shard& shard = engine.shards_[s];
-      typename ShardIndex::Options shard_options;
-      shard_options.index = options.index;
-      shard_options.index.num_build_threads = 1;
-      shard_options.active_seal_threshold = options.active_seal_threshold;
-      shard_options.max_sealed_segments = options.max_sealed_segments;
       auto built = ShardIndex::Build(family, &dataset, shard.base, shard.size,
                                      shard_options, engine.tombstones_.get());
       if (!built.ok()) {
@@ -466,13 +464,14 @@ class ShardedEngine {
   /// Remove / background maintenance run, with no lock or shared mutable
   /// state touched anywhere on the path. Shards are searched sequentially
   /// on the calling thread; concurrency comes from many callers, not an
-  /// internal fan-out.
-  void QueryConcurrent(Point query, double radius, std::vector<uint32_t>* out,
-                       QueryScratch* scratch,
-                       ShardedQueryStats* stats = nullptr) const {
-    HLSH_CHECK(
-        QueryConcurrent(query, QuerySpec::Radius(radius), out, scratch, stats)
-            .ok());
+  /// internal fan-out. A negative or non-finite radius returns
+  /// InvalidArgument (the spec form's validation).
+  util::Status QueryConcurrent(Point query, double radius,
+                               std::vector<uint32_t>* out,
+                               QueryScratch* scratch,
+                               ShardedQueryStats* stats = nullptr) const {
+    return QueryConcurrent(query, QuerySpec::Radius(radius), out, scratch,
+                           stats);
   }
 
   /// Spec form of the concurrent read path: same lock-free guarantees,
@@ -519,12 +518,14 @@ class ShardedEngine {
   }
 
   /// Answers one query with a parallel fan-out across shards: every id with
-  /// Distance(point, query) <= radius is reported with the same per-shard
-  /// guarantees as HybridSearcher. Results are appended to *out grouped by
-  /// shard (ascending id ranges); ids are global.
-  void Query(Point query, double radius, std::vector<uint32_t>* out,
-             ShardedQueryStats* stats = nullptr) {
-    HLSH_CHECK(Query(query, QuerySpec::Radius(radius), out, stats).ok());
+  /// Distance(point, query) <= radius is reported, exactly on a shard that
+  /// scans and with the LSH guarantee (probability >= 1 - delta per point)
+  /// on a shard that probes. Results are appended to *out grouped by shard
+  /// (ascending id ranges); ids are global. A negative or non-finite radius
+  /// returns InvalidArgument (the spec form's validation).
+  util::Status Query(Point query, double radius, std::vector<uint32_t>* out,
+                     ShardedQueryStats* stats = nullptr) {
+    return Query(query, QuerySpec::Radius(radius), out, stats);
   }
 
   /// Spec form of the parallel fan-out: the filter stage runs once on the
@@ -563,20 +564,12 @@ class ShardedEngine {
   /// the pool: queries are distributed dynamically across workers, each
   /// worker owns one reusable scratch and runs every shard of its query
   /// sequentially. Results are positionally aligned with the query set.
-  /// `wall_seconds` (optional) receives the batch wall time.
-  template <typename QuerySet>
-  std::vector<ShardedBatchResult> QueryBatch(const QuerySet& queries,
-                                             double radius,
-                                             double* wall_seconds = nullptr) {
-    auto results = QueryBatch(queries, QuerySpec::Radius(radius), wall_seconds);
-    HLSH_CHECK(results.ok());
-    return std::move(*results);
-  }
-
-  /// Spec form of the batch path. The filter stage runs ONCE for the whole
-  /// batch — predicates do not depend on the query point, so every worker
-  /// shares the one composed bitmap read-only (per-query stats report
-  /// filter_seconds = 0 and the shared selectivity). Rejects fused specs.
+  /// `wall_seconds` (optional) receives the batch wall time. The filter
+  /// stage runs ONCE for the whole batch — predicates do not depend on the
+  /// query point, so every worker shares the one composed bitmap read-only
+  /// (per-query stats report filter_seconds = 0 and the shared
+  /// selectivity, and the batch sees removals as of that stage). Rejects
+  /// fused specs and invalid radii like Query.
   template <typename QuerySet>
   util::StatusOr<std::vector<ShardedBatchResult>> QueryBatch(
       const QuerySet& queries, const QuerySpec& spec,
@@ -631,18 +624,6 @@ class ShardedEngine {
     }
     if (wall_seconds != nullptr) *wall_seconds = timer.ElapsedSeconds();
     return results;
-  }
-
-  /// Span-of-points convenience overload (used by the type-erased facade).
-  std::vector<ShardedBatchResult> QueryBatch(std::span<const Point> queries,
-                                             double radius,
-                                             double* wall_seconds = nullptr) {
-    struct SpanSet {
-      std::span<const Point> points;
-      size_t size() const { return points.size(); }
-      Point point(size_t i) const { return points[i]; }
-    };
-    return QueryBatch(SpanSet{queries}, radius, wall_seconds);
   }
 
   size_t num_shards() const { return shards_.size(); }
@@ -869,6 +850,7 @@ class ShardedEngine {
 
     // Phase 2: parse every shard's segments (checksums already verified).
     engine.shards_.resize(num_shards);
+    const typename ShardIndex::Options shard_options = engine.ShardOptions();
     util::ParallelForOn(engine.pool_.get(), 0, num_shards, [&](size_t s) {
       if (!statuses[s].ok()) return;
       util::ByteReader bytes(shard_blobs[s]->payload());
@@ -884,12 +866,6 @@ class ShardedEngine {
       }
       shard.base = static_cast<size_t>(base);
       shard.size = static_cast<size_t>(size);
-      typename ShardIndex::Options shard_options;
-      shard_options.index = engine.options_.index;
-      shard_options.index.num_build_threads = 1;
-      shard_options.active_seal_threshold =
-          engine.options_.active_seal_threshold;
-      shard_options.max_sealed_segments = engine.options_.max_sealed_segments;
       auto loaded = ShardIndex::LoadFrom(&bytes, *functions, dataset,
                                          shard_options,
                                          engine.tombstones_.get());
@@ -1025,6 +1001,18 @@ class ShardedEngine {
   ShardedEngine()
       : sync_(std::make_unique<EngineSync>()),
         counters_(std::make_unique<QueryCounters>()) {}
+
+  /// One shard's index options: the engine's, building tables on the
+  /// shard's share of the pool (see Options::index).
+  typename ShardIndex::Options ShardOptions() const {
+    typename ShardIndex::Options shard_options;
+    shard_options.index = options_.index;
+    shard_options.index.num_build_threads =
+        std::max<size_t>(1, pool_->num_threads() / shards_.size());
+    shard_options.active_seal_threshold = options_.active_seal_threshold;
+    shard_options.max_sealed_segments = options_.max_sealed_segments;
+    return shard_options;
+  }
 
   /// Builds the int8 mirror over the engine's dataset when the container
   /// is dense, the option is on, and the data quantizes (non-degenerate
@@ -1253,7 +1241,7 @@ class ShardedEngine {
       } else if (!walks_index(sub)) {
         for (size_t i = 0; i < shards_.size(); ++i) {
           ExecuteOverrideScan(scratch->views[i].snapshot, query, sub, fctx,
-                              &list);
+                              &scratch->live_ids, &list);
         }
         core::RankScoredList(&list, &scratch->fusion);
       } else {
@@ -1282,7 +1270,7 @@ class ShardedEngine {
   /// S1 once per query: all shards sample identical functions from the
   /// shared seed (the engine's equivalence invariant), so shard 0's
   /// function set plans for every shard. Aborts if multi-probe is
-  /// requested on a family without it — same contract as ComputeProbeKeys.
+  /// requested on a family without it.
   void ComputePlan(Point query, lsh::PlanScratch* scratch,
                    lsh::ProbePlan* plan) const {
     HLSH_CHECK(shards_[0]
@@ -1401,21 +1389,12 @@ class ShardedEngine {
                      Point query, double radius, const FilterContext& fctx,
                      std::vector<uint32_t>* out, core::QueryStats* st,
                      QueryScratch* scratch) const {
-    // Flatten the snapshot's live ids — through the filter's bit test when
-    // one is pushed down, so non-survivors never reach the kernels — then
-    // verify in one block-batched pass (core/kernels.h) instead of per-id
-    // Distance calls. The filtered walk keeps the unfiltered emission
-    // order (a subsequence), which is what makes pushdown results
-    // bit-identical to post-filtering.
+    // Flatten the snapshot's live ids — through the filter when one is
+    // pushed down, so non-survivors never reach the kernels — then verify
+    // in one block-batched pass (core/kernels.h, int8 screen included)
+    // instead of per-id Distance calls.
     scratch->live_ids.clear();
-    if (fctx.filter != nullptr) {
-      snap.ForEachLiveIdFiltered(*fctx.filter, [&](uint32_t id) {
-        scratch->live_ids.push_back(id);
-      });
-    } else {
-      snap.ForEachLiveId(
-          [&](uint32_t id) { scratch->live_ids.push_back(id); });
-    }
+    snap.GatherLiveIds(fctx.filter, &scratch->live_ids);
     st->output_size += core::kernels::VerifyCandidatesQuantized(
         *shard.index, *dataset_, mirror_.get(), query, scratch->live_ids,
         radius, out);
@@ -1430,18 +1409,16 @@ class ShardedEngine {
   void ExecuteOverrideScan(const typename ShardIndex::SegmentSnapshot& snap,
                            Point query, const SubquerySpec& sub,
                            const FilterContext& fctx,
+                           std::vector<uint32_t>* live_ids,
                            core::ScoredList* list) const {
-    auto scan = [&](uint32_t id) {
+    live_ids->clear();
+    snap.GatherLiveIds(fctx.filter, live_ids);
+    for (const uint32_t id : *live_ids) {
       const double distance = ExactDistance(query, id, *sub.metric);
       if (distance <= sub.radius) {
         list->ids.push_back(id);
         list->distances.push_back(distance);
       }
-    };
-    if (fctx.filter != nullptr) {
-      snap.ForEachLiveIdFiltered(*fctx.filter, scan);
-    } else {
-      snap.ForEachLiveId(scan);
     }
   }
 

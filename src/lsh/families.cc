@@ -1,5 +1,6 @@
 #include "lsh/families.h"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -418,6 +419,55 @@ util::StatusOr<MinHashFamily::Functions> MinHashFamily::LoadFunctions(
   Functions fns;
   HLSH_RETURN_IF_ERROR(reader->ReadArray<uint64_t>(count, &fns.seeds));
   return fns;
+}
+
+// --- CoveringFamily ----------------------------------------------------------
+
+CoveringFamily::CoveringFamily(size_t width_bits, uint32_t radius,
+                               uint64_t seed)
+    : words_((width_bits + 63) / 64), radius_(radius) {
+  HLSH_CHECK(width_bits > 0);
+  if (radius < 1 || radius > kMaxRadius) return;
+  // Every bit position gets a uniform vector in {0,1}^b, b = radius + 1.
+  const uint64_t b_mask = (uint64_t{1} << (radius + 1)) - 1;
+  util::Rng rng(seed);
+  phi_.resize(width_bits);
+  for (uint32_t& v : phi_) v = static_cast<uint32_t>(rng.NextU64() & b_mask);
+}
+
+CoveringFamily::Functions CoveringFamily::Sample(size_t table) const {
+  // Keep bit i iff <phi(i), a> is odd, a = table + 1.
+  const uint32_t a = static_cast<uint32_t>(table + 1);
+  Functions fns;
+  fns.mask.assign(words_, 0);
+  for (size_t i = 0; i < phi_.size(); ++i) {
+    if (std::popcount(phi_[i] & a) & 1) {
+      fns.mask[i >> 6] |= uint64_t{1} << (i & 63);
+    }
+  }
+  return fns;
+}
+
+util::Status CoveringFamily::CheckNumTables(int num_tables) const {
+  if (phi_.empty()) {
+    return util::Status::InvalidArgument(
+        "covering LSH radius must be in [1, 12] (tables grow as 2^(r+1)-1)");
+  }
+  if (num_tables != this->num_tables()) {
+    return util::Status::InvalidArgument(
+        "covering LSH needs exactly 2^(radius+1) - 1 tables");
+  }
+  return util::Status::Ok();
+}
+
+void CoveringFamily::Signature(const Functions& fns, Point code,
+                               std::span<int32_t> slots) const {
+  for (size_t w = 0; w < words_; ++w) {
+    const uint64_t masked = code[w] & fns.mask[w];
+    slots[2 * w] = static_cast<int32_t>(static_cast<uint32_t>(masked));
+    slots[2 * w + 1] =
+        static_cast<int32_t>(static_cast<uint32_t>(masked >> 32));
+  }
 }
 
 }  // namespace lsh

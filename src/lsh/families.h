@@ -15,6 +15,9 @@
 // Paper §4 pairs: SimHash <-> cosine (Webspam), bit sampling <-> Hamming on
 // 64-bit fingerprints (MNIST), Cauchy projections <-> L1 (CoverType),
 // Gaussian projections <-> L2 (Corel), MinHash <-> Jaccard (extension).
+// CoveringFamily (Hamming without false negatives, the paper's §5 future
+// work) derives each table's function from the table index instead of
+// sampling it (see its comment).
 
 #ifndef HYBRIDLSH_LSH_FAMILIES_H_
 #define HYBRIDLSH_LSH_FAMILIES_H_
@@ -279,6 +282,73 @@ class MinHashFamily {
   static util::StatusOr<MinHashFamily> LoadFamily(util::ByteReader* reader);
   void SaveFunctions(const Functions& fns, util::ByteWriter* writer) const;
   util::StatusOr<Functions> LoadFunctions(util::ByteReader* reader) const;
+};
+
+/// Covering LSH for Hamming distance (Pagh, SODA 2016): LSH *without false
+/// negatives*, the second "future work" integration the paper names (§5).
+///
+/// Construction: b = radius + 1 and a random map phi from bit positions [D]
+/// to {0,1}^b. Table t takes the nonzero vector a = t + 1 of {0,1}^b; its
+/// function is the mask of the positions i with <phi(i), a> = 1 over GF(2),
+/// and its signature the code words AND that mask. That yields exactly
+/// 2^(r+1) - 1 correlated tables.
+///
+/// Guarantee: if Hamming(x, q) <= r, the differing positions span at most
+/// r < b dimensions of GF(2)^b, so some nonzero a* is orthogonal to all of
+/// their phi-vectors; table a* masks out every differing bit and x collides
+/// with q there — deterministically, for every query.
+///
+/// Table functions are derived from the table index, not sampled
+/// (lsh::TableIndexedFamily): FunctionSet::Sample hands each table its
+/// index, rejects any table count but 2^(r+1) - 1, and fixes k to the
+/// signature width. Buckets carry HLL sketches like every other family, so
+/// the hybrid cost model runs on covering LSH unchanged — the combination
+/// the paper proposes as future work (bench_covering_lsh).
+class CoveringFamily {
+ public:
+  using Point = const uint64_t*;
+
+  /// Largest supported radius: 2^(12+1) - 1 = 8191 tables.
+  static constexpr uint32_t kMaxRadius = 12;
+
+  /// Samples phi from `seed`. A radius outside [1, kMaxRadius] samples
+  /// nothing; CheckNumTables (so any index build) then rejects it.
+  CoveringFamily(size_t width_bits, uint32_t radius, uint64_t seed);
+
+  /// Table t's mask over the code words (a = t + 1).
+  struct Functions {
+    std::vector<uint64_t> mask;
+  };
+
+  Functions Sample(size_t table) const;
+
+  /// InvalidArgument unless the radius is in [1, kMaxRadius] and
+  /// num_tables == 2^(radius+1) - 1.
+  util::Status CheckNumTables(int num_tables) const;
+
+  /// Two int32 slots per code word (low half first): the signature width k.
+  size_t signature_slots() const { return 2 * words_; }
+
+  /// slots = code AND mask, in one pass over the code words.
+  void Signature(const Functions& fns, Point code,
+                 std::span<int32_t> slots) const;
+
+  double Distance(Point a, Point b) const {
+    return data::HammingDistance(a, b, words_);
+  }
+  data::Metric metric() const { return data::Metric::kHamming; }
+  ProbeKind probe_kind() const { return ProbeKind::kNone; }
+  uint32_t radius() const { return radius_; }
+  /// 2^(radius+1) - 1, the table count the guarantee needs (0 for a
+  /// radius outside [1, kMaxRadius]).
+  int num_tables() const {
+    return phi_.empty() ? 0 : (1 << (radius_ + 1)) - 1;
+  }
+
+ private:
+  size_t words_;
+  uint32_t radius_;
+  std::vector<uint32_t> phi_;  // phi(i) in {0,1}^(radius+1), per bit i
 };
 
 }  // namespace lsh

@@ -3,10 +3,11 @@
 // LshIndex<Family> realizes the paper's Algorithm 1: L tables, each keyed
 // by a concatenation of k atomic hashes from `Family`, every bucket
 // carrying a HyperLogLog sketch of its ids. The query side exposes the
-// three LSH steps separately so that the hybrid layer (core/) can run the
-// cost estimate before deciding to execute:
+// three LSH steps separately so that the hybrid decision can run the cost
+// estimate before deciding to execute:
 //
-//   S1  QueryKeys / QueryKeysMultiProbe — hash the query into bucket keys;
+//   S1  ComputePlan — hash the query once into its ProbePlan: every table's
+//       unique probe keys (home bucket, then multi-probe perturbations);
 //   (estimate)  EstimateProbe — #collisions exactly + candSize via merged
 //       HLLs (paper Alg. 2 lines 1-2), in O(mL) plus small-bucket folding;
 //   S2  CollectCandidates — dedup bucket contents into a VisitedSet;
@@ -19,7 +20,8 @@
 // sealed and active segments of its LSM-style lifecycle). The estimate and
 // collect steps are likewise free functions over any table range
 // (AccumulateProbe / CollectProbedIds) so several segments sum into one
-// decision.
+// decision. Queries are served by engine::ShardedEngine; LshIndex itself
+// keeps the build, the index file format, and the plan walks.
 //
 // The template parameter Family supplies the point type, the atomic hash
 // sampler, the paired metric, and multi-probe costs (see lsh/families.h).
@@ -28,6 +30,7 @@
 #define HYBRIDLSH_LSH_INDEX_H_
 
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -124,6 +127,16 @@ inline uint64_t HashEvalCountForTest() {
   return internal::HashEvalCount().load(std::memory_order_relaxed);
 }
 
+/// A family whose table-t function is derived from t rather than sampled
+/// (lsh::CoveringFamily). Such a family also fixes the table count
+/// (CheckNumTables) and the signature width (signature_slots).
+template <typename Family>
+concept TableIndexedFamily = requires(const Family& family) {
+  family.Sample(size_t{0});
+  { family.CheckNumTables(1) } -> std::same_as<util::Status>;
+  { family.signature_slots() } -> std::convertible_to<size_t>;
+};
+
 /// One draw of the L k-wise hash functions plus the per-table bucket-key
 /// seeds — everything S1 needs, independent of any table contents. Two
 /// holders sampled with the same (family, num_tables, k, seed) hash every
@@ -143,7 +156,9 @@ class FunctionSet {
   };
 
   /// Samples the k-wise functions of `num_tables` tables from decorrelated
-  /// streams. k == 0 derives k from (radius, delta) via AutoK.
+  /// streams. k == 0 derives k from (radius, delta) via AutoK. A
+  /// table-indexed family (CoveringFamily) instead derives table t's
+  /// function from t itself, validates the table count, and fixes k.
   static util::StatusOr<FunctionSet> Sample(Family family, int num_tables,
                                             int k, double delta, double radius,
                                             uint64_t seed) {
@@ -151,7 +166,12 @@ class FunctionSet {
       return util::Status::InvalidArgument("num_tables must be >= 1");
     }
     FunctionSet set(std::move(family));
-    if (k == 0) {
+    if constexpr (TableIndexedFamily<Family>) {
+      // Covering LSH: the family fixes the table count and the signature
+      // width; k is ignored.
+      HLSH_RETURN_IF_ERROR(set.family_.CheckNumTables(num_tables));
+      k = static_cast<int>(set.family_.signature_slots());
+    } else if (k == 0) {
       if (radius <= 0.0) {
         return util::Status::InvalidArgument(
             "k == 0 (auto) requires a positive radius");
@@ -171,9 +191,13 @@ class FunctionSet {
     set.functions_.reserve(L);
     set.table_seeds_.reserve(L);
     for (size_t t = 0; t < L; ++t) {
-      util::Rng rng(util::HashU64(seed, t));
-      set.functions_.push_back(
-          set.family_.Sample(static_cast<size_t>(k), &rng));
+      if constexpr (TableIndexedFamily<Family>) {
+        set.functions_.push_back(set.family_.Sample(t));
+      } else {
+        util::Rng rng(util::HashU64(seed, t));
+        set.functions_.push_back(
+            set.family_.Sample(static_cast<size_t>(k), &rng));
+      }
       set.table_seeds_.push_back(util::HashU64(seed ^ 0x5bd1e995, t));
     }
     return set;
@@ -188,86 +212,11 @@ class FunctionSet {
     return KeyOf(*slots, t);
   }
 
-  /// S1: the L home-bucket keys of a query.
-  void QueryKeys(Point query, std::vector<uint64_t>* keys) const {
-    const size_t L = functions_.size();
-    internal::NoteHashEvals(L);
-    keys->resize(L);
-    std::vector<int32_t> slots(static_cast<size_t>(k_));
-    for (size_t t = 0; t < L; ++t) {
-      family_.Signature(functions_[t], query, slots);
-      (*keys)[t] = KeyOf(slots, t);
-    }
-  }
-
-  /// S1 with multi-probing: `probes_per_table` keys per table (home bucket
-  /// first, then perturbed buckets in increasing cost). The output holds
-  /// num_tables() * probes_per_table keys grouped by table; a table that
-  /// runs out of perturbations repeats its home key (harmless duplicates —
-  /// same bucket, same sketch). Unsupported for ProbeKind::kNone families.
-  util::Status QueryKeysMultiProbe(Point query, size_t probes_per_table,
-                                   std::vector<uint64_t>* keys) const {
-    if (probes_per_table == 0) {
-      return util::Status::InvalidArgument("probes_per_table must be >= 1");
-    }
-    if (family_.probe_kind() == ProbeKind::kNone) {
-      return util::Status::Unimplemented(
-          "multi-probe is not defined for this family");
-    }
-    const size_t L = functions_.size();
-    internal::NoteHashEvals(L);
-    const size_t k = static_cast<size_t>(k_);
-    keys->assign(L * probes_per_table, 0);
-    std::vector<int32_t> slots(k);
-    std::vector<int32_t> perturbed(k);
-    std::vector<ProbeAtom> atoms;
-    std::vector<double> down(k), up(k);
-    for (size_t t = 0; t < L; ++t) {
-      atoms.clear();
-      if constexpr (HasTwoSidedCosts<Family>) {
-        if (family_.probe_kind() == ProbeKind::kTwoSided) {
-          family_.SignatureWithProbeCosts(functions_[t], query, slots, down, up);
-          for (uint32_t i = 0; i < k; ++i) {
-            atoms.push_back(ProbeAtom{i, -1, down[i]});
-            atoms.push_back(ProbeAtom{i, +1, up[i]});
-          }
-        }
-      }
-      if constexpr (HasFlipCosts<Family>) {
-        if (family_.probe_kind() == ProbeKind::kFlip) {
-          family_.SignatureWithProbeCosts(functions_[t], query, slots, down);
-          for (uint32_t i = 0; i < k; ++i) {
-            atoms.push_back(ProbeAtom{i, +1, down[i]});
-          }
-        }
-      }
-      uint64_t* out = keys->data() + t * probes_per_table;
-      out[0] = KeyOf(slots, t);
-      const auto sets = GenerateProbeSets(atoms, probes_per_table - 1);
-      for (size_t p = 0; p < probes_per_table - 1; ++p) {
-        if (p < sets.size()) {
-          perturbed.assign(slots.begin(), slots.end());
-          for (const ProbeAtom& atom : sets[p]) {
-            if (family_.probe_kind() == ProbeKind::kFlip) {
-              perturbed[atom.slot] ^= 1;
-            } else {
-              perturbed[atom.slot] += atom.delta;
-            }
-          }
-          out[1 + p] = KeyOf(perturbed, t);
-        } else {
-          out[1 + p] = out[0];
-        }
-      }
-    }
-    return util::Status::Ok();
-  }
-
   /// S1, hash-once form: computes the query's full probe plan — the unique
   /// probe keys of every table, home bucket first then perturbed buckets in
   /// increasing cost (see ProbePlan). probes_per_table == 1 plans only the
   /// home buckets and works for every family; larger values require a
-  /// multi-probe family, exactly like QueryKeysMultiProbe. The plan replays
+  /// multi-probe family (Unimplemented otherwise). The plan replays
   /// against any table range sharing this function set, so an engine with S
   /// shards evaluates L hash signatures per query instead of S * L.
   util::Status ComputePlan(Point query, size_t probes_per_table,
@@ -524,8 +473,8 @@ class FunctionSet {
     }
   }
 
-  /// Turns the costs in scratch->down / scratch->up into probe atoms,
-  /// matching QueryKeysMultiProbe's atom construction exactly.
+  /// Turns the costs in scratch->down / scratch->up into probe atoms: two
+  /// (-1, +1) per slot for two-sided families, one flip per slot otherwise.
   void BuildAtomsFromCosts(PlanScratch* scratch) const {
     const uint32_t k = static_cast<uint32_t>(k_);
     if (family_.probe_kind() == ProbeKind::kTwoSided) {
@@ -543,8 +492,8 @@ class FunctionSet {
   /// Appends table t's unique probe keys (home bucket first, then perturbed
   /// buckets in increasing cost) and closes the table's CSR range. Expects
   /// scratch->slots / scratch->atoms already filled for table t. The dedup
-  /// scan runs over at most probes_per_table emitted keys, once per query —
-  /// not once per shard walk as IsRepeatedProbe used to.
+  /// scan runs over at most probes_per_table emitted keys, once per query,
+  /// so no probe walk ever rescans for repeated probes.
   void AppendTablePlan(size_t t, size_t probes_per_table, PlanScratch* scratch,
                        ProbePlan* plan) const {
     const size_t table_begin = plan->keys.size();
@@ -592,73 +541,10 @@ class FunctionSet {
   DerivedParams derived_;
 };
 
-/// True when keys[i] repeats an earlier probe of the same table (the table's
-/// probes start at `table_begin`). Multi-probe padding repeats the home key,
-/// and distinct perturbations can land on the same bucket; probing a bucket
-/// once per table keeps collision counts exact and sketch merges minimal.
-/// Linear in probes_per_table, which is small.
-inline bool IsRepeatedProbe(std::span<const uint64_t> keys, size_t table_begin,
-                            size_t i) {
-  for (size_t j = table_begin; j < i; ++j) {
-    if (keys[j] == keys[i]) return true;
-  }
-  return false;
-}
-
-/// Accumulates one table range's contribution to the Alg. 2 estimate:
-/// adds the probed buckets' sizes to *collisions and merges (or folds)
-/// their sketches into *scratch, which is NOT cleared — callers sum several
-/// segments into one estimate.
-inline void AccumulateProbe(std::span<const LshTable> tables,
-                            std::span<const uint64_t> keys,
-                            hll::HyperLogLog* scratch, uint64_t* collisions) {
-  const size_t probes_per_table = keys.size() / tables.size();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const size_t t = i / probes_per_table;
-    if (IsRepeatedProbe(keys, t * probes_per_table, i)) continue;
-    const LshTable::BucketView bucket = tables[t].Lookup(keys[i]);
-    if (bucket.empty()) continue;
-    *collisions += bucket.size();
-    if (bucket.sketch != nullptr) {
-      HLSH_CHECK(scratch->Merge(*bucket.sketch).ok());
-    } else {
-      // Small bucket: fold ids on demand (paper §3.2).
-      for (uint32_t id : bucket.ids) scratch->AddPoint(id);
-    }
-  }
-}
-
-/// S2 over one table range: dedups every probed id into *visited, whose
-/// touched() list then IS the flat candidate buffer block verification
-/// consumes (core/kernels.h), and returns the exact number of collisions.
-/// Bucket ids are bulk-inserted with the dedup bits prefetched ahead of
-/// the probe loop. Ids whose `tombstones` bit is set are counted as
-/// collisions (the probe cost was paid) but not inserted, so deleted
-/// points never reach verification.
-inline uint64_t CollectProbedIds(std::span<const LshTable> tables,
-                                 std::span<const uint64_t> keys,
-                                 util::VisitedSet* visited,
-                                 const util::BitVector* tombstones = nullptr) {
-  uint64_t collisions = 0;
-  const size_t probes_per_table = keys.size() / tables.size();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const size_t t = i / probes_per_table;
-    if (IsRepeatedProbe(keys, t * probes_per_table, i)) continue;
-    const LshTable::BucketView bucket = tables[t].Lookup(keys[i]);
-    collisions += bucket.size();
-    if (tombstones == nullptr) {
-      visited->InsertSpan(bucket.ids);
-    } else {
-      visited->InsertSpanFiltered(bucket.ids, *tombstones);
-    }
-  }
-  return collisions;
-}
-
 // --- Plan-based probe walks. ------------------------------------------------
-// The ProbePlan forms of AccumulateProbe / CollectProbedIds: per-table keys
-// are already unique (no IsRepeatedProbe rescans), and the walk is
-// prefetched in two stages. First the directory slot of every probe of the
+// AccumulateProbe / CollectProbedIds replay a ProbePlan against one table
+// range: per-table keys are already unique, and the walk is prefetched in
+// two stages. First the directory slot of every probe of the
 // table range is prefetched, so the range's lookups (most of which miss)
 // overlap their cache misses instead of paying them one at a time. Then the
 // walk is windowed — a batch of bucket views is resolved and its id/sketch
@@ -683,8 +569,10 @@ inline void PrefetchBucket(const LshTable::BucketView& bucket) {
 }
 }  // namespace internal
 
-/// AccumulateProbe over a precomputed plan (see the keys form above for the
-/// contract: *scratch is NOT cleared, segments sum into one estimate).
+/// Accumulates one table range's contribution to the Alg. 2 estimate:
+/// adds the probed buckets' sizes to *collisions and merges (or folds)
+/// their sketches into *scratch, which is NOT cleared — callers sum several
+/// segments into one estimate.
 inline void AccumulateProbe(std::span<const LshTable> tables,
                             const ProbePlan& plan, hll::HyperLogLog* scratch,
                             uint64_t* collisions) {
@@ -715,7 +603,13 @@ inline void AccumulateProbe(std::span<const LshTable> tables,
   }
 }
 
-/// CollectProbedIds over a precomputed plan (see the keys form above).
+/// S2 over one table range: dedups every probed id into *visited, whose
+/// touched() list then IS the flat candidate buffer block verification
+/// consumes (core/kernels.h), and returns the exact number of collisions.
+/// Bucket ids are bulk-inserted with the dedup bits prefetched ahead of
+/// the probe loop. Ids whose `tombstones` bit is set are counted as
+/// collisions (the probe cost was paid) but not inserted, so deleted
+/// points never reach verification.
 inline uint64_t CollectProbedIds(std::span<const LshTable> tables,
                                  const ProbePlan& plan,
                                  util::VisitedSet* visited,
@@ -791,8 +685,6 @@ class LshIndex {
     double build_seconds = 0.0;
   };
 
-  using ProbeEstimate = lsh::ProbeEstimate;
-
   /// Builds an index over `dataset` (any container with size() and
   /// point(i) -> Point). The dataset is not retained.
   template <typename Dataset>
@@ -857,40 +749,17 @@ class LshIndex {
     return index;
   }
 
-  /// S1: the L home-bucket keys of a query.
-  void QueryKeys(Point query, std::vector<uint64_t>* keys) const {
-    functions_.QueryKeys(query, keys);
-  }
-
-  /// S1 with multi-probing (see FunctionSet::QueryKeysMultiProbe).
-  util::Status QueryKeysMultiProbe(Point query, size_t probes_per_table,
-                                   std::vector<uint64_t>* keys) const {
-    return functions_.QueryKeysMultiProbe(query, probes_per_table, keys);
-  }
-
   /// S1, hash-once form (see FunctionSet::ComputePlan).
   util::Status ComputePlan(Point query, size_t probes_per_table,
                            PlanScratch* scratch, ProbePlan* plan) const {
     return functions_.ComputePlan(query, probes_per_table, scratch, plan);
   }
 
-  /// Estimates #collisions (exact) and candSize (merged HLLs) for a set of
-  /// probe keys produced by QueryKeys*. `scratch` must have the index's HLL
-  /// precision; it is cleared first. Paper Alg. 2, lines 1-2. The sketch
-  /// merges and the final estimate run on the dispatched SIMD register
-  /// kernels (util/simd.h: byte-max merge, fused sum-of-2^-M + zero count).
-  ProbeEstimate EstimateProbe(std::span<const uint64_t> keys,
-                              hll::HyperLogLog* scratch) const {
-    HLSH_DCHECK(scratch->precision() == options_.hll_precision);
-    scratch->Clear();
-    ProbeEstimate estimate;
-    AccumulateProbe(tables_, keys, scratch, &estimate.collisions);
-    estimate.cand_estimate =
-        estimate.collisions == 0 ? 0.0 : scratch->Estimate();
-    return estimate;
-  }
-
-  /// EstimateProbe over a precomputed plan (hash-once path).
+  /// Estimates #collisions (exact) and candSize (merged HLLs) for a probe
+  /// plan. `scratch` must have the index's HLL precision; it is cleared
+  /// first. Paper Alg. 2, lines 1-2. The sketch merges and the final
+  /// estimate run on the dispatched SIMD register kernels (util/simd.h:
+  /// byte-max merge, fused sum-of-2^-M + zero count).
   ProbeEstimate EstimateProbe(const ProbePlan& plan,
                               hll::HyperLogLog* scratch) const {
     HLSH_DCHECK(scratch->precision() == options_.hll_precision);
@@ -905,12 +774,6 @@ class LshIndex {
   /// S2: inserts every probed id into `visited` (deduplicating) and returns
   /// the exact number of collisions. visited->touched() is then the
   /// distinct candidate set for S3.
-  uint64_t CollectCandidates(std::span<const uint64_t> keys,
-                             util::VisitedSet* visited) const {
-    return CollectProbedIds(tables_, keys, visited);
-  }
-
-  /// S2 over a precomputed plan (hash-once path).
   uint64_t CollectCandidates(const ProbePlan& plan,
                              util::VisitedSet* visited) const {
     return CollectProbedIds(tables_, plan, visited);
@@ -922,12 +785,6 @@ class LshIndex {
     return tables_[table].Lookup(key);
   }
 
-  /// Metric distance between two points (delegates to the family), so that
-  /// generic searchers can verify candidates without naming the family.
-  double Distance(Point a, Point b) const {
-    return functions_.family().Distance(a, b);
-  }
-
   const Family& family() const { return functions_.family(); }
   /// The sampled hash functions (shared surface with SegmentedIndex).
   const FunctionSet<Family>& functions() const { return functions_; }
@@ -937,7 +794,6 @@ class LshIndex {
   uint32_t id_base() const { return options_.id_base; }
   int num_tables() const { return static_cast<int>(tables_.size()); }
   size_t size() const { return stats_.num_points; }
-  int hll_precision() const { return options_.hll_precision; }
   const Stats& stats() const { return stats_; }
 
   /// Creates a scratch sketch compatible with EstimateProbe.

@@ -78,6 +78,22 @@ size_t BitVector::CountAnd(const BitVector& other) const {
   return total;
 }
 
+bool BitVector::AnySetInRangeAcquire(size_t begin, size_t end) const {
+  HLSH_DCHECK(end <= size());
+  if (begin >= end) return false;
+  const size_t first_word = begin >> 6;
+  const size_t last_word = (end - 1) >> 6;
+  for (size_t w = first_word; w <= last_word; ++w) {
+    uint64_t word = LoadWord(w, std::memory_order_acquire);
+    if (w == first_word) word &= ~uint64_t{0} << (begin & 63);
+    if (w == last_word && (end & 63) != 0) {
+      word &= ~uint64_t{0} >> (64 - (end & 63));
+    }
+    if (word != 0) return true;
+  }
+  return false;
+}
+
 void BitVector::Serialize(ByteWriter* writer) const {
   writer->WriteU64(size());
   writer->WriteArray<uint64_t>(words_.span());

@@ -169,6 +169,12 @@ class BitVector {
   /// concurrently written; each word is read once, atomically).
   size_t CountAnd(const BitVector& other) const;
 
+  /// True when any bit in [begin, end) is set, reading each word once with
+  /// acquire ordering — the tombstone read of a whole-run linear scan (a
+  /// set that happens-before the caller's synchronization point is seen).
+  /// Requires end <= size().
+  bool AnySetInRangeAcquire(size_t begin, size_t end) const;
+
   /// Calls fn(i) for every set bit i in [begin, min(end, size())), in
   /// ascending order. Word-skipping: O(range/64 + #set bits in range), so
   /// enumerating the survivors of a selective filter costs far less than
@@ -315,7 +321,7 @@ class VisitedSet {
 
   /// Ids inserted since the last Reset(), in first-occurrence order. This
   /// is the flat candidate buffer the LSH query path hands to the
-  /// block-batched verifier (core/kernels.h VerifyCandidates).
+  /// block-batched verifier (core/kernels.h VerifyCandidatesQuantized).
   const std::vector<uint32_t>& touched() const { return touched_; }
 
   /// Number of distinct ids inserted since the last Reset().

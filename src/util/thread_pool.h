@@ -3,8 +3,8 @@
 // A *single* query stays single-threaded on each shard to keep the cost
 // model's alpha/beta constants meaningful (the paper's per-query CPU-time
 // measurements). Parallelism lives one level up: table construction within
-// an index, shard builds and shard fan-out in engine/sharded_engine.h, and
-// batch execution in core/batch_query.h — all of which reuse one persistent
+// an index, and shard builds, shard fan-out and batch execution in
+// engine/sharded_engine.h — the engine's paths reuse one persistent
 // ThreadPool via ParallelForOn instead of spawning threads per call.
 
 #ifndef HYBRIDLSH_UTIL_THREAD_POOL_H_

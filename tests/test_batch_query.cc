@@ -1,9 +1,12 @@
-// Tests for core/batch_query.h: parallel batches must match sequential
-// hybrid queries exactly.
+// Tests for ShardedEngine::QueryBatch: a pooled batch must answer every
+// query exactly as the engine's single-query path does, whatever the pool
+// size. The batch's hash-once accounting is tested in
+// tests/test_sharded_engine.cc.
 
-#include "core/batch_query.h"
+#include "engine/sharded_engine.h"
 
-#include <algorithm>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,111 +14,115 @@
 #include "core/hybridlsh.h"
 
 namespace hybridlsh {
-namespace core {
+namespace engine {
 namespace {
 
 class BatchQueryTest : public ::testing::Test {
  protected:
   static constexpr size_t kDim = 16;
   static constexpr double kRadius = 0.4;
+  static constexpr size_t kShards = 3;
 
   void SetUp() override {
     const data::DenseDataset full = data::MakeCorelLike(4000, kDim, 41);
     const data::DenseSplit split = data::SplitQueries(full, 30, 42);
     dataset_ = split.base;
     queries_ = split.queries;
+  }
 
-    L2Index::Options options;
-    options.num_tables = 30;
-    options.k = 7;
-    options.seed = 43;
-    options.num_build_threads = 4;
-    auto index = L2Index::Build(lsh::PStableFamily::L2(kDim, 2 * kRadius),
-                                dataset_, options);
-    HLSH_CHECK(index.ok());
-    index_ = std::make_unique<L2Index>(std::move(*index));
+  std::unique_ptr<L2Engine> MakeEngine(size_t num_threads) const {
+    L2Engine::Options options;
+    options.num_shards = kShards;
+    options.num_threads = num_threads;
+    options.index.num_tables = 30;
+    options.index.k = 7;
+    options.index.seed = 43;
+    options.searcher.cost_model = core::CostModel::FromRatio(6.0);
+    auto engine = L2Engine::Build(lsh::PStableFamily::L2(kDim, 2 * kRadius),
+                                  dataset_, options);
+    HLSH_CHECK(engine.ok());
+    return std::make_unique<L2Engine>(std::move(*engine));
+  }
 
-    options_.cost_model = CostModel::FromRatio(6.0);
+  static std::vector<ShardedBatchResult> Batch(
+      L2Engine& engine, const data::DenseDataset& queries,
+      double* wall_seconds = nullptr) {
+    auto batch =
+        engine.QueryBatch(queries, QuerySpec::Radius(kRadius), wall_seconds);
+    HLSH_CHECK(batch.ok());
+    return std::move(*batch);
   }
 
   data::DenseDataset dataset_;
   data::DenseDataset queries_;
-  std::unique_ptr<L2Index> index_;
-  SearcherOptions options_;
 };
 
 TEST_F(BatchQueryTest, MatchesSequentialSingleThread) {
-  const auto batch = BatchQuery(*index_, dataset_, queries_, kRadius, options_, 1);
+  auto engine = MakeEngine(1);
+  const auto batch = Batch(*engine, queries_);
   ASSERT_EQ(batch.size(), queries_.size());
 
-  L2Searcher searcher(index_.get(), &dataset_, options_);
   std::vector<uint32_t> expected;
   for (size_t q = 0; q < queries_.size(); ++q) {
     expected.clear();
-    QueryStats stats;
-    searcher.Query(queries_.point(q), kRadius, &expected, &stats);
+    ShardedQueryStats stats;
+    ASSERT_TRUE(
+        engine->Query(queries_.point(q), kRadius, &expected, &stats).ok());
     EXPECT_EQ(batch[q].neighbors, expected) << "query " << q;
-    EXPECT_EQ(batch[q].stats.strategy, stats.strategy);
+    EXPECT_EQ(batch[q].stats.num_shards, kShards);
+    EXPECT_EQ(batch[q].stats.lsh_shards, stats.lsh_shards) << "query " << q;
+    EXPECT_EQ(batch[q].stats.linear_shards, stats.linear_shards)
+        << "query " << q;
   }
 }
 
-TEST_F(BatchQueryTest, ThreadCountDoesNotChangeResults) {
-  const auto batch1 = BatchQuery(*index_, dataset_, queries_, kRadius, options_, 1);
-  const auto batch4 = BatchQuery(*index_, dataset_, queries_, kRadius, options_, 4);
-  const auto batch16 =
-      BatchQuery(*index_, dataset_, queries_, kRadius, options_, 16);
-  ASSERT_EQ(batch1.size(), batch4.size());
-  ASSERT_EQ(batch1.size(), batch16.size());
-  for (size_t q = 0; q < batch1.size(); ++q) {
-    EXPECT_EQ(batch1[q].neighbors, batch4[q].neighbors);
-    EXPECT_EQ(batch1[q].neighbors, batch16[q].neighbors);
-    EXPECT_EQ(batch1[q].stats.strategy, batch4[q].stats.strategy);
+TEST_F(BatchQueryTest, PoolSizeDoesNotChangeResults) {
+  auto engine1 = MakeEngine(1);
+  const auto batch1 = Batch(*engine1, queries_);
+  for (const size_t threads : {4, 16}) {
+    auto engine = MakeEngine(threads);
+    const auto batch = Batch(*engine, queries_);
+    ASSERT_EQ(batch.size(), batch1.size());
+    for (size_t q = 0; q < batch.size(); ++q) {
+      EXPECT_EQ(batch[q].neighbors, batch1[q].neighbors)
+          << threads << " workers, query " << q;
+      EXPECT_EQ(batch[q].stats.lsh_shards, batch1[q].stats.lsh_shards)
+          << threads << " workers, query " << q;
+    }
   }
 }
 
-TEST_F(BatchQueryTest, MoreThreadsThanQueries) {
-  // 30 queries, 64 threads: chunks beyond the range must be skipped.
-  const auto batch =
-      BatchQuery(*index_, dataset_, queries_, kRadius, options_, 64);
-  ASSERT_EQ(batch.size(), queries_.size());
-  const auto batch1 = BatchQuery(*index_, dataset_, queries_, kRadius, options_, 1);
-  for (size_t q = 0; q < batch.size(); ++q) {
-    EXPECT_EQ(batch[q].neighbors, batch1[q].neighbors);
+TEST_F(BatchQueryTest, MoreWorkersThanQueries) {
+  // 5 queries on 16 workers: most workers find no query and stay idle.
+  data::DenseDataset few(0, kDim);
+  for (size_t q = 0; q < 5; ++q) {
+    few.Append(std::span<const float>(queries_.point(q), kDim));
+  }
+  auto engine = MakeEngine(16);
+  const auto batch = Batch(*engine, few);
+  ASSERT_EQ(batch.size(), few.size());
+  std::vector<uint32_t> out;
+  for (size_t q = 0; q < few.size(); ++q) {
+    out.clear();
+    ASSERT_TRUE(engine->Query(few.point(q), kRadius, &out).ok());
+    EXPECT_EQ(batch[q].neighbors, out) << "query " << q;
   }
 }
 
 TEST_F(BatchQueryTest, EmptyQuerySet) {
-  const data::DenseDataset empty_queries(0, kDim);
+  auto engine = MakeEngine(4);
+  double wall_seconds = -1;
   const auto batch =
-      BatchQuery(*index_, dataset_, empty_queries, kRadius, options_, 4);
+      Batch(*engine, data::DenseDataset(0, kDim), &wall_seconds);
   EXPECT_TRUE(batch.empty());
+  EXPECT_GE(wall_seconds, 0.0);
 }
 
-TEST_F(BatchQueryTest, SummaryAggregates) {
-  const auto batch = BatchQuery(*index_, dataset_, queries_, kRadius, options_, 4);
-  const BatchSummary summary = Summarize(batch);
-  EXPECT_EQ(summary.num_queries, queries_.size());
-  EXPECT_GE(summary.max_output, summary.min_output);
-  EXPECT_GE(summary.avg_output, static_cast<double>(summary.min_output));
-  EXPECT_LE(summary.avg_output, static_cast<double>(summary.max_output));
-  EXPECT_GE(summary.pct_linear_calls(), 0.0);
-  EXPECT_LE(summary.pct_linear_calls(), 100.0);
-  size_t linear = 0;
-  for (const auto& result : batch) {
-    linear += result.stats.strategy == Strategy::kLinear;
-  }
-  EXPECT_EQ(summary.linear_calls, linear);
-}
-
-TEST_F(BatchQueryTest, RunnerReusesWorkersAcrossBatches) {
-  util::ThreadPool pool(4);
-  BatchRunner<L2Index, data::DenseDataset> runner(index_.get(), &dataset_,
-                                                  options_, &pool);
-  EXPECT_EQ(runner.num_workers(), 4u);
-  const auto expected =
-      BatchQuery(*index_, dataset_, queries_, kRadius, options_, 1);
+TEST_F(BatchQueryTest, ReusesWorkerScratchAcrossBatches) {
+  auto engine = MakeEngine(4);
+  const auto expected = Batch(*MakeEngine(1), queries_);
   for (int round = 0; round < 3; ++round) {
-    const auto batch = runner.Run(queries_, kRadius);
+    const auto batch = Batch(*engine, queries_);
     ASSERT_EQ(batch.size(), expected.size());
     for (size_t q = 0; q < batch.size(); ++q) {
       EXPECT_EQ(batch[q].neighbors, expected[q].neighbors)
@@ -124,27 +131,14 @@ TEST_F(BatchQueryTest, RunnerReusesWorkersAcrossBatches) {
   }
 }
 
-TEST_F(BatchQueryTest, WallSecondsIsElapsedNotSummed) {
+TEST_F(BatchQueryTest, WallSecondsIsReported) {
+  auto engine = MakeEngine(4);
   double wall_seconds = 0;
-  const auto batch = BatchQuery(*index_, dataset_, queries_, kRadius, options_,
-                                4, &wall_seconds);
+  const auto batch = Batch(*engine, queries_, &wall_seconds);
+  ASSERT_EQ(batch.size(), queries_.size());
   EXPECT_GT(wall_seconds, 0.0);
-  const BatchSummary summary = Summarize(batch, wall_seconds);
-  EXPECT_EQ(summary.wall_seconds, wall_seconds);
-  EXPECT_GT(summary.qps(), 0.0);
-  // total_seconds sums per-query time across concurrent workers; it is an
-  // aggregate CPU measure and can exceed elapsed time, never the reverse
-  // beyond scheduling noise. Only sanity-check positivity here.
-  EXPECT_GT(summary.total_seconds, 0.0);
-}
-
-TEST(BatchSummaryTest, EmptyBatch) {
-  const BatchSummary summary = Summarize({});
-  EXPECT_EQ(summary.num_queries, 0u);
-  EXPECT_EQ(summary.pct_linear_calls(), 0.0);
-  EXPECT_EQ(summary.qps(), 0.0);
 }
 
 }  // namespace
-}  // namespace core
+}  // namespace engine
 }  // namespace hybridlsh

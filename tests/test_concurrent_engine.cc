@@ -37,6 +37,7 @@
 #include <gtest/gtest.h>
 
 #include "core/hybridlsh.h"
+#include "data/attributes.h"
 #include "engine/sharded_engine.h"
 
 namespace hybridlsh {
@@ -388,6 +389,95 @@ TEST_F(ConcurrentEngineTest, LshPathFindsEveryLivePointUnderChurn) {
           check(*restored, restored_dataset, &restored_scratch, id);
     }
     EXPECT_EQ(restored_errors, 0u) << "after a snapshot round trip";
+  }
+}
+
+// The linear scan's contiguous-run walk under a racing Remove. A 1-shard
+// static engine's initial segment is one id run: the scan appends it whole
+// while an acquire scan finds no tombstone bit in it, or walks the
+// filter's words when a predicate is pushed down. A Remove inside the run
+// whose completion happened-before a query started must never be reported
+// by that query — both the whole-run check and the filter stage load the
+// tombstone words with acquire ordering.
+TEST_F(ConcurrentEngineTest, LinearWalkNeverReportsARemoveThatHappenedBefore) {
+  data::DenseDataset dataset = base_;
+  const double radius = 2 * kRadius;  // every query has neighbors
+  Engine engine = MakeEngine(&dataset, 1, core::ForcedStrategy::kAlwaysLinear);
+  data::AttributeStore attributes;
+  attributes.AddColumn("all");
+  const uint32_t row[1] = {0};
+  for (size_t id = 0; id < dataset.size(); ++id) attributes.AppendRow(row);
+  engine.AttachAttributes(&attributes);
+  const data::Predicate pred = data::Predicate::Equals(0, 0);
+  QuerySpec filtered = QuerySpec::Radius(radius);
+  filtered.predicate = &pred;
+
+  // Victims: one in-radius id per query.
+  std::vector<std::vector<uint32_t>> truth;
+  std::vector<uint32_t> victims;
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    truth.push_back(data::RangeScanDense(dataset, queries_.point(q), radius,
+                                         data::Metric::kL2));
+    if (!truth[q].empty()) victims.push_back(truth[q][q % truth[q].size()]);
+  }
+  ASSERT_GE(victims.size(), 4u);
+
+  MutationClock clock(dataset.size());
+  std::atomic<bool> done{false};
+  std::atomic<size_t> violations{0}, queries_run{0};
+  auto run = [&](size_t q, Engine::QueryScratch* scratch,
+                 std::vector<uint32_t>* out) {  // odd q: filtered
+    out->clear();
+    const float* query = queries_.point(q / 2 % queries_.size());
+    const util::Status status =
+        q % 2 == 0 ? engine.QueryConcurrent(query, radius, out, scratch)
+                   : engine.QueryConcurrent(query, filtered, out, scratch);
+    if (!status.ok()) violations.fetch_add(1, std::memory_order_relaxed);
+  };
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      Engine::QueryScratch scratch = engine.MakeQueryScratch();
+      std::vector<uint32_t> out;
+      for (size_t q = r; !done.load(std::memory_order_acquire); ++q) {
+        const uint64_t start = clock.epoch.load(std::memory_order_acquire);
+        run(q, &scratch, &out);
+        for (const uint32_t id : out) {
+          const uint64_t removed =
+              clock.removed_at[id].load(std::memory_order_acquire);
+          if (removed != 0 && removed <= start) {
+            violations.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        queries_run.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  // Let the readers run a few queries around every removal.
+  auto wait_for_queries = [&](size_t count) {
+    const size_t seen = queries_run.load(std::memory_order_relaxed);
+    while (queries_run.load(std::memory_order_relaxed) < seen + count) {
+      std::this_thread::yield();
+    }
+  };
+  for (const uint32_t victim : victims) {
+    wait_for_queries(8);
+    ASSERT_TRUE(engine.Remove(victim).ok());
+    clock.RecordRemove(victim);
+  }
+  wait_for_queries(64);
+  done.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(violations.load(), 0u);
+
+  // Quiesced: both forms answer exactly, minus the victims.
+  auto scratch = engine.MakeQueryScratch();
+  std::vector<uint32_t> out;
+  for (size_t q = 0; q < 2 * queries_.size(); ++q) {
+    std::vector<uint32_t> expected = truth[q / 2];
+    for (const uint32_t victim : victims) std::erase(expected, victim);
+    run(q, &scratch, &out);
+    EXPECT_EQ(out, expected) << "query " << q / 2 << " filtered " << q % 2;
   }
 }
 

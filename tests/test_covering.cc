@@ -1,9 +1,9 @@
-// Tests for lsh/covering.h, most importantly the scheme's defining
-// property: ZERO false negatives for Hamming distance <= r. Unlike the
-// probabilistic recall of classic LSH, this holds deterministically for
-// every query, which makes it an exact (not statistical) test.
-
-#include "lsh/covering.h"
+// Tests for lsh::CoveringFamily (lsh/families.h), most importantly the
+// scheme's defining property: ZERO false negatives for Hamming distance
+// <= r. Unlike the probabilistic recall of classic LSH, this holds
+// deterministically for every query, which makes it an exact (not
+// statistical) test. The family runs through the ordinary LshIndex build
+// and plan walk; table t's function is derived from t, not sampled.
 
 #include <vector>
 
@@ -11,39 +11,86 @@
 
 #include "data/synthetic.h"
 #include "data/workload.h"
+#include "lsh/families.h"
+#include "lsh/index.h"
 
 namespace hybridlsh {
 namespace lsh {
 namespace {
 
 using data::BinaryDataset;
+using CoveringIndex = LshIndex<CoveringFamily>;
 
-CoveringLshIndex::Options MakeOptions(uint32_t radius) {
-  CoveringLshIndex::Options options;
-  options.radius = radius;
+CoveringIndex::Options MakeOptions(const CoveringFamily& family) {
+  CoveringIndex::Options options;
+  options.num_tables = family.num_tables();
   options.seed = 11;
   options.num_build_threads = 4;
   return options;
 }
 
-TEST(CoveringLshTest, BuildValidatesOptions) {
-  const BinaryDataset dataset = data::MakeRandomCodes(100, 64, 1);
-  EXPECT_FALSE(CoveringLshIndex::Build(dataset, MakeOptions(0)).ok());
-  EXPECT_FALSE(CoveringLshIndex::Build(dataset, MakeOptions(13)).ok());
-  const BinaryDataset empty(0, 64);
-  EXPECT_FALSE(CoveringLshIndex::Build(empty, MakeOptions(2)).ok());
-  auto bad_precision = MakeOptions(2);
-  bad_precision.hll_precision = 30;
-  EXPECT_FALSE(CoveringLshIndex::Build(dataset, bad_precision).ok());
+util::StatusOr<CoveringIndex> BuildCovering(const BinaryDataset& dataset,
+                                            uint32_t radius) {
+  const CoveringFamily family(dataset.width_bits(), radius, /*seed=*/11);
+  return CoveringIndex::Build(family, dataset, MakeOptions(family));
 }
 
-TEST(CoveringLshTest, TableCountIsExponential) {
+/// Every id the plan walk collects for `query`.
+util::VisitedSet Collect(const CoveringIndex& index, size_t n,
+                         const uint64_t* query) {
+  PlanScratch scratch;
+  ProbePlan plan;
+  HLSH_CHECK(index.ComputePlan(query, 1, &scratch, &plan).ok());
+  util::VisitedSet visited(n);
+  index.CollectCandidates(plan, &visited);
+  return visited;
+}
+
+TEST(CoveringLshTest, BuildValidatesRadiusAndTableCount) {
+  const BinaryDataset dataset = data::MakeRandomCodes(100, 64, 1);
+  for (const uint32_t bad_radius : {0u, 13u, 64u}) {
+    EXPECT_EQ(BuildCovering(dataset, bad_radius).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << "radius " << bad_radius;
+  }
+  const CoveringFamily family(64, 2, 11);
+  for (const int bad_tables : {1, 6, 8, 50}) {
+    auto options = MakeOptions(family);
+    options.num_tables = bad_tables;
+    EXPECT_EQ(CoveringIndex::Build(family, dataset, options).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << "tables " << bad_tables;
+  }
+  const BinaryDataset empty(0, 64);
+  EXPECT_FALSE(BuildCovering(empty, 2).ok());
+  auto bad_precision = MakeOptions(family);
+  bad_precision.hll_precision = 30;
+  EXPECT_FALSE(CoveringIndex::Build(family, dataset, bad_precision).ok());
+}
+
+TEST(CoveringLshTest, TablesAreTheMaskedCodes) {
   const BinaryDataset dataset = data::MakeRandomCodes(100, 64, 1);
   for (uint32_t r : {1u, 2u, 3u, 4u}) {
-    auto index = CoveringLshIndex::Build(dataset, MakeOptions(r));
+    auto index = BuildCovering(dataset, r);
     ASSERT_TRUE(index.ok());
     EXPECT_EQ(index->num_tables(), (1 << (r + 1)) - 1) << "r=" << r;
-    EXPECT_EQ(index->radius(), r);
+    // k is the signature width (two slots per code word), not a parameter.
+    EXPECT_EQ(index->k(), 2);
+    EXPECT_GT(index->stats().memory_bytes,
+              dataset.size() * index->num_tables() * sizeof(uint32_t));
+  }
+  // Table t's signature is the code AND its mask (a = t + 1): codes that
+  // differ only outside the mask share the bucket.
+  const CoveringFamily family(64, 3, 5);
+  for (size_t t = 0; t < static_cast<size_t>(family.num_tables()); ++t) {
+    const uint64_t mask = family.Sample(t).mask[0];
+    const uint64_t a = 0x0123456789abcdefULL, b = a ^ ~mask;
+    std::vector<int32_t> slots_a(2), slots_b(2);
+    family.Signature(family.Sample(t), &a, slots_a);
+    family.Signature(family.Sample(t), &b, slots_b);
+    EXPECT_EQ(slots_a, slots_b) << "table " << t;
+    EXPECT_EQ(static_cast<uint32_t>(slots_a[0]), (a & mask) & 0xffffffffu);
+    EXPECT_EQ(static_cast<uint32_t>(slots_a[1]), (a & mask) >> 32);
   }
 }
 
@@ -62,17 +109,14 @@ TEST_P(CoveringNoFalseNegatives, EveryNeighborWithinRadiusIsFound) {
     queries.Append(&query);
   }
 
-  auto index = CoveringLshIndex::Build(dataset, MakeOptions(radius));
+  auto index = BuildCovering(dataset, radius);
   ASSERT_TRUE(index.ok());
 
-  util::VisitedSet visited(dataset.size());
-  std::vector<uint64_t> keys;
   for (size_t q = 0; q < queries.size(); ++q) {
     const auto truth = data::RangeScanBinary(dataset, queries.point(q), radius);
     ASSERT_GE(truth.size(), 5u);
-    visited.Reset();
-    index->QueryKeys(queries.point(q), &keys);
-    index->CollectCandidates(keys, &visited);
+    const util::VisitedSet visited =
+        Collect(*index, dataset.size(), queries.point(q));
     for (uint32_t id : truth) {
       EXPECT_TRUE(visited.Contains(id))
           << "false negative at radius " << radius << ": id " << id
@@ -93,45 +137,37 @@ TEST(CoveringLshTest, WiderCodesAlsoCovered) {
   for (size_t w = 0; w < query.size(); ++w) query[w] = dataset.point(10)[w];
   data::PlantNeighborsHamming(&dataset, query.data(), radius, 8, &rng);
 
-  auto index = CoveringLshIndex::Build(dataset, MakeOptions(radius));
+  auto index = BuildCovering(dataset, radius);
   ASSERT_TRUE(index.ok());
-  util::VisitedSet visited(dataset.size());
-  std::vector<uint64_t> keys;
-  index->QueryKeys(query.data(), &keys);
-  index->CollectCandidates(keys, &visited);
+  const util::VisitedSet visited =
+      Collect(*index, dataset.size(), query.data());
   const auto truth = data::RangeScanBinary(dataset, query.data(), radius);
   for (uint32_t id : truth) EXPECT_TRUE(visited.Contains(id));
 }
 
 TEST(CoveringLshTest, EstimateProbeCollisionsMatchCollect) {
   const BinaryDataset dataset = data::MakeRandomCodes(1000, 64, 2);
-  auto index = CoveringLshIndex::Build(dataset, MakeOptions(3));
+  auto index = BuildCovering(dataset, 3);
   ASSERT_TRUE(index.ok());
   auto scratch = index->MakeScratchSketch();
+  PlanScratch plan_scratch;
+  ProbePlan plan;
   util::VisitedSet visited(dataset.size());
-  std::vector<uint64_t> keys;
   for (size_t q = 0; q < 10; ++q) {
-    index->QueryKeys(dataset.point(q * 100), &keys);
-    const auto estimate = index->EstimateProbe(keys, &scratch);
+    ASSERT_TRUE(
+        index->ComputePlan(dataset.point(q * 100), 1, &plan_scratch, &plan)
+            .ok());
+    const auto estimate = index->EstimateProbe(plan, &scratch);
     visited.Reset();
-    EXPECT_EQ(index->CollectCandidates(keys, &visited), estimate.collisions);
+    EXPECT_EQ(index->CollectCandidates(plan, &visited), estimate.collisions);
     EXPECT_GE(estimate.cand_estimate, 0.0);
   }
 }
 
 TEST(CoveringLshTest, DistanceIsHamming) {
-  const BinaryDataset dataset = data::MakeRandomCodes(10, 64, 2);
-  auto index = CoveringLshIndex::Build(dataset, MakeOptions(2));
-  ASSERT_TRUE(index.ok());
+  const CoveringFamily family(64, 2, 2);
   const uint64_t a = 0, b = 0xf;
-  EXPECT_DOUBLE_EQ(index->Distance(&a, &b), 4.0);
-}
-
-TEST(CoveringLshTest, MemoryAccounted) {
-  const BinaryDataset dataset = data::MakeRandomCodes(500, 64, 2);
-  auto index = CoveringLshIndex::Build(dataset, MakeOptions(2));
-  ASSERT_TRUE(index.ok());
-  EXPECT_GT(index->MemoryBytes(), 500u * 3u * sizeof(uint32_t));
+  EXPECT_DOUBLE_EQ(family.Distance(&a, &b), 4.0);
 }
 
 }  // namespace

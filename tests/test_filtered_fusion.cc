@@ -3,9 +3,8 @@
 //
 // The load-bearing property: a filtered query is BIT-IDENTICAL to running
 // the same query unfiltered and post-filtering its results — same ids, same
-// order — across the static searcher, the segmented searcher, and the
-// sharded engine, through churn (inserts + removes + compaction) and under
-// concurrent readers. Bit-identity is asserted under the forced strategies
+// order — across 1-shard and sharded engines, through churn (inserts +
+// removes + compaction) and under concurrent readers. Bit-identity is asserted under the forced strategies
 // (kAlwaysLsh / kAlwaysLinear), where both runs walk identical candidate
 // sets; auto mode is bracketed between them, exactly like the engine's
 // existing equivalence tests. Fusion tests pin the deterministic RRF /
@@ -25,7 +24,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/batch_query.h"
 #include "core/fusion.h"
 #include "core/hybridlsh.h"
 #include "data/attributes.h"
@@ -281,51 +279,24 @@ TEST_F(FilteredFusionTest, EvaluateFilterMatchesRowwiseReference) {
   EXPECT_EQ(all.Count(), attributes_.size());
 }
 
-// --- Pushdown bit-identity: static searcher. --------------------------------
+// --- Pushdown: the 1-shard engine's decision. -------------------------------
 
-TEST_F(FilteredFusionTest, StaticSearcherPushdownBitIdentical) {
-  auto index = L2Index::Build(Family(), dataset_, index_options_);
-  ASSERT_TRUE(index.ok());
-  const data::Predicate pred = data::Predicate::Equals(0, 2);
-  const util::BitVector filter = PredicateBits(pred, dataset_.size());
-
-  for (const auto forced :
-       {core::ForcedStrategy::kAlwaysLsh, core::ForcedStrategy::kAlwaysLinear}) {
-    core::SearcherOptions options = searcher_options_;
-    options.forced = forced;
-    L2Searcher searcher(&*index, &dataset_, options);
-    std::vector<uint32_t> unfiltered, pushed;
-    for (size_t q = 0; q < queries_.size(); ++q) {
-      unfiltered.clear();
-      pushed.clear();
-      searcher.Query(queries_.point(q), kRadius, &unfiltered);
-      core::QueryStats stats;
-      searcher.QueryFiltered(queries_.point(q), kRadius, &filter, &pushed,
-                             &stats);
-      EXPECT_EQ(pushed, PostFilter(unfiltered, filter))
-          << "forced=" << static_cast<int>(forced) << " query=" << q;
-    }
-  }
-}
-
-TEST_F(FilteredFusionTest, StaticSearcherAutoBracketsForcedStrategies) {
-  auto index = L2Index::Build(Family(), dataset_, index_options_);
-  ASSERT_TRUE(index.ok());
+TEST_F(FilteredFusionTest, OneShardAutoBracketsForcedStrategies) {
   const data::Predicate pred = data::Predicate::Equals(0, 5);
-  const util::BitVector filter = PredicateBits(pred, dataset_.size());
-
-  auto run = [&](core::ForcedStrategy forced, size_t q) {
-    core::SearcherOptions options = searcher_options_;
-    options.forced = forced;
-    L2Searcher searcher(&*index, &dataset_, options);
+  QuerySpec spec = QuerySpec::Radius(kRadius);
+  spec.predicate = &pred;
+  auto lsh_engine = MakeEngine(1, core::ForcedStrategy::kAlwaysLsh);
+  auto linear_engine = MakeEngine(1, core::ForcedStrategy::kAlwaysLinear);
+  auto auto_engine = MakeEngine(1);
+  auto run = [&](Engine* engine, size_t q) {
     std::vector<uint32_t> out;
-    searcher.QueryFiltered(queries_.point(q), kRadius, &filter, &out);
+    HLSH_CHECK(engine->Query(queries_.point(q), spec, &out).ok());
     return Sorted(std::move(out));
   };
   for (size_t q = 0; q < queries_.size(); ++q) {
-    const auto lsh = run(core::ForcedStrategy::kAlwaysLsh, q);
-    const auto linear = run(core::ForcedStrategy::kAlwaysLinear, q);
-    const auto aut = run(core::ForcedStrategy::kAuto, q);
+    const auto lsh = run(&lsh_engine, q);
+    const auto linear = run(&linear_engine, q);
+    const auto aut = run(&auto_engine, q);
     // Linear is exact; LSH may miss. Auto picks one of the two.
     EXPECT_TRUE(aut == lsh || aut == linear) << "query=" << q;
     EXPECT_TRUE(std::includes(linear.begin(), linear.end(), lsh.begin(),
@@ -1030,25 +1001,6 @@ TEST_F(FilteredFusionTest, EngineBatchSharesOneFilter) {
     EXPECT_EQ((*batch)[q].neighbors, single) << "query=" << q;
     EXPECT_TRUE((*batch)[q].stats.filtered);
     EXPECT_EQ((*batch)[q].stats.filter_seconds, 0.0);  // prebuilt + shared
-  }
-}
-
-TEST_F(FilteredFusionTest, BatchRunnerFilteredMatchesSearcher) {
-  auto index = L2Index::Build(Family(), dataset_, index_options_);
-  ASSERT_TRUE(index.ok());
-  const data::Predicate pred = data::Predicate::Equals(0, 2);
-  const util::BitVector filter = PredicateBits(pred, dataset_.size());
-  util::ThreadPool pool(3);
-  core::BatchRunner<L2Index, data::DenseDataset> runner(
-      &*index, &dataset_, searcher_options_, &pool);
-  const auto results = runner.RunFiltered(queries_, kRadius, &filter);
-  ASSERT_EQ(results.size(), queries_.size());
-  L2Searcher searcher(&*index, &dataset_, searcher_options_);
-  std::vector<uint32_t> expected;
-  for (size_t q = 0; q < queries_.size(); ++q) {
-    expected.clear();
-    searcher.QueryFiltered(queries_.point(q), kRadius, &filter, &expected);
-    EXPECT_EQ(results[q].neighbors, expected) << "query=" << q;
   }
 }
 

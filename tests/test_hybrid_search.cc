@@ -1,4 +1,5 @@
-// Tests for core/hybrid_searcher.h — the paper's Algorithm 2.
+// Tests for the paper's Algorithm 2 as a 1-shard ShardedEngine runs it (the
+// hybrid searcher; the forced strategies are engine options).
 //
 // Key properties verified here:
 //   * the linear path returns the exact rNNR answer;
@@ -8,12 +9,11 @@
 //     for "easy" (sparse) ones on a Webspam-like density mix (Figure 1's
 //     q1 / q2 scenario);
 //   * hybrid recall >= LSH recall (the paper's closing observation in §4.2);
-//   * forced strategies, stats plumbing, estimate-only mode, multi-probe
-//     execution, and the covering-LSH searcher all behave.
-
-#include "core/hybrid_searcher.h"
+//   * forced strategies, stats plumbing, multi-probe execution, and hybrid
+//     search over covering LSH all behave.
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +25,15 @@ namespace core {
 namespace {
 
 using data::DenseDataset;
+
+/// Runs one query on `engine` and returns its one shard's decision stats.
+template <typename Engine, typename Point>
+QueryStats QueryOne(Engine* engine, Point query, double radius,
+                    std::vector<uint32_t>* out) {
+  engine::ShardedQueryStats stats;
+  HLSH_CHECK(engine->Query(query, radius, out, &stats).ok());
+  return stats.per_shard[0];
+}
 
 // Webspam-like mix: half the points in a tight cosine cluster, half
 // diffuse. Queries 0..9 are cluster members ("hard"), 10..19 background
@@ -56,47 +65,51 @@ class HybridCosineTest : public ::testing::Test {
           std::span<const float>(dataset_.point(3000 + q * 250), kDim));
     }
 
-    CosineIndex::Options options;
-    options.num_tables = 50;
-    options.delta = 0.1;
-    options.radius = kRadius;
-    options.seed = 17;
-    options.num_build_threads = 8;
-    auto index = CosineIndex::Build(lsh::SimHashFamily(kDim), dataset_, options);
-    HLSH_CHECK(index.ok());
-    index_ = std::make_unique<CosineIndex>(std::move(*index));
   }
 
-  SearcherOptions Opts(double ratio = 10.0) const {
-    SearcherOptions options;
-    options.cost_model = CostModel::FromRatio(ratio);  // paper: 10 for Webspam
-    return options;
+  /// A 1-shard engine over dataset_ (paper: ratio 10 for Webspam).
+  CosineEngine Engine(ForcedStrategy forced = ForcedStrategy::kAuto,
+                      double ratio = 10.0) const {
+    CosineEngine::Options options;
+    options.num_threads = 8;
+    options.index.num_tables = 50;
+    options.index.delta = 0.1;
+    options.index.radius = kRadius;
+    options.index.seed = 17;
+    options.searcher.cost_model = CostModel::FromRatio(ratio);
+    options.searcher.forced = forced;
+    auto engine =
+        CosineEngine::Build(lsh::SimHashFamily(kDim), dataset_, options);
+    HLSH_CHECK(engine.ok());
+    return std::move(*engine);
+  }
+
+  std::vector<uint32_t> Truth(size_t q, double radius = kRadius) const {
+    return data::RangeScanDense(dataset_, queries_.point(q), radius,
+                                data::Metric::kCosine);
   }
 
   DenseDataset dataset_;
   DenseDataset queries_;
-  std::unique_ptr<CosineIndex> index_;
 };
 
 TEST_F(HybridCosineTest, LinearPathIsExact) {
-  CosineSearcher searcher(index_.get(), &dataset_, Opts());
+  auto linear = Engine(ForcedStrategy::kAlwaysLinear);
   for (size_t q = 0; q < queries_.size(); q += 5) {
     std::vector<uint32_t> out;
-    QueryStats stats;
-    searcher.QueryLinear(queries_.point(q), kRadius, &out, &stats);
-    std::sort(out.begin(), out.end());
-    EXPECT_EQ(out, data::RangeScanDense(dataset_, queries_.point(q), kRadius,
-                                        data::Metric::kCosine));
+    const QueryStats stats =
+        QueryOne(&linear, queries_.point(q), kRadius, &out);
+    EXPECT_EQ(out, Truth(q));  // ascending: the scan emits in id order
     EXPECT_EQ(stats.strategy, Strategy::kLinear);
     EXPECT_EQ(stats.output_size, out.size());
   }
 }
 
 TEST_F(HybridCosineTest, LshPathReportsOnlyTrueNeighbors) {
-  CosineSearcher searcher(index_.get(), &dataset_, Opts());
+  auto lsh = Engine(ForcedStrategy::kAlwaysLsh);
   for (size_t q = 0; q < queries_.size(); ++q) {
     std::vector<uint32_t> out;
-    searcher.QueryLsh(queries_.point(q), kRadius, &out);
+    QueryOne(&lsh, queries_.point(q), kRadius, &out);
     for (uint32_t id : out) {
       EXPECT_LE(data::CosineDistance(dataset_.point(id), queries_.point(q),
                                      kDim),
@@ -106,13 +119,12 @@ TEST_F(HybridCosineTest, LshPathReportsOnlyTrueNeighbors) {
 }
 
 TEST_F(HybridCosineTest, LshPathMeetsRecallGuarantee) {
-  CosineSearcher searcher(index_.get(), &dataset_, Opts());
+  auto lsh = Engine(ForcedStrategy::kAlwaysLsh);
   size_t found = 0, total = 0;
   for (size_t q = 0; q < queries_.size(); ++q) {
-    const auto truth = data::RangeScanDense(dataset_, queries_.point(q),
-                                            kRadius, data::Metric::kCosine);
+    const auto truth = Truth(q);
     std::vector<uint32_t> out;
-    searcher.QueryLsh(queries_.point(q), kRadius, &out);
+    QueryOne(&lsh, queries_.point(q), kRadius, &out);
     found += static_cast<size_t>(data::Recall(out, truth) *
                                  static_cast<double>(truth.size()) +
                                  0.5);
@@ -122,14 +134,17 @@ TEST_F(HybridCosineTest, LshPathMeetsRecallGuarantee) {
 }
 
 TEST_F(HybridCosineTest, DecisionSeparatesHardAndEasyQueries) {
-  CosineSearcher searcher(index_.get(), &dataset_, Opts());
+  auto hybrid = Engine();
+  std::vector<uint32_t> out;
   int cluster_linear = 0, background_linear = 0;
   for (size_t q = 0; q < 10; ++q) {
-    const QueryStats stats = searcher.EstimateOnly(queries_.point(q));
+    const QueryStats stats =
+        QueryOne(&hybrid, queries_.point(q), kRadius, &out);
     cluster_linear += (stats.strategy == Strategy::kLinear);
   }
   for (size_t q = 10; q < 20; ++q) {
-    const QueryStats stats = searcher.EstimateOnly(queries_.point(q));
+    const QueryStats stats =
+        QueryOne(&hybrid, queries_.point(q), kRadius, &out);
     background_linear += (stats.strategy == Strategy::kLinear);
   }
   // Dense cluster queries should usually trigger linear search; diffuse
@@ -139,14 +154,14 @@ TEST_F(HybridCosineTest, DecisionSeparatesHardAndEasyQueries) {
 }
 
 TEST_F(HybridCosineTest, HybridRecallAtLeastLshRecall) {
-  CosineSearcher searcher(index_.get(), &dataset_, Opts());
+  auto hybrid = Engine();
+  auto lsh = Engine(ForcedStrategy::kAlwaysLsh);
   double hybrid_recall = 0, lsh_recall = 0;
   for (size_t q = 0; q < queries_.size(); ++q) {
-    const auto truth = data::RangeScanDense(dataset_, queries_.point(q),
-                                            kRadius, data::Metric::kCosine);
+    const auto truth = Truth(q);
     std::vector<uint32_t> hybrid_out, lsh_out;
-    searcher.Query(queries_.point(q), kRadius, &hybrid_out);
-    searcher.QueryLsh(queries_.point(q), kRadius, &lsh_out);
+    QueryOne(&hybrid, queries_.point(q), kRadius, &hybrid_out);
+    QueryOne(&lsh, queries_.point(q), kRadius, &lsh_out);
     hybrid_recall += data::Recall(hybrid_out, truth);
     lsh_recall += data::Recall(lsh_out, truth);
   }
@@ -157,11 +172,11 @@ TEST_F(HybridCosineTest, HybridRecallAtLeastLshRecall) {
 }
 
 TEST_F(HybridCosineTest, HybridStatsAreConsistent) {
-  CosineSearcher searcher(index_.get(), &dataset_, Opts());
+  auto hybrid = Engine();
   for (size_t q = 0; q < queries_.size(); ++q) {
     std::vector<uint32_t> out;
-    QueryStats stats;
-    searcher.Query(queries_.point(q), kRadius, &out, &stats);
+    const QueryStats stats =
+        QueryOne(&hybrid, queries_.point(q), kRadius, &out);
     EXPECT_EQ(stats.output_size, out.size());
     EXPECT_GT(stats.linear_cost, 0.0);
     EXPECT_GE(stats.total_seconds, stats.estimate_seconds);
@@ -171,28 +186,21 @@ TEST_F(HybridCosineTest, HybridStatsAreConsistent) {
     } else {
       EXPECT_GE(stats.lsh_cost, stats.linear_cost);
       // Linear path answers exactly.
-      std::sort(out.begin(), out.end());
-      EXPECT_EQ(out, data::RangeScanDense(dataset_, queries_.point(q), kRadius,
-                                          data::Metric::kCosine));
+      EXPECT_EQ(out, Truth(q));
     }
   }
 }
 
 TEST_F(HybridCosineTest, ForcedStrategiesBypassDecision) {
-  SearcherOptions lsh_only = Opts();
-  lsh_only.forced = ForcedStrategy::kAlwaysLsh;
-  SearcherOptions linear_only = Opts();
-  linear_only.forced = ForcedStrategy::kAlwaysLinear;
-  CosineSearcher lsh_searcher(index_.get(), &dataset_, lsh_only);
-  CosineSearcher linear_searcher(index_.get(), &dataset_, linear_only);
+  auto lsh = Engine(ForcedStrategy::kAlwaysLsh);
+  auto linear = Engine(ForcedStrategy::kAlwaysLinear);
   for (size_t q = 0; q < queries_.size(); q += 4) {
     std::vector<uint32_t> out;
-    QueryStats stats;
-    lsh_searcher.Query(queries_.point(q), kRadius, &out, &stats);
-    EXPECT_EQ(stats.strategy, Strategy::kLsh);
+    EXPECT_EQ(QueryOne(&lsh, queries_.point(q), kRadius, &out).strategy,
+              Strategy::kLsh);
     out.clear();
-    linear_searcher.Query(queries_.point(q), kRadius, &out, &stats);
-    EXPECT_EQ(stats.strategy, Strategy::kLinear);
+    EXPECT_EQ(QueryOne(&linear, queries_.point(q), kRadius, &out).strategy,
+              Strategy::kLinear);
   }
 }
 
@@ -200,51 +208,39 @@ TEST_F(HybridCosineTest, ExtremeRatiosForceEachPath) {
   // beta/alpha -> infinity makes LSH always cheaper (collisions get free);
   // beta/alpha -> 0 makes the candidate term dominate so dense queries go
   // linear. Check the decision responds to the model.
-  CosineSearcher cheap_dedup(index_.get(), &dataset_, Opts(1e9));
-  const QueryStats s1 = cheap_dedup.EstimateOnly(queries_.point(0));
+  std::vector<uint32_t> out;
+  auto cheap_dedup = Engine(ForcedStrategy::kAuto, 1e9);
   // With enormous beta, LshCost ~ beta*cand < beta*n unless cand ~ n.
-  EXPECT_EQ(s1.strategy, Strategy::kLsh);
+  EXPECT_EQ(QueryOne(&cheap_dedup, queries_.point(0), kRadius, &out).strategy,
+            Strategy::kLsh);
 
-  CosineSearcher pricey_dedup(index_.get(), &dataset_, Opts(1e-9));
-  const QueryStats s2 = pricey_dedup.EstimateOnly(queries_.point(0));
+  auto pricey_dedup = Engine(ForcedStrategy::kAuto, 1e-9);
   // With beta ~ 0, LinearCost ~ 0 while collisions still cost: linear wins.
-  EXPECT_EQ(s2.strategy, Strategy::kLinear);
-}
-
-TEST_F(HybridCosineTest, EstimateOnlyMatchesQueryDecision) {
-  CosineSearcher searcher(index_.get(), &dataset_, Opts());
-  for (size_t q = 0; q < queries_.size(); ++q) {
-    const QueryStats estimate = searcher.EstimateOnly(queries_.point(q));
-    std::vector<uint32_t> out;
-    QueryStats stats;
-    searcher.Query(queries_.point(q), kRadius, &out, &stats);
-    EXPECT_EQ(estimate.strategy, stats.strategy);
-    EXPECT_EQ(estimate.collisions, stats.collisions);
-    EXPECT_DOUBLE_EQ(estimate.cand_estimate, stats.cand_estimate);
-  }
+  out.clear();
+  EXPECT_EQ(QueryOne(&pricey_dedup, queries_.point(0), kRadius, &out).strategy,
+            Strategy::kLinear);
 }
 
 TEST_F(HybridCosineTest, CandEstimateTracksActual) {
-  CosineSearcher searcher(index_.get(), &dataset_, Opts());
+  // A forced-LSH query reports both the estimate the decision would use
+  // and the exact distinct candidate count.
+  auto lsh = Engine(ForcedStrategy::kAlwaysLsh);
   for (size_t q = 0; q < queries_.size(); ++q) {
     std::vector<uint32_t> out;
-    QueryStats stats;
-    searcher.QueryLsh(queries_.point(q), kRadius, &out, &stats);
-    const QueryStats estimate = searcher.EstimateOnly(queries_.point(q));
+    const QueryStats stats = QueryOne(&lsh, queries_.point(q), kRadius, &out);
     if (stats.cand_actual < 50) continue;
     const double rel_err =
-        std::abs(estimate.cand_estimate -
-                 static_cast<double>(stats.cand_actual)) /
+        std::abs(stats.cand_estimate - static_cast<double>(stats.cand_actual)) /
         static_cast<double>(stats.cand_actual);
     EXPECT_LT(rel_err, 0.3) << "query " << q;
   }
 }
 
 TEST_F(HybridCosineTest, ZeroRadiusReportsOnlyExactDuplicates) {
-  CosineSearcher searcher(index_.get(), &dataset_, Opts());
+  auto hybrid = Engine();
   std::vector<uint32_t> out;
   // Query 0 is dataset point 0: cosine distance 0 to itself.
-  searcher.Query(queries_.point(0), 0.0, &out);
+  QueryOne(&hybrid, queries_.point(0), 0.0, &out);
   for (uint32_t id : out) {
     EXPECT_LE(data::CosineDistance(dataset_.point(id), queries_.point(0), kDim),
               1e-6);
@@ -256,22 +252,20 @@ TEST_F(HybridCosineTest, RadiusBeyondTuningStillNeverFalsePositive) {
   // recall promise at r = 0.5 (the paper ties w/k to the target radius).
   // What must still hold at any radius: every reported id is a true
   // neighbor, and the linear path stays exact.
-  CosineSearcher searcher(index_.get(), &dataset_, Opts());
+  auto hybrid = Engine();
   std::vector<uint32_t> out;
-  QueryStats stats;
-  searcher.Query(queries_.point(0), 0.5, &out, &stats);
+  QueryOne(&hybrid, queries_.point(0), 0.5, &out);
   for (uint32_t id : out) {
     EXPECT_LE(data::CosineDistance(dataset_.point(id), queries_.point(0), kDim),
               0.5 + 1e-6);
   }
+  auto linear = Engine(ForcedStrategy::kAlwaysLinear);
   out.clear();
-  searcher.QueryLinear(queries_.point(0), 0.5, &out, &stats);
-  std::sort(out.begin(), out.end());
-  EXPECT_EQ(out, data::RangeScanDense(dataset_, queries_.point(0), 0.5,
-                                      data::Metric::kCosine));
+  QueryOne(&linear, queries_.point(0), 0.5, &out);
+  EXPECT_EQ(out, Truth(0, 0.5));
 }
 
-// --- Multi-probe searcher ----------------------------------------------------
+// --- Multi-probe -------------------------------------------------------------
 
 TEST(HybridMultiProbeTest, FewerTablesWithProbesStillRecall) {
   const size_t dim = 16;
@@ -287,31 +281,32 @@ TEST(HybridMultiProbeTest, FewerTablesWithProbesStillRecall) {
   }
 
   // 10 tables (vs the paper's 50) but 8 probes per table.
-  L2Index::Options options;
-  options.num_tables = 10;
-  options.delta = 0.1;
-  options.radius = radius;
-  options.seed = 23;
-  options.num_build_threads = 4;
-  auto index =
-      L2Index::Build(lsh::PStableFamily::L2(dim, 2 * radius), dataset, options);
-  ASSERT_TRUE(index.ok());
-
-  SearcherOptions single = {};
-  single.cost_model = CostModel::FromRatio(6.0);
-  SearcherOptions probing = single;
-  probing.probes_per_table = 8;
-
-  L2Searcher searcher1(&*index, &dataset, single);
-  L2Searcher searcher8(&*index, &dataset, probing);
+  auto make = [&](size_t probes) {
+    L2Engine::Options options;
+    options.num_threads = 4;
+    options.index.num_tables = 10;
+    options.index.delta = 0.1;
+    options.index.radius = radius;
+    options.index.seed = 23;
+    options.searcher.cost_model = CostModel::FromRatio(6.0);
+    options.searcher.probes_per_table = probes;
+    options.searcher.forced = ForcedStrategy::kAlwaysLsh;
+    auto engine =
+        L2Engine::Build(lsh::PStableFamily::L2(dim, 2 * radius), dataset,
+                        options);
+    HLSH_CHECK(engine.ok());
+    return std::move(*engine);
+  };
+  auto engine1 = make(1);
+  auto engine8 = make(8);
 
   double recall1 = 0, recall8 = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
     const auto truth = data::RangeScanDense(dataset, queries.point(q), radius,
                                             data::Metric::kL2);
     std::vector<uint32_t> out1, out8;
-    searcher1.QueryLsh(queries.point(q), radius, &out1);
-    searcher8.QueryLsh(queries.point(q), radius, &out8);
+    QueryOne(&engine1, queries.point(q), radius, &out1);
+    QueryOne(&engine8, queries.point(q), radius, &out8);
     recall1 += data::Recall(out1, truth);
     recall8 += data::Recall(out8, truth);
   }
@@ -319,7 +314,7 @@ TEST(HybridMultiProbeTest, FewerTablesWithProbesStillRecall) {
   EXPECT_GT(recall8 / queries.size(), 0.85);  // and reaches high recall
 }
 
-// --- Covering LSH searcher ---------------------------------------------------
+// --- Hybrid search over covering LSH -----------------------------------------
 
 TEST(HybridCoveringTest, NoFalseNegativesThroughFullStack) {
   const uint32_t radius = 4;
@@ -332,22 +327,28 @@ TEST(HybridCoveringTest, NoFalseNegativesThroughFullStack) {
     queries.Append(&query);
   }
 
-  lsh::CoveringLshIndex::Options options;
-  options.radius = radius;
-  options.seed = 33;
-  options.num_build_threads = 8;
-  auto index = lsh::CoveringLshIndex::Build(dataset, options);
-  ASSERT_TRUE(index.ok());
-
-  SearcherOptions searcher_options;
-  searcher_options.cost_model = CostModel::FromRatio(1.0);
-  CoveringSearcher searcher(&*index, &dataset, searcher_options);
+  const lsh::CoveringFamily family(64, radius, /*seed=*/33);
+  CoveringEngine::Options options;
+  options.num_threads = 8;
+  options.index.num_tables = family.num_tables();
+  options.index.seed = 33;
+  options.searcher.cost_model = CostModel::FromRatio(1.0);
+  auto engine = CoveringEngine::Build(family, dataset, options);
+  ASSERT_TRUE(engine.ok());
+  // A table count other than 2^(r+1) - 1, or a radius outside [1, 12], is
+  // an InvalidArgument from the engine build.
+  CoveringEngine::Options bad = options;
+  bad.index.num_tables = 50;
+  EXPECT_EQ(CoveringEngine::Build(family, dataset, bad).status().code(),
+            util::StatusCode::kInvalidArgument);
+  const lsh::CoveringFamily bad_radius(64, 13, 33);
+  EXPECT_EQ(CoveringEngine::Build(bad_radius, dataset, options).status().code(),
+            util::StatusCode::kInvalidArgument);
 
   for (size_t q = 0; q < queries.size(); ++q) {
     const auto truth = data::RangeScanBinary(dataset, queries.point(q), radius);
     std::vector<uint32_t> out;
-    QueryStats stats;
-    searcher.Query(queries.point(q), radius, &out, &stats);
+    const QueryStats stats = QueryOne(&*engine, queries.point(q), radius, &out);
     std::sort(out.begin(), out.end());
     // Hybrid over covering LSH is *exact* regardless of the chosen path:
     // linear is exact by construction, covering-LSH has no false negatives

@@ -2,7 +2,7 @@
 // failure injection on the index file format.
 //
 // The round-trip criterion is strict: the loaded index must produce
-// byte-identical query keys and cost estimates for every query — i.e., it
+// byte-identical probe plans and cost estimates for every query — i.e., it
 // IS the same index, not a statistically equivalent one.
 
 #include <algorithm>
@@ -15,10 +15,14 @@
 #include <gtest/gtest.h>
 
 #include "core/hybridlsh.h"
+#include "engine_oracle.h"
 #include "util/serialize.h"
 
 namespace hybridlsh {
 namespace {
+
+using test_oracle::LshOracle;
+using test_oracle::PlanOf;
 
 class IndexSerializationTest : public ::testing::Test {
  protected:
@@ -33,7 +37,7 @@ class IndexSerializationTest : public ::testing::Test {
 
   std::string Path(const std::string& name) const { return (dir_ / name).string(); }
 
-  // Verifies Save+Load produces identical keys and probe estimates.
+  // Verifies Save+Load produces identical probe plans and estimates.
   template <typename Index, typename Queries>
   void ExpectIdenticalBehaviour(const Index& original, const Index& loaded,
                                 const Queries& queries) {
@@ -45,13 +49,12 @@ class IndexSerializationTest : public ::testing::Test {
 
     auto scratch_a = original.MakeScratchSketch();
     auto scratch_b = loaded.MakeScratchSketch();
-    std::vector<uint64_t> keys_a, keys_b;
     for (size_t q = 0; q < queries.size(); ++q) {
-      original.QueryKeys(queries.point(q), &keys_a);
-      loaded.QueryKeys(queries.point(q), &keys_b);
-      ASSERT_EQ(keys_a, keys_b) << "query " << q;
-      const auto est_a = original.EstimateProbe(keys_a, &scratch_a);
-      const auto est_b = loaded.EstimateProbe(keys_b, &scratch_b);
+      const lsh::ProbePlan plan_a = PlanOf(original, queries.point(q));
+      const lsh::ProbePlan plan_b = PlanOf(loaded, queries.point(q));
+      ASSERT_EQ(plan_a.keys, plan_b.keys) << "query " << q;
+      const auto est_a = original.EstimateProbe(plan_a, &scratch_a);
+      const auto est_b = loaded.EstimateProbe(plan_b, &scratch_b);
       EXPECT_EQ(est_a.collisions, est_b.collisions);
       EXPECT_DOUBLE_EQ(est_a.cand_estimate, est_b.cand_estimate);
     }
@@ -138,9 +141,9 @@ TEST_F(IndexSerializationTest, MinHashRoundTrip) {
   ExpectIdenticalBehaviour(*index, *loaded, dataset);
 }
 
-TEST_F(IndexSerializationTest, LoadedIndexServesHybridQueries) {
-  // End-to-end: a loaded index plugged into a HybridSearcher answers with
-  // the same results as the original.
+TEST_F(IndexSerializationTest, LoadedIndexAnswersLikeTheOriginal) {
+  // End-to-end: the loaded index's plan walk reports the same in-radius
+  // candidates as the original's, with and without multi-probe.
   const size_t dim = 16;
   const double radius = 0.4;
   const data::DenseDataset dataset = data::MakeCorelLike(3000, dim, 11);
@@ -155,17 +158,14 @@ TEST_F(IndexSerializationTest, LoadedIndexServesHybridQueries) {
   auto loaded = L2Index::Load(Path("hybrid.idx"));
   ASSERT_TRUE(loaded.ok());
 
-  core::SearcherOptions searcher_options;
-  searcher_options.cost_model = core::CostModel::FromRatio(6.0);
-  L2Searcher original(&*index, &dataset, searcher_options);
-  L2Searcher restored(&*loaded, &dataset, searcher_options);
-  std::vector<uint32_t> out_a, out_b;
-  for (size_t q = 0; q < 20; ++q) {
-    out_a.clear();
-    out_b.clear();
-    original.Query(dataset.point(q * 100), radius, &out_a);
-    restored.Query(dataset.point(q * 100), radius, &out_b);
-    EXPECT_EQ(out_a, out_b) << "query " << q;
+  for (const size_t probes : {1, 4}) {
+    for (size_t q = 0; q < 20; ++q) {
+      const float* query = dataset.point(q * 100);
+      const auto expected = LshOracle(*index, dataset, query, radius, probes);
+      EXPECT_FALSE(expected.empty());  // the query point itself
+      EXPECT_EQ(LshOracle(*loaded, dataset, query, radius, probes), expected)
+          << "query " << q << " probes " << probes;
+    }
   }
 }
 
@@ -192,13 +192,12 @@ TEST_F(IndexSerializationTest, IdBaseRoundTrip) {
   // The bucket ids themselves carry the offset after reload.
   util::VisitedSet original_ids(kBase + dataset.size());
   util::VisitedSet loaded_ids(kBase + dataset.size());
-  std::vector<uint64_t> keys;
   for (size_t q = 0; q < 10; ++q) {
-    index->QueryKeys(dataset.point(q), &keys);
+    const lsh::ProbePlan plan = PlanOf(*index, dataset.point(q));
     original_ids.Reset();
     loaded_ids.Reset();
-    index->CollectCandidates(keys, &original_ids);
-    loaded->CollectCandidates(keys, &loaded_ids);
+    index->CollectCandidates(plan, &original_ids);
+    loaded->CollectCandidates(plan, &loaded_ids);
     auto a = original_ids.touched();
     auto b = loaded_ids.touched();
     std::sort(a.begin(), a.end());
@@ -322,10 +321,8 @@ TEST_F(IndexSerializationTest, SaveIsAtomicOverExistingFile) {
   ASSERT_TRUE(other->Save(Path("idx.bin")).ok());
   auto reloaded = L2Index::Load(Path("idx.bin"));
   ASSERT_TRUE(reloaded.ok());
-  std::vector<uint64_t> keys_a, keys_b;
-  other->QueryKeys(dataset.point(0), &keys_a);
-  reloaded->QueryKeys(dataset.point(0), &keys_b);
-  EXPECT_EQ(keys_a, keys_b);
+  EXPECT_EQ(PlanOf(*other, dataset.point(0)).keys,
+            PlanOf(*reloaded, dataset.point(0)).keys);
 }
 
 TEST_F(IndexSerializationTest, GoldenV1FileLoadsWithZeroIdBase) {
@@ -355,13 +352,12 @@ TEST_F(IndexSerializationTest, GoldenV1FileLoadsWithZeroIdBase) {
   // Candidate sets match too — the v1 payload carries the same buckets.
   util::VisitedSet fresh_ids(dataset.size());
   util::VisitedSet golden_ids(dataset.size());
-  std::vector<uint64_t> keys;
   for (size_t q = 0; q < 32; ++q) {
-    fresh->QueryKeys(dataset.point(q * 8), &keys);
+    const lsh::ProbePlan plan = PlanOf(*fresh, dataset.point(q * 8));
     fresh_ids.Reset();
     golden_ids.Reset();
-    fresh->CollectCandidates(keys, &fresh_ids);
-    loaded->CollectCandidates(keys, &golden_ids);
+    fresh->CollectCandidates(plan, &fresh_ids);
+    loaded->CollectCandidates(plan, &golden_ids);
     EXPECT_EQ(fresh_ids.touched(), golden_ids.touched()) << "query " << q;
   }
 }

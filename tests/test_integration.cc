@@ -1,8 +1,8 @@
 // End-to-end integration tests: the paper's four evaluation regimes, each
 // run through the full stack (generator -> split -> index build with the
-// paper's parameters -> hybrid search -> recall against exact ground
-// truth). These are scaled-down versions of the Figure 2 benchmarks with
-// correctness assertions instead of timing plots.
+// paper's parameters in a 1-shard engine -> hybrid search -> recall against
+// exact ground truth). These are scaled-down versions of the Figure 2
+// benchmarks with correctness assertions instead of timing plots.
 
 #include <algorithm>
 #include <vector>
@@ -15,19 +15,33 @@ namespace hybridlsh {
 namespace {
 
 using core::CostModel;
-using core::QueryStats;
-using core::SearcherOptions;
 using core::Strategy;
 
-// Aggregate recall of the hybrid searcher over a query set.
-template <typename Searcher, typename Queries, typename Truth>
-double HybridRecall(Searcher* searcher, const Queries& queries, double radius,
+/// A 1-shard engine over `dataset`: the paper's hybrid searcher.
+template <typename Engine, typename Family, typename Dataset>
+Engine MakeEngine(const Family& family, const Dataset& dataset,
+                  const typename lsh::LshIndex<Family>::Options& index,
+                  const CostModel& model,
+                  core::ForcedStrategy forced = core::ForcedStrategy::kAuto) {
+  typename Engine::Options options;
+  options.num_threads = 8;
+  options.index = index;
+  options.searcher.cost_model = model;
+  options.searcher.forced = forced;
+  auto engine = Engine::Build(family, dataset, options);
+  HLSH_CHECK(engine.ok());
+  return std::move(*engine);
+}
+
+// Aggregate recall of the hybrid engine over a query set.
+template <typename Engine, typename Queries, typename Truth>
+double HybridRecall(Engine* engine, const Queries& queries, double radius,
                     const Truth& truth) {
   double total = 0;
   std::vector<uint32_t> out;
   for (size_t q = 0; q < queries.size(); ++q) {
     out.clear();
-    searcher->Query(queries.point(q), radius, &out);
+    HLSH_CHECK(engine->Query(queries.point(q), radius, &out).ok());
     total += data::Recall(out, truth[q]);
   }
   return total / static_cast<double>(queries.size());
@@ -44,14 +58,9 @@ TEST(IntegrationTest, CorelRegimeL2) {
   options.num_tables = 50;
   options.k = 7;
   options.seed = 103;
-  options.num_build_threads = 8;
-  auto index = L2Index::Build(lsh::PStableFamily::L2(dim, 2 * radius),
-                              split.base, options);
-  ASSERT_TRUE(index.ok());
-
-  SearcherOptions searcher_options;
-  searcher_options.cost_model = CostModel::FromRatio(6.0);  // paper: Corel = 6
-  L2Searcher searcher(&*index, &split.base, searcher_options);
+  auto engine = MakeEngine<L2Engine>(lsh::PStableFamily::L2(dim, 2 * radius),
+                                     split.base, options,
+                                     CostModel::FromRatio(6.0));  // paper: 6
 
   const auto truth = data::GroundTruthDense(split.base, split.queries, radius,
                                             data::Metric::kL2, 8);
@@ -59,7 +68,7 @@ TEST(IntegrationTest, CorelRegimeL2) {
   for (const auto& t : truth) nonempty += !t.empty();
   ASSERT_GT(nonempty, 5u) << "radius too small for this regime";
 
-  EXPECT_GT(HybridRecall(&searcher, split.queries, radius, truth), 0.85);
+  EXPECT_GT(HybridRecall(&engine, split.queries, radius, truth), 0.85);
 }
 
 TEST(IntegrationTest, CovtypeRegimeL1) {
@@ -73,14 +82,9 @@ TEST(IntegrationTest, CovtypeRegimeL1) {
   options.num_tables = 50;
   options.k = 8;
   options.seed = 113;
-  options.num_build_threads = 8;
-  auto index = L1Index::Build(lsh::PStableFamily::L1(dim, 4 * radius),
-                              split.base, options);
-  ASSERT_TRUE(index.ok());
-
-  SearcherOptions searcher_options;
-  searcher_options.cost_model = CostModel::FromRatio(10.0);  // paper: 10
-  L1Searcher searcher(&*index, &split.base, searcher_options);
+  auto engine = MakeEngine<L1Engine>(lsh::PStableFamily::L1(dim, 4 * radius),
+                                     split.base, options,
+                                     CostModel::FromRatio(10.0));  // paper: 10
 
   const auto truth = data::GroundTruthDense(split.base, split.queries, radius,
                                             data::Metric::kL1, 8);
@@ -88,7 +92,7 @@ TEST(IntegrationTest, CovtypeRegimeL1) {
   for (const auto& t : truth) nonempty += !t.empty();
   ASSERT_GT(nonempty, 5u);
 
-  EXPECT_GT(HybridRecall(&searcher, split.queries, radius, truth), 0.85);
+  EXPECT_GT(HybridRecall(&engine, split.queries, radius, truth), 0.85);
 }
 
 TEST(IntegrationTest, WebspamRegimeCosine) {
@@ -110,13 +114,9 @@ TEST(IntegrationTest, WebspamRegimeCosine) {
   options.delta = 0.1;
   options.radius = radius;
   options.seed = 123;
-  options.num_build_threads = 8;
-  auto index = CosineIndex::Build(lsh::SimHashFamily(dim), split.base, options);
-  ASSERT_TRUE(index.ok());
-
-  SearcherOptions searcher_options;
-  searcher_options.cost_model = CostModel::FromRatio(10.0);  // paper: 10
-  CosineSearcher searcher(&*index, &split.base, searcher_options);
+  auto engine = MakeEngine<CosineEngine>(lsh::SimHashFamily(dim), split.base,
+                                         options,
+                                         CostModel::FromRatio(10.0));  // paper
 
   const auto truth = data::GroundTruthDense(split.base, split.queries, radius,
                                             data::Metric::kCosine, 8);
@@ -126,12 +126,13 @@ TEST(IntegrationTest, WebspamRegimeCosine) {
   double recall = 0;
   int linear_calls = 0;
   std::vector<uint32_t> out;
-  QueryStats stats;
+  engine::ShardedQueryStats stats;
   for (size_t q = 0; q < split.queries.size(); ++q) {
     out.clear();
-    searcher.Query(split.queries.point(q), radius, &out, &stats);
+    ASSERT_TRUE(
+        engine.Query(split.queries.point(q), radius, &out, &stats).ok());
     recall += data::Recall(out, truth[q]);
-    linear_calls += (stats.strategy == Strategy::kLinear);
+    linear_calls += (stats.per_shard[0].strategy == Strategy::kLinear);
   }
   recall /= static_cast<double>(split.queries.size());
   EXPECT_GT(recall, 0.9);  // boosted by exact linear answers on hard queries
@@ -155,21 +156,16 @@ TEST(IntegrationTest, MnistRegimeHammingFingerprints) {
   options.delta = 0.1;
   options.radius = radius;
   options.seed = 134;
-  options.num_build_threads = 8;
-  auto index = HammingIndex::Build(lsh::BitSamplingFamily(64), split.base,
-                                   options);
-  ASSERT_TRUE(index.ok());
-
-  SearcherOptions searcher_options;
-  searcher_options.cost_model = CostModel::FromRatio(1.0);  // paper: MNIST = 1
-  HammingSearcher searcher(&*index, &split.base, searcher_options);
+  auto engine = MakeEngine<HammingEngine>(lsh::BitSamplingFamily(64),
+                                          split.base, options,
+                                          CostModel::FromRatio(1.0));  // paper
 
   const auto truth = data::GroundTruthBinary(split.base, split.queries, radius, 8);
   size_t nonempty = 0;
   for (const auto& t : truth) nonempty += !t.empty();
   ASSERT_GT(nonempty, 5u);
 
-  EXPECT_GT(HybridRecall(&searcher, split.queries, radius, truth), 0.85);
+  EXPECT_GT(HybridRecall(&engine, split.queries, radius, truth), 0.85);
 }
 
 TEST(IntegrationTest, HybridNeverSlowerThanWorstPureStrategy) {
@@ -191,28 +187,26 @@ TEST(IntegrationTest, HybridNeverSlowerThanWorstPureStrategy) {
   options.delta = 0.1;
   options.radius = radius;
   options.seed = 142;
-  options.num_build_threads = 8;
-  auto index = CosineIndex::Build(lsh::SimHashFamily(dim), dataset, options);
-  ASSERT_TRUE(index.ok());
+  const lsh::SimHashFamily family(dim);
+  const CostModel model = CostModel::FromRatio(10.0);
+  auto hybrid = MakeEngine<CosineEngine>(family, dataset, options, model);
+  auto lsh = MakeEngine<CosineEngine>(family, dataset, options, model,
+                                      core::ForcedStrategy::kAlwaysLsh);
+  auto linear = MakeEngine<CosineEngine>(family, dataset, options, model,
+                                         core::ForcedStrategy::kAlwaysLinear);
 
-  SearcherOptions searcher_options;
-  searcher_options.cost_model = CostModel::FromRatio(10.0);
-  CosineSearcher searcher(&*index, &dataset, searcher_options);
-
+  auto seconds = [&](CosineEngine* engine, const float* query) {
+    std::vector<uint32_t> out;
+    engine::ShardedQueryStats stats;
+    HLSH_CHECK(engine->Query(query, radius, &out, &stats).ok());
+    return stats.per_shard[0].total_seconds;
+  };
   double hybrid_s = 0, lsh_s = 0, linear_s = 0;
-  std::vector<uint32_t> out;
-  QueryStats stats;
   for (size_t q = 0; q < 40; ++q) {
     const float* query = dataset.point(q * 150);
-    out.clear();
-    searcher.Query(query, radius, &out, &stats);
-    hybrid_s += stats.total_seconds;
-    out.clear();
-    searcher.QueryLsh(query, radius, &out, &stats);
-    lsh_s += stats.total_seconds;
-    out.clear();
-    searcher.QueryLinear(query, radius, &out, &stats);
-    linear_s += stats.total_seconds;
+    hybrid_s += seconds(&hybrid, query);
+    lsh_s += seconds(&lsh, query);
+    linear_s += seconds(&linear, query);
   }
   // Generous 2x margin: timing noise at micro scale, plus the estimate
   // overhead.

@@ -11,8 +11,8 @@
 //
 // End-to-end: hybrid query results (ids and chosen strategy) are identical
 // between scalar-forced and vectorized runs on all three dataset
-// containers, through the monolithic searcher, a churned segmented index,
-// and the sharded engine.
+// containers, through a 1-shard engine (static and churned) and a sharded
+// engine's batch path.
 
 #include "core/kernels.h"
 
@@ -391,20 +391,6 @@ TEST_F(VerifyBlockTest, MatchesNaiveVerificationPerMetric) {
   }
 }
 
-TEST_F(VerifyBlockTest, RangeEqualsBlockOverIota) {
-  const double radius = PickRadius(data::Metric::kL2);
-  std::vector<uint32_t> all_ids(dataset_.size());
-  for (uint32_t i = 0; i < all_ids.size(); ++i) all_ids[i] = i;
-  std::vector<uint32_t> via_block, via_range;
-  kernels::VerifyBlock(dataset_, data::Metric::kL2, query_.data(), all_ids,
-                       radius, &via_block);
-  kernels::VerifyRange(dataset_, data::Metric::kL2, query_.data(), 0,
-                       static_cast<uint32_t>(dataset_.size()), radius,
-                       &via_range);
-  EXPECT_FALSE(via_block.empty());
-  EXPECT_EQ(via_block, via_range);
-}
-
 TEST_F(VerifyBlockTest, CosineNormFastPathMatchesFusedPath) {
   const double radius = PickRadius(data::Metric::kCosine);
   std::vector<uint32_t> fused;
@@ -436,10 +422,6 @@ TEST_F(VerifyBlockTest, BinaryBlockMatchesNaive) {
     util::simd::SetResolvedTierForTest(tier);
     std::vector<uint32_t> got;
     kernels::VerifyBlock(codes, &query, ids, 20.0, &got);
-    EXPECT_EQ(got, expected) << util::simd::TierName(tier);
-    got.clear();
-    kernels::VerifyRange(codes, &query, 0, static_cast<uint32_t>(codes.size()),
-                         20.0, &got);
     EXPECT_EQ(got, expected) << util::simd::TierName(tier);
   }
 }
@@ -473,35 +455,44 @@ TEST(DenseNormCacheTest, PrecomputeAndInvalidate) {
 
 // --- End-to-end equivalence: scalar-forced vs vectorized. --------------------
 
-/// Runs `queries` through a fresh searcher under `tier` and returns each
+/// A 1-shard engine over `dataset` (int8 screen on for dense data).
+template <typename Family, typename Dataset>
+engine::ShardedEngine<Family, Dataset> MakeEngine(
+    const Family& family, const Dataset& dataset,
+    const typename lsh::LshIndex<Family>::Options& index) {
+  typename engine::ShardedEngine<Family, Dataset>::Options options;
+  options.index = index;
+  options.searcher.cost_model = CostModel::FromRatio(6.0);
+  auto built = engine::ShardedEngine<Family, Dataset>::Build(family, dataset,
+                                                             options);
+  HLSH_CHECK(built.ok());
+  return std::move(*built);
+}
+
+/// Runs `queries` through a 1-shard engine under `tier` and returns each
 /// query's sorted ids plus the strategy that answered it.
-template <typename Index, typename Dataset, typename QuerySet>
+template <typename Engine, typename QuerySet>
 std::vector<std::pair<std::vector<uint32_t>, Strategy>> RunUnderTier(
-    const Index& index, const Dataset& dataset, const QuerySet& queries,
-    double radius, Tier tier) {
+    Engine* engine, const QuerySet& queries, double radius, Tier tier) {
   util::simd::SetResolvedTierForTest(tier);
-  SearcherOptions options;
-  options.cost_model = CostModel::FromRatio(6.0);
-  HybridSearcher<Index, Dataset> searcher(&index, &dataset, options);
   std::vector<std::pair<std::vector<uint32_t>, Strategy>> results;
   for (size_t q = 0; q < queries.size(); ++q) {
     std::vector<uint32_t> out;
-    QueryStats stats;
-    searcher.Query(queries.point(q), radius, &out, &stats);
+    engine::ShardedQueryStats stats;
+    HLSH_CHECK(engine->Query(queries.point(q), radius, &out, &stats).ok());
     std::sort(out.begin(), out.end());
-    results.emplace_back(std::move(out), stats.strategy);
+    results.emplace_back(std::move(out), stats.per_shard[0].strategy);
   }
   return results;
 }
 
-template <typename Index, typename Dataset, typename QuerySet>
-void ExpectTierEquivalence(const Index& index, const Dataset& dataset,
-                           const QuerySet& queries, double radius) {
+template <typename Engine, typename QuerySet>
+void ExpectTierEquivalence(Engine* engine, const QuerySet& queries,
+                           double radius) {
   TierGuard guard;
-  const auto scalar =
-      RunUnderTier(index, dataset, queries, radius, Tier::kScalar);
+  const auto scalar = RunUnderTier(engine, queries, radius, Tier::kScalar);
   for (Tier tier : SupportedTiers()) {
-    const auto got = RunUnderTier(index, dataset, queries, radius, tier);
+    const auto got = RunUnderTier(engine, queries, radius, tier);
     ASSERT_EQ(got.size(), scalar.size());
     for (size_t q = 0; q < got.size(); ++q) {
       EXPECT_EQ(got[q].first, scalar[q].first)
@@ -523,10 +514,8 @@ TEST(TierEquivalenceTest, DenseL2) {
   options.num_tables = 20;
   options.radius = 0.45;
   options.seed = 52;
-  auto index =
-      L2Index::Build(lsh::PStableFamily::L2(32, 0.9), dataset, options);
-  ASSERT_TRUE(index.ok());
-  ExpectTierEquivalence(*index, dataset, queries, 0.45);
+  auto engine = MakeEngine(lsh::PStableFamily::L2(32, 0.9), dataset, options);
+  ExpectTierEquivalence(&engine, queries, 0.45);
 }
 
 TEST(TierEquivalenceTest, DenseL1) {
@@ -539,10 +528,8 @@ TEST(TierEquivalenceTest, DenseL1) {
   options.num_tables = 20;
   options.radius = 2.0;
   options.seed = 54;
-  auto index =
-      L1Index::Build(lsh::PStableFamily::L1(20, 8.0), dataset, options);
-  ASSERT_TRUE(index.ok());
-  ExpectTierEquivalence(*index, dataset, queries, 2.0);
+  auto engine = MakeEngine(lsh::PStableFamily::L1(20, 8.0), dataset, options);
+  ExpectTierEquivalence(&engine, queries, 2.0);
 }
 
 TEST(TierEquivalenceTest, DenseCosineWithNorms) {
@@ -559,12 +546,10 @@ TEST(TierEquivalenceTest, DenseCosineWithNorms) {
   options.num_tables = 20;
   options.radius = 0.15;
   options.seed = 56;
-  auto index =
-      CosineIndex::Build(lsh::SimHashFamily(48), dataset, options);
-  ASSERT_TRUE(index.ok());
   // Exercise the precomputed-norm fast path under every tier.
   dataset.PrecomputeNorms();
-  ExpectTierEquivalence(*index, dataset, queries, 0.15);
+  auto engine = MakeEngine(lsh::SimHashFamily(48), dataset, options);
+  ExpectTierEquivalence(&engine, queries, 0.15);
 }
 
 TEST(TierEquivalenceTest, BinaryHamming) {
@@ -580,10 +565,8 @@ TEST(TierEquivalenceTest, BinaryHamming) {
   options.num_tables = 20;
   options.radius = 6.0;
   options.seed = 59;
-  auto index =
-      HammingIndex::Build(lsh::BitSamplingFamily(64), dataset, options);
-  ASSERT_TRUE(index.ok());
-  ExpectTierEquivalence(*index, dataset, queries, 6.0);
+  auto engine = MakeEngine(lsh::BitSamplingFamily(64), dataset, options);
+  ExpectTierEquivalence(&engine, queries, 6.0);
 }
 
 TEST(TierEquivalenceTest, SparseJaccard) {
@@ -592,8 +575,7 @@ TEST(TierEquivalenceTest, SparseJaccard) {
   options.num_tables = 20;
   options.k = 2;
   options.seed = 61;
-  auto index = JaccardIndex::Build(lsh::MinHashFamily(), dataset, options);
-  ASSERT_TRUE(index.ok());
+  auto engine = MakeEngine(lsh::MinHashFamily(), dataset, options);
   // Query with dataset members (the sparse container has no cheap copy).
   struct QueryView {
     const data::SparseDataset* dataset;
@@ -602,34 +584,35 @@ TEST(TierEquivalenceTest, SparseJaccard) {
       return dataset->point(q * 150);
     }
   };
-  ExpectTierEquivalence(*index, dataset, QueryView{&dataset}, 0.6);
+  ExpectTierEquivalence(&engine, QueryView{&dataset}, 0.6);
 }
 
-TEST(TierEquivalenceTest, SegmentedIndexWithChurn) {
+TEST(TierEquivalenceTest, OneShardEngineWithChurn) {
   data::DenseDataset dataset = data::MakeCorelLike(2000, 24, 62);
-  using Segmented = engine::SegmentedIndex<lsh::PStableFamily>;
-  Segmented::Options options;
+  L2Engine::Options options;
   options.index.num_tables = 15;
   options.index.radius = 0.45;
   options.index.seed = 63;
   options.active_seal_threshold = 256;
-  auto index = Segmented::Build(lsh::PStableFamily::L2(24, 0.9), &dataset, 0,
-                                dataset.size(), options);
-  ASSERT_TRUE(index.ok());
-  ASSERT_TRUE(index->EnableUpdates(&dataset).ok());
+  options.background_maintenance = false;
+  options.searcher.cost_model = CostModel::FromRatio(6.0);
+  auto engine =
+      L2Engine::Build(lsh::PStableFamily::L2(24, 0.9), &dataset, options);
+  ASSERT_TRUE(engine.ok());
   // Churn: re-insert some points, delete others, leave the active segment
-  // non-empty so hash-map and CSR segments both verify.
+  // non-empty so log and CSR segments both verify, and the initial
+  // segment's linear scan falls back to the per-id tombstone test.
   for (uint32_t i = 0; i < 300; ++i) {
-    ASSERT_TRUE(index->Insert(dataset.point(i)).ok());
+    ASSERT_TRUE(engine->Insert(dataset.point(i)).ok());
   }
   for (uint32_t id = 100; id < 200; ++id) {
-    ASSERT_TRUE(index->Remove(id).ok());
+    ASSERT_TRUE(engine->Remove(id).ok());
   }
   data::DenseDataset queries(0, 24);
   for (int q = 0; q < 6; ++q) {
     queries.Append(std::span<const float>(dataset.point(q * 250 + 3), 24));
   }
-  ExpectTierEquivalence(*index, dataset, queries, 0.45);
+  ExpectTierEquivalence(&*engine, queries, 0.45);
 }
 
 TEST(TierEquivalenceTest, ShardedEngineBatch) {
@@ -653,13 +636,18 @@ TEST(TierEquivalenceTest, ShardedEngineBatch) {
 
   std::vector<std::vector<uint32_t>> scalar_results;
   util::simd::SetResolvedTierForTest(Tier::kScalar);
-  for (auto& result : engine->QueryBatch(queries, 0.45)) {
+  auto scalar_batch =
+      engine->QueryBatch(queries, engine::QuerySpec::Radius(0.45));
+  ASSERT_TRUE(scalar_batch.ok());
+  for (auto& result : *scalar_batch) {
     std::sort(result.neighbors.begin(), result.neighbors.end());
     scalar_results.push_back(std::move(result.neighbors));
   }
   for (Tier tier : SupportedTiers()) {
     util::simd::SetResolvedTierForTest(tier);
-    auto results = engine->QueryBatch(queries, 0.45);
+    auto batch = engine->QueryBatch(queries, engine::QuerySpec::Radius(0.45));
+    ASSERT_TRUE(batch.ok());
+    auto& results = *batch;
     ASSERT_EQ(results.size(), scalar_results.size());
     for (size_t q = 0; q < results.size(); ++q) {
       std::sort(results[q].neighbors.begin(), results[q].neighbors.end());
@@ -667,25 +655,6 @@ TEST(TierEquivalenceTest, ShardedEngineBatch) {
           << "query " << q << " tier " << util::simd::TierName(tier);
     }
   }
-}
-
-// --- Satellite: EstimateOnly now times the whole call. -----------------------
-
-TEST(EstimateOnlyTimingTest, TotalSecondsIsPopulated) {
-  data::DenseDataset dataset = data::MakeCorelLike(1000, 16, 66);
-  L2Index::Options options;
-  options.num_tables = 10;
-  options.radius = 0.45;
-  options.seed = 67;
-  auto index =
-      L2Index::Build(lsh::PStableFamily::L2(16, 0.9), dataset, options);
-  ASSERT_TRUE(index.ok());
-  SearcherOptions searcher_options;
-  searcher_options.cost_model = CostModel::FromRatio(6.0);
-  L2Searcher searcher(&*index, &dataset, searcher_options);
-  const QueryStats stats = searcher.EstimateOnly(dataset.point(0));
-  EXPECT_GT(stats.total_seconds, 0.0);
-  EXPECT_GE(stats.total_seconds, stats.estimate_seconds);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 //     neighbors (the property the paper's parameter rule must deliver);
 //   * EstimateProbe: exact collision counts and HLL candSize accuracy,
 //     including the small-bucket on-demand path;
-//   * multi-probe candidate growth.
+//   * probe plans: one key per bucket per table, multi-probe candidate
+//     growth.
 
 #include "lsh/index.h"
 
@@ -17,6 +18,7 @@
 
 #include "data/synthetic.h"
 #include "data/workload.h"
+#include "engine_oracle.h"
 #include "lsh/families.h"
 
 namespace hybridlsh {
@@ -25,6 +27,7 @@ namespace {
 
 using data::BinaryDataset;
 using data::DenseDataset;
+using test_oracle::PlanOf;
 
 // Shared L2 fixture: mixture data + planted neighbors around 20 queries.
 class L2IndexTest : public ::testing::Test {
@@ -114,11 +117,11 @@ TEST_F(L2IndexTest, DeterministicAcrossRebuilds) {
   auto a = LshIndex<PStableFamily>::Build(Family(), dataset_, AutoOptions());
   auto b = LshIndex<PStableFamily>::Build(Family(), dataset_, AutoOptions());
   ASSERT_TRUE(a.ok() && b.ok());
-  std::vector<uint64_t> keys_a, keys_b;
   for (size_t q = 0; q < queries_.size(); ++q) {
-    a->QueryKeys(queries_.point(q), &keys_a);
-    b->QueryKeys(queries_.point(q), &keys_b);
-    EXPECT_EQ(keys_a, keys_b);
+    const ProbePlan plan_a = PlanOf(*a, queries_.point(q), 4);
+    const ProbePlan plan_b = PlanOf(*b, queries_.point(q), 4);
+    EXPECT_EQ(plan_a.keys, plan_b.keys);
+    EXPECT_EQ(plan_a.table_offsets, plan_b.table_offsets);
   }
 }
 
@@ -126,15 +129,13 @@ TEST_F(L2IndexTest, RecallMeetsGuaranteeOnPlantedNeighbors) {
   auto index = LshIndex<PStableFamily>::Build(Family(), dataset_, AutoOptions());
   ASSERT_TRUE(index.ok());
   util::VisitedSet visited(dataset_.size());
-  std::vector<uint64_t> keys;
   size_t found = 0, total = 0;
   for (size_t q = 0; q < queries_.size(); ++q) {
     const auto truth = data::RangeScanDense(dataset_, queries_.point(q),
                                             kRadius, data::Metric::kL2);
     ASSERT_GE(truth.size(), 8u);  // planted neighbors exist
     visited.Reset();
-    index->QueryKeys(queries_.point(q), &keys);
-    index->CollectCandidates(keys, &visited);
+    index->CollectCandidates(PlanOf(*index, queries_.point(q)), &visited);
     for (uint32_t id : truth) {
       found += visited.Contains(id);
     }
@@ -150,49 +151,43 @@ TEST_F(L2IndexTest, EstimateProbeCollisionsAreExact) {
   ASSERT_TRUE(index.ok());
   auto scratch = index->MakeScratchSketch();
   util::VisitedSet visited(dataset_.size());
-  std::vector<uint64_t> keys;
   for (size_t q = 0; q < queries_.size(); ++q) {
-    index->QueryKeys(queries_.point(q), &keys);
-    const auto estimate = index->EstimateProbe(keys, &scratch);
+    const ProbePlan plan = PlanOf(*index, queries_.point(q));
+    const auto estimate = index->EstimateProbe(plan, &scratch);
     visited.Reset();
-    const uint64_t collected = index->CollectCandidates(keys, &visited);
+    const uint64_t collected = index->CollectCandidates(plan, &visited);
     EXPECT_EQ(estimate.collisions, collected);
   }
 }
 
-TEST_F(L2IndexTest, RepeatedProbeKeysCountEachBucketOnce) {
-  // Multi-probe key lists can repeat a bucket beyond the home-key padding:
-  // distinct perturbations may collide on one key. Every repeat within a
-  // table must be skipped, or collisions double-count and the merged HLL
-  // re-merges the same sketch.
+TEST_F(L2IndexTest, ComputePlanEmitsEachTableKeyOnce) {
+  // Distinct perturbations can land on one bucket, and 16 probes exhaust
+  // this table's perturbation pool. The plan keeps each table's keys
+  // unique, so the walks count every probed bucket exactly once and the
+  // merged HLL never re-merges a sketch.
   auto options = AutoOptions();
-  options.k = 6;
+  options.k = 2;  // few slots: 16 probes exhaust the perturbation pool
   auto index = LshIndex<PStableFamily>::Build(Family(), dataset_, options);
   ASSERT_TRUE(index.ok());
 
-  std::vector<uint64_t> home, other;
-  index->QueryKeys(queries_.point(0), &home);
-  index->QueryKeys(dataset_.point(0), &other);  // non-empty buckets
-  const size_t L = home.size();
-
-  // Per table: [home, other, other] — a repeated NON-home probe.
-  std::vector<uint64_t> keys(L * 3);
-  uint64_t expected = 0;
-  for (size_t t = 0; t < L; ++t) {
-    keys[t * 3] = home[t];
-    keys[t * 3 + 1] = other[t];
-    keys[t * 3 + 2] = other[t];
-    expected += index->Bucket(t, home[t]).size();
-    if (other[t] != home[t]) expected += index->Bucket(t, other[t]).size();
-  }
-  ASSERT_GT(expected, 0u);  // dataset point 0 sits in its own buckets
-
   auto scratch = index->MakeScratchSketch();
-  const auto estimate = index->EstimateProbe(keys, &scratch);
-  EXPECT_EQ(estimate.collisions, expected);
-
   util::VisitedSet visited(dataset_.size());
-  EXPECT_EQ(index->CollectCandidates(keys, &visited), expected);
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    const ProbePlan plan = PlanOf(*index, queries_.point(q), 16);
+    ASSERT_EQ(plan.num_tables(), static_cast<size_t>(index->num_tables()));
+    uint64_t expected = 0;
+    for (size_t t = 0; t < plan.num_tables(); ++t) {
+      const auto keys = plan.TableKeys(t);
+      ASSERT_FALSE(keys.empty());
+      ASSERT_LE(keys.size(), 16u);
+      const std::set<uint64_t> unique(keys.begin(), keys.end());
+      EXPECT_EQ(unique.size(), keys.size()) << "table " << t;
+      for (const uint64_t key : keys) expected += index->Bucket(t, key).size();
+    }
+    EXPECT_EQ(index->EstimateProbe(plan, &scratch).collisions, expected);
+    visited.Reset();
+    EXPECT_EQ(index->CollectCandidates(plan, &visited), expected);
+  }
 }
 
 TEST_F(L2IndexTest, EstimateProbeCandSizeIsAccurate) {
@@ -200,14 +195,13 @@ TEST_F(L2IndexTest, EstimateProbeCandSizeIsAccurate) {
   ASSERT_TRUE(index.ok());
   auto scratch = index->MakeScratchSketch();
   util::VisitedSet visited(dataset_.size());
-  std::vector<uint64_t> keys;
   double total_rel_err = 0;
   size_t measured = 0;
   for (size_t q = 0; q < queries_.size(); ++q) {
-    index->QueryKeys(queries_.point(q), &keys);
-    const auto estimate = index->EstimateProbe(keys, &scratch);
+    const ProbePlan plan = PlanOf(*index, queries_.point(q));
+    const auto estimate = index->EstimateProbe(plan, &scratch);
     visited.Reset();
-    index->CollectCandidates(keys, &visited);
+    index->CollectCandidates(plan, &visited);
     const double actual = static_cast<double>(visited.size());
     if (actual < 20) continue;  // relative error meaningless on tiny counts
     total_rel_err += std::abs(estimate.cand_estimate - actual) / actual;
@@ -239,13 +233,12 @@ TEST_F(L2IndexTest, OnDemandSmallBucketsMatchMaterializedSketches) {
 
   auto scratch_all = index_all->MakeScratchSketch();
   auto scratch_none = index_none->MakeScratchSketch();
-  std::vector<uint64_t> keys_all, keys_none;
   for (size_t q = 0; q < queries_.size(); ++q) {
-    index_all->QueryKeys(queries_.point(q), &keys_all);
-    index_none->QueryKeys(queries_.point(q), &keys_none);
-    ASSERT_EQ(keys_all, keys_none);  // same seed, same functions
-    const auto est_all = index_all->EstimateProbe(keys_all, &scratch_all);
-    const auto est_none = index_none->EstimateProbe(keys_none, &scratch_none);
+    const ProbePlan plan_all = PlanOf(*index_all, queries_.point(q));
+    const ProbePlan plan_none = PlanOf(*index_none, queries_.point(q));
+    ASSERT_EQ(plan_all.keys, plan_none.keys);  // same seed, same functions
+    const auto est_all = index_all->EstimateProbe(plan_all, &scratch_all);
+    const auto est_none = index_none->EstimateProbe(plan_none, &scratch_none);
     EXPECT_EQ(est_all.collisions, est_none.collisions);
     EXPECT_DOUBLE_EQ(est_all.cand_estimate, est_none.cand_estimate);
   }
@@ -255,31 +248,33 @@ TEST_F(L2IndexTest, MultiProbeGrowsCandidates) {
   auto index = LshIndex<PStableFamily>::Build(Family(), dataset_, AutoOptions());
   ASSERT_TRUE(index.ok());
   util::VisitedSet visited(dataset_.size());
-  std::vector<uint64_t> keys1, keys4;
   size_t cand1 = 0, cand4 = 0;
   for (size_t q = 0; q < queries_.size(); ++q) {
-    index->QueryKeys(queries_.point(q), &keys1);
-    ASSERT_TRUE(index->QueryKeysMultiProbe(queries_.point(q), 4, &keys4).ok());
-    EXPECT_EQ(keys4.size(), 4 * keys1.size());
-    // Home buckets are the first key of each group.
-    for (size_t t = 0; t < keys1.size(); ++t) {
-      EXPECT_EQ(keys4[4 * t], keys1[t]);
+    const ProbePlan plan1 = PlanOf(*index, queries_.point(q));
+    const ProbePlan plan4 = PlanOf(*index, queries_.point(q), 4);
+    EXPECT_EQ(plan1.keys.size(), plan1.num_tables());
+    EXPECT_GT(plan4.keys.size(), plan1.keys.size());
+    // Home buckets are the first key of each table.
+    for (size_t t = 0; t < plan1.num_tables(); ++t) {
+      EXPECT_EQ(plan4.TableKeys(t)[0], plan1.TableKeys(t)[0]);
     }
     visited.Reset();
-    index->CollectCandidates(keys1, &visited);
+    index->CollectCandidates(plan1, &visited);
     cand1 += visited.size();
     visited.Reset();
-    index->CollectCandidates(keys4, &visited);
+    index->CollectCandidates(plan4, &visited);
     cand4 += visited.size();
   }
   EXPECT_GT(cand4, cand1);  // probing strictly widens the candidate pool
 }
 
-TEST_F(L2IndexTest, MultiProbeRejectsZeroProbes) {
+TEST_F(L2IndexTest, ComputePlanRejectsZeroProbes) {
   auto index = LshIndex<PStableFamily>::Build(Family(), dataset_, AutoOptions());
   ASSERT_TRUE(index.ok());
-  std::vector<uint64_t> keys;
-  EXPECT_FALSE(index->QueryKeysMultiProbe(queries_.point(0), 0, &keys).ok());
+  PlanScratch scratch;
+  ProbePlan plan;
+  EXPECT_EQ(index->ComputePlan(queries_.point(0), 0, &scratch, &plan).code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 // --- Cross-family recall sweep ----------------------------------------------
@@ -315,14 +310,12 @@ TEST(SimHashIndexTest, RecallOnPlantedNeighbors) {
   ASSERT_TRUE(index.ok());
 
   util::VisitedSet visited(dataset.size());
-  std::vector<uint64_t> keys;
   size_t found = 0, total = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
     const auto truth = data::RangeScanDense(dataset, queries.point(q), radius,
                                             data::Metric::kCosine);
     visited.Reset();
-    index->QueryKeys(queries.point(q), &keys);
-    index->CollectCandidates(keys, &visited);
+    index->CollectCandidates(PlanOf(*index, queries.point(q)), &visited);
     for (uint32_t id : truth) found += visited.Contains(id);
     total += truth.size();
   }
@@ -357,14 +350,12 @@ TEST(L1IndexTest, RecallOnPlantedNeighbors) {
   ASSERT_TRUE(index.ok());
 
   util::VisitedSet visited(dataset.size());
-  std::vector<uint64_t> keys;
   size_t found = 0, total = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
     const auto truth = data::RangeScanDense(dataset, queries.point(q), radius,
                                             data::Metric::kL1);
     visited.Reset();
-    index->QueryKeys(queries.point(q), &keys);
-    index->CollectCandidates(keys, &visited);
+    index->CollectCandidates(PlanOf(*index, queries.point(q)), &visited);
     for (uint32_t id : truth) found += visited.Contains(id);
     total += truth.size();
   }
@@ -401,13 +392,11 @@ TEST(HammingIndexTest, RecallOnPlantedNeighbors) {
   ASSERT_TRUE(index.ok());
 
   util::VisitedSet visited(dataset.size());
-  std::vector<uint64_t> keys;
   size_t found = 0, total = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
     const auto truth = data::RangeScanBinary(dataset, queries.point(q), radius);
     visited.Reset();
-    index->QueryKeys(queries.point(q), &keys);
-    index->CollectCandidates(keys, &visited);
+    index->CollectCandidates(PlanOf(*index, queries.point(q)), &visited);
     for (uint32_t id : truth) found += visited.Contains(id);
     total += truth.size();
   }
@@ -447,14 +436,12 @@ TEST(MinHashIndexTest, RecallOnSimilarSets) {
   ASSERT_TRUE(index.ok());
 
   util::VisitedSet visited(dataset.size());
-  std::vector<uint64_t> keys;
   size_t found = 0, total = 0;
   for (size_t qid : query_ids) {
     const auto truth = data::RangeScanSparse(dataset, dataset.point(qid), radius);
     ASSERT_GE(truth.size(), 5u);  // itself + planted near-duplicates
     visited.Reset();
-    index->QueryKeys(dataset.point(qid), &keys);
-    index->CollectCandidates(keys, &visited);
+    index->CollectCandidates(PlanOf(*index, dataset.point(qid)), &visited);
     for (uint32_t id : truth) found += visited.Contains(id);
     total += truth.size();
   }

@@ -2,14 +2,16 @@
 // indistinguishable from a static rebuild.
 //
 // The core property: after ANY interleaving of inserts, deletes, seals and
-// compactions, query results over the segmented index equal those of a
-// fresh LshIndex built over the current live point set with the same seed
-// (ids mapped through the live-id list, sorted). Checked under forced-LSH
-// and forced-linear execution — the two deterministic strategies — for two
-// LSH families (p-stable L2 and bit-sampling Hamming) and with multi-probe
-// enabled; the auto decision is bracketed between them. Lifecycle
-// accounting (seal thresholds, tombstone counts, auto-compaction) is
-// verified alongside.
+// compactions, a snapshot of the segmented index yields the same answers
+// as a fresh LshIndex built over the current live point set with the same
+// seed (ids mapped through the live-id list, sorted). The segmented side
+// walks one snapshot the way the engine does — the plan's candidates
+// (forced-LSH) or GatherLiveIds (forced-linear) — and keeps in-radius ids;
+// the reference side is the test-local oracle (tests/engine_oracle.h, and
+// data::RangeScan* over the live set). Checked for two LSH families
+// (p-stable L2 and bit-sampling Hamming) with multi-probe enabled.
+// Lifecycle accounting (seal thresholds, tombstone counts,
+// auto-compaction) is verified alongside.
 
 #include "engine/segmented_index.h"
 
@@ -19,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "core/hybridlsh.h"
+#include "engine_oracle.h"
 
 namespace hybridlsh {
 namespace engine {
@@ -29,11 +32,6 @@ std::vector<uint32_t> Sorted(std::vector<uint32_t> ids) {
   return ids;
 }
 
-bool IsSubset(const std::vector<uint32_t>& sub,
-              const std::vector<uint32_t>& super) {
-  return std::includes(super.begin(), super.end(), sub.begin(), sub.end());
-}
-
 data::DenseDataset MakeEmptyLike(const data::DenseDataset& dataset) {
   return data::DenseDataset(0, dataset.dim());
 }
@@ -41,58 +39,101 @@ data::BinaryDataset MakeEmptyLike(const data::BinaryDataset& dataset) {
   return data::BinaryDataset(0, dataset.width_bits());
 }
 
-/// Rebuilds a static LshIndex over the live points of (index, dataset) and
-/// returns, per query, the sorted global ids the static index reports under
-/// `forced`. The static index numbers points 0..live-1; results are mapped
-/// back through the live-id list, so they are directly comparable with the
-/// segmented index's output.
+std::vector<uint32_t> RangeScan(const data::DenseDataset& dataset,
+                                const float* query, double radius) {
+  return data::RangeScanDense(dataset, query, radius, data::Metric::kL2);
+}
+std::vector<uint32_t> RangeScan(const data::BinaryDataset& dataset,
+                                const uint64_t* query, double radius) {
+  return data::RangeScanBinary(dataset, query, static_cast<uint32_t>(radius));
+}
+
+/// The segmented side: one snapshot of `index`, per query the plan's
+/// candidates (lsh) or the live ids (linear), kept in radius; sorted.
+template <typename Family, typename Dataset, typename Queries>
+std::vector<std::vector<uint32_t>> SnapshotResults(
+    const SegmentedIndex<Family, Dataset>& index, const Dataset& dataset,
+    const Queries& queries, double radius, size_t probes_per_table,
+    bool lsh) {
+  const auto snapshot = index.Acquire();
+  util::VisitedSet visited(snapshot.id_bound());
+  lsh::PlanScratch scratch;
+  lsh::ProbePlan plan;
+  std::vector<uint32_t> ids;
+  std::vector<std::vector<uint32_t>> results(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ids.clear();
+    if (lsh) {
+      HLSH_CHECK(index
+                     .ComputePlan(queries.point(q), probes_per_table,
+                                  &scratch, &plan)
+                     .ok());
+      visited.Reset();
+      snapshot.CollectCandidates(plan, &visited);
+      ids.assign(visited.touched().begin(), visited.touched().end());
+    } else {
+      snapshot.GatherLiveIds(nullptr, &ids);
+    }
+    for (const uint32_t id : ids) {
+      if (index.Distance(dataset.point(id), queries.point(q)) <= radius) {
+        results[q].push_back(id);
+      }
+    }
+    results[q] = Sorted(std::move(results[q]));
+  }
+  return results;
+}
+
+/// The reference side: a static LshIndex rebuilt over the live points of
+/// (index, dataset), queried through the test-local oracle (lsh) or a range
+/// scan (linear). The static index numbers points 0..live-1; results are
+/// mapped back through the live-id list.
 template <typename Family, typename Dataset, typename Queries>
 std::vector<std::vector<uint32_t>> StaticRebuildResults(
     const SegmentedIndex<Family, Dataset>& index, const Dataset& dataset,
     const Queries& queries, double radius,
     const typename lsh::LshIndex<Family>::Options& options,
-    core::SearcherOptions searcher_options, core::ForcedStrategy forced) {
+    size_t probes_per_table, bool lsh) {
   std::vector<uint32_t> live_ids;
-  index.ForEachLiveId([&](uint32_t id) { live_ids.push_back(id); });
+  index.Acquire().GatherLiveIds(nullptr, &live_ids);
   std::sort(live_ids.begin(), live_ids.end());
 
   Dataset live = MakeEmptyLike(dataset);
   for (const uint32_t id : live_ids) {
     HLSH_CHECK(AppendDatasetPoint(&live, dataset.point(id)).ok());
   }
-
-  auto rebuilt =
-      lsh::LshIndex<Family>::Build(index.family(), live, options);
+  auto rebuilt = lsh::LshIndex<Family>::Build(index.family(), live, options);
   HLSH_CHECK(rebuilt.ok());
-  searcher_options.forced = forced;
-  core::HybridSearcher<lsh::LshIndex<Family>, Dataset> searcher(
-      &*rebuilt, &live, searcher_options);
 
   std::vector<std::vector<uint32_t>> results(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    std::vector<uint32_t> local;
-    searcher.Query(queries.point(q), radius, &local);
+    std::vector<uint32_t> local =
+        lsh ? test_oracle::LshOracle(*rebuilt, live, queries.point(q),
+                                     radius, probes_per_table)
+            : RangeScan(live, queries.point(q), radius);
     for (uint32_t& id : local) id = live_ids[id];
     results[q] = Sorted(std::move(local));
   }
   return results;
 }
 
-/// One live query pass over the segmented index under `forced`.
+/// Asserts that both walks of the segmented index match a static rebuild.
 template <typename Family, typename Dataset, typename Queries>
-std::vector<std::vector<uint32_t>> SegmentedResults(
-    const SegmentedIndex<Family, Dataset>& index, const Dataset& dataset,
-    const Queries& queries, double radius,
-    core::SearcherOptions searcher_options, core::ForcedStrategy forced) {
-  searcher_options.forced = forced;
-  core::HybridSearcher<SegmentedIndex<Family, Dataset>, Dataset> searcher(
-      &index, &dataset, searcher_options);
-  std::vector<std::vector<uint32_t>> results(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    searcher.Query(queries.point(q), radius, &results[q]);
-    results[q] = Sorted(std::move(results[q]));
+void ExpectEquivalent(const SegmentedIndex<Family, Dataset>& index,
+                      const Dataset& dataset, const Queries& queries,
+                      double radius,
+                      const typename lsh::LshIndex<Family>::Options& options,
+                      size_t probes_per_table) {
+  for (const bool lsh : {true, false}) {
+    const auto segmented = SnapshotResults(index, dataset, queries, radius,
+                                           probes_per_table, lsh);
+    const auto rebuilt = StaticRebuildResults(index, dataset, queries, radius,
+                                              options, probes_per_table, lsh);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(segmented[q], rebuilt[q])
+          << "query " << q << (lsh ? " lsh" : " linear");
+    }
   }
-  return results;
 }
 
 // ---------------------------------------------------------------------------
@@ -102,6 +143,7 @@ class SegmentedL2Test : public ::testing::Test {
  protected:
   static constexpr size_t kDim = 16;
   static constexpr double kRadius = 0.4;
+  static constexpr size_t kProbes = 3;  // multi-probe on
 
   void SetUp() override {
     const data::DenseDataset full = data::MakeCorelLike(2403, kDim, 17);
@@ -114,8 +156,6 @@ class SegmentedL2Test : public ::testing::Test {
     index_options_.num_tables = 20;
     index_options_.k = 7;
     index_options_.seed = 23;
-    searcher_options_.cost_model = core::CostModel::FromRatio(6.0);
-    searcher_options_.probes_per_table = 3;  // multi-probe on
   }
 
   SegmentedIndex<lsh::PStableFamily>::Options SegOptions() const {
@@ -131,43 +171,16 @@ class SegmentedL2Test : public ::testing::Test {
     return lsh::PStableFamily::L2(kDim, 2 * kRadius);
   }
 
-  /// Asserts the segmented index matches a static rebuild for both forced
-  /// strategies and that the auto decision is bracketed between them.
-  void ExpectEquivalent(const SegmentedIndex<lsh::PStableFamily>& index) {
-    for (const auto forced : {core::ForcedStrategy::kAlwaysLsh,
-                              core::ForcedStrategy::kAlwaysLinear}) {
-      const auto segmented = SegmentedResults(index, dataset_, queries_,
-                                              kRadius, searcher_options_,
-                                              forced);
-      const auto rebuilt = StaticRebuildResults(
-          index, dataset_, queries_, kRadius, index_options_,
-          searcher_options_, forced);
-      for (size_t q = 0; q < queries_.size(); ++q) {
-        EXPECT_EQ(segmented[q], rebuilt[q])
-            << "query " << q << " forced=" << static_cast<int>(forced);
-      }
-    }
-    const auto lsh = SegmentedResults(index, dataset_, queries_, kRadius,
-                                      searcher_options_,
-                                      core::ForcedStrategy::kAlwaysLsh);
-    const auto linear = SegmentedResults(index, dataset_, queries_, kRadius,
-                                         searcher_options_,
-                                         core::ForcedStrategy::kAlwaysLinear);
-    const auto auto_mode = SegmentedResults(index, dataset_, queries_, kRadius,
-                                            searcher_options_,
-                                            core::ForcedStrategy::kAuto);
-    for (size_t q = 0; q < queries_.size(); ++q) {
-      EXPECT_TRUE(IsSubset(lsh[q], linear[q]));
-      EXPECT_TRUE(IsSubset(auto_mode[q], linear[q]));
-      EXPECT_TRUE(IsSubset(lsh[q], auto_mode[q]));
-    }
+  void ExpectEquivalent(const SegmentedIndex<lsh::PStableFamily>& index,
+                        const data::DenseDataset& dataset) {
+    engine::ExpectEquivalent(index, dataset, queries_, kRadius,
+                             index_options_, kProbes);
   }
 
   data::DenseDataset dataset_;
   data::DenseDataset queries_;
   data::DenseDataset incoming_;
   lsh::LshIndex<lsh::PStableFamily>::Options index_options_;
-  core::SearcherOptions searcher_options_;
 };
 
 TEST_F(SegmentedL2Test, ChurnMatchesStaticRebuildAtEveryPhase) {
@@ -188,7 +201,7 @@ TEST_F(SegmentedL2Test, ChurnMatchesStaticRebuildAtEveryPhase) {
     EXPECT_EQ(*id, initial_n + i);
   }
   EXPECT_GT(index.lifecycle().sealed_segments, 1u);
-  ExpectEquivalent(index);
+  ExpectEquivalent(index, dataset_);
 
   // Phase 2: deletes across both the initial range and the inserted tail.
   size_t removed = 0;
@@ -199,16 +212,16 @@ TEST_F(SegmentedL2Test, ChurnMatchesStaticRebuildAtEveryPhase) {
     ASSERT_TRUE(index.Remove(id).ok());
   }
   EXPECT_EQ(index.live_size(), initial_n + 600 - removed);
-  EXPECT_LT(index.live_fraction(), 1.0);
-  ExpectEquivalent(index);
+  EXPECT_LT(index.live_stats().fraction(), 1.0);
+  ExpectEquivalent(index, dataset_);
 
   // Phase 3: explicit compaction drops every tombstone.
   index.Compact();
   EXPECT_EQ(index.lifecycle().tombstones, 0u);
   EXPECT_EQ(index.lifecycle().sealed_segments, 1u);
-  EXPECT_DOUBLE_EQ(index.live_fraction(), 1.0);
+  EXPECT_DOUBLE_EQ(index.live_stats().fraction(), 1.0);
   EXPECT_EQ(index.live_size(), initial_n + 600 - removed);
-  ExpectEquivalent(index);
+  ExpectEquivalent(index, dataset_);
 
   // Phase 4: mixed churn afterwards, relying on auto-seal + auto-compact.
   for (size_t i = 0; i < 500; ++i) {
@@ -219,7 +232,7 @@ TEST_F(SegmentedL2Test, ChurnMatchesStaticRebuildAtEveryPhase) {
       ASSERT_TRUE(index.Remove(id).ok());
     }
   }
-  ExpectEquivalent(index);
+  ExpectEquivalent(index, dataset_);
 }
 
 TEST_F(SegmentedL2Test, StreamingFromZeroMatchesStaticRebuild) {
@@ -238,17 +251,7 @@ TEST_F(SegmentedL2Test, StreamingFromZeroMatchesStaticRebuild) {
 
   // Query against the dataset the index actually grew (the index holds a
   // pointer to `empty`, so dataset_ cannot stand in for it).
-  for (const auto forced : {core::ForcedStrategy::kAlwaysLsh,
-                            core::ForcedStrategy::kAlwaysLinear}) {
-    const auto segmented = SegmentedResults(index, empty, queries_, kRadius,
-                                            searcher_options_, forced);
-    const auto rebuilt =
-        StaticRebuildResults(index, empty, queries_, kRadius, index_options_,
-                             searcher_options_, forced);
-    for (size_t q = 0; q < queries_.size(); ++q) {
-      EXPECT_EQ(segmented[q], rebuilt[q]) << "query " << q;
-    }
-  }
+  ExpectEquivalent(index, empty);
 }
 
 TEST_F(SegmentedL2Test, LifecycleAccountingAndGuards) {
@@ -290,13 +293,11 @@ TEST_F(SegmentedL2Test, LifecycleAccountingAndGuards) {
   EXPECT_EQ(index.live_size(), 0u);
   index.Compact();
   EXPECT_EQ(index.lifecycle().sealed_segments, 0u);
-  std::vector<uint32_t> out;
-  core::SearcherOptions options = searcher_options_;
-  core::HybridSearcher<SegmentedIndex<lsh::PStableFamily>,
-                       data::DenseDataset>
-      searcher(&index, &dataset_, options);
-  searcher.Query(queries_.point(0), kRadius, &out);
-  EXPECT_TRUE(out.empty());
+  for (const bool lsh : {true, false}) {
+    const auto results =
+        SnapshotResults(index, dataset_, queries_, kRadius, kProbes, lsh);
+    EXPECT_TRUE(results[0].empty());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -322,10 +323,6 @@ TEST(SegmentedHammingTest, ChurnMatchesStaticRebuild) {
   options.active_seal_threshold = 200;
   options.max_sealed_segments = 2;
 
-  core::SearcherOptions searcher_options;
-  searcher_options.cost_model = core::CostModel::FromRatio(6.0);
-  searcher_options.probes_per_table = 2;  // multi-probe on (bit flips)
-
   auto built = SegmentedIndex<lsh::BitSamplingFamily>::Build(
       lsh::BitSamplingFamily(kBits), &dataset, 0, dataset.size(), options);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -346,17 +343,9 @@ TEST(SegmentedHammingTest, ChurnMatchesStaticRebuild) {
     ASSERT_TRUE(index.Insert(incoming.point(i)).ok());
   }
 
-  for (const auto forced : {core::ForcedStrategy::kAlwaysLsh,
-                            core::ForcedStrategy::kAlwaysLinear}) {
-    const auto segmented = SegmentedResults(index, dataset, queries, kRadius,
-                                            searcher_options, forced);
-    const auto rebuilt =
-        StaticRebuildResults(index, dataset, queries, kRadius, index_options,
-                             searcher_options, forced);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_EQ(segmented[q], rebuilt[q]) << "query " << q;
-    }
-  }
+  // Multi-probe on (bit flips).
+  ExpectEquivalent(index, dataset, queries, kRadius, index_options,
+                   /*probes_per_table=*/2);
 }
 
 }  // namespace

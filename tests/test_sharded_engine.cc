@@ -1,21 +1,30 @@
 // Tests for engine/sharded_engine.h: the shard fan-out must be candidate-
 // equivalent to a monolithic LshIndex built with the same (seed, k, L) —
-// forced-LSH and forced-linear results are identical for any shard count,
-// and the auto decision is bracketed between them.
+// forced-LSH results equal that index's plan-walk oracle and forced-linear
+// results equal a brute-force scan for any shard count, a 1-shard engine
+// makes the paper's Algorithm 2 decision from the monolithic estimate, and
+// the auto decision is bracketed between the forced strategies. The
+// reference side (tests/engine_oracle.h, data::RangeScan*) shares no code
+// with the engine's query path.
 
 #include "engine/sharded_engine.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/hybridlsh.h"
+#include "engine_oracle.h"
 
 namespace hybridlsh {
 namespace engine {
 namespace {
+
+using test_oracle::LshOracle;
 
 std::vector<uint32_t> Sorted(std::vector<uint32_t> ids) {
   std::sort(ids.begin(), ids.end());
@@ -56,30 +65,29 @@ class ShardedEngineTest : public ::testing::Test {
     return lsh::PStableFamily::L2(kDim, 2 * kRadius);
   }
 
-  ShardedEngine<lsh::PStableFamily> MakeEngine(
+  L2Engine MakeEngine(
       size_t num_shards,
       core::ForcedStrategy forced = core::ForcedStrategy::kAuto) {
-    typename ShardedEngine<lsh::PStableFamily>::Options options;
+    L2Engine::Options options;
     options.num_shards = num_shards;
+    options.num_threads = 4;  // 1- and 2-shard engines build tables pooled
     options.index = index_options_;
     options.searcher = searcher_options_;
     options.searcher.forced = forced;
-    auto engine = ShardedEngine<lsh::PStableFamily>::Build(Family(), dataset_,
-                                                           options);
+    auto engine = L2Engine::Build(Family(), dataset_, options);
     HLSH_CHECK(engine.ok());
     return std::move(*engine);
   }
 
-  /// Monolithic results for every query under `forced`.
-  std::vector<std::vector<uint32_t>> Monolithic(core::ForcedStrategy forced) {
-    core::SearcherOptions options = searcher_options_;
-    options.forced = forced;
-    L2Searcher searcher(index_.get(), &dataset_, options);
-    std::vector<std::vector<uint32_t>> results(queries_.size());
-    for (size_t q = 0; q < queries_.size(); ++q) {
-      searcher.Query(queries_.point(q), kRadius, &results[q]);
-    }
-    return results;
+  /// The monolithic plan-walk oracle for query q.
+  std::vector<uint32_t> Oracle(size_t q, size_t probes_per_table = 1) const {
+    return LshOracle(*index_, dataset_, queries_.point(q), kRadius,
+                     probes_per_table);
+  }
+
+  std::vector<uint32_t> Truth(size_t q) const {
+    return data::RangeScanDense(dataset_, queries_.point(q), kRadius,
+                                data::Metric::kL2);
   }
 
   data::DenseDataset dataset_;
@@ -89,16 +97,15 @@ class ShardedEngineTest : public ::testing::Test {
   std::unique_ptr<L2Index> index_;
 };
 
-TEST_F(ShardedEngineTest, ForcedLshMatchesMonolithicAnyShardCount) {
-  const auto mono = Monolithic(core::ForcedStrategy::kAlwaysLsh);
+TEST_F(ShardedEngineTest, ForcedLshMatchesOracleAnyShardCount) {
   for (size_t num_shards : {1, 2, 3, 7, 8}) {
     auto engine = MakeEngine(num_shards, core::ForcedStrategy::kAlwaysLsh);
     EXPECT_EQ(engine.num_shards(), num_shards);
     std::vector<uint32_t> out;
     for (size_t q = 0; q < queries_.size(); ++q) {
       out.clear();
-      engine.Query(queries_.point(q), kRadius, &out);
-      EXPECT_EQ(Sorted(out), Sorted(mono[q]))
+      ASSERT_TRUE(engine.Query(queries_.point(q), kRadius, &out).ok());
+      EXPECT_EQ(Sorted(out), Oracle(q))
           << "shards=" << num_shards << " query=" << q;
     }
   }
@@ -111,44 +118,62 @@ TEST_F(ShardedEngineTest, ForcedLinearMatchesGroundTruth) {
     for (size_t q = 0; q < queries_.size(); ++q) {
       out.clear();
       ShardedQueryStats stats;
-      engine.Query(queries_.point(q), kRadius, &out, &stats);
+      ASSERT_TRUE(engine.Query(queries_.point(q), kRadius, &out, &stats).ok());
       // Per-shard linear scans emit increasing ids; shard order preserves
       // the global order, so `out` is already sorted.
-      const auto truth = data::RangeScanDense(dataset_, queries_.point(q),
-                                              kRadius, data::Metric::kL2);
-      EXPECT_EQ(out, truth) << "shards=" << num_shards << " query=" << q;
+      EXPECT_EQ(out, Truth(q)) << "shards=" << num_shards << " query=" << q;
       EXPECT_EQ(stats.linear_shards, engine.num_shards());
       EXPECT_EQ(stats.lsh_shards, 0u);
     }
   }
 }
 
-TEST_F(ShardedEngineTest, SingleShardAutoMatchesMonolithicDecision) {
-  const auto mono = Monolithic(core::ForcedStrategy::kAuto);
+TEST_F(ShardedEngineTest, SingleShardFollowsAlgorithm2) {
+  // A 1-shard engine is the paper's hybrid searcher: it estimates from the
+  // same buckets and sketches as the monolithic index, decides with Eq. 1
+  // vs Eq. 2, and answers with the chosen strategy's oracle.
   auto engine = MakeEngine(1);
+  const core::CostModel& model = searcher_options_.cost_model;
+  auto sketch = index_->MakeScratchSketch();
+  lsh::PlanScratch plan_scratch;
+  lsh::ProbePlan plan;
   std::vector<uint32_t> out;
+  size_t lsh_queries = 0;
   for (size_t q = 0; q < queries_.size(); ++q) {
+    ASSERT_TRUE(
+        index_->ComputePlan(queries_.point(q), 1, &plan_scratch, &plan).ok());
+    const lsh::ProbeEstimate estimate = index_->EstimateProbe(plan, &sketch);
+    const bool expect_lsh =
+        model.LshCost(estimate.collisions, estimate.cand_estimate) <
+        model.LinearCost(dataset_.size());
+
     out.clear();
-    engine.Query(queries_.point(q), kRadius, &out);
-    EXPECT_EQ(Sorted(out), Sorted(mono[q])) << "query " << q;
+    ShardedQueryStats stats;
+    ASSERT_TRUE(engine.Query(queries_.point(q), kRadius, &out, &stats).ok());
+    const core::QueryStats& shard = stats.per_shard[0];
+    EXPECT_EQ(shard.collisions, estimate.collisions) << "query " << q;
+    EXPECT_EQ(shard.cand_estimate, estimate.cand_estimate) << "query " << q;
+    EXPECT_EQ(shard.strategy,
+              expect_lsh ? core::Strategy::kLsh : core::Strategy::kLinear)
+        << "query " << q;
+    EXPECT_EQ(Sorted(out), expect_lsh ? Oracle(q) : Truth(q)) << "query " << q;
+    lsh_queries += expect_lsh;
   }
+  EXPECT_GT(lsh_queries, 0u);
 }
 
 TEST_F(ShardedEngineTest, AutoIsBracketedByForcedStrategies) {
   // A shard that falls back to linear reports *more* of its range than the
   // LSH path would, never less; so auto is a superset of forced-LSH and a
   // subset of the exact answer.
-  const auto lsh_sets = Monolithic(core::ForcedStrategy::kAlwaysLsh);
   auto engine = MakeEngine(4);
   std::vector<uint32_t> out;
   for (size_t q = 0; q < queries_.size(); ++q) {
     out.clear();
-    engine.Query(queries_.point(q), kRadius, &out);
+    ASSERT_TRUE(engine.Query(queries_.point(q), kRadius, &out).ok());
     const auto sorted = Sorted(out);
-    const auto truth = data::RangeScanDense(dataset_, queries_.point(q),
-                                            kRadius, data::Metric::kL2);
-    EXPECT_TRUE(IsSubset(Sorted(lsh_sets[q]), sorted)) << "query " << q;
-    EXPECT_TRUE(IsSubset(sorted, truth)) << "query " << q;
+    EXPECT_TRUE(IsSubset(Oracle(q), sorted)) << "query " << q;
+    EXPECT_TRUE(IsSubset(sorted, Truth(q))) << "query " << q;
   }
 }
 
@@ -174,22 +199,41 @@ TEST_F(ShardedEngineTest, ShardRangesPartitionTheDataset) {
 
 TEST_F(ShardedEngineTest, ShardCountClampedToDatasetSize) {
   data::DenseDataset tiny(5, kDim);
-  typename ShardedEngine<lsh::PStableFamily>::Options options;
+  L2Engine::Options options;
   options.num_shards = 8;
   options.index = index_options_;
   options.searcher = searcher_options_;
-  auto engine =
-      ShardedEngine<lsh::PStableFamily>::Build(Family(), tiny, options);
+  auto engine = L2Engine::Build(Family(), tiny, options);
   ASSERT_TRUE(engine.ok());
   EXPECT_EQ(engine->num_shards(), 5u);
   EXPECT_EQ(engine->size(), 5u);
+}
+
+TEST_F(ShardedEngineTest, ShardBuildsShareThePool) {
+  // Each shard builds its tables on its share of the pool:
+  // max(1, num_threads / num_shards) threads, whatever the caller set.
+  struct Case { size_t shards, threads, expected; };
+  for (const Case c : {Case{1, 4, 4}, {4, 1, 1}, {4, 8, 2}, {3, 0, 1}}) {
+    L2Engine::Options options;
+    options.num_shards = c.shards;
+    options.num_threads = c.threads;
+    options.index = index_options_;
+    options.index.num_build_threads = 16;
+    auto engine = L2Engine::Build(Family(), dataset_, options);
+    ASSERT_TRUE(engine.ok());
+    for (size_t s = 0; s < engine->num_shards(); ++s) {
+      EXPECT_EQ(engine->shard_index(s).options().index.num_build_threads,
+                c.expected)
+          << "shards=" << c.shards << " threads=" << c.threads;
+    }
+  }
 }
 
 TEST_F(ShardedEngineTest, StatsAggregateAcrossShards) {
   auto engine = MakeEngine(4);
   std::vector<uint32_t> out;
   ShardedQueryStats stats;
-  engine.Query(queries_.point(0), kRadius, &out, &stats);
+  ASSERT_TRUE(engine.Query(queries_.point(0), kRadius, &out, &stats).ok());
   EXPECT_EQ(stats.num_shards, 4u);
   ASSERT_EQ(stats.per_shard.size(), 4u);
   EXPECT_EQ(stats.lsh_shards + stats.linear_shards, 4u);
@@ -218,7 +262,7 @@ TEST_F(ShardedEngineTest, HashOncePlanEvaluatesLSignaturesPerQuery) {
 
   lsh::SetHashEvalCounting(true);
   const uint64_t before = lsh::HashEvalCountForTest();
-  engine.Query(queries_.point(0), kRadius, &out, &stats);
+  ASSERT_TRUE(engine.Query(queries_.point(0), kRadius, &out, &stats).ok());
   const uint64_t after = lsh::HashEvalCountForTest();
   lsh::SetHashEvalCounting(false);
 
@@ -243,7 +287,7 @@ TEST_F(ShardedEngineTest, ForcedLinearSkipsHashingEntirely) {
 
   lsh::SetHashEvalCounting(true);
   const uint64_t before = lsh::HashEvalCountForTest();
-  engine.Query(queries_.point(0), kRadius, &out, &stats);
+  ASSERT_TRUE(engine.Query(queries_.point(0), kRadius, &out, &stats).ok());
   const uint64_t after = lsh::HashEvalCountForTest();
   lsh::SetHashEvalCounting(false);
 
@@ -256,80 +300,99 @@ TEST_F(ShardedEngineTest, ForcedLinearSkipsHashingEntirely) {
 
 TEST_F(ShardedEngineTest, BatchHashesOncePerQueryThroughBlockedKernels) {
   // The batch path pushes all queries through ComputePlanBatch (blocked
-  // projection form): still exactly L evaluations per query, and every
-  // result identical to the single-query plan path.
+  // projection form): still exactly L evaluations per query (results are
+  // compared with single queries in BatchMatchesSingleQueries).
   auto engine = MakeEngine(4);
   const uint64_t L = index_options_.num_tables;
 
   lsh::SetHashEvalCounting(true);
   const uint64_t before = lsh::HashEvalCountForTest();
-  const auto batch = engine.QueryBatch(queries_, kRadius);
+  const auto batch = engine.QueryBatch(queries_, QuerySpec::Radius(kRadius));
   const uint64_t after = lsh::HashEvalCountForTest();
   lsh::SetHashEvalCounting(false);
+  ASSERT_TRUE(batch.ok());
 
   EXPECT_EQ(after - before, L * queries_.size());
-  ASSERT_EQ(batch.size(), queries_.size());
-  std::vector<uint32_t> out;
-  for (size_t q = 0; q < queries_.size(); ++q) {
-    EXPECT_EQ(batch[q].stats.hash_evals, L);
-    EXPECT_EQ(batch[q].stats.plan_reuse, 4u);
-    out.clear();
-    engine.Query(queries_.point(q), kRadius, &out);
-    EXPECT_EQ(Sorted(batch[q].neighbors), Sorted(out)) << "query " << q;
+  for (const ShardedBatchResult& result : *batch) {
+    EXPECT_EQ(result.stats.hash_evals, L);
+    EXPECT_EQ(result.stats.plan_reuse, 4u);
   }
 }
 
 TEST_F(ShardedEngineTest, BatchMatchesSingleQueries) {
+  // Pool sizes, idle workers, empty sets and scratch reuse across batches
+  // are covered in tests/test_batch_query.cc.
   auto engine = MakeEngine(3);
   double wall_seconds = 0;
-  const auto batch = engine.QueryBatch(queries_, kRadius, &wall_seconds);
-  ASSERT_EQ(batch.size(), queries_.size());
+  const auto batch =
+      engine.QueryBatch(queries_, QuerySpec::Radius(kRadius), &wall_seconds);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch->size(), queries_.size());
   EXPECT_GT(wall_seconds, 0.0);
   std::vector<uint32_t> out;
   for (size_t q = 0; q < queries_.size(); ++q) {
     out.clear();
-    engine.Query(queries_.point(q), kRadius, &out);
-    EXPECT_EQ(Sorted(batch[q].neighbors), Sorted(out)) << "query " << q;
-    EXPECT_EQ(batch[q].stats.lsh_shards + batch[q].stats.linear_shards, 3u);
+    ASSERT_TRUE(engine.Query(queries_.point(q), kRadius, &out).ok());
+    EXPECT_EQ((*batch)[q].neighbors, out) << "query " << q;
+    EXPECT_EQ((*batch)[q].stats.lsh_shards + (*batch)[q].stats.linear_shards,
+              3u);
   }
 }
 
-TEST_F(ShardedEngineTest, MultiProbeFanOutMatchesMonolithic) {
-  core::SearcherOptions probing = searcher_options_;
-  probing.probes_per_table = 4;
-  probing.forced = core::ForcedStrategy::kAlwaysLsh;
-  L2Searcher searcher(index_.get(), &dataset_, probing);
+TEST_F(ShardedEngineTest, RadiusEntryPointsRejectBadRadius) {
+  // A negative or non-finite radius is an InvalidArgument on every entry
+  // point, never an abort, and nothing is reported.
+  auto engine = MakeEngine(2);
+  auto scratch = engine.MakeQueryScratch();
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::vector<uint32_t> out;
+    EXPECT_EQ(engine.Query(queries_.point(0), bad, &out).code(),
+              util::StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(
+        engine.QueryConcurrent(queries_.point(0), bad, &out, &scratch).code(),
+        util::StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(
+        engine.QueryBatch(queries_, QuerySpec::Radius(bad)).status().code(),
+        util::StatusCode::kInvalidArgument)
+        << bad;
+  }
+  // The engine keeps serving afterwards.
+  std::vector<uint32_t> out;
+  EXPECT_TRUE(engine.Query(queries_.point(0), kRadius, &out).ok());
+}
 
-  typename ShardedEngine<lsh::PStableFamily>::Options options;
+TEST_F(ShardedEngineTest, MultiProbeFanOutMatchesOracle) {
+  L2Engine::Options options;
   options.num_shards = 5;
   options.index = index_options_;
-  options.searcher = probing;
-  auto engine = ShardedEngine<lsh::PStableFamily>::Build(Family(), dataset_,
-                                                         options);
+  options.searcher = searcher_options_;
+  options.searcher.probes_per_table = 4;
+  options.searcher.forced = core::ForcedStrategy::kAlwaysLsh;
+  auto engine = L2Engine::Build(Family(), dataset_, options);
   ASSERT_TRUE(engine.ok());
 
-  std::vector<uint32_t> expected;
   std::vector<uint32_t> out;
   for (size_t q = 0; q < queries_.size(); ++q) {
-    expected.clear();
     out.clear();
-    searcher.Query(queries_.point(q), kRadius, &expected);
-    engine->Query(queries_.point(q), kRadius, &out);
-    EXPECT_EQ(Sorted(out), Sorted(expected)) << "query " << q;
+    ASSERT_TRUE(engine->Query(queries_.point(q), kRadius, &out).ok());
+    EXPECT_EQ(Sorted(out), Oracle(q, 4)) << "query " << q;
   }
 }
 
 TEST_F(ShardedEngineTest, RejectsEmptyDataset) {
   data::DenseDataset empty(0, kDim);
-  typename ShardedEngine<lsh::PStableFamily>::Options options;
+  L2Engine::Options options;
   options.index = index_options_;
-  auto engine =
-      ShardedEngine<lsh::PStableFamily>::Build(Family(), empty, options);
+  auto engine = L2Engine::Build(Family(), empty, options);
   EXPECT_FALSE(engine.ok());
 }
 
 // A second family + container: Hamming over packed binary codes.
-TEST(ShardedEngineHammingTest, ForcedLshMatchesMonolithic) {
+TEST(ShardedEngineHammingTest, ForcedLshMatchesOracle) {
   const data::BinaryDataset full = data::MakeRandomCodes(2007, 64, 51);
   const data::BinarySplit split = data::SplitQueriesBinary(full, 20, 52);
   const uint32_t radius = 12;
@@ -342,28 +405,21 @@ TEST(ShardedEngineHammingTest, ForcedLshMatchesMonolithic) {
   auto index = HammingIndex::Build(family, split.base, options);
   ASSERT_TRUE(index.ok());
 
-  core::SearcherOptions searcher_options;
-  searcher_options.cost_model = core::CostModel::FromRatio(10.0);
-  searcher_options.forced = core::ForcedStrategy::kAlwaysLsh;
-  HammingSearcher searcher(&*index, &split.base, searcher_options);
-
   for (size_t num_shards : {1, 4, 6}) {
-    typename ShardedEngine<lsh::BitSamplingFamily>::Options engine_options;
+    HammingEngine::Options engine_options;
     engine_options.num_shards = num_shards;
     engine_options.index = options;
-    engine_options.searcher = searcher_options;
-    auto engine = ShardedEngine<lsh::BitSamplingFamily>::Build(
-        family, split.base, engine_options);
+    engine_options.searcher.cost_model = core::CostModel::FromRatio(10.0);
+    engine_options.searcher.forced = core::ForcedStrategy::kAlwaysLsh;
+    auto engine = HammingEngine::Build(family, split.base, engine_options);
     ASSERT_TRUE(engine.ok());
 
-    std::vector<uint32_t> expected;
     std::vector<uint32_t> out;
     for (size_t q = 0; q < split.queries.size(); ++q) {
-      expected.clear();
       out.clear();
-      searcher.Query(split.queries.point(q), radius, &expected);
-      engine->Query(split.queries.point(q), radius, &out);
-      EXPECT_EQ(Sorted(out), Sorted(expected))
+      ASSERT_TRUE(engine->Query(split.queries.point(q), radius, &out).ok());
+      EXPECT_EQ(Sorted(out), LshOracle(*index, split.base,
+                                       split.queries.point(q), radius))
           << "shards=" << num_shards << " query=" << q;
     }
   }
@@ -376,12 +432,13 @@ TEST_F(ShardedEngineTest, ChurnMatchesStaticRebuildAcrossShardCounts) {
 
   for (size_t num_shards : {3, 7}) {
     for (const auto forced : {core::ForcedStrategy::kAlwaysLsh,
-                              core::ForcedStrategy::kAlwaysLinear}) {
+                              core::ForcedStrategy::kAlwaysLinear,
+                              core::ForcedStrategy::kAuto}) {
       // Each (shard count, strategy) run replays the same churn: Insert
       // routing is round-robin and the remove sequence is seeded, so the
       // final live set is identical across runs.
       data::DenseDataset dataset = dataset_;  // grows with inserts
-      typename ShardedEngine<lsh::PStableFamily>::Options options;
+      L2Engine::Options options;
       options.num_shards = num_shards;
       options.index = index_options_;
       options.active_seal_threshold = 128;
@@ -389,8 +446,7 @@ TEST_F(ShardedEngineTest, ChurnMatchesStaticRebuildAcrossShardCounts) {
       options.searcher = searcher_options_;
       options.searcher.probes_per_table = 3;  // multi-probe on
       options.searcher.forced = forced;
-      auto built = ShardedEngine<lsh::PStableFamily>::Build(Family(), &dataset,
-                                                            options);
+      auto built = L2Engine::Build(Family(), &dataset, options);
       ASSERT_TRUE(built.ok()) << built.status().ToString();
       auto engine = std::move(*built);
       EXPECT_TRUE(engine.updates_enabled());
@@ -412,11 +468,12 @@ TEST_F(ShardedEngineTest, ChurnMatchesStaticRebuildAcrossShardCounts) {
         ASSERT_TRUE(engine.Insert(incoming.point(i)).ok());
       }
 
-      // Static rebuild over the live set, queried under the same strategy.
+      // Static rebuild over the live set: the LSH oracle walks it, the
+      // linear oracle scans it; ids map back through the live-id list, and
+      // auto sits between the two.
       std::vector<uint32_t> live_ids;
       for (size_t s = 0; s < engine.num_shards(); ++s) {
-        engine.shard_index(s).ForEachLiveId(
-            [&](uint32_t id) { live_ids.push_back(id); });
+        engine.shard_index(s).Acquire().GatherLiveIds(nullptr, &live_ids);
       }
       std::sort(live_ids.begin(), live_ids.end());
       ASSERT_EQ(live_ids.size(), engine.size());
@@ -426,20 +483,28 @@ TEST_F(ShardedEngineTest, ChurnMatchesStaticRebuildAcrossShardCounts) {
       }
       auto rebuilt = L2Index::Build(Family(), live, index_options_);
       ASSERT_TRUE(rebuilt.ok());
-      core::SearcherOptions rebuilt_options = options.searcher;
-      L2Searcher searcher(&*rebuilt, &live, rebuilt_options);
 
-      std::vector<uint32_t> expected;
       std::vector<uint32_t> out;
       for (size_t q = 0; q < queries_.size(); ++q) {
-        expected.clear();
+        auto global = [&](std::vector<uint32_t> ids) {
+          for (uint32_t& id : ids) id = live_ids[id];
+          return Sorted(std::move(ids));
+        };
+        const auto lsh =
+            global(LshOracle(*rebuilt, live, queries_.point(q), kRadius, 3));
+        const auto linear = global(data::RangeScanDense(
+            live, queries_.point(q), kRadius, data::Metric::kL2));
         out.clear();
-        searcher.Query(queries_.point(q), kRadius, &expected);
-        for (uint32_t& id : expected) id = live_ids[id];
-        engine.Query(queries_.point(q), kRadius, &out);
-        EXPECT_EQ(Sorted(out), Sorted(expected))
-            << "shards=" << num_shards << " query=" << q
-            << " forced=" << static_cast<int>(forced);
+        ASSERT_TRUE(engine.Query(queries_.point(q), kRadius, &out).ok());
+        const auto got = Sorted(out);
+        if (forced == core::ForcedStrategy::kAuto) {  // bracketed
+          EXPECT_TRUE(IsSubset(lsh, got) && IsSubset(got, linear));
+        } else {
+          EXPECT_EQ(got, forced == core::ForcedStrategy::kAlwaysLsh ? lsh
+                                                                     : linear)
+              << "shards=" << num_shards << " query=" << q
+              << " forced=" << static_cast<int>(forced);
+        }
       }
     }
   }
@@ -447,13 +512,13 @@ TEST_F(ShardedEngineTest, ChurnMatchesStaticRebuildAcrossShardCounts) {
 
 TEST_F(ShardedEngineTest, UpdateRoutingAndGuards) {
   data::DenseDataset dataset = dataset_;
-  typename ShardedEngine<lsh::PStableFamily>::Options options;
+  L2Engine::Options options;
   options.num_shards = 4;
   options.index = index_options_;
   options.searcher = searcher_options_;
 
   // Read-only build: Insert rejected until EnableUpdates; Remove works.
-  auto engine = ShardedEngine<lsh::PStableFamily>::Build(
+  auto engine = L2Engine::Build(
       Family(), static_cast<const data::DenseDataset&>(dataset), options);
   ASSERT_TRUE(engine.ok());
   EXPECT_FALSE(engine->updates_enabled());
@@ -489,12 +554,97 @@ TEST_F(ShardedEngineTest, UpdateRoutingAndGuards) {
     EXPECT_EQ(engine->shard_index(s).lifecycle().tombstones, 0u);
   }
   std::vector<uint32_t> out;
-  engine->Query(queries_.point(0), kRadius, &out);
+  ASSERT_TRUE(engine->Query(queries_.point(0), kRadius, &out).ok());
   const auto truth = data::RangeScanDense(dataset_, queries_.point(0),
                                           kRadius, data::Metric::kL2);
   for (uint32_t id : out) {
     EXPECT_TRUE(std::binary_search(truth.begin(), truth.end(), id));
   }
+}
+
+// --- The linear scan's contiguous-run walk. --------------------------------
+// A static engine's sealed segment holds one contiguous id run; the linear
+// scan appends it whole (no tombstone bit in range) or walks the filter's
+// words (predicate pushed down). Its output must equal data::RangeScan* in
+// id order, and after a Remove inside the run the segment falls back to
+// the per-id tombstone test, so the removed id never comes back.
+
+/// Builds a 1-shard forced-linear engine over `dataset` and checks it,
+/// unfiltered and under "id % 3 == 1", against truth(q) (ascending ids)
+/// before and after removing one of query 0's neighbors.
+template <typename Engine, typename Family, typename Dataset,
+          typename Queries, typename Truth>
+void ExpectLinearWalkMatches(const Family& family, const Dataset& dataset,
+                             const Queries& queries, double radius,
+                             Truth truth) {
+  typename Engine::Options options;
+  options.index.num_tables = 4;
+  options.index.k = 4;
+  options.searcher.forced = core::ForcedStrategy::kAlwaysLinear;
+  auto engine = Engine::Build(family, dataset, options);
+  ASSERT_TRUE(engine.ok());
+  data::AttributeStore attributes;
+  attributes.AddColumn("category");
+  for (size_t id = 0; id < dataset.size(); ++id) {
+    const uint32_t row[1] = {static_cast<uint32_t>(id % 3)};
+    attributes.AppendRow(row);
+  }
+  engine->AttachAttributes(&attributes);
+  const data::Predicate pred = data::Predicate::Equals(0, 1);
+  QuerySpec filtered = QuerySpec::Radius(radius);
+  filtered.predicate = &pred;
+
+  const std::vector<uint32_t> hits = truth(0);
+  ASSERT_FALSE(hits.empty());
+  const uint32_t victim = hits[hits.size() / 2];
+  for (const bool removed : {false, true}) {
+    if (removed) {
+      ASSERT_TRUE(engine->Remove(victim).ok());
+    }
+    for (size_t q = 0; q < queries.size(); ++q) {
+      std::vector<uint32_t> expected = truth(q), kept, out;
+      if (removed) std::erase(expected, victim);
+      std::copy_if(expected.begin(), expected.end(), std::back_inserter(kept),
+                   [](uint32_t id) { return id % 3 == 1; });
+      ASSERT_TRUE(engine->Query(queries.point(q), radius, &out).ok());
+      EXPECT_EQ(out, expected) << "query " << q << " removed " << removed;
+      out.clear();
+      ASSERT_TRUE(engine->Query(queries.point(q), filtered, &out).ok());
+      EXPECT_EQ(out, kept) << "filtered query " << q << " removed " << removed;
+    }
+  }
+}
+
+TEST_F(ShardedEngineTest, LinearWalkMatchesRangeScanDense) {
+  ExpectLinearWalkMatches<L2Engine>(Family(), dataset_, queries_, kRadius,
+                                    [&](size_t q) { return Truth(q); });
+}
+
+TEST(ShardedEngineLinearWalkTest, MatchesRangeScanBinary) {
+  const data::BinaryDataset full = data::MakeRandomCodes(1501, 64, 71);
+  const data::BinarySplit split = data::SplitQueriesBinary(full, 12, 72);
+  const uint32_t radius = 24;
+  ExpectLinearWalkMatches<HammingEngine>(
+      lsh::BitSamplingFamily(64), split.base, split.queries, radius,
+      [&](size_t q) {
+        return data::RangeScanBinary(split.base, split.queries.point(q),
+                                     radius);
+      });
+}
+
+TEST(ShardedEngineLinearWalkTest, MatchesRangeScanSparse) {
+  const data::SparseDataset sets = data::MakeRandomSparse(900, 400, 25, 73);
+  struct Queries {  // every 37th set
+    const data::SparseDataset* sets;
+    size_t size() const { return 10; }
+    data::SparseDataset::Point point(size_t q) const {
+      return sets->point(q * 37);
+    }
+  } queries{&sets};
+  ExpectLinearWalkMatches<JaccardEngine>(
+      lsh::MinHashFamily(), sets, queries, 0.9, [&](size_t q) {
+        return data::RangeScanSparse(sets, queries.point(q), 0.9);
+      });
 }
 
 }  // namespace
