@@ -149,13 +149,16 @@ struct Predicate {
 
   /// Whether row `id` passes. The post-filter reference semantics: ids at
   /// or past the store's published size fail (their attributes are not
-  /// visible yet). InvalidArgument-free by construction — an
-  /// out-of-range column index is a programming error (HLSH_DCHECK).
+  /// visible yet). Every term's column must exist in the store (the
+  /// engine's spec validation rejects other predicates with
+  /// InvalidArgument); here an out-of-range column is a programming error
+  /// (HLSH_DCHECK).
   bool Matches(const AttributeStore& store, size_t id) const;
 };
 
 /// Evaluates `pred` over rows [0, min(store.size(), id_limit)) into
-/// *filter, resized to id_limit bits: bit i set iff row i passes. Rows in
+/// *filter, resized to id_limit bits: bit i set iff row i passes. Every
+/// term's column must exist in the store, as for Matches. Rows in
 /// [store.size(), id_limit) fail, matching Predicate::Matches. The loop is
 /// word-blocked (64 rows per word, term-major within the block) so the
 /// evaluation cost is a handful of compares per row with no byte-level

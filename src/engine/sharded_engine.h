@@ -262,7 +262,9 @@ class ShardedEngine {
   };
 
   /// Builds all shards in parallel. The dataset is retained by pointer and
-  /// must outlive the engine.
+  /// must outlive the engine. A multi-probe width of 0 returns
+  /// InvalidArgument, and one above 1 on a family without multi-probe
+  /// Unimplemented (lsh::ValidateProbesPerTable).
   static util::StatusOr<ShardedEngine> Build(Family family,
                                              const Dataset& dataset,
                                              const Options& options) {
@@ -278,7 +280,8 @@ class ShardedEngine {
     if (dataset.size() > static_cast<size_t>(UINT32_MAX)) {
       return util::Status::InvalidArgument("dataset exceeds 2^32-1 points");
     }
-    HLSH_CHECK(options.searcher.probes_per_table >= 1);
+    HLSH_RETURN_IF_ERROR(lsh::ValidateProbesPerTable(
+        family, options.searcher.probes_per_table));
 
     ShardedEngine engine;
     engine.options_ = options;
@@ -740,7 +743,8 @@ class ShardedEngine {
   /// immediately. Zero hash functions are evaluated — functions, tables,
   /// and sketches reload as bytes; shard payloads parse in parallel on the
   /// restored pool. Rejects snapshots of a different family or container
-  /// with InvalidArgument and corrupt ones with DataLoss.
+  /// with InvalidArgument, corrupt ones with DataLoss, and a multi-probe
+  /// width the family lacks like Build does.
   static util::StatusOr<ShardedEngine> OpenSnapshot(
       const std::string& dir, Dataset* dataset,
       const snapshot::OpenOptions& open_options = {}) {
@@ -847,6 +851,8 @@ class ShardedEngine {
       return util::Status::DataLoss(
           "snapshot function set mismatches the manifest table count");
     }
+    HLSH_RETURN_IF_ERROR(lsh::ValidateProbesPerTable(
+        functions->family(), engine.options_.searcher.probes_per_table));
 
     // Phase 2: parse every shard's segments (checksums already verified).
     engine.shards_.resize(num_shards);
@@ -1269,8 +1275,8 @@ class ShardedEngine {
 
   /// S1 once per query: all shards sample identical functions from the
   /// shared seed (the engine's equivalence invariant), so shard 0's
-  /// function set plans for every shard. Aborts if multi-probe is
-  /// requested on a family without it.
+  /// function set plans for every shard. Cannot fail: Build and
+  /// OpenSnapshot validated the multi-probe width.
   void ComputePlan(Point query, lsh::PlanScratch* scratch,
                    lsh::ProbePlan* plan) const {
     HLSH_CHECK(shards_[0]
@@ -1452,7 +1458,8 @@ class ShardedEngine {
   /// radius, clause weight and the RRF constant must be finite and >= 0
   /// (the dense kernels compare squared distances against radius^2, so a
   /// negative radius would otherwise answer as its absolute value); a
-  /// predicate needs an attached AttributeStore; attribute-only clauses
+  /// predicate needs an attached AttributeStore holding every column it
+  /// names (the filter stage reads them unchecked); attribute-only clauses
   /// need a predicate (they report its survivors); metric overrides exist
   /// for dense float data only, and only among the dense metrics. The
   /// fused flag pins which result shape the caller asked for.
@@ -1471,10 +1478,18 @@ class ShardedEngine {
     if (!finite_non_negative(spec.fusion.rrf_k)) {
       return util::Status::InvalidArgument("rrf_k must be finite and >= 0");
     }
-    if (spec.predicate != nullptr && attributes_ == nullptr) {
-      return util::Status::FailedPrecondition(
-          "filtered spec without an attached AttributeStore "
-          "(AttachAttributes)");
+    if (spec.predicate != nullptr) {
+      if (attributes_ == nullptr) {
+        return util::Status::FailedPrecondition(
+            "filtered spec without an attached AttributeStore "
+            "(AttachAttributes)");
+      }
+      for (const data::Predicate::Term& term : spec.predicate->all_of) {
+        if (term.column >= attributes_->num_columns()) {
+          return util::Status::InvalidArgument(
+              "predicate names a column the AttributeStore lacks");
+        }
+      }
     }
     for (const SubquerySpec& sub : spec.subqueries) {
       if (!finite_non_negative(sub.radius) ||

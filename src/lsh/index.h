@@ -137,6 +137,23 @@ concept TableIndexedFamily = requires(const Family& family) {
   { family.signature_slots() } -> std::convertible_to<size_t>;
 };
 
+/// Checks a multi-probe width against `family`: InvalidArgument for 0,
+/// Unimplemented above 1 on a family without multi-probe
+/// (ProbeKind::kNone). Every plan request runs it; engines also run it at
+/// build and open, so a bad width fails there instead of on a query.
+template <typename Family>
+util::Status ValidateProbesPerTable(const Family& family,
+                                    size_t probes_per_table) {
+  if (probes_per_table == 0) {
+    return util::Status::InvalidArgument("probes_per_table must be >= 1");
+  }
+  if (probes_per_table > 1 && family.probe_kind() == ProbeKind::kNone) {
+    return util::Status::Unimplemented(
+        "multi-probe is not defined for this family");
+  }
+  return util::Status::Ok();
+}
+
 /// One draw of the L k-wise hash functions plus the per-table bucket-key
 /// seeds — everything S1 needs, independent of any table contents. Two
 /// holders sampled with the same (family, num_tables, k, seed) hash every
@@ -221,7 +238,7 @@ class FunctionSet {
   /// shards evaluates L hash signatures per query instead of S * L.
   util::Status ComputePlan(Point query, size_t probes_per_table,
                            PlanScratch* scratch, ProbePlan* plan) const {
-    HLSH_RETURN_IF_ERROR(ValidatePlanRequest(probes_per_table));
+    HLSH_RETURN_IF_ERROR(ValidateProbesPerTable(family_, probes_per_table));
     const size_t L = functions_.size();
     const size_t k = static_cast<size_t>(k_);
     internal::NoteHashEvals(L);
@@ -249,7 +266,7 @@ class FunctionSet {
                                 size_t probes_per_table, PlanScratch* scratch,
                                 ProbePlan* plans) const {
     if constexpr (HasBatchProjection<Family>) {
-      HLSH_RETURN_IF_ERROR(ValidatePlanRequest(probes_per_table));
+      HLSH_RETURN_IF_ERROR(ValidateProbesPerTable(family_, probes_per_table));
       if (count == 0) return util::Status::Ok();
       const size_t L = functions_.size();
       const size_t k = static_cast<size_t>(k_);
@@ -401,17 +418,6 @@ class FunctionSet {
     f.SignatureWithProbeCostsFromProjections(fns, proj, s, c);
   };
 
-  util::Status ValidatePlanRequest(size_t probes_per_table) const {
-    if (probes_per_table == 0) {
-      return util::Status::InvalidArgument("probes_per_table must be >= 1");
-    }
-    if (probes_per_table > 1 && family_.probe_kind() == ProbeKind::kNone) {
-      return util::Status::Unimplemented(
-          "multi-probe is not defined for this family");
-    }
-    return util::Status::Ok();
-  }
-
   static void ResetPlan(size_t num_tables, size_t probes_per_table,
                         ProbePlan* plan) {
     plan->keys.clear();
@@ -543,29 +549,53 @@ class FunctionSet {
 
 // --- Plan-based probe walks. ------------------------------------------------
 // AccumulateProbe / CollectProbedIds replay a ProbePlan against one table
-// range: per-table keys are already unique, and the walk is prefetched in
-// two stages. First the directory slot of every probe of the
-// table range is prefetched, so the range's lookups (most of which miss)
-// overlap their cache misses instead of paying them one at a time. Then the
-// walk is windowed — a batch of bucket views is resolved and its id/sketch
-// storage prefetched before any bucket is consumed, hiding those dependent
-// loads behind the HLL merges and dedup inserts.
+// range through one walker, WalkProbedBuckets. Per-table keys are already
+// unique, and the walk is prefetched in two stages. First the directory
+// slot of every probe of the table range is prefetched, so the range's
+// lookups (most of which miss) overlap their cache misses instead of paying
+// them one at a time. Then the walk is windowed over the plan's flattened
+// key list, crossing table boundaries: a window resolves kProbeWindow
+// buckets and prefetches their id and sketch storage before consuming the
+// first, hiding those dependent loads behind the HLL merges and dedup
+// inserts. At one probe per table (the paper's setting) a window spans 8
+// tables; a window per table would hold one bucket, prefetched just before
+// the load that consumes it. Buckets are consumed in plan order
+// (table-major, then probe order) whatever the window, so collisions,
+// merged registers and the dedup order do not depend on it. The
+// active/frozen logs walk their bucket chains in the same windows
+// (engine::ActiveLshLog).
 
 namespace internal {
 /// Buckets resolved (and prefetched) ahead of consumption in one window.
 inline constexpr size_t kProbeWindow = 8;
 
-inline void PrefetchProbedSlots(std::span<const LshTable> tables,
-                                const ProbePlan& plan) {
-  for (size_t t = 0; t < tables.size(); ++t) {
-    for (const uint64_t key : plan.TableKeys(t)) tables[t].PrefetchSlot(key);
-  }
-}
-
 inline void PrefetchBucket(const LshTable::BucketView& bucket) {
   if (bucket.empty()) return;
   __builtin_prefetch(bucket.ids.data());
   if (bucket.sketch != nullptr) __builtin_prefetch(bucket.sketch);
+}
+
+/// Calls consume(bucket) for the bucket of every (table, key) of `plan`
+/// against `tables`, in plan order; a missed probe yields an empty view.
+template <typename Consume>
+void WalkProbedBuckets(std::span<const LshTable> tables, const ProbePlan& plan,
+                       Consume&& consume) {
+  HLSH_DCHECK(plan.num_tables() == tables.size());
+  for (size_t t = 0; t < tables.size(); ++t) {
+    for (const uint64_t key : plan.TableKeys(t)) tables[t].PrefetchSlot(key);
+  }
+  const size_t num_keys = plan.keys.size();
+  LshTable::BucketView window[kProbeWindow];
+  size_t t = 0;  // table of the next key to resolve
+  for (size_t base = 0; base < num_keys; base += kProbeWindow) {
+    const size_t n = std::min(kProbeWindow, num_keys - base);
+    for (size_t w = 0; w < n; ++w) {
+      while (base + w >= plan.table_offsets[t + 1]) ++t;
+      window[w] = tables[t].Lookup(plan.keys[base + w]);
+      PrefetchBucket(window[w]);
+    }
+    for (size_t w = 0; w < n; ++w) consume(window[w]);
+  }
 }
 }  // namespace internal
 
@@ -576,21 +606,9 @@ inline void PrefetchBucket(const LshTable::BucketView& bucket) {
 inline void AccumulateProbe(std::span<const LshTable> tables,
                             const ProbePlan& plan, hll::HyperLogLog* scratch,
                             uint64_t* collisions) {
-  HLSH_DCHECK(plan.num_tables() == tables.size());
-  internal::PrefetchProbedSlots(tables, plan);
-  LshTable::BucketView window[internal::kProbeWindow];
-  for (size_t t = 0; t < tables.size(); ++t) {
-    const std::span<const uint64_t> keys = plan.TableKeys(t);
-    for (size_t base = 0; base < keys.size();
-         base += internal::kProbeWindow) {
-      const size_t n = std::min(internal::kProbeWindow, keys.size() - base);
-      for (size_t w = 0; w < n; ++w) {
-        window[w] = tables[t].Lookup(keys[base + w]);
-        internal::PrefetchBucket(window[w]);
-      }
-      for (size_t w = 0; w < n; ++w) {
-        const LshTable::BucketView& bucket = window[w];
-        if (bucket.empty()) continue;
+  internal::WalkProbedBuckets(
+      tables, plan, [&](const LshTable::BucketView& bucket) {
+        if (bucket.empty()) return;
         *collisions += bucket.size();
         if (bucket.sketch != nullptr) {
           HLSH_CHECK(scratch->Merge(*bucket.sketch).ok());
@@ -598,9 +616,7 @@ inline void AccumulateProbe(std::span<const LshTable> tables,
           // Small bucket: fold ids on demand (paper §3.2).
           for (uint32_t id : bucket.ids) scratch->AddPoint(id);
         }
-      }
-    }
-  }
+      });
 }
 
 /// S2 over one table range: dedups every probed id into *visited, whose
@@ -614,30 +630,16 @@ inline uint64_t CollectProbedIds(std::span<const LshTable> tables,
                                  const ProbePlan& plan,
                                  util::VisitedSet* visited,
                                  const util::BitVector* tombstones = nullptr) {
-  HLSH_DCHECK(plan.num_tables() == tables.size());
-  internal::PrefetchProbedSlots(tables, plan);
   uint64_t collisions = 0;
-  LshTable::BucketView window[internal::kProbeWindow];
-  for (size_t t = 0; t < tables.size(); ++t) {
-    const std::span<const uint64_t> keys = plan.TableKeys(t);
-    for (size_t base = 0; base < keys.size();
-         base += internal::kProbeWindow) {
-      const size_t n = std::min(internal::kProbeWindow, keys.size() - base);
-      for (size_t w = 0; w < n; ++w) {
-        window[w] = tables[t].Lookup(keys[base + w]);
-        internal::PrefetchBucket(window[w]);
-      }
-      for (size_t w = 0; w < n; ++w) {
-        const LshTable::BucketView& bucket = window[w];
+  internal::WalkProbedBuckets(
+      tables, plan, [&](const LshTable::BucketView& bucket) {
         collisions += bucket.size();
         if (tombstones == nullptr) {
           visited->InsertSpan(bucket.ids);
         } else {
           visited->InsertSpanFiltered(bucket.ids, *tombstones);
         }
-      }
-    }
-  }
+      });
   return collisions;
 }
 

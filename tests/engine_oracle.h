@@ -4,15 +4,24 @@
 // take forced-linear from data::RangeScan* directly. The scalar distances
 // match the engine's kernels for the suites' fixed seeds (see the
 // core/kernels.h comment on last-ulp radii).
+//
+// WalkReference replays a probe plan one (table, key) at a time, in plan
+// order, with none of the walks' windowing or prefetching: a sealed table
+// through LshTable::Lookup, a log by scanning its entries newest first,
+// which is the order its bucket chains list them in. A plan walk must match
+// it in collisions, merged HLL registers and VisitedSet::touched() order.
 
 #ifndef HYBRIDLSH_TESTS_ENGINE_ORACLE_H_
 #define HYBRIDLSH_TESTS_ENGINE_ORACLE_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "hll/hyperloglog.h"
 #include "lsh/index.h"
+#include "lsh/table.h"
 #include "util/bit_vector.h"
 
 namespace hybridlsh {
@@ -45,6 +54,101 @@ std::vector<uint32_t> LshOracle(const lsh::LshIndex<Family>& index,
   }
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+/// The reference plan walk (see file comment): accumulates what the
+/// estimate (collisions, merged registers) and S2 (dedup order of the ids
+/// not set in `tombstones`) of the same probes produce.
+class WalkReference {
+ public:
+  WalkReference(int hll_precision, size_t id_bound,
+                const util::BitVector* tombstones = nullptr)
+      : merged_(hll_precision), visited_(id_bound), tombstones_(tombstones) {}
+
+  /// Every probe of `plan` against one sealed table range.
+  void Sealed(std::span<const lsh::LshTable> tables,
+              const lsh::ProbePlan& plan) {
+    for (size_t t = 0; t < plan.num_tables(); ++t) {
+      for (const uint64_t key : plan.TableKeys(t)) {
+        const lsh::LshTable::BucketView bucket = tables[t].Lookup(key);
+        collisions_ += bucket.size();
+        if (bucket.sketch != nullptr) {
+          HLSH_CHECK(merged_.Merge(*bucket.sketch).ok());
+        } else {
+          for (const uint32_t id : bucket.ids) merged_.AddPoint(id);
+        }
+        for (const uint32_t id : bucket.ids) Collect(id);
+      }
+    }
+  }
+
+  /// Every probe of `plan` against a log's entries [0, limit) (an
+  /// engine::ActiveLshLog, through its per-entry accessors).
+  template <typename Log>
+  void LogEntries(const Log& log, const lsh::ProbePlan& plan, size_t limit) {
+    for (size_t t = 0; t < plan.num_tables(); ++t) {
+      for (const uint64_t key : plan.TableKeys(t)) {
+        for (size_t i = limit; i-- > 0;) {
+          if (log.key(t, i) != key) continue;
+          ++collisions_;
+          merged_.AddPoint(log.id(i));
+          Collect(log.id(i));
+        }
+      }
+    }
+  }
+
+  /// Every probe of `plan` against an engine::SegmentedIndex snapshot, in
+  /// the snapshot's segment order: sealed segments, frozen logs, then the
+  /// active log up to the snapshot's count.
+  template <typename Snapshot>
+  void Segments(const Snapshot& snapshot, const lsh::ProbePlan& plan) {
+    for (const auto& segment : snapshot.view().sealed) {
+      Sealed(segment->tables, plan);
+    }
+    for (const auto& log : snapshot.view().frozen) {
+      LogEntries(*log, plan, log->size_acquire());
+    }
+    LogEntries(*snapshot.view().active, plan, snapshot.active_count());
+  }
+
+  uint64_t collisions() const { return collisions_; }
+  const hll::HyperLogLog& merged() const { return merged_; }
+  const std::vector<uint32_t>& touched() const { return visited_.touched(); }
+
+ private:
+  void Collect(uint32_t id) {
+    if (tombstones_ == nullptr || !tombstones_->TestAcquire(id)) {
+      visited_.Insert(id);
+    }
+  }
+
+  uint64_t collisions_ = 0;
+  hll::HyperLogLog merged_;
+  util::VisitedSet visited_;
+  const util::BitVector* tombstones_;
+};
+
+/// Whether a snapshot's EstimateProbe and CollectCandidates walks of `plan`
+/// match the reference walk of the same snapshot in collisions, merged
+/// registers and dedup order. `tombstones` is the bitmap the snapshot's
+/// index filters with. Safe while a writer appends to the snapshot's index
+/// (the concurrency suite's reader check).
+template <typename Snapshot>
+bool SnapshotWalksMatchReference(const Snapshot& snapshot,
+                                 const lsh::ProbePlan& plan,
+                                 int hll_precision,
+                                 const util::BitVector* tombstones) {
+  WalkReference reference(hll_precision, snapshot.id_bound(), tombstones);
+  reference.Segments(snapshot, plan);
+  hll::HyperLogLog merged(hll_precision);
+  const lsh::ProbeEstimate estimate = snapshot.EstimateProbe(plan, &merged);
+  util::VisitedSet visited(snapshot.id_bound());
+  const uint64_t collected = snapshot.CollectCandidates(plan, &visited);
+  return estimate.collisions == reference.collisions() &&
+         collected == reference.collisions() &&
+         merged == reference.merged() &&
+         visited.touched() == reference.touched();
 }
 
 }  // namespace test_oracle

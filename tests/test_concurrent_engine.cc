@@ -18,7 +18,8 @@
 // itself in every table, so an always-LSH query at its own coordinates
 // finds it in whichever segment holds it — the build's tables, tables
 // rebuilt by a background seal or compaction, the active log, or tables
-// reloaded from a snapshot.
+// reloaded from a snapshot. A fourth checks the plan walks themselves:
+// snapshot readers racing an appending writer must match a reference walk.
 //
 // The tests are also the TSan workload for the engine (.github/workflows):
 // they exercise epoch publication, tombstone bits, the packed live/dead
@@ -38,7 +39,9 @@
 
 #include "core/hybridlsh.h"
 #include "data/attributes.h"
+#include "engine/segmented_index.h"
 #include "engine/sharded_engine.h"
+#include "engine_oracle.h"
 
 namespace hybridlsh {
 namespace engine {
@@ -508,6 +511,79 @@ TEST_F(ConcurrentEngineTest, InlineModeKeepsDeterministicLifecycle) {
     EXPECT_EQ(lifecycle.sealed_segments, 3u) << "shard " << s;  // initial + 2
   }
   engine.DrainMaintenance();  // no-op without a maintenance thread
+}
+
+// The plan walks under a concurrent writer. Readers walk snapshots of one
+// index while its writer appends to the active log (sealing and compacting
+// inline as logs fill). The walks acquire a window's chain heads before
+// walking any of its chains, and those heads may already name entries past
+// the snapshot's count; each reader's EstimateProbe and CollectCandidates
+// must still equal the reference walk of its own snapshot, whose active log
+// it bounds by that snapshot's count.
+TEST_F(ConcurrentEngineTest, SnapshotWalksMatchReferenceWhileWriterAppends) {
+  using Index = SegmentedIndex<lsh::PStableFamily>;
+  constexpr size_t kReaders = 3;
+  data::DenseDataset dataset = base_;  // grows with inserts
+  util::BitVector tombstones;
+  Index::Options options;
+  options.index = index_options_;
+  options.active_seal_threshold = 64;
+  options.max_sealed_segments = 2;
+  auto built = Index::Build(Family(), &dataset, 0, dataset.size(), options,
+                            &tombstones);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Index index = std::move(*built);
+  ASSERT_TRUE(index.EnableUpdates(&dataset).ok());
+  // Tombstones are set before the readers start and stay fixed, so every
+  // snapshot's collect walk is deterministic.
+  for (uint32_t id = 0; id < dataset.size(); id += 9) {
+    ASSERT_TRUE(index.Remove(id).ok());
+  }
+
+  std::vector<lsh::ProbePlan> plans;
+  lsh::PlanScratch plan_scratch;
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    for (const size_t probes : {size_t{1}, size_t{2}}) {
+      plans.emplace_back();
+      ASSERT_TRUE(index
+                      .ComputePlan(queries_.point(q), probes, &plan_scratch,
+                                   &plans.back())
+                      .ok());
+    }
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<size_t> ready{0}, checks{0}, mismatches{0};
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      size_t i = r;
+      do {
+        const auto snapshot = index.Acquire();
+        if (!test_oracle::SnapshotWalksMatchReference(
+                snapshot, plans[i % plans.size()],
+                index_options_.hll_precision, &tombstones)) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+        checks.fetch_add(1, std::memory_order_relaxed);
+        if (i++ == r) ready.fetch_add(1, std::memory_order_release);
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  // Start writing once every reader is walking.
+  while (ready.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
+  }
+  bool inserts_ok = true;
+  for (size_t i = 0; i < incoming_.size() && inserts_ok; ++i) {
+    inserts_ok = index.Insert(incoming_.point(i)).ok();
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_TRUE(inserts_ok);
+  EXPECT_GT(index.lifecycle().compactions, 0u);
+  EXPECT_EQ(mismatches.load(), 0u) << "of " << checks.load() << " checks";
 }
 
 // Background maintenance must also drain cleanly when the engine is

@@ -984,6 +984,57 @@ TEST_F(FilteredFusionTest, SpecValidationRejectsBadSpecs) {
             util::StatusCode::kFailedPrecondition);
 }
 
+// A predicate naming a column the attached store lacks is rejected before
+// the filter stage, which reads the named columns unchecked.
+TEST_F(FilteredFusionTest, SpecValidationRejectsUnknownPredicateColumn) {
+  auto engine = MakeEngine(2);
+  const size_t num_columns = attributes_.num_columns();
+  const data::Predicate past_end = data::Predicate::Equals(num_columns, 0);
+  const data::Predicate one_bad_term =
+      data::Predicate::Equals(0, 1).And({1000000, 0, 5});
+  EngineOptions facade_options;
+  facade_options.num_shards = 2;
+  facade_options.num_tables = index_options_.num_tables;
+  facade_options.k = index_options_.k;
+  facade_options.seed = index_options_.seed;
+  facade_options.radius = kRadius;
+  facade_options.searcher = searcher_options_;
+  auto facade =
+      BuildEngine(data::Metric::kL2, AnyDataset{&dataset_}, facade_options);
+  ASSERT_TRUE(facade.ok());
+  ASSERT_TRUE((*facade)->AttachAttributes(&attributes_).ok());
+
+  const float* query = queries_.point(0);
+  auto scratch = engine.MakeQueryScratch();
+  std::vector<uint32_t> out;
+  std::vector<core::FusedHit> hits;
+  for (const data::Predicate* pred : {&past_end, &one_bad_term}) {
+    QuerySpec spec = QuerySpec::Radius(kRadius);
+    spec.predicate = pred;
+    QuerySpec fused = spec;
+    fused.subqueries = {Clause(kRadius, 1.0), Clause(0.5 * kRadius, 0.5)};
+    constexpr util::StatusCode kInvalid = util::StatusCode::kInvalidArgument;
+    EXPECT_EQ(engine.Query(query, spec, &out).code(), kInvalid);
+    EXPECT_EQ(engine.QueryConcurrent(query, spec, &out, &scratch).code(),
+              kInvalid);
+    EXPECT_EQ(engine.QueryBatch(queries_, spec).status().code(), kInvalid);
+    EXPECT_EQ(engine.QueryFused(query, fused, &hits).code(), kInvalid);
+    EXPECT_EQ(
+        engine.QueryFusedConcurrent(query, fused, &hits, &scratch).code(),
+        kInvalid);
+    EXPECT_EQ((*facade)->Query(query, spec, &out).code(), kInvalid);
+    EXPECT_EQ((*facade)->QueryFused(query, fused, &hits).code(), kInvalid);
+    EXPECT_TRUE(out.empty());
+    EXPECT_TRUE(hits.empty());
+  }
+  // The store's last column is still a valid predicate column.
+  const data::Predicate last = data::Predicate::Equals(num_columns - 1, 0);
+  QuerySpec spec = QuerySpec::Radius(kRadius);
+  spec.predicate = &last;
+  EXPECT_TRUE(engine.Query(query, spec, &out).ok());
+  EXPECT_TRUE((*facade)->Query(query, spec, &out).ok());
+}
+
 // --- Batch paths. -----------------------------------------------------------
 
 TEST_F(FilteredFusionTest, EngineBatchSharesOneFilter) {

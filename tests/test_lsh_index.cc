@@ -5,7 +5,8 @@
 //   * EstimateProbe: exact collision counts and HLL candSize accuracy,
 //     including the small-bucket on-demand path;
 //   * probe plans: one key per bucket per table, multi-probe candidate
-//     growth.
+//     growth;
+//   * the windowed plan walks against a one-probe-at-a-time reference.
 
 #include "lsh/index.h"
 
@@ -275,6 +276,88 @@ TEST_F(L2IndexTest, ComputePlanRejectsZeroProbes) {
   ProbePlan plan;
   EXPECT_EQ(index->ComputePlan(queries_.point(0), 0, &scratch, &plan).code(),
             util::StatusCode::kInvalidArgument);
+}
+
+// --- Plan-walk equivalence ---------------------------------------------------
+// AccumulateProbe and CollectProbedIds resolve buckets in windows over the
+// plan's flattened key list, crossing table boundaries. Whatever the window,
+// they must consume the buckets of the one-probe-at-a-time reference
+// (tests/engine_oracle.h) in the same order.
+
+TEST_F(L2IndexTest, PlanWalksMatchOneProbeAtATimeReference) {
+  // 13 tables: windows of 8 probes straddle a table boundary at one probe
+  // per table and at four.
+  constexpr size_t kTables = 13;
+  constexpr int kPrecision = 7;
+  auto functions = FunctionSet<PStableFamily>::Sample(
+      Family(), static_cast<int>(kTables), /*k=*/4, 0.1, 0.0, 7);
+  ASSERT_TRUE(functions.ok());
+  LshTable::Options table_options;
+  table_options.hll_precision = kPrecision;
+  table_options.small_bucket_threshold = 16;  // sketched and folded buckets
+  std::vector<LshTable> tables(kTables);
+  std::vector<int32_t> slots;
+  std::vector<uint64_t> keys(dataset_.size());
+  for (size_t t = 0; t < kTables; ++t) {
+    for (size_t i = 0; i < dataset_.size(); ++i) {
+      keys[i] = functions->SignatureKey(dataset_.point(i), t, &slots);
+    }
+    tables[t].Build(keys, table_options);
+  }
+  util::BitVector tombstones(dataset_.size());
+  for (size_t id = 0; id < dataset_.size(); id += 7) tombstones.Set(id);
+  // Far from every point, so every probe of its plan misses.
+  const std::vector<float> far(kDim, 1000.0f);
+
+  PlanScratch plan_scratch;
+  ProbePlan plan;
+  size_t sketched = 0, folded = 0, missed = 0;
+  for (const size_t probes : {size_t{1}, size_t{4}}) {
+    for (size_t q = 0; q <= queries_.size(); ++q) {
+      const bool far_query = q == queries_.size();
+      SCOPED_TRACE(::testing::Message()
+                   << "probes " << probes << " query " << q);
+      ASSERT_TRUE(functions
+                      ->ComputePlan(far_query ? far.data() : queries_.point(q),
+                                    probes, &plan_scratch, &plan)
+                      .ok());
+      for (size_t t = 0; t < kTables; ++t) {
+        for (const uint64_t key : plan.TableKeys(t)) {
+          const LshTable::BucketView bucket = tables[t].Lookup(key);
+          if (bucket.empty()) {
+            ++missed;
+          } else if (bucket.sketch != nullptr) {
+            ++sketched;
+          } else {
+            ++folded;
+          }
+        }
+      }
+      const util::BitVector* const tombstone_cases[] = {nullptr, &tombstones};
+      for (const util::BitVector* dead : tombstone_cases) {
+        test_oracle::WalkReference reference(kPrecision, dataset_.size(),
+                                             dead);
+        reference.Sealed(tables, plan);
+        if (far_query) {
+          EXPECT_EQ(reference.collisions(), 0u);
+        }
+
+        hll::HyperLogLog merged(kPrecision);
+        uint64_t collisions = 0;
+        AccumulateProbe(tables, plan, &merged, &collisions);
+        EXPECT_EQ(collisions, reference.collisions());
+        EXPECT_EQ(merged, reference.merged());
+
+        util::VisitedSet visited(dataset_.size());
+        EXPECT_EQ(CollectProbedIds(tables, plan, &visited, dead),
+                  reference.collisions());
+        EXPECT_EQ(visited.touched(), reference.touched());
+      }
+    }
+  }
+  EXPECT_GT(sketched, 0u);
+  EXPECT_GT(folded, 0u);
+  EXPECT_GT(missed, 0u);
 }
 
 // --- Cross-family recall sweep ----------------------------------------------

@@ -229,6 +229,34 @@ TEST_F(SearchEngineTest, RadiusOverloadsRejectBadRadiiWithStatus) {
   EXPECT_EQ(batch->size(), dense_queries_.size());
 }
 
+TEST_F(SearchEngineTest, BuildRejectsProbeWidthsTheFamilyCannotServe) {
+  // A multi-probe width is checked when the engine is built. MinHash has no
+  // multi-probe, so a width above 1 used to pass the build and abort the
+  // process on the first query.
+  const data::SparseDataset sparse = data::MakeRandomSparse(200, 500, 20, 83);
+  EngineOptions options = BaseOptions();
+  options.searcher.probes_per_table = 2;
+  EXPECT_EQ(BuildEngine(data::Metric::kJaccard, &sparse, options)
+                .status()
+                .code(),
+            util::StatusCode::kUnimplemented);
+  options.searcher.probes_per_table = 0;
+  EXPECT_EQ(BuildEngine(data::Metric::kJaccard, &sparse, options)
+                .status()
+                .code(),
+            util::StatusCode::kInvalidArgument);
+
+  options.radius = kDenseRadius;
+  EXPECT_EQ(
+      BuildEngine(data::Metric::kL2, &dense_, options).status().code(),
+      util::StatusCode::kInvalidArgument);
+  options.searcher.probes_per_table = 3;  // p-stable families multi-probe
+  auto l2 = BuildEngine(data::Metric::kL2, &dense_, options);
+  ASSERT_TRUE(l2.ok()) << l2.status().ToString();
+  std::vector<uint32_t> out;
+  EXPECT_TRUE((*l2)->Query(dense_queries_.point(0), kDenseRadius, &out).ok());
+}
+
 TEST_F(SearchEngineTest, RejectsMismatchedDatasetContainer) {
   auto engine = BuildEngine(data::Metric::kHamming, &dense_, BaseOptions());
   EXPECT_FALSE(engine.ok());

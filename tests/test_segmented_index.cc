@@ -11,7 +11,8 @@
 // data::RangeScan* over the live set). Checked for two LSH families
 // (p-stable L2 and bit-sampling Hamming) with multi-probe enabled.
 // Lifecycle accounting (seal thresholds, tombstone counts,
-// auto-compaction) is verified alongside.
+// auto-compaction) is verified alongside, and the plan walks are checked
+// against a one-probe-at-a-time reference walk.
 
 #include "engine/segmented_index.h"
 
@@ -297,6 +298,113 @@ TEST_F(SegmentedL2Test, LifecycleAccountingAndGuards) {
     const auto results =
         SnapshotResults(index, dataset_, queries_, kRadius, kProbes, lsh);
     EXPECT_TRUE(results[0].empty());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Plan-walk equivalence: the logs' windowed chain walk (behind
+// ActiveLshLog::AccumulateProbe / CollectProbedIds) and a snapshot's sum
+// over every segment kind must consume the entries of the one-probe-at-a-
+// time reference (tests/engine_oracle.h) in the same order.
+
+TEST_F(SegmentedL2Test, LogWalksMatchOneProbeAtATimeReference) {
+  // 13 tables: windows of 8 probes straddle a table boundary at one probe
+  // per table and at four.
+  constexpr size_t kTables = 13;
+  constexpr size_t kEntries = 700;
+  constexpr int kPrecision = 7;
+  auto functions = lsh::FunctionSet<lsh::PStableFamily>::Sample(
+      Family(), static_cast<int>(kTables), /*k=*/4, 0.1, 0.0, 43);
+  ASSERT_TRUE(functions.ok());
+  ActiveLshLog log(kTables, kEntries);
+  std::vector<int32_t> slots;
+  std::vector<uint64_t> keys(kTables);
+  for (size_t i = 0; i < kEntries; ++i) {
+    for (size_t t = 0; t < kTables; ++t) {
+      keys[t] = functions->SignatureKey(dataset_.point(i), t, &slots);
+    }
+    log.Append(keys, static_cast<uint32_t>(2 * i + 1));
+  }
+  const size_t id_bound = 2 * kEntries + 1;
+  util::BitVector tombstones(id_bound);
+  for (size_t id = 1; id < id_bound; id += 10) tombstones.Set(id);
+  // Far from every point, so every probe of its plan misses.
+  const std::vector<float> far(kDim, 1000.0f);
+
+  lsh::PlanScratch plan_scratch;
+  lsh::ProbePlan plan;
+  const util::BitVector* const tombstone_cases[] = {nullptr, &tombstones};
+  uint64_t total_collisions = 0;
+  for (const size_t probes : {size_t{1}, size_t{4}}) {
+    for (size_t q = 0; q <= queries_.size(); ++q) {
+      const bool far_query = q == queries_.size();
+      ASSERT_TRUE(functions
+                      ->ComputePlan(far_query ? far.data() : queries_.point(q),
+                                    probes, &plan_scratch, &plan)
+                      .ok());
+      // The whole log, and a reader bounded below the log's count.
+      for (const size_t limit : {kEntries, kEntries / 3}) {
+        for (const util::BitVector* dead : tombstone_cases) {
+          SCOPED_TRACE(::testing::Message()
+                       << "probes " << probes << " query " << q << " limit "
+                       << limit << (dead != nullptr ? " tombstones" : ""));
+          test_oracle::WalkReference reference(kPrecision, id_bound, dead);
+          reference.LogEntries(log, plan, limit);
+          if (far_query) {
+            EXPECT_EQ(reference.collisions(), 0u);
+          }
+          total_collisions += reference.collisions();
+
+          hll::HyperLogLog merged(kPrecision);
+          uint64_t collisions = 0;
+          log.AccumulateProbe(plan, limit, &merged, &collisions);
+          EXPECT_EQ(collisions, reference.collisions());
+          EXPECT_EQ(merged, reference.merged());
+
+          util::VisitedSet visited(id_bound);
+          EXPECT_EQ(log.CollectProbedIds(plan, limit, &visited, dead),
+                    reference.collisions());
+          EXPECT_EQ(visited.touched(), reference.touched());
+        }
+      }
+    }
+  }
+  EXPECT_GT(total_collisions, 0u);
+}
+
+TEST_F(SegmentedL2Test, SnapshotWalksMatchReferenceAcrossSegmentKinds) {
+  util::BitVector tombstones;
+  auto built = SegmentedIndex<lsh::PStableFamily>::Build(
+      Family(), &dataset_, 0, dataset_.size(), SegOptions(), &tombstones);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  auto index = std::move(*built);
+  ASSERT_TRUE(index.EnableUpdates(&dataset_).ok());
+  // Deferred maintenance leaves filled logs frozen, so one snapshot holds a
+  // sealed segment, two frozen logs and a partly filled active log.
+  index.SetDeferredMaintenance(true);
+  const size_t threshold = SegOptions().active_seal_threshold;
+  for (size_t i = 0; i < 2 * threshold + threshold / 2; ++i) {
+    ASSERT_TRUE(index.Insert(incoming_.point(i)).ok());
+  }
+  for (uint32_t id = 3; id < dataset_.size(); id += 11) {
+    ASSERT_TRUE(index.Remove(id).ok());
+  }
+  const auto snapshot = index.Acquire();
+  ASSERT_EQ(snapshot.view().sealed.size(), 1u);
+  ASSERT_EQ(snapshot.view().frozen.size(), 2u);
+  ASSERT_EQ(snapshot.active_count(), threshold / 2);
+
+  lsh::PlanScratch plan_scratch;
+  lsh::ProbePlan plan;
+  for (const size_t probes : {size_t{1}, kProbes}) {
+    for (size_t q = 0; q < queries_.size(); ++q) {
+      ASSERT_TRUE(
+          index.ComputePlan(queries_.point(q), probes, &plan_scratch, &plan)
+              .ok());
+      EXPECT_TRUE(test_oracle::SnapshotWalksMatchReference(
+          snapshot, plan, index_options_.hll_precision, &tombstones))
+          << "probes " << probes << " query " << q;
+    }
   }
 }
 

@@ -383,6 +383,46 @@ TEST_F(ShardedEngineTest, MultiProbeFanOutMatchesOracle) {
   }
 }
 
+TEST_F(ShardedEngineTest, BuildValidatesProbeWidthPerFamily) {
+  // Width 0 is InvalidArgument on every family; above 1 is Unimplemented
+  // on a family without multi-probe (MinHash, covering), which used to
+  // build and then abort on the first query.
+  L2Engine::Options l2;
+  l2.index = index_options_;
+  l2.searcher.probes_per_table = 0;
+  EXPECT_EQ(L2Engine::Build(Family(), dataset_, l2).status().code(),
+            util::StatusCode::kInvalidArgument);
+
+  const data::SparseDataset sets = data::MakeRandomSparse(300, 400, 20, 74);
+  const data::BinaryDataset codes = data::MakeRandomCodes(300, 64, 75);
+  const lsh::CoveringFamily covering(64, 2, 11);
+  for (const size_t probes : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE(probes);
+    const util::StatusCode want = probes == 0
+                                      ? util::StatusCode::kInvalidArgument
+                                      : util::StatusCode::kUnimplemented;
+    ShardedEngine<lsh::MinHashFamily>::Options jaccard;
+    jaccard.num_shards = 2;
+    jaccard.index.num_tables = 10;
+    jaccard.index.k = 2;
+    jaccard.searcher.probes_per_table = probes;
+    EXPECT_EQ(ShardedEngine<lsh::MinHashFamily>::Build(lsh::MinHashFamily(),
+                                                       sets, jaccard)
+                  .status()
+                  .code(),
+              want);
+    ShardedEngine<lsh::CoveringFamily>::Options cover;
+    cover.num_shards = 2;
+    cover.index.num_tables = static_cast<int>(covering.num_tables());
+    cover.searcher.probes_per_table = probes;
+    EXPECT_EQ(
+        ShardedEngine<lsh::CoveringFamily>::Build(covering, codes, cover)
+            .status()
+            .code(),
+        want);
+  }
+}
+
 TEST_F(ShardedEngineTest, RejectsEmptyDataset) {
   data::DenseDataset empty(0, kDim);
   L2Engine::Options options;

@@ -423,6 +423,45 @@ TEST_F(SnapshotTest, WrongFamilyIsInvalidArgument) {
   EXPECT_EQ(wrong.status().code(), util::StatusCode::kInvalidArgument);
 }
 
+TEST_F(SnapshotTest, MultiProbeOnAFamilyWithoutItIsRejectedAtOpen) {
+  // No build can save such a config, but a manifest can still carry one:
+  // opening it returns Build's status instead of an engine whose first
+  // query aborts the process.
+  using JaccardEngine = ShardedEngine<lsh::MinHashFamily>;
+  data::SparseDataset dataset = data::MakeRandomSparse(300, 5000, 30, 84);
+  JaccardEngine::Options options;
+  options.num_shards = 2;
+  options.index.num_tables = 10;
+  options.index.k = 4;
+  options.index.seed = 85;
+  auto live = JaccardEngine::Build(lsh::MinHashFamily(), &dataset, options);
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE(live->SaveSnapshot(Dir("snap")).ok());
+
+  // Re-commit every file of the snapshot under a manifest that asks for
+  // two probes per table.
+  auto reader = snapshot::SnapshotReader::Open(Dir("snap"), false);
+  ASSERT_TRUE(reader.ok());
+  auto writer = snapshot::SnapshotWriter::Begin(Dir("snap"));
+  ASSERT_TRUE(writer.ok());
+  for (const snapshot::FileEntry& file : reader->manifest().files) {
+    auto blob = reader->ReadFile(file.name);
+    ASSERT_TRUE(blob.ok());
+    ASSERT_TRUE(writer->WriteFile(file.name, blob->payload()).ok());
+  }
+  snapshot::Manifest manifest = reader->manifest();
+  manifest.config.probes_per_table = 2;
+  ASSERT_TRUE(writer->Commit(std::move(manifest)).ok());
+
+  data::SparseDataset restored_dataset;
+  EXPECT_EQ(JaccardEngine::OpenSnapshot(Dir("snap"), &restored_dataset)
+                .status()
+                .code(),
+            util::StatusCode::kUnimplemented);
+  EXPECT_EQ(OpenSnapshotEngine(Dir("snap")).status().code(),
+            util::StatusCode::kUnimplemented);
+}
+
 TEST_F(SnapshotTest, MmapLoadServesIdentically) {
   const data::DenseDataset full = data::MakeCorelLike(900, kDim, 78);
   data::DenseDataset dataset = full;
