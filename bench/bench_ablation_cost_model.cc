@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
       data::SplitQueries(full, scale.num_queries, 212);
   const double radius = 0.08;
 
-  CosineIndex::Options options;
+  lsh::IndexOptions options;
   options.num_tables = 50;
   options.delta = 0.1;
   options.radius = radius;

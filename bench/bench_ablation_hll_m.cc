@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   std::printf("# %-4s %-6s %-12s %-10s %-10s %-12s %-12s\n", "b", "m",
               "theory_se%", "err%", "err_sd%", "est_s/query", "sketch_MiB");
   for (int precision : {4, 5, 6, 7, 8, 10}) {
-    L2Index::Options options;
+    lsh::IndexOptions options;
     options.num_tables = 50;
     options.k = 7;
     options.seed = 233;

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
                                             data::Metric::kL2, 16);
 
   auto run_config = [&](int tables, size_t probes) {
-    L2Index::Options options;
+    lsh::IndexOptions options;
     options.num_tables = tables;
     options.k = 7;
     options.seed = 233;

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   std::printf("# %-12s %-10s %-12s %-14s %-12s\n", "threshold", "sketches",
               "sketch_MiB", "est_us/query", "hybrid_s");
   for (const Threshold& threshold : thresholds) {
-    L2Index::Options options;
+    lsh::IndexOptions options;
     options.num_tables = 50;
     options.k = 7;
     options.seed = 233;

@@ -81,7 +81,7 @@ struct StrategyResult {
   size_t min_output = 0;
   size_t max_output = 0;
   // Footprint of the hybrid engine's sealed tables (buckets, ids and
-  // sketches): exactly what a static LshIndex over the same points holds.
+  // sketches): the one sealed segment of its static table set.
   // The engine's empty active log (a fixed num_tables x seal-threshold
   // allocation) and the segment's id list are not counted.
   size_t table_bytes = 0;
@@ -96,7 +96,7 @@ struct StrategyResult {
 template <typename Family, typename Dataset>
 engine::ShardedEngine<Family, Dataset> BuildEngine(
     const Family& family, const Dataset& base,
-    const typename lsh::LshIndex<Family>::Options& index_options,
+    const lsh::IndexOptions& index_options,
     const core::SearcherOptions& searcher) {
   typename engine::ShardedEngine<Family, Dataset>::Options options;
   options.num_shards = 1;
@@ -129,7 +129,7 @@ core::QueryStats QueryOnce(const Engine& engine, Point query, double radius,
 template <typename Family, typename Dataset, typename QuerySet>
 StrategyResult RunStrategies(
     const Family& family, const Dataset& base,
-    const typename lsh::LshIndex<Family>::Options& index_options,
+    const lsh::IndexOptions& index_options,
     const QuerySet& queries, double radius, const core::CostModel& model,
     const std::vector<std::vector<uint32_t>>& truth, int runs,
     size_t probes_per_table = 1) {

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
 
     // Covering LSH: 2^(r+1)-1 tables, deterministic guarantee.
     const lsh::CoveringFamily covering(64, radius, /*seed=*/204);
-    lsh::LshIndex<lsh::CoveringFamily>::Options options;
+    lsh::IndexOptions options;
     options.num_tables = covering.num_tables();
     options.seed = 204;
     options.num_build_threads = 16;
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
                                    scale.runs));
 
     // Classic bit sampling with the same number of tables.
-    HammingIndex::Options classic;
+    lsh::IndexOptions classic;
     classic.num_tables = covering.num_tables();
     classic.delta = 0.1;
     classic.radius = radius;

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
       /*paper_ratio=*/1.0);
   bench::PrintFig2Header();
   for (uint32_t radius = 12; radius <= 17; ++radius) {
-    HammingIndex::Options options;
+    lsh::IndexOptions options;
     options.num_tables = 50;
     options.delta = 0.1;
     options.radius = radius;

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   for (double radius : {0.05, 0.06, 0.07, 0.08, 0.09, 0.10}) {
-    CosineIndex::Options options;
+    lsh::IndexOptions options;
     options.num_tables = 50;
     options.delta = 0.1;
     options.radius = radius;

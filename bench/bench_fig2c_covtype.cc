@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
       /*paper_ratio=*/10.0);
   bench::PrintFig2Header();
   for (double radius : {3000.0, 3200.0, 3400.0, 3600.0, 3800.0, 4000.0}) {
-    L1Index::Options options;
+    lsh::IndexOptions options;
     options.num_tables = 50;
     options.k = 8;  // paper's pinned setting
     options.seed = 223;

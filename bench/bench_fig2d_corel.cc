@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       /*paper_ratio=*/6.0);
   bench::PrintFig2Header();
   for (double radius : {0.35, 0.40, 0.45, 0.50, 0.55, 0.60}) {
-    L2Index::Options options;
+    lsh::IndexOptions options;
     options.num_tables = 50;
     options.k = 7;  // paper's pinned setting
     options.seed = 233;

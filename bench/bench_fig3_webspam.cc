@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
               "avg_out", "max_out", "min_out", "n/2", "%LS_meas",
               "%LS_papermodel");
   for (double radius : {0.05, 0.06, 0.07, 0.08, 0.09, 0.10}) {
-    CosineIndex::Options options;
+    lsh::IndexOptions options;
     options.num_tables = 50;
     options.delta = 0.1;
     options.radius = radius;

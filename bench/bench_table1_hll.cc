@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     const data::DenseSplit split =
         data::SplitQueries(full, scale.num_queries, 212);
     const double radius = 0.05;
-    CosineIndex::Options options;
+    lsh::IndexOptions options;
     options.num_tables = 50;
     options.delta = 0.1;
     options.radius = radius;
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     const data::DenseSplit split =
         data::SplitQueries(full, scale.num_queries, 222);
     const double radius = 3000;
-    L1Index::Options options;
+    lsh::IndexOptions options;
     options.num_tables = 50;
     options.k = 8;
     options.seed = 223;
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
     const data::DenseSplit split =
         data::SplitQueries(full, scale.num_queries, 232);
     const double radius = 0.35;
-    L2Index::Options options;
+    lsh::IndexOptions options;
     options.num_tables = 50;
     options.k = 7;
     options.seed = 233;
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
     const data::BinarySplit split =
         data::SplitQueriesBinary(*codes, scale.num_queries, 203);
     const uint32_t radius = 12;
-    HammingIndex::Options options;
+    lsh::IndexOptions options;
     options.num_tables = 50;
     options.delta = 0.1;
     options.radius = radius;

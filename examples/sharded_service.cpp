@@ -1,8 +1,8 @@
 // Sharded serving: one runtime-polymorphic engine handle per corpus.
 //
-// A service rarely gets to name LshIndex<Family> in its types — the metric
-// comes from a config file or a request header. This example builds two
-// sharded engines (L2 over dense vectors, Hamming over packed codes)
+// A service rarely gets to name ShardedEngine<Family> in its types — the
+// metric comes from a config file or a request header. This example builds
+// two sharded engines (L2 over dense vectors, Hamming over packed codes)
 // through the metric-keyed registry and serves both from a single
 // std::vector<std::unique_ptr<engine::SearchEngine>>.
 //

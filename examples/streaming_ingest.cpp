@@ -1,9 +1,9 @@
 // Streaming ingest: a live index that absorbs inserts and deletes while
 // serving.
 //
-// The classic LshIndex is one-shot — Build() over a frozen dataset. This
-// example walks the mutable lifecycle instead (engine/segmented_index.h,
-// served through the type-erased facade):
+// The paper's index is one-shot — Algorithm 1 builds its tables over a
+// frozen dataset. This example walks the mutable lifecycle instead
+// (engine/segmented_index.h, served through the type-erased facade):
 //
 //   1. BuildMutableEngine   — engine over the initial corpus, armed for
 //                             updates;

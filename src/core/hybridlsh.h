@@ -38,13 +38,6 @@
 
 namespace hybridlsh {
 
-/// Index aliases for the paper's four (metric, family) pairs + MinHash.
-using CosineIndex = lsh::LshIndex<lsh::SimHashFamily>;
-using L2Index = lsh::LshIndex<lsh::PStableFamily>;
-using L1Index = lsh::LshIndex<lsh::PStableFamily>;
-using HammingIndex = lsh::LshIndex<lsh::BitSamplingFamily>;
-using JaccardIndex = lsh::LshIndex<lsh::MinHashFamily>;
-
 /// Engine aliases over the standard dataset containers (plus covering LSH
 /// over packed codes). A 1-shard engine is the paper's hybrid searcher.
 using CosineEngine = engine::ShardedEngine<lsh::SimHashFamily>;

@@ -44,9 +44,6 @@ struct QueryStats {
   double estimate_seconds = 0.0;
   /// Wall seconds for the whole shard walk (estimate + execution).
   double total_seconds = 0.0;
-  /// Hash signatures evaluated inside the shard walk: always 0, the engine
-  /// hashes once per query (ShardedQueryStats::hash_evals).
-  uint64_t hash_evals = 0;
   /// 1 when this shard walk consumed the query's ProbePlan (0 on
   /// forced-linear, which never plans).
   size_t plan_reuse = 0;

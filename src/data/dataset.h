@@ -3,7 +3,8 @@
 //
 // Every container exposes the same minimal surface the index templates rely
 // on — `size()`, `point(i)` returning the family's Point type, and a
-// dimension accessor — so LshIndex / HybridIndex work over any of them:
+// dimension accessor — so engine::SegmentedIndex and engine::ShardedEngine
+// work over any of them:
 //
 //   DenseDataset   point(i) -> const float*          (L1 / L2 / cosine)
 //   BinaryDataset  point(i) -> const uint64_t*       (Hamming on packed codes)

@@ -1,9 +1,9 @@
 // Type-erased serving facade over ShardedEngine<Family>.
 //
 // Everything below engine/ is compile-time generic: callers name
-// LshIndex<Family> and the dataset container in their types, which is right
-// for benches but wrong for a server that picks the metric from a request
-// or a config file. SearchEngine is the runtime boundary: one virtual
+// ShardedEngine<Family> and the dataset container in their types, which is
+// right for benches but wrong for a server that picks the metric from a
+// request or a config file. SearchEngine is the runtime boundary: one virtual
 // interface that any (family, dataset) pair adapts into, so examples,
 // benches, and future server code hold a std::unique_ptr<SearchEngine>
 // instead of propagating <Family, Dataset> template parameters.
@@ -45,13 +45,13 @@ namespace hybridlsh {
 namespace engine {
 
 /// Family-independent build parameters, mirrored into the per-family
-/// LshIndex<Family>::Options by the registry factories.
+/// ShardedEngine<Family>::Options by the registry factories.
 struct EngineOptions {
   /// Sharding and pool size (see ShardedEngine<Family>::Options).
   size_t num_shards = 1;
   size_t num_threads = 0;  // 0 = one per shard
 
-  /// Index parameters shared by all shards (lsh/index.h Options).
+  /// Index parameters shared by all shards (lsh::IndexOptions).
   int num_tables = 50;
   int k = 0;  // 0 = auto from (radius, delta)
   double delta = 0.1;

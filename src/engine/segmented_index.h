@@ -1,10 +1,11 @@
 // LSM-style segmented LSH index: the mutable lifecycle behind the serving
 // engine, with an epoch-published read path that takes zero locks.
 //
-// A classic LshIndex is one-shot: Build() over a frozen dataset, then
-// queries forever. The per-bucket HyperLogLog sketches make in-place
-// deletion impossible (HLLs merge but never subtract), so mutability needs
-// an architectural answer rather than a patch. SegmentedIndex gives it the
+// The paper's Algorithm 1 builds its L tables once, over a frozen dataset:
+// here that static table set is an index with one sealed segment and no
+// inserts. The per-bucket HyperLogLog sketches make in-place deletion
+// impossible (HLLs merge but never subtract), so mutability needs an
+// architectural answer rather than a patch. SegmentedIndex gives it the
 // storage-engine shape:
 //
 //   inserts  -> ACTIVE log        a fixed-capacity, insert-only chained hash
@@ -32,7 +33,7 @@
 // All segments share ONE FunctionSet (lsh/index.h): a point hashes to the
 // same bucket key in table t no matter which segment currently stores it,
 // so the union of per-segment candidate sets equals the candidate set of a
-// monolithic index built over the same live points with the same seed.
+// one-segment index built over the same live points with the same seed.
 // That is the lifecycle's equivalence guarantee, tested in
 // tests/test_segmented_index.cc.
 //
@@ -371,12 +372,10 @@ template <typename Family,
 class SegmentedIndex {
  public:
   using Point = typename Family::Point;
-  using IndexOptions = typename lsh::LshIndex<Family>::Options;
 
   struct Options {
     /// Table count, k / delta / radius, HLL precision, seed, build threads.
-    /// `id_base` is ignored — the covered range is given to Build directly.
-    IndexOptions index;
+    lsh::IndexOptions index;
     /// The active log freezes (and, by default, seals) at this many points.
     /// Smaller = cheaper estimates sooner; larger = cheaper ingest.
     size_t active_seal_threshold = 4096;
@@ -516,10 +515,10 @@ class SegmentedIndex {
   };
 
   /// Builds an index whose initial sealed segment covers the `count` points
-  /// of *dataset starting at `base` (global ids [base, base + count), the
-  /// existing offset-build path). count == 0 starts empty — the streaming-
-  /// from-zero case. The dataset is retained by pointer; pass the same
-  /// pointer to EnableUpdates to allow Insert.
+  /// of *dataset starting at `base` (global ids [base, base + count): a
+  /// shard's range, or the whole dataset for a static table set). count ==
+  /// 0 starts empty — the streaming-from-zero case. The dataset is retained
+  /// by pointer; pass the same pointer to EnableUpdates to allow Insert.
   ///
   /// `shared_tombstones` lets several indexes over one dataset (the shards
   /// of a ShardedEngine) share a single delete bitmap instead of each

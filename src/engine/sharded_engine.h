@@ -9,10 +9,11 @@
 // fall back to an exact scan of its range while the others stay on LSH.
 //
 // Shards share the hash-function seed: table t of every shard samples the
-// same k-wise functions and bucket-key seed as a monolithic LshIndex built
-// with the same Options. A bucket of the monolithic index is therefore the
-// exact union of the shards' corresponding buckets, which gives the
-// engine's equivalence guarantee: with the same (seed, k, L), the union of
+// same k-wise functions and bucket-key seed as a monolithic table set (a
+// one-segment SegmentedIndex over the whole dataset) built with the same
+// options. A bucket of the monolithic index is therefore the exact union
+// of the shards' corresponding buckets, which gives the engine's
+// equivalence guarantee: with the same (seed, k, L), the union of
 // per-shard LSH candidate sets equals the monolithic index's plan walk, so
 // forced-LSH results equal that walk's in-radius candidates and
 // forced-linear results equal a brute-force scan, for any shard count
@@ -97,7 +98,6 @@
 #include "data/dataset.h"
 #include "data/metric.h"
 #include "data/quantized.h"
-#include "engine/dataset_slice.h"
 #include "engine/query_pipeline.h"
 #include "engine/segmented_index.h"
 #include "engine/snapshot.h"
@@ -192,7 +192,6 @@ template <typename Family,
               typename DefaultDataset<typename Family::Point>::type>
 class ShardedEngine {
  public:
-  using Index = lsh::LshIndex<Family>;
   using ShardIndex = SegmentedIndex<Family, Dataset>;
   using Point = typename Family::Point;
 
@@ -204,12 +203,12 @@ class ShardedEngine {
     /// Worker threads in the engine's persistent pool (shard builds, query
     /// fan-out, batch execution). 0 = one per shard.
     size_t num_threads = 0;
-    /// Per-shard index parameters. `id_base` is overwritten per shard and
-    /// `num_build_threads` by the shard's share of the pool (max(1,
-    /// num_threads / num_shards)); everything else — including `seed` — is
-    /// shared by all shards, which is what makes the engine
-    /// candidate-equivalent to a monolithic index (see file comment).
-    typename Index::Options index;
+    /// Per-shard index parameters. `num_build_threads` is overwritten by
+    /// the shard's share of the pool (max(1, num_threads / num_shards));
+    /// everything else — including `seed` — is shared by all shards, which
+    /// is what makes the engine candidate-equivalent to a monolithic index
+    /// (see file comment).
+    lsh::IndexOptions index;
     /// Segment lifecycle knobs, applied per shard (segmented_index.h).
     size_t active_seal_threshold = 4096;
     size_t max_sealed_segments = 4;
@@ -274,9 +273,8 @@ class ShardedEngine {
     if (dataset.size() == 0) {
       return util::Status::InvalidArgument("cannot build over an empty dataset");
     }
-    // Mirror the monolithic LshIndex::Build guard on the full dataset:
-    // shard.base is stored as a uint32_t id_base, so a larger n would wrap
-    // global ids instead of failing.
+    // Global ids are 32-bit (each shard stores its range start as a
+    // uint32_t id base), so a larger n would wrap them instead of failing.
     if (dataset.size() > static_cast<size_t>(UINT32_MAX)) {
       return util::Status::InvalidArgument("dataset exceeds 2^32-1 points");
     }

@@ -1,7 +1,7 @@
 // The LSH families the paper evaluates, plus MinHash as an extension.
 //
 // Every family models the same compile-time interface consumed by
-// LshIndex<Family> (see lsh/index.h):
+// FunctionSet<Family> (see lsh/index.h):
 //
 //   using Point = ...;                  // the point handle it hashes
 //   struct Functions { ... };          // k sampled atomic hash functions

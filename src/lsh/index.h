@@ -1,27 +1,25 @@
-// The classic multi-table LSH index with HLL-augmented buckets.
+// The hash side of the paper's Algorithm 1 and the probe walks of
+// Algorithm 2, shared by every table set.
 //
-// LshIndex<Family> realizes the paper's Algorithm 1: L tables, each keyed
-// by a concatenation of k atomic hashes from `Family`, every bucket
-// carrying a HyperLogLog sketch of its ids. The query side exposes the
-// three LSH steps separately so that the hybrid decision can run the cost
-// estimate before deciding to execute:
+// A table set is L LshTables (lsh/table.h), each keyed by a concatenation
+// of k atomic hashes from `Family`, every bucket carrying a HyperLogLog
+// sketch of its ids. IndexOptions holds its parameters, and FunctionSet
+// one draw of its hash functions. The query side exposes the three LSH
+// steps separately so that the hybrid decision can run the cost estimate
+// before deciding to execute:
 //
 //   S1  ComputePlan — hash the query once into its ProbePlan: every table's
 //       unique probe keys (home bucket, then multi-probe perturbations);
-//   (estimate)  EstimateProbe — #collisions exactly + candSize via merged
+//   (estimate)  AccumulateProbe — #collisions exactly + candSize via merged
 //       HLLs (paper Alg. 2 lines 1-2), in O(mL) plus small-bucket folding;
-//   S2  CollectCandidates — dedup bucket contents into a VisitedSet;
+//   S2  CollectProbedIds — dedup bucket contents into a VisitedSet;
 //   S3  (caller) verify candidate distances and report.
 //
-// The sampled hash functions and the probe arithmetic are factored into
-// FunctionSet<Family> so that several table sets can share one draw of
-// functions: LshIndex owns one FunctionSet and one set of L tables, while
 // engine::SegmentedIndex owns one FunctionSet and *many* table sets (the
-// sealed and active segments of its LSM-style lifecycle). The estimate and
-// collect steps are likewise free functions over any table range
-// (AccumulateProbe / CollectProbedIds) so several segments sum into one
-// decision. Queries are served by engine::ShardedEngine; LshIndex itself
-// keeps the build, the index file format, and the plan walks.
+// sealed segments of its LSM-style lifecycle); a static table set is a
+// SegmentedIndex with one sealed segment. The estimate and collect steps
+// are free functions over any table range, so several segments sum into
+// one decision. Queries are served by engine::ShardedEngine.
 //
 // The template parameter Family supplies the point type, the atomic hash
 // sampler, the paired metric, and multi-probe costs (see lsh/families.h).
@@ -45,11 +43,31 @@
 #include "util/random.h"
 #include "util/serialize.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace hybridlsh {
 namespace lsh {
+
+/// Parameters of a table set (engine::SegmentedIndex::Options::index; an
+/// engine applies one to every shard, ShardedEngine::Options::index).
+struct IndexOptions {
+  /// Number of hash tables L. The paper's evaluation fixes L = 50.
+  int num_tables = 50;
+  /// Concatenation width k; 0 = derive from (radius, delta) via the
+  /// paper's rule AutoK (requires radius > 0).
+  int k = 0;
+  /// Per-point failure probability delta (used when k == 0).
+  double delta = 0.1;
+  /// Search radius used for parameter derivation when k == 0.
+  double radius = 0.0;
+  /// HLL precision b (m = 2^b registers per bucket sketch). Paper: b = 7.
+  int hll_precision = 7;
+  /// Small-bucket threshold; LshTable::kThresholdAuto = m.
+  size_t small_bucket_threshold = LshTable::kThresholdAuto;
+  /// Seed for sampling hash functions.
+  uint64_t seed = 1;
+  /// Threads for table construction (queries are single-threaded).
+  size_t num_build_threads = 1;
+};
 
 /// Result of the query-time cost estimation (paper Alg. 2, lines 1-2).
 struct ProbeEstimate {
@@ -310,32 +328,10 @@ class FunctionSet {
   size_t num_tables() const { return functions_.size(); }
   const DerivedParams& derived() const { return derived_; }
 
-  /// Serialization hooks used by LshIndex::Save / Load: functions are
-  /// written per table, interleaved with the tables.
-  void SaveFunctions(size_t t, util::ByteWriter* writer) const {
-    family_.SaveFunctions(functions_[t], writer);
-  }
-  const std::vector<uint64_t>& table_seeds() const { return table_seeds_; }
-  static FunctionSet ForLoad(Family family, int k,
-                             std::vector<uint64_t> table_seeds) {
-    FunctionSet set(std::move(family));
-    set.k_ = k;
-    set.table_seeds_ = std::move(table_seeds);
-    set.functions_.reserve(set.table_seeds_.size());
-    return set;
-  }
-  util::Status LoadAppendFunctions(util::ByteReader* reader) {
-    auto functions = family_.LoadFunctions(reader);
-    if (!functions.ok()) return functions.status();
-    functions_.push_back(std::move(*functions));
-    return util::Status::Ok();
-  }
-
   /// Persists the whole set — family parameters, k, table seeds, and every
-  /// table's sampled functions — as one self-contained block. This is the
-  /// snapshot path (engine/snapshot.h): one FunctionSet block per engine,
-  /// shared by all shards and segments, instead of LshIndex::Save's
-  /// per-table interleaving.
+  /// table's sampled functions — as one self-contained block: the snapshot
+  /// path (engine/snapshot.h) writes one per engine, shared by all shards
+  /// and segments.
   void Save(util::ByteWriter* writer) const {
     writer->WriteU32(Family::kFamilyTag);
     family_.SaveFamily(writer);
@@ -367,13 +363,15 @@ class FunctionSet {
         k > (uint32_t{1} << 20)) {
       return util::Status::DataLoss("function set header is invalid");
     }
-    std::vector<uint64_t> table_seeds;
+    FunctionSet set(std::move(*family));
+    set.k_ = static_cast<int>(k);
     HLSH_RETURN_IF_ERROR(
-        reader->ReadArray<uint64_t>(num_tables, &table_seeds));
-    FunctionSet set = ForLoad(std::move(*family), static_cast<int>(k),
-                              std::move(table_seeds));
+        reader->ReadArray<uint64_t>(num_tables, &set.table_seeds_));
+    set.functions_.reserve(num_tables);
     for (uint64_t t = 0; t < num_tables; ++t) {
-      HLSH_RETURN_IF_ERROR(set.LoadAppendFunctions(reader));
+      auto functions = set.family_.LoadFunctions(reader);
+      if (!functions.ok()) return functions.status();
+      set.functions_.push_back(std::move(*functions));
     }
     return set;
   }
@@ -642,296 +640,6 @@ inline uint64_t CollectProbedIds(std::span<const LshTable> tables,
       });
   return collisions;
 }
-
-/// Classic LSH index over a Family (see file comment).
-template <typename Family>
-class LshIndex {
- public:
-  using Point = typename Family::Point;
-
-  struct Options {
-    /// Number of hash tables L. The paper's evaluation fixes L = 50.
-    int num_tables = 50;
-    /// Concatenation width k; 0 = derive from (radius, delta) via the
-    /// paper's rule AutoK (requires radius > 0).
-    int k = 0;
-    /// Per-point failure probability delta (used when k == 0).
-    double delta = 0.1;
-    /// Search radius used for parameter derivation when k == 0.
-    double radius = 0.0;
-    /// HLL precision b (m = 2^b registers per bucket sketch). Paper: b = 7.
-    int hll_precision = 7;
-    /// Small-bucket threshold; LshTable::kThresholdAuto = m.
-    size_t small_bucket_threshold = LshTable::kThresholdAuto;
-    /// Seed for sampling hash functions.
-    uint64_t seed = 1;
-    /// Threads for table construction (queries are single-threaded).
-    size_t num_build_threads = 1;
-    /// Global id of the dataset's first point. A shard built over a slice
-    /// of a larger dataset passes its range start here so that buckets and
-    /// sketches carry global ids directly (see lsh/table.h Options).
-    uint32_t id_base = 0;
-  };
-
-  /// Summary of a built index.
-  struct Stats {
-    size_t num_points = 0;
-    int num_tables = 0;
-    int k = 0;
-    double p1_at_radius = 0.0;      // 0 when k was given explicitly
-    double recall_lower_bound = 0.0;  // 1-(1-p1^k)^L, 0 when k explicit
-    size_t total_buckets = 0;
-    size_t total_sketches = 0;
-    size_t memory_bytes = 0;
-    size_t sketch_bytes = 0;
-    double build_seconds = 0.0;
-  };
-
-  /// Builds an index over `dataset` (any container with size() and
-  /// point(i) -> Point). The dataset is not retained.
-  template <typename Dataset>
-  static util::StatusOr<LshIndex> Build(Family family, const Dataset& dataset,
-                                        const Options& options) {
-    if (options.hll_precision < hll::HyperLogLog::kMinPrecision ||
-        options.hll_precision > hll::HyperLogLog::kMaxPrecision) {
-      return util::Status::InvalidArgument("hll_precision out of range");
-    }
-    if (dataset.size() == 0) {
-      return util::Status::InvalidArgument("cannot index an empty dataset");
-    }
-    if (dataset.size() > static_cast<size_t>(UINT32_MAX)) {
-      return util::Status::InvalidArgument("dataset exceeds 2^32-1 points");
-    }
-    if (static_cast<uint64_t>(options.id_base) + dataset.size() >
-        static_cast<uint64_t>(UINT32_MAX) + 1) {
-      return util::Status::InvalidArgument(
-          "id_base + dataset size exceeds the 32-bit id space");
-    }
-
-    auto functions = FunctionSet<Family>::Sample(
-        std::move(family), options.num_tables, options.k, options.delta,
-        options.radius, options.seed);
-    if (!functions.ok()) return functions.status();
-
-    LshIndex index(std::move(*functions));
-    index.options_ = options;
-    index.stats_.num_points = dataset.size();
-    index.stats_.num_tables = options.num_tables;
-    index.stats_.k = index.functions_.k();
-    index.stats_.p1_at_radius = index.functions_.derived().p1_at_radius;
-    index.stats_.recall_lower_bound =
-        index.functions_.derived().recall_lower_bound;
-
-    util::WallTimer build_timer;
-    const size_t L = static_cast<size_t>(options.num_tables);
-
-    // Hash all points and build each table (parallel across tables).
-    index.tables_.resize(L);
-    LshTable::Options table_options;
-    table_options.hll_precision = options.hll_precision;
-    table_options.small_bucket_threshold = options.small_bucket_threshold;
-    table_options.id_base = options.id_base;
-    const size_t n = dataset.size();
-    util::ParallelFor(0, L, options.num_build_threads, [&](size_t t) {
-      std::vector<int32_t> slots;
-      std::vector<uint64_t> keys(n);
-      for (size_t i = 0; i < n; ++i) {
-        keys[i] = index.functions_.SignatureKey(dataset.point(i), t, &slots);
-      }
-      index.tables_[t].Build(keys, table_options);
-    });
-
-    index.stats_.build_seconds = build_timer.ElapsedSeconds();
-    for (const LshTable& table : index.tables_) {
-      index.stats_.total_buckets += table.num_buckets();
-      index.stats_.total_sketches += table.num_sketches();
-      index.stats_.memory_bytes += table.MemoryBytes();
-      index.stats_.sketch_bytes += table.SketchBytes();
-    }
-    return index;
-  }
-
-  /// S1, hash-once form (see FunctionSet::ComputePlan).
-  util::Status ComputePlan(Point query, size_t probes_per_table,
-                           PlanScratch* scratch, ProbePlan* plan) const {
-    return functions_.ComputePlan(query, probes_per_table, scratch, plan);
-  }
-
-  /// Estimates #collisions (exact) and candSize (merged HLLs) for a probe
-  /// plan. `scratch` must have the index's HLL precision; it is cleared
-  /// first. Paper Alg. 2, lines 1-2. The sketch merges and the final
-  /// estimate run on the dispatched SIMD register kernels (util/simd.h:
-  /// byte-max merge, fused sum-of-2^-M + zero count).
-  ProbeEstimate EstimateProbe(const ProbePlan& plan,
-                              hll::HyperLogLog* scratch) const {
-    HLSH_DCHECK(scratch->precision() == options_.hll_precision);
-    scratch->Clear();
-    ProbeEstimate estimate;
-    AccumulateProbe(tables_, plan, scratch, &estimate.collisions);
-    estimate.cand_estimate =
-        estimate.collisions == 0 ? 0.0 : scratch->Estimate();
-    return estimate;
-  }
-
-  /// S2: inserts every probed id into `visited` (deduplicating) and returns
-  /// the exact number of collisions. visited->touched() is then the
-  /// distinct candidate set for S3.
-  uint64_t CollectCandidates(const ProbePlan& plan,
-                             util::VisitedSet* visited) const {
-    return CollectProbedIds(tables_, plan, visited);
-  }
-
-  /// Bucket access for inspection and tests.
-  LshTable::BucketView Bucket(size_t table, uint64_t key) const {
-    HLSH_DCHECK(table < tables_.size());
-    return tables_[table].Lookup(key);
-  }
-
-  const Family& family() const { return functions_.family(); }
-  /// The sampled hash functions (shared surface with SegmentedIndex).
-  const FunctionSet<Family>& functions() const { return functions_; }
-  int k() const { return functions_.k(); }
-  /// Global id of the first indexed point (see Options::id_base).
-  /// Serialized since format v2, so Save/Load round-trips it.
-  uint32_t id_base() const { return options_.id_base; }
-  int num_tables() const { return static_cast<int>(tables_.size()); }
-  size_t size() const { return stats_.num_points; }
-  const Stats& stats() const { return stats_; }
-
-  /// Creates a scratch sketch compatible with EstimateProbe.
-  hll::HyperLogLog MakeScratchSketch() const {
-    return hll::HyperLogLog(options_.hll_precision);
-  }
-
-  /// Persists the whole index (family, sampled functions, tables with
-  /// their bucket sketches) to `path`. The dataset itself is NOT stored —
-  /// reload it separately and pair it with the loaded index. The write is
-  /// crash-safe: the bytes land in a temp file that is fsynced and renamed
-  /// over `path`, so an interrupted Save never leaves a truncated index.
-  util::Status Save(const std::string& path) const {
-    util::ByteWriter writer;
-    writer.WriteU64(kIndexMagic);
-    writer.WriteU32(kIndexVersion);
-    writer.WriteU32(Family::kFamilyTag);
-    functions_.family().SaveFamily(&writer);
-    writer.WriteU32(static_cast<uint32_t>(functions_.k()));
-    writer.WriteU32(static_cast<uint32_t>(tables_.size()));
-    writer.WriteU32(static_cast<uint32_t>(options_.hll_precision));
-    writer.WriteU32(options_.id_base);
-    writer.WriteU64(options_.small_bucket_threshold);
-    writer.WriteU64(options_.seed);
-    writer.WriteU64(stats_.num_points);
-    writer.WriteF64(stats_.p1_at_radius);
-    writer.WriteF64(stats_.recall_lower_bound);
-    writer.WriteU64(functions_.table_seeds().size());
-    writer.WriteArray<uint64_t>(functions_.table_seeds());
-    for (size_t t = 0; t < tables_.size(); ++t) {
-      functions_.SaveFunctions(t, &writer);
-      tables_[t].Serialize(&writer);
-    }
-    return util::AtomicWriteFileBytes(path, writer.bytes());
-  }
-
-  /// Loads an index written by Save. Rejects wrong-family files, truncated
-  /// payloads, and structurally invalid tables.
-  static util::StatusOr<LshIndex> Load(const std::string& path) {
-    auto bytes = util::ReadFileBytes(path);
-    if (!bytes.ok()) return bytes.status();
-    util::ByteReader reader(*bytes);
-
-    uint64_t magic = 0;
-    uint32_t version = 0, family_tag = 0;
-    HLSH_RETURN_IF_ERROR(reader.ReadU64(&magic));
-    if (magic != kIndexMagic) {
-      return util::Status::DataLoss("not a hybridlsh index file");
-    }
-    HLSH_RETURN_IF_ERROR(reader.ReadU32(&version));
-    // v1 files lack only the id_base field (defaulting to 0 below), so
-    // they stay loadable.
-    if (version != kIndexVersion && version != 1) {
-      return util::Status::DataLoss("unsupported index file version");
-    }
-    HLSH_RETURN_IF_ERROR(reader.ReadU32(&family_tag));
-    if (family_tag != Family::kFamilyTag) {
-      return util::Status::InvalidArgument(
-          "index file was built with a different LSH family");
-    }
-    auto family = Family::LoadFamily(&reader);
-    if (!family.ok()) return family.status();
-
-    uint32_t k = 0, num_tables = 0, hll_precision = 0, id_base = 0;
-    HLSH_RETURN_IF_ERROR(reader.ReadU32(&k));
-    HLSH_RETURN_IF_ERROR(reader.ReadU32(&num_tables));
-    HLSH_RETURN_IF_ERROR(reader.ReadU32(&hll_precision));
-    if (version >= 2) {
-      HLSH_RETURN_IF_ERROR(reader.ReadU32(&id_base));
-    }
-    if (hll_precision < hll::HyperLogLog::kMinPrecision ||
-        hll_precision > hll::HyperLogLog::kMaxPrecision || num_tables == 0) {
-      return util::Status::DataLoss("index header has invalid parameters");
-    }
-
-    Options options;
-    options.num_tables = static_cast<int>(num_tables);
-    options.k = static_cast<int>(k);
-    options.hll_precision = static_cast<int>(hll_precision);
-    options.id_base = id_base;
-
-    Stats stats;
-    HLSH_RETURN_IF_ERROR(reader.ReadU64(&options.small_bucket_threshold));
-    HLSH_RETURN_IF_ERROR(reader.ReadU64(&options.seed));
-    HLSH_RETURN_IF_ERROR(reader.ReadU64(&stats.num_points));
-    HLSH_RETURN_IF_ERROR(reader.ReadF64(&stats.p1_at_radius));
-    HLSH_RETURN_IF_ERROR(reader.ReadF64(&stats.recall_lower_bound));
-    stats.k = options.k;
-    stats.num_tables = options.num_tables;
-
-    uint64_t num_seeds = 0;
-    HLSH_RETURN_IF_ERROR(reader.ReadU64(&num_seeds));
-    if (num_seeds != num_tables) {
-      return util::Status::DataLoss("table seed count mismatches tables");
-    }
-    std::vector<uint64_t> table_seeds;
-    HLSH_RETURN_IF_ERROR(reader.ReadArray<uint64_t>(num_seeds, &table_seeds));
-
-    LshIndex index(FunctionSet<Family>::ForLoad(
-        std::move(*family), options.k, std::move(table_seeds)));
-    index.options_ = options;
-    index.stats_ = stats;
-
-    index.tables_.reserve(num_tables);
-    for (uint32_t t = 0; t < num_tables; ++t) {
-      HLSH_RETURN_IF_ERROR(index.functions_.LoadAppendFunctions(&reader));
-      auto table = LshTable::Deserialize(&reader);
-      if (!table.ok()) return table.status();
-      index.tables_.push_back(std::move(*table));
-    }
-    HLSH_RETURN_IF_ERROR(reader.ExpectEnd());
-
-    for (const LshTable& table : index.tables_) {
-      if (table.num_points() != index.stats_.num_points) {
-        return util::Status::DataLoss("table size mismatches point count");
-      }
-      index.stats_.total_buckets += table.num_buckets();
-      index.stats_.total_sketches += table.num_sketches();
-      index.stats_.memory_bytes += table.MemoryBytes();
-      index.stats_.sketch_bytes += table.SketchBytes();
-    }
-    return index;
-  }
-
- private:
-  static constexpr uint64_t kIndexMagic = 0x31584449484c5348ULL;  // "HSLHIDX1"
-  static constexpr uint32_t kIndexVersion = 2;  // v2: id_base in the header
-
-  explicit LshIndex(FunctionSet<Family> functions)
-      : functions_(std::move(functions)) {}
-
-  FunctionSet<Family> functions_;
-  Options options_;
-  std::vector<LshTable> tables_;
-  Stats stats_;
-};
 
 }  // namespace lsh
 }  // namespace hybridlsh

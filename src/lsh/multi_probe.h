@@ -4,8 +4,9 @@
 // only the home bucket, trading probes for tables. The paper names
 // multi-probe schemes as the natural host for its hybrid strategy (§1, §5):
 // more probed buckets mean more collisions and more duplicates, so the
-// HLL-based candSize estimate matters even more. LshIndex merges bucket
-// sketches across probes exactly as it does across tables.
+// HLL-based candSize estimate matters even more. The plan walks
+// (lsh/index.h) merge bucket sketches across probes exactly as they do
+// across tables.
 //
 // This file implements the probing-sequence core: given perturbation
 // "atoms" (move slot s by delta at cost c), emit perturbation sets in

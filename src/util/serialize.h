@@ -2,8 +2,9 @@
 //
 // ByteWriter appends fixed-width scalars and blobs to a growable buffer;
 // ByteReader consumes them with bounds checking, returning DataLoss on
-// truncated or oversized input instead of aborting — index files may come
-// from untrusted disks (failure-injection tests corrupt them on purpose).
+// truncated or oversized input instead of aborting — snapshot files may
+// come from untrusted disks (failure-injection tests corrupt them on
+// purpose).
 
 #ifndef HYBRIDLSH_UTIL_SERIALIZE_H_
 #define HYBRIDLSH_UTIL_SERIALIZE_H_
@@ -50,9 +51,9 @@ class ByteWriter {
  private:
   // GCC 12's -Wstringop-overflow mis-sizes the freshly allocated vector
   // buffer when this insert of a fixed-width scalar is fully inlined into
-  // a large caller (e.g. LshIndex::Save) — a documented false positive on
-  // vector<uint8_t> range inserts, and sensitive to unrelated inlining
-  // changes, so silence it at the source.
+  // a large caller (e.g. engine::SegmentedIndex::SaveTo) — a documented
+  // false positive on vector<uint8_t> range inserts, and sensitive to
+  // unrelated inlining changes, so silence it at the source.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wstringop-overflow"
   void WriteRaw(const void* data, size_t size) {
@@ -131,7 +132,7 @@ util::Status WriteFileBytes(const std::string& path,
 /// then renames over `path` (and fsyncs the parent directory so the rename
 /// itself is durable). A crash at any point leaves either the previous file
 /// intact or a stray .tmp — never a truncated `path`. This is the write
-/// path for every persistent artifact (index files, snapshot files).
+/// path for every snapshot file.
 /// `trailer` (optional) is appended after `bytes` in the same atomic write —
 /// lets callers frame a payload with a checksum without concatenating into a
 /// second buffer.

@@ -1,9 +1,10 @@
 // Reference answers for engine tests that share no code with the engine's
-// query path: forced-LSH is the in-radius part of a static LshIndex's plan
-// walk (ComputePlan + CollectCandidates, scalar family distance); tests
-// take forced-linear from data::RangeScan* directly. The scalar distances
-// match the engine's kernels for the suites' fixed seeds (see the
-// core/kernels.h comment on last-ulp radii).
+// query path: forced-LSH is the in-radius part of the reference walk of a
+// static table set's probe plan (a one-segment engine::SegmentedIndex:
+// ComputePlan, WalkReference, scalar family distance); tests take
+// forced-linear from data::RangeScan* directly. The scalar distances match
+// the engine's kernels for the suites' fixed seeds (see the core/kernels.h
+// comment on last-ulp radii).
 //
 // WalkReference replays a probe plan one (table, key) at a time, in plan
 // order, with none of the walks' windowing or prefetching: a sealed table
@@ -17,12 +18,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "engine/segmented_index.h"
 #include "hll/hyperloglog.h"
 #include "lsh/index.h"
 #include "lsh/table.h"
 #include "util/bit_vector.h"
+#include "util/status.h"
 
 namespace hybridlsh {
 namespace test_oracle {
@@ -37,23 +41,15 @@ lsh::ProbePlan PlanOf(const Index& index, Point query,
   return plan;
 }
 
-/// Sorted in-radius candidates of `index`'s plan walk for `query`. `dataset`
-/// is the one the index was built over (its ids index it directly).
+/// A static table set over all of `dataset`: the one-segment index the
+/// oracle walks.
 template <typename Family, typename Dataset>
-std::vector<uint32_t> LshOracle(const lsh::LshIndex<Family>& index,
-                                const Dataset& dataset,
-                                typename Family::Point query, double radius,
-                                size_t probes_per_table = 1) {
-  util::VisitedSet visited(dataset.size());
-  index.CollectCandidates(PlanOf(index, query, probes_per_table), &visited);
-  std::vector<uint32_t> ids;
-  for (const uint32_t id : visited.touched()) {
-    if (index.family().Distance(dataset.point(id), query) <= radius) {
-      ids.push_back(id);
-    }
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
+util::StatusOr<engine::SegmentedIndex<Family, Dataset>> BuildStatic(
+    Family family, const Dataset& dataset, const lsh::IndexOptions& options) {
+  typename engine::SegmentedIndex<Family, Dataset>::Options index_options;
+  index_options.index = options;
+  return engine::SegmentedIndex<Family, Dataset>::Build(
+      std::move(family), &dataset, 0, dataset.size(), index_options);
 }
 
 /// The reference plan walk (see file comment): accumulates what the
@@ -128,6 +124,28 @@ class WalkReference {
   util::VisitedSet visited_;
   const util::BitVector* tombstones_;
 };
+
+/// Sorted in-radius ids of the reference walk of `index`'s plan for
+/// `query`. `index` is a static table set over `dataset` (BuildStatic), so
+/// its ids index `dataset` directly.
+template <typename Family, typename Dataset>
+std::vector<uint32_t> LshOracle(
+    const engine::SegmentedIndex<Family, Dataset>& index,
+    const Dataset& dataset, typename Family::Point query, double radius,
+    size_t probes_per_table = 1) {
+  const auto snapshot = index.Acquire();
+  WalkReference reference(index.options().index.hll_precision,
+                          snapshot.id_bound());
+  reference.Segments(snapshot, PlanOf(index, query, probes_per_table));
+  std::vector<uint32_t> ids;
+  for (const uint32_t id : reference.touched()) {
+    if (index.family().Distance(dataset.point(id), query) <= radius) {
+      ids.push_back(id);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
 
 /// Whether a snapshot's EstimateProbe and CollectCandidates walks of `plan`
 /// match the reference walk of the same snapshot in collisions, merged

@@ -95,7 +95,7 @@ class ConcurrentEngineTest : public ::testing::Test {
   data::DenseDataset base_;
   data::DenseDataset queries_;
   data::DenseDataset incoming_;
-  L2Index::Options index_options_;
+  lsh::IndexOptions index_options_;
   core::SearcherOptions searcher_options_;
 };
 

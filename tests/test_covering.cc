@@ -2,8 +2,9 @@
 // scheme's defining property: ZERO false negatives for Hamming distance
 // <= r. Unlike the probabilistic recall of classic LSH, this holds
 // deterministically for every query, which makes it an exact (not
-// statistical) test. The family runs through the ordinary LshIndex build
-// and plan walk; table t's function is derived from t, not sampled.
+// statistical) test. The family runs through the ordinary table build (a
+// one-segment engine::SegmentedIndex) and plan walk; table t's function is
+// derived from t, not sampled.
 
 #include <vector>
 
@@ -11,6 +12,9 @@
 
 #include "data/synthetic.h"
 #include "data/workload.h"
+#include "engine/segmented_index.h"
+#include "engine/sharded_engine.h"
+#include "engine_oracle.h"
 #include "lsh/families.h"
 #include "lsh/index.h"
 
@@ -19,30 +23,29 @@ namespace lsh {
 namespace {
 
 using data::BinaryDataset;
-using CoveringIndex = LshIndex<CoveringFamily>;
+using test_oracle::BuildStatic;
+using CoveringTableSet = engine::SegmentedIndex<CoveringFamily>;
 
-CoveringIndex::Options MakeOptions(const CoveringFamily& family) {
-  CoveringIndex::Options options;
+IndexOptions MakeOptions(const CoveringFamily& family) {
+  IndexOptions options;
   options.num_tables = family.num_tables();
   options.seed = 11;
   options.num_build_threads = 4;
   return options;
 }
 
-util::StatusOr<CoveringIndex> BuildCovering(const BinaryDataset& dataset,
-                                            uint32_t radius) {
+util::StatusOr<CoveringTableSet> BuildCovering(const BinaryDataset& dataset,
+                                               uint32_t radius) {
   const CoveringFamily family(dataset.width_bits(), radius, /*seed=*/11);
-  return CoveringIndex::Build(family, dataset, MakeOptions(family));
+  return BuildStatic(family, dataset, MakeOptions(family));
 }
 
 /// Every id the plan walk collects for `query`.
-util::VisitedSet Collect(const CoveringIndex& index, size_t n,
+util::VisitedSet Collect(const CoveringTableSet& index, size_t n,
                          const uint64_t* query) {
-  PlanScratch scratch;
-  ProbePlan plan;
-  HLSH_CHECK(index.ComputePlan(query, 1, &scratch, &plan).ok());
   util::VisitedSet visited(n);
-  index.CollectCandidates(plan, &visited);
+  index.Acquire().CollectCandidates(test_oracle::PlanOf(index, query),
+                                    &visited);
   return visited;
 }
 
@@ -57,15 +60,19 @@ TEST(CoveringLshTest, BuildValidatesRadiusAndTableCount) {
   for (const int bad_tables : {1, 6, 8, 50}) {
     auto options = MakeOptions(family);
     options.num_tables = bad_tables;
-    EXPECT_EQ(CoveringIndex::Build(family, dataset, options).status().code(),
+    EXPECT_EQ(BuildStatic(family, dataset, options).status().code(),
               util::StatusCode::kInvalidArgument)
         << "tables " << bad_tables;
   }
   const BinaryDataset empty(0, 64);
-  EXPECT_FALSE(BuildCovering(empty, 2).ok());
+  engine::ShardedEngine<CoveringFamily>::Options engine_options;
+  engine_options.index = MakeOptions(family);
+  EXPECT_FALSE(engine::ShardedEngine<CoveringFamily>::Build(family, empty,
+                                                            engine_options)
+                   .ok());
   auto bad_precision = MakeOptions(family);
   bad_precision.hll_precision = 30;
-  EXPECT_FALSE(CoveringIndex::Build(family, dataset, bad_precision).ok());
+  EXPECT_FALSE(BuildStatic(family, dataset, bad_precision).ok());
 }
 
 TEST(CoveringLshTest, TablesAreTheMaskedCodes) {
@@ -76,7 +83,11 @@ TEST(CoveringLshTest, TablesAreTheMaskedCodes) {
     EXPECT_EQ(index->num_tables(), (1 << (r + 1)) - 1) << "r=" << r;
     // k is the signature width (two slots per code word), not a parameter.
     EXPECT_EQ(index->k(), 2);
-    EXPECT_GT(index->stats().memory_bytes,
+    size_t memory_bytes = 0;
+    for (const LshTable& table : index->Acquire().view().sealed[0]->tables) {
+      memory_bytes += table.MemoryBytes();
+    }
+    EXPECT_GT(memory_bytes,
               dataset.size() * index->num_tables() * sizeof(uint32_t));
   }
   // Table t's signature is the code AND its mask (a = t + 1): codes that
@@ -149,6 +160,7 @@ TEST(CoveringLshTest, EstimateProbeCollisionsMatchCollect) {
   const BinaryDataset dataset = data::MakeRandomCodes(1000, 64, 2);
   auto index = BuildCovering(dataset, 3);
   ASSERT_TRUE(index.ok());
+  const auto snapshot = index->Acquire();
   auto scratch = index->MakeScratchSketch();
   PlanScratch plan_scratch;
   ProbePlan plan;
@@ -157,9 +169,9 @@ TEST(CoveringLshTest, EstimateProbeCollisionsMatchCollect) {
     ASSERT_TRUE(
         index->ComputePlan(dataset.point(q * 100), 1, &plan_scratch, &plan)
             .ok());
-    const auto estimate = index->EstimateProbe(plan, &scratch);
+    const auto estimate = snapshot.EstimateProbe(plan, &scratch);
     visited.Reset();
-    EXPECT_EQ(index->CollectCandidates(plan, &visited), estimate.collisions);
+    EXPECT_EQ(snapshot.CollectCandidates(plan, &visited), estimate.collisions);
     EXPECT_GE(estimate.cand_estimate, 0.0);
   }
 }

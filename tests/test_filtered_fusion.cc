@@ -256,7 +256,7 @@ class FilteredFusionTest : public ::testing::Test {
   data::DenseDataset dataset_;
   data::DenseDataset queries_;
   data::AttributeStore attributes_;
-  L2Index::Options index_options_;
+  lsh::IndexOptions index_options_;
   core::SearcherOptions searcher_options_;
 };
 

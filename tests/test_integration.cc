@@ -20,7 +20,7 @@ using core::Strategy;
 /// A 1-shard engine over `dataset`: the paper's hybrid searcher.
 template <typename Engine, typename Family, typename Dataset>
 Engine MakeEngine(const Family& family, const Dataset& dataset,
-                  const typename lsh::LshIndex<Family>::Options& index,
+                  const lsh::IndexOptions& index,
                   const CostModel& model,
                   core::ForcedStrategy forced = core::ForcedStrategy::kAuto) {
   typename Engine::Options options;
@@ -54,7 +54,7 @@ TEST(IntegrationTest, CorelRegimeL2) {
   const data::DenseDataset full = data::MakeCorelLike(8000, dim, 101);
   const data::DenseSplit split = data::SplitQueries(full, 20, 102);
 
-  L2Index::Options options;
+  lsh::IndexOptions options;
   options.num_tables = 50;
   options.k = 7;
   options.seed = 103;
@@ -78,7 +78,7 @@ TEST(IntegrationTest, CovtypeRegimeL1) {
   const data::DenseDataset full = data::MakeCovtypeLike(8000, dim, 111);
   const data::DenseSplit split = data::SplitQueries(full, 20, 112);
 
-  L1Index::Options options;
+  lsh::IndexOptions options;
   options.num_tables = 50;
   options.k = 8;
   options.seed = 113;
@@ -109,7 +109,7 @@ TEST(IntegrationTest, WebspamRegimeCosine) {
   const data::DenseDataset full = data::MakeWebspamLike(config);
   const data::DenseSplit split = data::SplitQueries(full, 20, 122);
 
-  CosineIndex::Options options;
+  lsh::IndexOptions options;
   options.num_tables = 50;
   options.delta = 0.1;
   options.radius = radius;
@@ -151,7 +151,7 @@ TEST(IntegrationTest, MnistRegimeHammingFingerprints) {
   ASSERT_TRUE(codes.ok());
   const data::BinarySplit split = data::SplitQueriesBinary(*codes, 20, 133);
 
-  HammingIndex::Options options;
+  lsh::IndexOptions options;
   options.num_tables = 50;
   options.delta = 0.1;
   options.radius = radius;
@@ -182,7 +182,7 @@ TEST(IntegrationTest, HybridNeverSlowerThanWorstPureStrategy) {
   config.seed = 141;
   const data::DenseDataset dataset = data::MakeWebspamLike(config);
 
-  CosineIndex::Options options;
+  lsh::IndexOptions options;
   options.num_tables = 50;
   options.delta = 0.1;
   options.radius = radius;

@@ -459,7 +459,7 @@ TEST(DenseNormCacheTest, PrecomputeAndInvalidate) {
 template <typename Family, typename Dataset>
 engine::ShardedEngine<Family, Dataset> MakeEngine(
     const Family& family, const Dataset& dataset,
-    const typename lsh::LshIndex<Family>::Options& index) {
+    const lsh::IndexOptions& index) {
   typename engine::ShardedEngine<Family, Dataset>::Options options;
   options.index = index;
   options.searcher.cost_model = CostModel::FromRatio(6.0);
@@ -510,7 +510,7 @@ TEST(TierEquivalenceTest, DenseL2) {
   for (int q = 0; q < 8; ++q) {
     queries.Append(std::span<const float>(dataset.point(q * 300), 32));
   }
-  L2Index::Options options;
+  lsh::IndexOptions options;
   options.num_tables = 20;
   options.radius = 0.45;
   options.seed = 52;
@@ -524,7 +524,7 @@ TEST(TierEquivalenceTest, DenseL1) {
   for (int q = 0; q < 8; ++q) {
     queries.Append(std::span<const float>(dataset.point(q * 250), 20));
   }
-  L1Index::Options options;
+  lsh::IndexOptions options;
   options.num_tables = 20;
   options.radius = 2.0;
   options.seed = 54;
@@ -542,7 +542,7 @@ TEST(TierEquivalenceTest, DenseCosineWithNorms) {
   for (int q = 0; q < 8; ++q) {
     queries.Append(std::span<const float>(dataset.point(q * 300), 48));
   }
-  CosineIndex::Options options;
+  lsh::IndexOptions options;
   options.num_tables = 20;
   options.radius = 0.15;
   options.seed = 56;
@@ -561,7 +561,7 @@ TEST(TierEquivalenceTest, BinaryHamming) {
     data::PlantNeighborsHamming(&dataset, &code, 6, 4, &rng);
     queries.Append(&code);
   }
-  HammingIndex::Options options;
+  lsh::IndexOptions options;
   options.num_tables = 20;
   options.radius = 6.0;
   options.seed = 59;
@@ -571,7 +571,7 @@ TEST(TierEquivalenceTest, BinaryHamming) {
 
 TEST(TierEquivalenceTest, SparseJaccard) {
   data::SparseDataset dataset = data::MakeRandomSparse(1500, 4000, 40, 60);
-  JaccardIndex::Options options;
+  lsh::IndexOptions options;
   options.num_tables = 20;
   options.k = 2;
   options.seed = 61;

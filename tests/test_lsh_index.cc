@@ -1,4 +1,5 @@
-// Integration-level tests for lsh/index.h across all families:
+// Integration-level tests for lsh/index.h across all families, on static
+// table sets (one-segment engine::SegmentedIndexes, the one table build):
 //   * Build validation and determinism;
 //   * the (1 - delta) recall guarantee with auto-tuned k on planted
 //     neighbors (the property the paper's parameter rule must deliver);
@@ -19,6 +20,7 @@
 
 #include "data/synthetic.h"
 #include "data/workload.h"
+#include "engine/segmented_index.h"
 #include "engine_oracle.h"
 #include "lsh/families.h"
 
@@ -28,11 +30,23 @@ namespace {
 
 using data::BinaryDataset;
 using data::DenseDataset;
+using test_oracle::BuildStatic;
 using test_oracle::PlanOf;
+
+/// The tables of a static index's one sealed segment. The index holds the
+/// segment for its lifetime.
+template <typename Index>
+std::span<const LshTable> SealedTables(const Index& index) {
+  const auto snapshot = index.Acquire();
+  HLSH_CHECK(snapshot.view().sealed.size() == 1);
+  return snapshot.view().sealed[0]->tables;
+}
 
 // Shared L2 fixture: mixture data + planted neighbors around 20 queries.
 class L2IndexTest : public ::testing::Test {
  protected:
+  using Index = engine::SegmentedIndex<PStableFamily>;
+
   static constexpr double kRadius = 0.4;
   static constexpr size_t kDim = 16;
 
@@ -49,8 +63,8 @@ class L2IndexTest : public ::testing::Test {
     }
   }
 
-  LshIndex<PStableFamily>::Options AutoOptions() const {
-    LshIndex<PStableFamily>::Options options;
+  IndexOptions AutoOptions() const {
+    IndexOptions options;
     options.num_tables = 50;
     options.k = 0;
     options.delta = 0.1;
@@ -64,59 +78,66 @@ class L2IndexTest : public ::testing::Test {
     return PStableFamily::L2(kDim, 2 * kRadius);  // paper: w = 2r
   }
 
+  util::StatusOr<Index> Build(const IndexOptions& options) const {
+    return BuildStatic(Family(), dataset_, options);
+  }
+
   DenseDataset dataset_;
   DenseDataset queries_;
 };
 
 TEST_F(L2IndexTest, BuildValidatesOptions) {
+  // (An empty dataset is a valid streaming start for an index; engines
+  // reject it: ShardedEngineTest.RejectsEmptyDataset.)
   auto options = AutoOptions();
   options.num_tables = 0;
-  EXPECT_FALSE(LshIndex<PStableFamily>::Build(Family(), dataset_, options).ok());
+  EXPECT_FALSE(Build(options).ok());
 
   options = AutoOptions();
   options.hll_precision = 1;
-  EXPECT_FALSE(LshIndex<PStableFamily>::Build(Family(), dataset_, options).ok());
+  EXPECT_FALSE(Build(options).ok());
 
   options = AutoOptions();
   options.radius = 0;  // k auto without radius
-  EXPECT_FALSE(LshIndex<PStableFamily>::Build(Family(), dataset_, options).ok());
+  EXPECT_FALSE(Build(options).ok());
 
   options = AutoOptions();
   options.k = -3;
-  EXPECT_FALSE(LshIndex<PStableFamily>::Build(Family(), dataset_, options).ok());
-
-  const DenseDataset empty(0, kDim);
-  EXPECT_FALSE(
-      LshIndex<PStableFamily>::Build(Family(), empty, AutoOptions()).ok());
+  EXPECT_FALSE(Build(options).ok());
 }
 
 TEST_F(L2IndexTest, StatsArePopulated) {
-  auto index = LshIndex<PStableFamily>::Build(Family(), dataset_, AutoOptions());
+  auto index = Build(AutoOptions());
   ASSERT_TRUE(index.ok());
-  const auto& stats = index->stats();
-  EXPECT_EQ(stats.num_points, dataset_.size());
-  EXPECT_EQ(stats.num_tables, 50);
-  EXPECT_GT(stats.k, 0);
-  EXPECT_GT(stats.p1_at_radius, 0.5);
+  EXPECT_EQ(index->size(), dataset_.size());
+  EXPECT_EQ(index->num_tables(), 50);
+  EXPECT_GT(index->k(), 0);
+  const auto& derived = index->functions().derived();
+  EXPECT_GT(derived.p1_at_radius, 0.5);
   // The ceil in the paper's k rule can land slightly under 1 - delta.
-  EXPECT_GT(stats.recall_lower_bound, 0.75);
-  EXPECT_GT(stats.total_buckets, 50u);
-  EXPECT_GT(stats.memory_bytes, 0u);
-  EXPECT_GE(stats.build_seconds, 0.0);
+  EXPECT_GT(derived.recall_lower_bound, 0.75);
+  size_t total_buckets = 0, memory_bytes = 0;
+  for (const LshTable& table : SealedTables(*index)) {
+    EXPECT_EQ(table.num_points(), dataset_.size());
+    total_buckets += table.num_buckets();
+    memory_bytes += table.MemoryBytes();
+  }
+  EXPECT_GT(total_buckets, 50u);
+  EXPECT_GT(memory_bytes, 0u);
 }
 
 TEST_F(L2IndexTest, ExplicitKOverridesAuto) {
   auto options = AutoOptions();
   options.k = 5;
-  auto index = LshIndex<PStableFamily>::Build(Family(), dataset_, options);
+  auto index = Build(options);
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index->k(), 5);
-  EXPECT_EQ(index->stats().p1_at_radius, 0.0);  // not derived
+  EXPECT_EQ(index->functions().derived().p1_at_radius, 0.0);  // not derived
 }
 
 TEST_F(L2IndexTest, DeterministicAcrossRebuilds) {
-  auto a = LshIndex<PStableFamily>::Build(Family(), dataset_, AutoOptions());
-  auto b = LshIndex<PStableFamily>::Build(Family(), dataset_, AutoOptions());
+  auto a = Build(AutoOptions());
+  auto b = Build(AutoOptions());
   ASSERT_TRUE(a.ok() && b.ok());
   for (size_t q = 0; q < queries_.size(); ++q) {
     const ProbePlan plan_a = PlanOf(*a, queries_.point(q), 4);
@@ -127,8 +148,9 @@ TEST_F(L2IndexTest, DeterministicAcrossRebuilds) {
 }
 
 TEST_F(L2IndexTest, RecallMeetsGuaranteeOnPlantedNeighbors) {
-  auto index = LshIndex<PStableFamily>::Build(Family(), dataset_, AutoOptions());
+  auto index = Build(AutoOptions());
   ASSERT_TRUE(index.ok());
+  const auto snapshot = index->Acquire();
   util::VisitedSet visited(dataset_.size());
   size_t found = 0, total = 0;
   for (size_t q = 0; q < queries_.size(); ++q) {
@@ -136,7 +158,7 @@ TEST_F(L2IndexTest, RecallMeetsGuaranteeOnPlantedNeighbors) {
                                             kRadius, data::Metric::kL2);
     ASSERT_GE(truth.size(), 8u);  // planted neighbors exist
     visited.Reset();
-    index->CollectCandidates(PlanOf(*index, queries_.point(q)), &visited);
+    snapshot.CollectCandidates(PlanOf(*index, queries_.point(q)), &visited);
     for (uint32_t id : truth) {
       found += visited.Contains(id);
     }
@@ -148,15 +170,16 @@ TEST_F(L2IndexTest, RecallMeetsGuaranteeOnPlantedNeighbors) {
 }
 
 TEST_F(L2IndexTest, EstimateProbeCollisionsAreExact) {
-  auto index = LshIndex<PStableFamily>::Build(Family(), dataset_, AutoOptions());
+  auto index = Build(AutoOptions());
   ASSERT_TRUE(index.ok());
+  const auto snapshot = index->Acquire();
   auto scratch = index->MakeScratchSketch();
   util::VisitedSet visited(dataset_.size());
   for (size_t q = 0; q < queries_.size(); ++q) {
     const ProbePlan plan = PlanOf(*index, queries_.point(q));
-    const auto estimate = index->EstimateProbe(plan, &scratch);
+    const auto estimate = snapshot.EstimateProbe(plan, &scratch);
     visited.Reset();
-    const uint64_t collected = index->CollectCandidates(plan, &visited);
+    const uint64_t collected = snapshot.CollectCandidates(plan, &visited);
     EXPECT_EQ(estimate.collisions, collected);
   }
 }
@@ -168,9 +191,11 @@ TEST_F(L2IndexTest, ComputePlanEmitsEachTableKeyOnce) {
   // merged HLL never re-merges a sketch.
   auto options = AutoOptions();
   options.k = 2;  // few slots: 16 probes exhaust the perturbation pool
-  auto index = LshIndex<PStableFamily>::Build(Family(), dataset_, options);
+  auto index = Build(options);
   ASSERT_TRUE(index.ok());
 
+  const auto snapshot = index->Acquire();
+  const std::span<const LshTable> tables = snapshot.view().sealed[0]->tables;
   auto scratch = index->MakeScratchSketch();
   util::VisitedSet visited(dataset_.size());
   for (size_t q = 0; q < queries_.size(); ++q) {
@@ -183,26 +208,27 @@ TEST_F(L2IndexTest, ComputePlanEmitsEachTableKeyOnce) {
       ASSERT_LE(keys.size(), 16u);
       const std::set<uint64_t> unique(keys.begin(), keys.end());
       EXPECT_EQ(unique.size(), keys.size()) << "table " << t;
-      for (const uint64_t key : keys) expected += index->Bucket(t, key).size();
+      for (const uint64_t key : keys) expected += tables[t].Lookup(key).size();
     }
-    EXPECT_EQ(index->EstimateProbe(plan, &scratch).collisions, expected);
+    EXPECT_EQ(snapshot.EstimateProbe(plan, &scratch).collisions, expected);
     visited.Reset();
-    EXPECT_EQ(index->CollectCandidates(plan, &visited), expected);
+    EXPECT_EQ(snapshot.CollectCandidates(plan, &visited), expected);
   }
 }
 
 TEST_F(L2IndexTest, EstimateProbeCandSizeIsAccurate) {
-  auto index = LshIndex<PStableFamily>::Build(Family(), dataset_, AutoOptions());
+  auto index = Build(AutoOptions());
   ASSERT_TRUE(index.ok());
+  const auto snapshot = index->Acquire();
   auto scratch = index->MakeScratchSketch();
   util::VisitedSet visited(dataset_.size());
   double total_rel_err = 0;
   size_t measured = 0;
   for (size_t q = 0; q < queries_.size(); ++q) {
     const ProbePlan plan = PlanOf(*index, queries_.point(q));
-    const auto estimate = index->EstimateProbe(plan, &scratch);
+    const auto estimate = snapshot.EstimateProbe(plan, &scratch);
     visited.Reset();
-    index->CollectCandidates(plan, &visited);
+    snapshot.CollectCandidates(plan, &visited);
     const double actual = static_cast<double>(visited.size());
     if (actual < 20) continue;  // relative error meaningless on tiny counts
     total_rel_err += std::abs(estimate.cand_estimate - actual) / actual;
@@ -223,31 +249,43 @@ TEST_F(L2IndexTest, OnDemandSmallBucketsMatchMaterializedSketches) {
   // threshold above the largest possible bucket.
   options_none.small_bucket_threshold = dataset_.size() + 1;
 
-  auto index_all =
-      LshIndex<PStableFamily>::Build(Family(), dataset_, options_all);
-  auto index_none =
-      LshIndex<PStableFamily>::Build(Family(), dataset_, options_none);
+  auto index_all = Build(options_all);
+  auto index_none = Build(options_none);
   ASSERT_TRUE(index_all.ok() && index_none.ok());
-  EXPECT_GT(index_all->stats().total_sketches, 0u);
-  EXPECT_EQ(index_none->stats().total_sketches, 0u);
-  EXPECT_GT(index_all->stats().sketch_bytes, index_none->stats().sketch_bytes);
+  size_t sketches_all = 0, sketches_none = 0;
+  size_t sketch_bytes_all = 0, sketch_bytes_none = 0;
+  for (const LshTable& table : SealedTables(*index_all)) {
+    sketches_all += table.num_sketches();
+    sketch_bytes_all += table.SketchBytes();
+  }
+  for (const LshTable& table : SealedTables(*index_none)) {
+    sketches_none += table.num_sketches();
+    sketch_bytes_none += table.SketchBytes();
+  }
+  EXPECT_GT(sketches_all, 0u);
+  EXPECT_EQ(sketches_none, 0u);
+  EXPECT_GT(sketch_bytes_all, sketch_bytes_none);
 
+  const auto snapshot_all = index_all->Acquire();
+  const auto snapshot_none = index_none->Acquire();
   auto scratch_all = index_all->MakeScratchSketch();
   auto scratch_none = index_none->MakeScratchSketch();
   for (size_t q = 0; q < queries_.size(); ++q) {
     const ProbePlan plan_all = PlanOf(*index_all, queries_.point(q));
     const ProbePlan plan_none = PlanOf(*index_none, queries_.point(q));
     ASSERT_EQ(plan_all.keys, plan_none.keys);  // same seed, same functions
-    const auto est_all = index_all->EstimateProbe(plan_all, &scratch_all);
-    const auto est_none = index_none->EstimateProbe(plan_none, &scratch_none);
+    const auto est_all = snapshot_all.EstimateProbe(plan_all, &scratch_all);
+    const auto est_none =
+        snapshot_none.EstimateProbe(plan_none, &scratch_none);
     EXPECT_EQ(est_all.collisions, est_none.collisions);
     EXPECT_DOUBLE_EQ(est_all.cand_estimate, est_none.cand_estimate);
   }
 }
 
 TEST_F(L2IndexTest, MultiProbeGrowsCandidates) {
-  auto index = LshIndex<PStableFamily>::Build(Family(), dataset_, AutoOptions());
+  auto index = Build(AutoOptions());
   ASSERT_TRUE(index.ok());
+  const auto snapshot = index->Acquire();
   util::VisitedSet visited(dataset_.size());
   size_t cand1 = 0, cand4 = 0;
   for (size_t q = 0; q < queries_.size(); ++q) {
@@ -260,17 +298,17 @@ TEST_F(L2IndexTest, MultiProbeGrowsCandidates) {
       EXPECT_EQ(plan4.TableKeys(t)[0], plan1.TableKeys(t)[0]);
     }
     visited.Reset();
-    index->CollectCandidates(plan1, &visited);
+    snapshot.CollectCandidates(plan1, &visited);
     cand1 += visited.size();
     visited.Reset();
-    index->CollectCandidates(plan4, &visited);
+    snapshot.CollectCandidates(plan4, &visited);
     cand4 += visited.size();
   }
   EXPECT_GT(cand4, cand1);  // probing strictly widens the candidate pool
 }
 
 TEST_F(L2IndexTest, ComputePlanRejectsZeroProbes) {
-  auto index = LshIndex<PStableFamily>::Build(Family(), dataset_, AutoOptions());
+  auto index = Build(AutoOptions());
   ASSERT_TRUE(index.ok());
   PlanScratch scratch;
   ProbePlan plan;
@@ -382,15 +420,15 @@ TEST(SimHashIndexTest, RecallOnPlantedNeighbors) {
     queries.Append(query);
   }
 
-  LshIndex<SimHashFamily>::Options options;
+  IndexOptions options;
   options.num_tables = 50;
   options.delta = 0.1;
   options.radius = radius;
   options.seed = 3;
   options.num_build_threads = 4;
-  auto index = LshIndex<SimHashFamily>::Build(SimHashFamily(dim), dataset,
-                                              options);
+  auto index = BuildStatic(SimHashFamily(dim), dataset, options);
   ASSERT_TRUE(index.ok());
+  const auto snapshot = index->Acquire();
 
   util::VisitedSet visited(dataset.size());
   size_t found = 0, total = 0;
@@ -398,7 +436,7 @@ TEST(SimHashIndexTest, RecallOnPlantedNeighbors) {
     const auto truth = data::RangeScanDense(dataset, queries.point(q), radius,
                                             data::Metric::kCosine);
     visited.Reset();
-    index->CollectCandidates(PlanOf(*index, queries.point(q)), &visited);
+    snapshot.CollectCandidates(PlanOf(*index, queries.point(q)), &visited);
     for (uint32_t id : truth) found += visited.Contains(id);
     total += truth.size();
   }
@@ -421,16 +459,17 @@ TEST(L1IndexTest, RecallOnPlantedNeighbors) {
     queries.Append(query);
   }
 
-  LshIndex<PStableFamily>::Options options;
+  IndexOptions options;
   options.num_tables = 50;
   options.k = 0;  // auto from (radius, delta), paper's rule
   options.delta = 0.1;
   options.radius = radius;
   options.seed = 4;
   options.num_build_threads = 4;
-  auto index = LshIndex<PStableFamily>::Build(
-      PStableFamily::L1(dim, 4 * radius), dataset, options);
+  auto index =
+      BuildStatic(PStableFamily::L1(dim, 4 * radius), dataset, options);
   ASSERT_TRUE(index.ok());
+  const auto snapshot = index->Acquire();
 
   util::VisitedSet visited(dataset.size());
   size_t found = 0, total = 0;
@@ -438,7 +477,7 @@ TEST(L1IndexTest, RecallOnPlantedNeighbors) {
     const auto truth = data::RangeScanDense(dataset, queries.point(q), radius,
                                             data::Metric::kL1);
     visited.Reset();
-    index->CollectCandidates(PlanOf(*index, queries.point(q)), &visited);
+    snapshot.CollectCandidates(PlanOf(*index, queries.point(q)), &visited);
     for (uint32_t id : truth) found += visited.Contains(id);
     total += truth.size();
   }
@@ -464,22 +503,22 @@ TEST(HammingIndexTest, RecallOnPlantedNeighbors) {
     queries.Append(query.data());
   }
 
-  LshIndex<BitSamplingFamily>::Options options;
+  IndexOptions options;
   options.num_tables = 50;
   options.delta = 0.1;
   options.radius = radius;
   options.seed = 5;
   options.num_build_threads = 4;
-  auto index = LshIndex<BitSamplingFamily>::Build(BitSamplingFamily(width),
-                                                  dataset, options);
+  auto index = BuildStatic(BitSamplingFamily(width), dataset, options);
   ASSERT_TRUE(index.ok());
+  const auto snapshot = index->Acquire();
 
   util::VisitedSet visited(dataset.size());
   size_t found = 0, total = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
     const auto truth = data::RangeScanBinary(dataset, queries.point(q), radius);
     visited.Reset();
-    index->CollectCandidates(PlanOf(*index, queries.point(q)), &visited);
+    snapshot.CollectCandidates(PlanOf(*index, queries.point(q)), &visited);
     for (uint32_t id : truth) found += visited.Contains(id);
     total += truth.size();
   }
@@ -508,15 +547,15 @@ TEST(MinHashIndexTest, RecallOnSimilarSets) {
     }
   }
 
-  LshIndex<MinHashFamily>::Options options;
+  IndexOptions options;
   options.num_tables = 50;
   options.delta = 0.1;
   options.radius = radius;
   options.seed = 6;
   options.num_build_threads = 4;
-  auto index =
-      LshIndex<MinHashFamily>::Build(MinHashFamily(), dataset, options);
+  auto index = BuildStatic(MinHashFamily(), dataset, options);
   ASSERT_TRUE(index.ok());
+  const auto snapshot = index->Acquire();
 
   util::VisitedSet visited(dataset.size());
   size_t found = 0, total = 0;
@@ -524,7 +563,7 @@ TEST(MinHashIndexTest, RecallOnSimilarSets) {
     const auto truth = data::RangeScanSparse(dataset, dataset.point(qid), radius);
     ASSERT_GE(truth.size(), 5u);  // itself + planted near-duplicates
     visited.Reset();
-    index->CollectCandidates(PlanOf(*index, dataset.point(qid)), &visited);
+    snapshot.CollectCandidates(PlanOf(*index, dataset.point(qid)), &visited);
     for (uint32_t id : truth) found += visited.Contains(id);
     total += truth.size();
   }

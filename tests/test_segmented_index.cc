@@ -3,16 +3,16 @@
 //
 // The core property: after ANY interleaving of inserts, deletes, seals and
 // compactions, a snapshot of the segmented index yields the same answers
-// as a fresh LshIndex built over the current live point set with the same
-// seed (ids mapped through the live-id list, sorted). The segmented side
-// walks one snapshot the way the engine does — the plan's candidates
-// (forced-LSH) or GatherLiveIds (forced-linear) — and keeps in-radius ids;
-// the reference side is the test-local oracle (tests/engine_oracle.h, and
-// data::RangeScan* over the live set). Checked for two LSH families
-// (p-stable L2 and bit-sampling Hamming) with multi-probe enabled.
-// Lifecycle accounting (seal thresholds, tombstone counts,
-// auto-compaction) is verified alongside, and the plan walks are checked
-// against a one-probe-at-a-time reference walk.
+// as a fresh one-segment index built over the current live point set with
+// the same seed (ids mapped through the live-id list, sorted). The
+// segmented side walks one snapshot the way the engine does — the plan's
+// candidates (forced-LSH) or GatherLiveIds (forced-linear) — and keeps
+// in-radius ids; the reference side is the test-local oracle
+// (tests/engine_oracle.h, and data::RangeScan* over the live set). Checked
+// for two LSH families (p-stable L2 and bit-sampling Hamming) with
+// multi-probe enabled. Lifecycle accounting (seal thresholds, tombstone
+// counts, auto-compaction) is verified alongside, and the plan walks are
+// checked against a one-probe-at-a-time reference walk.
 
 #include "engine/segmented_index.h"
 
@@ -85,15 +85,14 @@ std::vector<std::vector<uint32_t>> SnapshotResults(
   return results;
 }
 
-/// The reference side: a static LshIndex rebuilt over the live points of
-/// (index, dataset), queried through the test-local oracle (lsh) or a range
-/// scan (linear). The static index numbers points 0..live-1; results are
-/// mapped back through the live-id list.
+/// The reference side: a static (one-segment) index rebuilt over the live
+/// points of (index, dataset), queried through the test-local oracle (lsh)
+/// or a range scan (linear). The static index numbers points 0..live-1;
+/// results are mapped back through the live-id list.
 template <typename Family, typename Dataset, typename Queries>
 std::vector<std::vector<uint32_t>> StaticRebuildResults(
     const SegmentedIndex<Family, Dataset>& index, const Dataset& dataset,
-    const Queries& queries, double radius,
-    const typename lsh::LshIndex<Family>::Options& options,
+    const Queries& queries, double radius, const lsh::IndexOptions& options,
     size_t probes_per_table, bool lsh) {
   std::vector<uint32_t> live_ids;
   index.Acquire().GatherLiveIds(nullptr, &live_ids);
@@ -103,7 +102,7 @@ std::vector<std::vector<uint32_t>> StaticRebuildResults(
   for (const uint32_t id : live_ids) {
     HLSH_CHECK(AppendDatasetPoint(&live, dataset.point(id)).ok());
   }
-  auto rebuilt = lsh::LshIndex<Family>::Build(index.family(), live, options);
+  auto rebuilt = test_oracle::BuildStatic(index.family(), live, options);
   HLSH_CHECK(rebuilt.ok());
 
   std::vector<std::vector<uint32_t>> results(queries.size());
@@ -122,8 +121,7 @@ std::vector<std::vector<uint32_t>> StaticRebuildResults(
 template <typename Family, typename Dataset, typename Queries>
 void ExpectEquivalent(const SegmentedIndex<Family, Dataset>& index,
                       const Dataset& dataset, const Queries& queries,
-                      double radius,
-                      const typename lsh::LshIndex<Family>::Options& options,
+                      double radius, const lsh::IndexOptions& options,
                       size_t probes_per_table) {
   for (const bool lsh : {true, false}) {
     const auto segmented = SnapshotResults(index, dataset, queries, radius,
@@ -181,7 +179,7 @@ class SegmentedL2Test : public ::testing::Test {
   data::DenseDataset dataset_;
   data::DenseDataset queries_;
   data::DenseDataset incoming_;
-  lsh::LshIndex<lsh::PStableFamily>::Options index_options_;
+  lsh::IndexOptions index_options_;
 };
 
 TEST_F(SegmentedL2Test, ChurnMatchesStaticRebuildAtEveryPhase) {
@@ -421,7 +419,7 @@ TEST(SegmentedHammingTest, ChurnMatchesStaticRebuild) {
   const data::BinaryDataset queries = split.queries;
   const data::BinaryDataset incoming = data::MakeRandomCodes(900, kBits, 33);
 
-  lsh::LshIndex<lsh::BitSamplingFamily>::Options index_options;
+  lsh::IndexOptions index_options;
   index_options.num_tables = 20;
   index_options.k = 9;
   index_options.seed = 37;

@@ -1,10 +1,11 @@
-// Tests for util/serialize.h: encode/decode round trips and the bounds
-// checking the index loader depends on.
+// Tests for util/serialize.h: encode/decode round trips, the bounds
+// checking the snapshot loaders depend on, and the crash-safe file write.
 
 #include "util/serialize.h"
 
 #include <cstdint>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -129,6 +130,37 @@ TEST(FileBytesTest, RoundTrip) {
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(*restored, payload);
   std::filesystem::remove(path);
+}
+
+TEST(FileBytesTest, AtomicWriteReplacesTheFileAndAppendsTheTrailer) {
+  // Every snapshot file is written this way: the bytes and the trailer
+  // land in `path.tmp`, which is renamed over `path`.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "hybridlsh_atomic_write_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "file.bin").string();
+  const std::string tmp = path + ".tmp";
+  // An existing file, and a stray temp file from an interrupted earlier
+  // write; both are longer than what replaces them.
+  ASSERT_TRUE(WriteFileBytes(path, std::vector<uint8_t>(16, 0x11)).ok());
+  ASSERT_TRUE(WriteFileBytes(tmp, std::vector<uint8_t>(16, 0xee)).ok());
+
+  const std::vector<uint8_t> payload{9, 8, 7};
+  const std::vector<uint8_t> trailer{0xab, 0xcd};
+  ASSERT_TRUE(AtomicWriteFileBytes(path, payload, trailer).ok());
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  auto written = ReadFileBytes(path);
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(*written, (std::vector<uint8_t>{9, 8, 7, 0xab, 0xcd}));
+
+  // Without a trailer, the payload alone replaces the file.
+  ASSERT_TRUE(AtomicWriteFileBytes(path, payload).ok());
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  written = ReadFileBytes(path);
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(*written, payload);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FileBytesTest, MissingFileIsNotFound) {

@@ -1,11 +1,12 @@
 // Tests for engine/sharded_engine.h: the shard fan-out must be candidate-
-// equivalent to a monolithic LshIndex built with the same (seed, k, L) —
-// forced-LSH results equal that index's plan-walk oracle and forced-linear
-// results equal a brute-force scan for any shard count, a 1-shard engine
-// makes the paper's Algorithm 2 decision from the monolithic estimate, and
-// the auto decision is bracketed between the forced strategies. The
-// reference side (tests/engine_oracle.h, data::RangeScan*) shares no code
-// with the engine's query path.
+// equivalent to a monolithic table set (a one-segment SegmentedIndex over
+// the whole dataset) built with the same (seed, k, L) — forced-LSH results
+// equal the reference walk of that index's plan and forced-linear results
+// equal a brute-force scan for any shard count, a 1-shard engine makes the
+// paper's Algorithm 2 decision from the reference walk's estimate, and the
+// auto decision is bracketed between the forced strategies. The reference
+// side (tests/engine_oracle.h, data::RangeScan*) shares no code with the
+// engine's query path.
 
 #include "engine/sharded_engine.h"
 
@@ -24,6 +25,7 @@ namespace hybridlsh {
 namespace engine {
 namespace {
 
+using test_oracle::BuildStatic;
 using test_oracle::LshOracle;
 
 std::vector<uint32_t> Sorted(std::vector<uint32_t> ids) {
@@ -38,6 +40,8 @@ bool IsSubset(const std::vector<uint32_t>& sub,
 
 class ShardedEngineTest : public ::testing::Test {
  protected:
+  using StaticIndex = SegmentedIndex<lsh::PStableFamily>;
+
   static constexpr size_t kDim = 16;
   static constexpr double kRadius = 0.4;
 
@@ -54,11 +58,11 @@ class ShardedEngineTest : public ::testing::Test {
     index_options_.seed = 43;
     searcher_options_.cost_model = core::CostModel::FromRatio(6.0);
 
-    L2Index::Options mono_options = index_options_;
+    lsh::IndexOptions mono_options = index_options_;
     mono_options.num_build_threads = 4;
-    auto index = L2Index::Build(Family(), dataset_, mono_options);
+    auto index = BuildStatic(Family(), dataset_, mono_options);
     HLSH_CHECK(index.ok());
-    index_ = std::make_unique<L2Index>(std::move(*index));
+    index_ = std::make_unique<StaticIndex>(std::move(*index));
   }
 
   static lsh::PStableFamily Family() {
@@ -79,7 +83,7 @@ class ShardedEngineTest : public ::testing::Test {
     return std::move(*engine);
   }
 
-  /// The monolithic plan-walk oracle for query q.
+  /// The monolithic reference-walk oracle for query q.
   std::vector<uint32_t> Oracle(size_t q, size_t probes_per_table = 1) const {
     return LshOracle(*index_, dataset_, queries_.point(q), kRadius,
                      probes_per_table);
@@ -92,9 +96,9 @@ class ShardedEngineTest : public ::testing::Test {
 
   data::DenseDataset dataset_;
   data::DenseDataset queries_;
-  L2Index::Options index_options_;
+  lsh::IndexOptions index_options_;
   core::SearcherOptions searcher_options_;
-  std::unique_ptr<L2Index> index_;
+  std::unique_ptr<StaticIndex> index_;
 };
 
 TEST_F(ShardedEngineTest, ForcedLshMatchesOracleAnyShardCount) {
@@ -130,29 +134,32 @@ TEST_F(ShardedEngineTest, ForcedLinearMatchesGroundTruth) {
 
 TEST_F(ShardedEngineTest, SingleShardFollowsAlgorithm2) {
   // A 1-shard engine is the paper's hybrid searcher: it estimates from the
-  // same buckets and sketches as the monolithic index, decides with Eq. 1
-  // vs Eq. 2, and answers with the chosen strategy's oracle.
+  // same buckets and sketches as the monolithic index (collisions and
+  // merged registers of the reference walk; an estimate over 0 collisions
+  // is 0), decides with Eq. 1 vs Eq. 2, and answers with the chosen
+  // strategy's oracle.
   auto engine = MakeEngine(1);
   const core::CostModel& model = searcher_options_.cost_model;
-  auto sketch = index_->MakeScratchSketch();
-  lsh::PlanScratch plan_scratch;
-  lsh::ProbePlan plan;
+  const auto snapshot = index_->Acquire();
   std::vector<uint32_t> out;
   size_t lsh_queries = 0;
   for (size_t q = 0; q < queries_.size(); ++q) {
-    ASSERT_TRUE(
-        index_->ComputePlan(queries_.point(q), 1, &plan_scratch, &plan).ok());
-    const lsh::ProbeEstimate estimate = index_->EstimateProbe(plan, &sketch);
-    const bool expect_lsh =
-        model.LshCost(estimate.collisions, estimate.cand_estimate) <
-        model.LinearCost(dataset_.size());
+    test_oracle::WalkReference reference(index_options_.hll_precision,
+                                         snapshot.id_bound());
+    reference.Segments(snapshot,
+                       test_oracle::PlanOf(*index_, queries_.point(q)));
+    const uint64_t collisions = reference.collisions();
+    const double cand_estimate =
+        collisions == 0 ? 0.0 : reference.merged().Estimate();
+    const bool expect_lsh = model.LshCost(collisions, cand_estimate) <
+                            model.LinearCost(dataset_.size());
 
     out.clear();
     ShardedQueryStats stats;
     ASSERT_TRUE(engine.Query(queries_.point(q), kRadius, &out, &stats).ok());
     const core::QueryStats& shard = stats.per_shard[0];
-    EXPECT_EQ(shard.collisions, estimate.collisions) << "query " << q;
-    EXPECT_EQ(shard.cand_estimate, estimate.cand_estimate) << "query " << q;
+    EXPECT_EQ(shard.collisions, collisions) << "query " << q;
+    EXPECT_EQ(shard.cand_estimate, cand_estimate) << "query " << q;
     EXPECT_EQ(shard.strategy,
               expect_lsh ? core::Strategy::kLsh : core::Strategy::kLinear)
         << "query " << q;
@@ -270,9 +277,8 @@ TEST_F(ShardedEngineTest, HashOncePlanEvaluatesLSignaturesPerQuery) {
   EXPECT_EQ(stats.hash_evals, L);
   EXPECT_EQ(stats.plan_reuse, 4u);  // every shard walk consumed the plan
   EXPECT_GE(stats.hash_seconds, 0.0);
-  // Per-shard stats reflect hash-once: no shard evaluated anything itself.
+  // Per-shard stats reflect hash-once: every shard walked the one plan.
   for (const core::QueryStats& shard : stats.per_shard) {
-    EXPECT_EQ(shard.hash_evals, 0u);
     EXPECT_EQ(shard.plan_reuse, 1u);
   }
   // Engine-lifetime counters accumulate the same accounting.
@@ -437,12 +443,12 @@ TEST(ShardedEngineHammingTest, ForcedLshMatchesOracle) {
   const data::BinarySplit split = data::SplitQueriesBinary(full, 20, 52);
   const uint32_t radius = 12;
 
-  HammingIndex::Options options;
+  lsh::IndexOptions options;
   options.num_tables = 20;
   options.k = 10;
   options.seed = 53;
   lsh::BitSamplingFamily family(64);
-  auto index = HammingIndex::Build(family, split.base, options);
+  auto index = BuildStatic(family, split.base, options);
   ASSERT_TRUE(index.ok());
 
   for (size_t num_shards : {1, 4, 6}) {
@@ -521,7 +527,7 @@ TEST_F(ShardedEngineTest, ChurnMatchesStaticRebuildAcrossShardCounts) {
       for (const uint32_t id : live_ids) {
         live.Append(std::span<const float>(dataset.point(id), kDim));
       }
-      auto rebuilt = L2Index::Build(Family(), live, index_options_);
+      auto rebuilt = BuildStatic(Family(), live, index_options_);
       ASSERT_TRUE(rebuilt.ok());
 
       std::vector<uint32_t> out;

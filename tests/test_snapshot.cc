@@ -1,13 +1,15 @@
 // Tests for the engine snapshot/restore subsystem (engine/snapshot.h,
-// ShardedEngine::SaveSnapshot / OpenSnapshot, OpenSnapshotEngine).
+// ShardedEngine::SaveSnapshot / OpenSnapshot, OpenSnapshotEngine), the
+// library's one persistence format.
 //
-// The round-trip criterion is strict, mirroring the index-serialization
-// suite: a restored engine must answer every query with bit-identical
-// result sets AND identical per-shard LSH-vs-linear decisions — it IS the
-// saved engine, including tombstones, mid-ingest segments, the norm cache,
-// and the calibrated cost model. Restores must evaluate zero hash
-// functions, and no crash or corruption scenario may ever surface a wrong
-// answer instead of a clean Status.
+// The round-trip criterion is strict: a restored engine must answer every
+// query with bit-identical result sets AND identical per-shard
+// LSH-vs-linear decisions — it IS the saved engine, including tombstones,
+// mid-ingest segments, the norm cache, and the calibrated cost model.
+// Restores must evaluate zero hash functions, and no crash or corruption
+// scenario may ever surface a wrong answer instead of a clean Status. The
+// payload parsers (FunctionSet::Load, SegmentedIndex::LoadFrom) are also
+// fed payloads cut at every byte.
 
 #include "engine/snapshot.h"
 
@@ -15,13 +17,16 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/hybridlsh.h"
 #include "engine/search_engine.h"
+#include "engine/segmented_index.h"
 #include "engine/sharded_engine.h"
+#include "util/serialize.h"
 
 namespace hybridlsh {
 namespace engine {
@@ -233,6 +238,40 @@ TEST_F(SnapshotTest, CosineSnapshotKeepsTheNormCache) {
     EXPECT_EQ(restored_dataset.norm(i), dataset.norm(i));
   }
   ExpectIdenticalServing(*live, *restored, dataset, 0.2);
+}
+
+TEST_F(SnapshotTest, L1RoundTripKeepsTheCauchyFamily) {
+  // The p-stable family with Cauchy projections (L1) restores as itself:
+  // the same kind and w, and bit-identical serving, multi-probe plans
+  // included.
+  constexpr size_t kL1Dim = 20;
+  constexpr double kL1Radius = 100.0;
+  const data::DenseDataset full = data::MakeCovtypeLike(1500, kL1Dim, 3);
+  const data::DenseSplit split = data::SplitQueries(full, 20, 4);
+  data::DenseDataset dataset = split.base;
+  const lsh::PStableFamily family =
+      lsh::PStableFamily::L1(kL1Dim, 4 * kL1Radius);
+  L1Engine::Options options;
+  options.num_shards = 2;
+  options.index.num_tables = 10;
+  options.index.k = 8;
+  options.index.seed = 4;
+  options.searcher.cost_model = core::CostModel::FromRatio(6.0);
+  options.searcher.probes_per_table = 4;
+  auto live = L1Engine::Build(family, &dataset, options);
+  ASSERT_TRUE(live.ok());
+  for (uint32_t id = 0; id < dataset.size(); id += 13) {
+    ASSERT_TRUE(live->Remove(id).ok());
+  }
+  ASSERT_TRUE(live->SaveSnapshot(Dir("snap")).ok());
+
+  data::DenseDataset restored_dataset;
+  auto restored = L1Engine::OpenSnapshot(Dir("snap"), &restored_dataset);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->shard_index(0).family().kind(),
+            lsh::StableKind::kCauchy);
+  EXPECT_EQ(restored->shard_index(0).family().w(), family.w());
+  ExpectIdenticalServing(*live, *restored, split.queries, kL1Radius);
 }
 
 // --- Binary / Hamming and sparse / Jaccard containers -----------------------
@@ -579,6 +618,126 @@ TEST_F(SnapshotTest, FacadeDispatchesEveryMetric) {
     std::vector<uint32_t> out;
     ASSERT_TRUE((*restored)->Query(dense.point(3), kRadius, &out).ok());
     EXPECT_TRUE(std::find(out.begin(), out.end(), 3u) != out.end());
+  }
+  {
+    const data::DenseDataset dense = data::MakeCovtypeLike(400, kDim, 96);
+    EngineOptions l1_options = options;
+    l1_options.k = 6;
+    l1_options.radius = 50.0;  // w = 4r
+    auto live = BuildEngine(data::Metric::kL1, &dense, l1_options);
+    ASSERT_TRUE(live.ok());
+    ASSERT_TRUE((*live)->SaveSnapshot(Dir("l1")).ok());
+    auto restored = OpenSnapshotEngine(Dir("l1"));
+    ASSERT_TRUE(restored.ok());
+    EXPECT_EQ((*restored)->metric(), data::Metric::kL1);
+    std::vector<uint32_t> out;
+    ASSERT_TRUE((*restored)->Query(dense.point(4), 50.0, &out).ok());
+    EXPECT_TRUE(std::find(out.begin(), out.end(), 4u) != out.end());
+  }
+  {
+    data::DenseDataset dense =
+        data::MakeWebspamLike({.n = 400, .dim = 24, .seed = 97});
+    dense.PrecomputeNorms();
+    EngineOptions cosine_options = options;
+    cosine_options.k = 10;
+    auto live = BuildEngine(data::Metric::kCosine, &dense, cosine_options);
+    ASSERT_TRUE(live.ok());
+    ASSERT_TRUE((*live)->SaveSnapshot(Dir("cos")).ok());
+    auto restored = OpenSnapshotEngine(Dir("cos"));
+    ASSERT_TRUE(restored.ok());
+    EXPECT_EQ((*restored)->metric(), data::Metric::kCosine);
+    std::vector<uint32_t> out;
+    ASSERT_TRUE((*restored)->Query(dense.point(6), 0.2, &out).ok());
+    EXPECT_TRUE(std::find(out.begin(), out.end(), 6u) != out.end());
+  }
+}
+
+// --- Fuzz-lite: the payload parsers on cut payloads -------------------------
+// Snapshot files are checksummed, so a cut file is rejected before its
+// payload reaches a parser. These tests hand the FunctionSet and segment
+// parsers (and, through them, LshTable::Deserialize) cut payloads
+// directly.
+
+/// `load` must accept `payload` and reject, with DataLoss or
+/// InvalidArgument (never OK, never an abort), every proper prefix of it
+/// and the payload with one trailing byte.
+template <typename Load>
+void ExpectEveryCutRejected(const std::vector<uint8_t>& payload, Load load) {
+  ASSERT_TRUE(load(std::span<const uint8_t>(payload)).ok());
+  for (size_t len = 0; len < payload.size(); ++len) {
+    const util::Status status =
+        load(std::span<const uint8_t>(payload.data(), len));
+    ASSERT_FALSE(status.ok()) << "prefix of " << len << " bytes parsed";
+    ASSERT_TRUE(status.code() == util::StatusCode::kDataLoss ||
+                status.code() == util::StatusCode::kInvalidArgument)
+        << "prefix " << len << ": " << status.ToString();
+  }
+  std::vector<uint8_t> padded = payload;
+  padded.push_back(0);
+  EXPECT_EQ(load(std::span<const uint8_t>(padded)).code(),
+            util::StatusCode::kDataLoss);
+}
+
+/// Cuts the FunctionSet::Save and SegmentedIndex::SaveTo payloads of a
+/// small one-segment index over `dataset` at every byte.
+template <typename Family, typename Dataset>
+void ExpectTruncationRejected(const Family& family, const Dataset& dataset) {
+  using Index = SegmentedIndex<Family, Dataset>;
+  typename Index::Options options;
+  options.index.num_tables = 3;
+  options.index.k = 3;
+  options.index.seed = 17;
+  auto index = Index::Build(family, &dataset, 0, dataset.size(), options);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+
+  util::ByteWriter functions;
+  index->functions().Save(&functions);
+  ExpectEveryCutRejected(
+      functions.bytes(), [](std::span<const uint8_t> bytes) {
+        util::ByteReader reader(bytes);
+        auto loaded = lsh::FunctionSet<Family>::Load(&reader);
+        if (!loaded.ok()) return loaded.status();
+        return reader.ExpectEnd();
+      });
+
+  util::ByteWriter segments;
+  ASSERT_TRUE(index->SaveTo(&segments).ok());
+  ExpectEveryCutRejected(
+      segments.bytes(), [&](std::span<const uint8_t> bytes) {
+        util::ByteReader reader(bytes);
+        auto loaded =
+            Index::LoadFrom(&reader, index->functions(), &dataset, options);
+        if (!loaded.ok()) return loaded.status();
+        return reader.ExpectEnd();
+      });
+}
+
+TEST_F(SnapshotTest, TruncationAtEveryByteRejectsCleanly) {
+  {
+    SCOPED_TRACE("p-stable L2");
+    ExpectTruncationRejected(lsh::PStableFamily::L2(4, 1.0),
+                             data::MakeCorelLike(48, 4, 16));
+  }
+  {
+    SCOPED_TRACE("p-stable L1");
+    ExpectTruncationRejected(lsh::PStableFamily::L1(4, 200.0),
+                             data::MakeCovtypeLike(48, 4, 16));
+  }
+  {
+    SCOPED_TRACE("simhash");
+    ExpectTruncationRejected(
+        lsh::SimHashFamily(8),
+        data::MakeWebspamLike({.n = 48, .dim = 8, .seed = 16}));
+  }
+  {
+    SCOPED_TRACE("bit sampling");
+    ExpectTruncationRejected(lsh::BitSamplingFamily(64),
+                             data::MakeRandomCodes(48, 64, 16));
+  }
+  {
+    SCOPED_TRACE("minhash");
+    ExpectTruncationRejected(lsh::MinHashFamily(),
+                             data::MakeRandomSparse(48, 500, 20, 16));
   }
 }
 
