@@ -21,17 +21,23 @@
 //
 // The verify baseline ("tier":"per_id_scalar") re-creates the pre-kernel
 // hot path: one data/metric.h call per candidate, no blocking, no
-// prefetch, sqrt per L2 candidate. The committed BENCH_kernels.json tracks
-// these rows; the CI smoke job just checks the binary runs.
+// prefetch, sqrt per L2 candidate. The verify rows run at a radius where
+// almost nothing reports, and again (rows with "shape":"dense_core") at an
+// L2 radius where about 30% of the candidates report, the shape of a
+// linear scan inside a near-duplicate core. The committed
+// BENCH_kernels.json tracks these rows; the CI smoke job just checks the
+// binary runs.
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/kernels.h"
+#include "data/metric.h"
 #include "util/simd.h"
 
 using namespace hybridlsh;
@@ -297,12 +303,36 @@ void BenchBlockVerify(const data::DenseDataset& dataset,
   std::vector<uint32_t> out;
   out.reserve(num_ids);
 
+  // The dense-core shape: a radius at which about 30% of the candidates
+  // report, as in the linear scan of a query inside a near-duplicate core.
+  // Taken from the candidates' own distance distribution; its rows carry
+  // "shape":"dense_core".
+  std::vector<double> distances(num_ids);
+  for (size_t j = 0; j < num_ids; ++j) {
+    distances[j] = data::L2Distance(query, dataset.point(ids[j]), kDim);
+  }
+  const size_t report_rank = num_ids * 3 / 10;
+  std::nth_element(distances.begin(), distances.begin() + report_rank,
+                   distances.end());
+  const double dense_core_radius = distances[report_rank];
+  std::printf("# dense_core: L2 radius %.4f, %.1f%% of candidates report\n",
+              dense_core_radius,
+              100.0 * static_cast<double>(core::kernels::VerifyBlock(
+                          dataset, data::Metric::kL2, query, ids,
+                          dense_core_radius, &out)) /
+                  static_cast<double>(num_ids));
+
   const struct {
     data::Metric metric;
     double radius;
-  } cases[] = {{data::Metric::kL2, 0.45}, {data::Metric::kCosine, 0.10}};
+    const char* shape;  // printed as an identity field when set
+  } cases[] = {{data::Metric::kL2, 0.45, nullptr},
+               {data::Metric::kCosine, 0.10, nullptr},
+               {data::Metric::kL2, dense_core_radius, "dense_core"}};
 
   for (const auto& c : cases) {
+    const std::string shape =
+        c.shape == nullptr ? "" : "\"shape\":\"" + std::string(c.shape) + "\",";
     // Baseline: the old per-candidate path, always scalar data/metric.h.
     const double baseline_seconds = MedianSeconds(runs, [&] {
       out.clear();
@@ -313,10 +343,10 @@ void BenchBlockVerify(const data::DenseDataset& dataset,
         static_cast<double>(num_ids) / baseline_seconds / 1e6;
     std::printf(
         "{\"bench\":\"kernels\",\"kind\":\"verify\",\"metric\":\"%s\","
-        "\"tier\":\"per_id_scalar\",\"dim\":%zu,\"ids\":%zu,"
+        "\"tier\":\"per_id_scalar\",\"dim\":%zu,\"ids\":%zu,%s"
         "\"mcand_per_sec\":%.1f,\"speedup_vs_per_id_scalar\":1.00}\n",
         std::string(data::MetricName(c.metric)).c_str(), kDim, num_ids,
-        baseline_mcand);
+        shape.c_str(), baseline_mcand);
 
     for (const util::simd::Tier tier : SupportedTiers()) {
       util::simd::SetResolvedTierForTest(tier);
@@ -329,11 +359,11 @@ void BenchBlockVerify(const data::DenseDataset& dataset,
       const double mcand = static_cast<double>(num_ids) / seconds / 1e6;
       std::printf(
           "{\"bench\":\"kernels\",\"kind\":\"verify\",\"metric\":\"%s\","
-          "\"tier\":\"%s\",\"dim\":%zu,\"ids\":%zu,"
+          "\"tier\":\"%s\",\"dim\":%zu,\"ids\":%zu,%s"
           "\"mcand_per_sec\":%.1f,\"speedup_vs_per_id_scalar\":%.2f}\n",
           std::string(data::MetricName(c.metric)).c_str(),
           std::string(util::simd::TierName(tier)).c_str(), kDim, num_ids,
-          mcand, baseline_seconds / seconds);
+          shape.c_str(), mcand, baseline_seconds / seconds);
 
       // The quantized tier: int8 screen + exact borderline rescore,
       // bit-identical output to the float VerifyBlock above. Speedup is
@@ -354,12 +384,12 @@ void BenchBlockVerify(const data::DenseDataset& dataset,
                     static_cast<double>(stats.screened);
       std::printf(
           "{\"bench\":\"kernels\",\"kind\":\"verify_quantized\","
-          "\"metric\":\"%s\",\"tier\":\"%s\",\"dim\":%zu,\"ids\":%zu,"
+          "\"metric\":\"%s\",\"tier\":\"%s\",\"dim\":%zu,\"ids\":%zu,%s"
           "\"mcand_per_sec\":%.1f,\"speedup_vs_float_block\":%.2f,"
           "\"borderline_pct\":%.2f}\n",
           std::string(data::MetricName(c.metric)).c_str(),
           std::string(util::simd::TierName(tier)).c_str(), kDim, num_ids,
-          q_mcand, seconds / q_seconds, borderline_pct);
+          shape.c_str(), q_mcand, seconds / q_seconds, borderline_pct);
     }
     util::simd::SetResolvedTierForTest(entry_tier);
   }

@@ -1215,7 +1215,8 @@ size_t VerifyBlockQuantized(const data::DenseDataset& dataset,
   }
   const size_t dim = dataset.dim();
   const bool cosine = metric == data::Metric::kCosine;
-  if (!mirror.enabled() || mirror.dim() != dim ||
+  const size_t mirror_rows = mirror.size_acquire();
+  if (!mirror.enabled() || mirror.dim() != dim || mirror_rows == 0 ||
       (cosine && (!dataset.has_norms() || radius >= 2.0))) {
     // No screen to run (or, for cosine with radius >= 2, the clamp in
     // CosineFromParts caps every float distance at 2 and the out-test
@@ -1240,9 +1241,9 @@ size_t VerifyBlockQuantized(const data::DenseDataset& dataset,
     const double y = static_cast<double>(query[d]);
     long long q = 0;
     if (std::isfinite(y)) {
-      q = std::llround(y * inv_scale);
-      if (q > 127) q = 127;
-      if (q < -127) q = -127;
+      // Clamped before rounding: llround of a value past the long long
+      // range (a huge coordinate) has no specified result.
+      q = std::llround(std::clamp(y * inv_scale, -127.0, 127.0));
     }
     qquery[d] = static_cast<int8_t>(q);
     const double e = y - scale * static_cast<double>(q);
@@ -1270,33 +1271,20 @@ size_t VerifyBlockQuantized(const data::DenseDataset& dataset,
 
   const Int8KernelTable& table = Int8Kernels();
   const int8_t* qy = qquery.data();
-  const size_t mirror_rows = mirror.size_acquire();
   const std::span<const float> norms =
       cosine ? dataset.norms() : std::span<const float>{};
 
-  // Screen verdicts are recorded per candidate position and results are
-  // emitted in a final pass, so *out receives ids in exactly the order
-  // VerifyBlock would have appended them (the linear path's callers rely
-  // on ascending emission; the screen must not reorder).
-  constexpr uint8_t kOut = 0, kIn = 1, kBorderline = 2;
-  thread_local std::vector<uint8_t> verdicts;
-  thread_local std::vector<uint32_t> rescore;
-  thread_local std::vector<uint32_t> rescored_hits;
-  const size_t count = ids.size();
-  verdicts.resize(count);
-  rescore.clear();
-  rescore.reserve(count);
-  rescored_hits.clear();
   // The L1/L2 verdict predicates are monotone in the int8 kernel sum S, so
   // the per-candidate double math (sqrt, scale-backs, slack inflation)
   // folds into two integer cut points found once per call by binary search
   // over the SAME double predicates: verdicts are identical, but the hot
-  // loop compares one int64 against two constants. Sums are bounded by
-  // dim * 254^2.
+  // loop compares one int32 against two constants. Sums are bounded by
+  // dim * 254^2, which fits int32 (QuantizedMirror::kMaxDim), and so do
+  // both cut points.
   const int64_t max_sum = static_cast<int64_t>(dim) * 254 * 254;
   // Largest S in [0, max_sum] where pred holds, -1 if none (pred must be
   // monotone true -> false in S).
-  const auto last_true = [max_sum](auto pred) -> int64_t {
+  const auto last_true = [max_sum](auto pred) -> int32_t {
     if (!pred(int64_t{0})) return -1;
     int64_t lo = 0, hi = max_sum;
     while (lo < hi) {
@@ -1307,12 +1295,12 @@ size_t VerifyBlockQuantized(const data::DenseDataset& dataset,
         hi = mid - 1;
       }
     }
-    return lo;
+    return static_cast<int32_t>(lo);
   };
   // Smallest S in [0, max_sum] where pred holds, max_sum + 1 if none (pred
   // must be monotone false -> true in S).
-  const auto first_true = [max_sum](auto pred) -> int64_t {
-    if (!pred(max_sum)) return max_sum + 1;
+  const auto first_true = [max_sum](auto pred) -> int32_t {
+    if (!pred(max_sum)) return static_cast<int32_t>(max_sum + 1);
     int64_t lo = 0, hi = max_sum;
     while (lo < hi) {
       const int64_t mid = lo + (hi - lo) / 2;
@@ -1322,74 +1310,97 @@ size_t VerifyBlockQuantized(const data::DenseDataset& dataset,
         lo = mid + 1;
       }
     }
-    return lo;
+    return static_cast<int32_t>(lo);
   };
 
-  // Pass 1: pick the screen batch. The COMMON case — every candidate id
-  // below the acquired mirror row count, and no visible exact_only rows
-  // (one relaxed counter load; the writer bumps the counter before
-  // publishing the row) — screens `ids` itself: no copy, no position
-  // indirection, no per-candidate flag gather. Otherwise unmirrorable ids
-  // — a racing reader can hold an id the writer indexed before the mirror
-  // append published, and exact_only rows are outside the calibrated
-  // range — default to borderline, and the rest are gathered with their
-  // positions for one batched kernel call. The mirror's base pointers are
-  // acquire-loaded ONCE: rows below the already-acquired mirror_rows stay
-  // valid across concurrent appends (growth retires, never frees,
-  // superseded buffers).
+  // Pass 1: the rows the bound cannot cover are forced borderline, one bit
+  // per candidate in blocks of 64: ids at or past the acquired mirror row
+  // count (a racing reader can hold an id the writer indexed before the
+  // mirror append published) and exact_only rows (outside the calibrated
+  // range). The kernel still sums them, so every candidate goes through
+  // one batched call over `ids` itself; an id past the mirror is summed
+  // against row 0 as a stand-in, and a forced candidate's sum is never
+  // read as a verdict. exact_only flags are gathered only when the mirror
+  // holds any (one relaxed counter load after size_acquire; the writer
+  // bumps the counter before publishing the row). The mirror's base
+  // pointers are acquire-loaded ONCE: rows below the already-acquired
+  // mirror_rows stay valid across concurrent appends (growth retires,
+  // never frees, superseded buffers).
   const int8_t* codes = mirror.codes_data();
-  const uint8_t* exact_flags = mirror.exact_only_data();
-  thread_local std::vector<uint32_t> screen_ids;
-  thread_local std::vector<uint32_t> screen_pos;
-  thread_local std::vector<int32_t> sums;
-  bool identity = mirror.exact_only_count() == 0;
-  if (identity) {
-    for (size_t j = 0; j < count; ++j) {
-      if (ids[j] >= mirror_rows) {
-        identity = false;
-        break;
-      }
+  const uint8_t* exact_flags =
+      mirror.exact_only_count() > 0 ? mirror.exact_only_data() : nullptr;
+  const size_t count = ids.size();
+  const size_t num_blocks = (count + 63) / 64;
+  uint32_t max_id = 0;
+  for (const uint32_t id : ids) max_id = std::max(max_id, id);
+  const bool past_mirror = max_id >= mirror_rows;  // mirror_rows > 0
+  const bool any_forced = past_mirror || exact_flags != nullptr;
+  thread_local std::vector<uint64_t> forced;
+  thread_local std::vector<uint32_t> stand_in_ids;
+  const uint32_t* screen_ids = ids.data();
+  if (any_forced) {
+    forced.resize(num_blocks);
+    if (past_mirror) {
+      stand_in_ids.assign(ids.begin(), ids.end());
+      screen_ids = stand_in_ids.data();
     }
-  }
-  const uint32_t* screen_ids_ptr = ids.data();
-  size_t screened_count = count;
-  if (!identity) {
-    screen_ids.clear();
-    screen_pos.clear();
-    for (size_t j = 0; j < count; ++j) {
-      verdicts[j] = kBorderline;
-      const uint32_t id = ids[j];
-      if (id < mirror_rows && exact_flags[id] == 0) {
-        screen_ids.push_back(id);
-        screen_pos.push_back(static_cast<uint32_t>(j));
-      }
-    }
-    screen_ids_ptr = screen_ids.data();
-    screened_count = screen_ids.size();
-  }
-  sums.resize(screened_count);
-
-  // Classifies kernel sums against the two integer cut points. The
-  // identity variant writes all three verdicts (pass 1 skipped the
-  // borderline pre-fill) and collects borderline ids inline — k IS the
-  // candidate position, so the rescore list stays in candidate order,
-  // which the emit merge below requires.
-  const auto classify_cuts = [&](int64_t t_in, int64_t t_out) {
-    if (identity) {
-      for (size_t k = 0; k < screened_count; ++k) {
-        const int64_t s = sums[k];
-        const uint8_t v = s <= t_in ? kIn : (s >= t_out ? kOut : kBorderline);
-        verdicts[k] = v;
-        if (v == kBorderline) rescore.push_back(screen_ids_ptr[k]);
-      }
-    } else {
-      for (size_t k = 0; k < screened_count; ++k) {
-        const int64_t s = sums[k];
-        if (s <= t_in) {
-          verdicts[screen_pos[k]] = kIn;
-        } else if (s >= t_out) {
-          verdicts[screen_pos[k]] = kOut;
+    // Each block's word is built in a register: or-ing into forced[] per
+    // candidate chains every iteration through a store and a reload.
+    for (size_t b = 0; b < num_blocks; ++b) {
+      const size_t base = b * 64;
+      const size_t n = std::min<size_t>(64, count - base);
+      uint64_t word = 0;
+      for (size_t k = 0; k < n; ++k) {
+        const uint32_t id = ids[base + k];
+        bool force = true;
+        if (id >= mirror_rows) {
+          stand_in_ids[base + k] = 0;
+        } else {
+          force = exact_flags != nullptr && exact_flags[id] != 0;
         }
+        word |= static_cast<uint64_t>(force) << k;
+      }
+      forced[b] = word;
+    }
+  }
+
+  // Pass 2: int8 sums for every candidate, then one in-mask and one
+  // borderline-mask per block. `verdict(j)` returns bit 0 = definitely in,
+  // bit 1 = definitely out (in wins when both hold). Borderline ids are
+  // collected in candidate order, which the emit below relies on.
+  thread_local std::vector<int32_t> sums;
+  thread_local std::vector<uint64_t> in_masks;
+  thread_local std::vector<uint64_t> borderline_masks;
+  thread_local std::vector<uint32_t> rescore;
+  thread_local std::vector<uint32_t> rescored_hits;
+  sums.resize(count);
+  in_masks.resize(num_blocks);
+  borderline_masks.resize(num_blocks);
+  rescore.clear();
+  rescored_hits.clear();
+  size_t definite_in = 0;
+  const auto classify = [&](auto verdict) {
+    for (size_t b = 0; b < num_blocks; ++b) {
+      const size_t base = b * 64;
+      const size_t n = std::min<size_t>(64, count - base);
+      uint64_t in = 0, out_bits = 0;
+      for (size_t k = 0; k < n; ++k) {
+        const uint32_t v = verdict(base + k);
+        in |= static_cast<uint64_t>(v & 1) << k;
+        out_bits |= static_cast<uint64_t>(v >> 1) << k;
+      }
+      const uint64_t block = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+      uint64_t borderline = block & ~(in | out_bits);
+      if (any_forced) {
+        borderline |= forced[b];
+        in &= ~forced[b];
+      }
+      in_masks[b] = in;
+      borderline_masks[b] = borderline;
+      definite_in += static_cast<size_t>(std::popcount(in));
+      while (borderline != 0) {
+        rescore.push_back(ids[base + std::countr_zero(borderline)]);
+        borderline &= borderline - 1;
       }
     }
   };
@@ -1398,33 +1409,39 @@ size_t VerifyBlockQuantized(const data::DenseDataset& dataset,
   switch (metric) {
     case data::Metric::kL2: {
       const double eps = half_l2 + query_l2_err;
-      const int64_t t_in = last_true([&](int64_t s) {
+      const int32_t t_in = last_true([&](int64_t s) {
         const double hi =
             scale * std::sqrt(static_cast<double>(s)) + eps;
         return hi * hi * (1.0 + fp_slack) <= r2;
       });
-      const int64_t t_out = first_true([&](int64_t s) {
+      const int32_t t_out = first_true([&](int64_t s) {
         const double lo = scale * std::sqrt(static_cast<double>(s)) - eps;
         return lo > 0.0 && lo * lo * (1.0 - fp_slack) > r2;
       });
-      table.l2sq_block(codes, dim, screen_ids_ptr, screened_count, qy,
-                       sums.data());
-      classify_cuts(t_in, t_out);
+      table.l2sq_block(codes, dim, screen_ids, count, qy, sums.data());
+      classify([&](size_t j) {
+        const int32_t s = sums[j];
+        return static_cast<uint32_t>(s <= t_in) |
+               (static_cast<uint32_t>(s >= t_out) << 1);
+      });
       break;
     }
     case data::Metric::kL1: {
       const double eps = half_l1 + query_l1_err;
-      const int64_t t_in = last_true([&](int64_t s) {
+      const int32_t t_in = last_true([&](int64_t s) {
         const double v = scale * static_cast<double>(s);
         return (v + eps) * (1.0 + fp_slack) <= radius;
       });
-      const int64_t t_out = first_true([&](int64_t s) {
+      const int32_t t_out = first_true([&](int64_t s) {
         const double lo = scale * static_cast<double>(s) - eps;
         return lo > 0.0 && lo * (1.0 - fp_slack) > radius;
       });
-      table.l1_block(codes, dim, screen_ids_ptr, screened_count, qy,
-                     sums.data());
-      classify_cuts(t_in, t_out);
+      table.l1_block(codes, dim, screen_ids, count, qy, sums.data());
+      classify([&](size_t j) {
+        const int32_t s = sums[j];
+        return static_cast<uint32_t>(s <= t_in) |
+               (static_cast<uint32_t>(s >= t_out) << 1);
+      });
       break;
     }
     case data::Metric::kCosine: {
@@ -1439,6 +1456,8 @@ size_t VerifyBlockQuantized(const data::DenseDataset& dataset,
       //   in:  dot - fp*|dot| >= norms[id]*k_in + c0   (and radius >= 0,
       //        since the float path clamps its distance into [0, 2])
       //   out: dot + fp*|dot| <  norms[id]*k_out - c0
+      // The norm is gathered through the kernel's ids, so a stand-in
+      // candidate reads row 0's norm (its verdict is forced anyway).
       const double s2 = scale * scale;
       const double c0 = half_l2 * (query_norm + query_l2_err);
       const double k_in =
@@ -1446,37 +1465,15 @@ size_t VerifyBlockQuantized(const data::DenseDataset& dataset,
       const double k_out =
           query_norm * (1.0 - 2.0 * fp_slack - radius) - query_l2_err;
       const bool in_possible = radius >= 0.0;
-      table.dot_block(codes, dim, screen_ids_ptr, screened_count, qy,
-                      sums.data());
-      if (identity) {
-        for (size_t k = 0; k < screened_count; ++k) {
-          const double nid = static_cast<double>(norms[screen_ids_ptr[k]]);
-          uint8_t v = kBorderline;  // zero vector: borderline
-          if (nid > 0.0) {
-            const double t = s2 * static_cast<double>(sums[k]);
-            const double ft = fp_slack * std::fabs(t);
-            if (in_possible && t - ft >= nid * k_in + c0) {
-              v = kIn;
-            } else if (t + ft < nid * k_out - c0) {
-              v = kOut;
-            }
-          }
-          verdicts[k] = v;
-          if (v == kBorderline) rescore.push_back(screen_ids_ptr[k]);
-        }
-      } else {
-        for (size_t k = 0; k < screened_count; ++k) {
-          const double nid = static_cast<double>(norms[screen_ids_ptr[k]]);
-          if (!(nid > 0.0)) continue;  // zero vector: borderline
-          const double t = s2 * static_cast<double>(sums[k]);
-          const double ft = fp_slack * std::fabs(t);
-          if (in_possible && t - ft >= nid * k_in + c0) {
-            verdicts[screen_pos[k]] = kIn;
-          } else if (t + ft < nid * k_out - c0) {
-            verdicts[screen_pos[k]] = kOut;
-          }
-        }
-      }
+      table.dot_block(codes, dim, screen_ids, count, qy, sums.data());
+      classify([&](size_t j) -> uint32_t {
+        const double nid = static_cast<double>(norms[screen_ids[j]]);
+        if (!(nid > 0.0)) return 0;  // zero vector: borderline
+        const double t = s2 * static_cast<double>(sums[j]);
+        const double ft = fp_slack * std::fabs(t);
+        if (in_possible && t - ft >= nid * k_in + c0) return 1;
+        return t + ft < nid * k_out - c0 ? 2 : 0;
+      });
       break;
     }
     default:
@@ -1484,31 +1481,35 @@ size_t VerifyBlockQuantized(const data::DenseDataset& dataset,
                  "VerifyBlockQuantized: metric does not apply to dense rows");
   }
 
-  // Rescore the borderline batch exactly, then emit: rescore is built in
-  // candidate order (inline above for the identity path), so rescored_hits
-  // is a subsequence of rescore (which is a subsequence of ids) and one
-  // forward pointer recovers each borderline candidate's exact verdict in
-  // order.
-  if (!identity) {
-    for (size_t j = 0; j < count; ++j) {
-      if (verdicts[j] == kBorderline) rescore.push_back(ids[j]);
-    }
-  }
+  // Rescore the borderline batch exactly, then emit each block's in-mask
+  // plus its rescored hits in ascending position order, so *out receives
+  // ids in exactly the order VerifyBlock would have appended them (the
+  // linear path's callers rely on ascending emission; the screen must not
+  // reorder). rescored_hits is a subsequence of rescore, which lists the
+  // borderline positions in order, so one forward pointer recovers each
+  // borderline candidate's exact verdict.
   VerifyBlock(dataset, metric, query, std::span<const uint32_t>(rescore),
               radius, &rescored_hits);
-  size_t reported = 0;
+  const size_t reported = definite_in + rescored_hits.size();
+  const size_t out_base = out->size();
+  out->resize(out_base + reported);
+  uint32_t* cursor = out->data() + out_base;
   size_t p = 0;
-  size_t definite_in = 0;
-  for (size_t j = 0; j < count; ++j) {
-    if (verdicts[j] == kIn) {
-      out->push_back(ids[j]);
-      ++reported;
-      ++definite_in;
-    } else if (verdicts[j] == kBorderline && p < rescored_hits.size() &&
-               rescored_hits[p] == ids[j]) {
-      out->push_back(ids[j]);
-      ++reported;
-      ++p;
+  for (size_t b = 0; b < num_blocks; ++b) {
+    const uint32_t* block_ids = ids.data() + b * 64;
+    uint64_t emit = in_masks[b];
+    for (uint64_t borderline = borderline_masks[b];
+         borderline != 0 && p < rescored_hits.size();
+         borderline &= borderline - 1) {
+      const int k = std::countr_zero(borderline);
+      if (rescored_hits[p] == block_ids[k]) {
+        emit |= uint64_t{1} << k;
+        ++p;
+      }
+    }
+    while (emit != 0) {
+      *cursor++ = block_ids[std::countr_zero(emit)];
+      emit &= emit - 1;
     }
   }
   if (stats != nullptr) {

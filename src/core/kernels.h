@@ -208,9 +208,14 @@ size_t VerifyBlock(const data::DenseDataset& dataset, data::Metric metric,
 /// with what the float32 kernel would report. Candidates the bound cannot
 /// cover — rows flagged exact_only, ids at or beyond the mirror's
 /// published size (a racing reader), non-finite queries — fall into the
-/// borderline set. Falls back to VerifyBlock entirely when the mirror is
-/// disabled, the metric is cosine without cached norms, or radius >= 2
-/// under cosine (where clamping breaks the out-test).
+/// borderline set; the first two through a forced-borderline mask, since
+/// the kernel still sums them (an exact_only row's clamped codes, or a
+/// stand-in row for an id past the mirror). Verdicts are kept as an
+/// in-mask and a borderline-mask per block of 64 candidates, and each
+/// block is emitted from its masks in ascending position. Falls back to
+/// VerifyBlock entirely when the mirror is disabled or has no published
+/// rows, the metric is cosine without cached norms, or radius >= 2 under
+/// cosine (where clamping breaks the out-test).
 size_t VerifyBlockQuantized(const data::DenseDataset& dataset,
                             const data::QuantizedMirror& mirror,
                             data::Metric metric, const float* query,

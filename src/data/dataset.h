@@ -21,6 +21,7 @@
 #ifndef HYBRIDLSH_DATA_DATASET_H_
 #define HYBRIDLSH_DATA_DATASET_H_
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -70,6 +71,16 @@ constexpr uint32_t DatasetKindOf(const BinaryDataset&) {
 }
 constexpr uint32_t DatasetKindOf(const SparseDataset&) {
   return kSparseDatasetKind;
+}
+
+/// True when every one of the `dim` coordinates is finite. The serving
+/// engine rejects a dense query or insert that is not: a NaN or infinite
+/// coordinate has no LSH bucket and no meaningful distance.
+inline bool IsFinitePoint(const float* point, size_t dim) {
+  for (size_t d = 0; d < dim; ++d) {
+    if (!std::isfinite(point[d])) return false;
+  }
+  return true;
 }
 
 /// Dense real-valued point set, one point per row.

@@ -52,14 +52,15 @@ void QuantizedMirror::AppendRow(const float* point) {
       exact_only = 1;
       continue;
     }
-    const long long q = std::llround(x * inv);
-    if (q > 127 || q < -127) {
-      // Outside the calibrated range (post-calibration insert): clamp and
-      // route this row to the exact rescore unconditionally.
-      staged[d] = static_cast<int8_t>(q > 0 ? 127 : -127);
+    const double scaled = x * inv;
+    if (std::fabs(scaled) >= 127.5) {
+      // Rounds outside [-127, 127]: outside the calibrated range (a
+      // post-calibration insert). Clamp and route this row to the exact
+      // rescore unconditionally.
+      staged[d] = static_cast<int8_t>(scaled > 0 ? 127 : -127);
       exact_only = 1;
     } else {
-      staged[d] = static_cast<int8_t>(q);
+      staged[d] = static_cast<int8_t>(std::llround(scaled));
     }
   }
   // Codes first, counter, flag last: the acquire-loaded flag count is the

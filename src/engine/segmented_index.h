@@ -122,12 +122,16 @@ struct DefaultDataset<std::span<const uint32_t>> {
 /// uses across representations. The point is staged through a thread-local
 /// buffer first: callers routinely insert a point that aliases the
 /// dataset's own storage (e.g. re-inserting dataset.point(i)), which the
-/// growth reallocation would otherwise invalidate mid-copy.
+/// growth reallocation would otherwise invalidate mid-copy. A dense point
+/// with a NaN or infinite coordinate is rejected before anything changes.
 inline util::Status AppendDatasetPoint(data::DenseDataset* dataset,
                                        const float* point) {
   if (dataset->dim() == 0) {
     return util::Status::InvalidArgument(
         "cannot append to a dense dataset without a dimension");
+  }
+  if (!data::IsFinitePoint(point, dataset->dim())) {
+    return util::Status::InvalidArgument("point coordinates must be finite");
   }
   static thread_local std::vector<float> buffer;
   buffer.assign(point, point + dataset->dim());
@@ -171,7 +175,10 @@ inline util::Status AppendDatasetPoint(data::SparseDataset* dataset,
 /// Readers replay a query's ProbePlan through one memory-parallel walker
 /// (WalkProbedChains): the head of every probe is prefetched first, then
 /// heads are acquire-loaded a window of probes at a time, and each chain's
-/// first entry is prefetched before any chain of the window is walked.
+/// first entry is prefetched before any chain of the window is walked. The
+/// walker hands out entry indexes, so the estimate's fold can skip entries
+/// it already folded: a query whose buckets hold the same entries in many
+/// tables hashes each entry once, not once per table.
 class ActiveLshLog {
  public:
   ActiveLshLog(size_t num_tables, size_t capacity)
@@ -230,12 +237,24 @@ class ActiveLshLog {
   /// Alg. 2 estimate contribution over entries [0, limit): adds probed
   /// collision counts and folds probed ids into *scratch (active buckets
   /// have no sketches — §3.2 on-demand folding). Per-table plan keys are
-  /// already unique, so the walk is a straight replay.
+  /// already unique, so the walk is a straight replay. Every match counts
+  /// as a collision, but an entry is hashed and folded only the first time
+  /// the walk meets it: a dense core meets the same entries in many of the
+  /// L tables, and HLL max is idempotent, so the registers are the same as
+  /// folding every match. The per-entry bitmap is thread-private scratch,
+  /// cleared for each call.
   void AccumulateProbe(const lsh::ProbePlan& plan, size_t limit,
                        hll::HyperLogLog* scratch, uint64_t* collisions) const {
-    WalkProbedChains(plan, limit, [&](uint32_t id) {
+    thread_local std::vector<uint64_t> folded;
+    folded.assign((limit + 63) / 64, 0);
+    uint64_t* const folded_words = folded.data();
+    WalkProbedChains(plan, limit, [&](size_t entry) {
       ++*collisions;
-      scratch->AddPoint(id);
+      uint64_t& word = folded_words[entry >> 6];
+      const uint64_t bit = uint64_t{1} << (entry & 63);
+      if ((word & bit) != 0) return;
+      word |= bit;
+      scratch->AddPoint(ids_[entry]);
     });
   }
 
@@ -245,8 +264,9 @@ class ActiveLshLog {
                             util::VisitedSet* visited,
                             const util::BitVector* tombstones) const {
     uint64_t collisions = 0;
-    WalkProbedChains(plan, limit, [&](uint32_t id) {
+    WalkProbedChains(plan, limit, [&](size_t entry) {
       ++collisions;
+      const uint32_t id = ids_[entry];
       if (tombstones == nullptr || !tombstones->TestAcquire(id)) {
         visited->Insert(id);
       }
@@ -270,7 +290,7 @@ class ActiveLshLog {
            (static_cast<size_t>(key ^ (key >> 32)) & bucket_mask_);
   }
 
-  /// Calls fn(id) for every entry below `limit` in the bucket of every
+  /// Calls fn(entry) for every entry below `limit` in the bucket of every
   /// (table, key) of `plan`, in plan order (table-major, then probe order),
   /// each chain newest first. The prefetching (see the class comment) runs
   /// in windows of lsh::internal::kProbeWindow probes and never changes
@@ -309,7 +329,7 @@ class ActiveLshLog {
              i = next_[bases[w] + static_cast<size_t>(i)]) {
           const size_t entry = static_cast<size_t>(i);
           if (entry >= limit) continue;  // appended after the caller's snapshot
-          if (keys_[bases[w] + entry] == key) fn(ids_[entry]);
+          if (keys_[bases[w] + entry] == key) fn(entry);
         }
       }
     }
@@ -458,11 +478,12 @@ class SegmentedIndex {
     /// in `filter` when one is pushed down (ids past its bound fail). The
     /// filtered output is a subsequence of the unfiltered one, so pushdown
     /// results are bit-identical to post-filtering. A sealed segment whose
-    /// ids are one contiguous run skips the per-id tombstone test: it is
-    /// appended whole when an acquire scan finds no tombstone bit in its
-    /// range, or read from the filter's words, which already exclude the
-    /// filter stage's tombstones (BuildFilterContext). Other segments and
-    /// the logs test each id.
+    /// ids are one contiguous run skips the per-id tombstone test: its ids
+    /// are read word by word, from the tombstone words (each loaded once
+    /// with acquire ordering; a word with no tombstone appends its 64 ids
+    /// whole) or from the filter's words, which already exclude the filter
+    /// stage's tombstones (BuildFilterContext). Other segments and the logs
+    /// test each id.
     void GatherLiveIds(const util::BitVector* filter,
                        std::vector<uint32_t>* ids) const {
       auto gather = [&](uint32_t id) {
@@ -480,12 +501,10 @@ class SegmentedIndex {
             filter->ForEachSetBitInRange(begin, end, [&](size_t id) {
               ids->push_back(static_cast<uint32_t>(id));
             });
-            continue;
+          } else {
+            tombstones_->AppendClearBitsAcquire(begin, end, ids);
           }
-          if (!tombstones_->AnySetInRangeAcquire(begin, end)) {
-            ids->insert(ids->end(), segment->ids.begin(), segment->ids.end());
-            continue;
-          }
+          continue;
         }
         for (const uint32_t id : segment->ids) gather(id);
       }

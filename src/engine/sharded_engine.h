@@ -390,7 +390,9 @@ class ShardedEngine {
   /// Serialized on the internal writer mutex; safe to call from any thread
   /// and concurrently with queries. When the shard's active segment fills,
   /// sealing is scheduled on the background maintenance thread (one task
-  /// in flight per shard) instead of running on this call.
+  /// in flight per shard) instead of running on this call. A dense point
+  /// with a NaN or infinite coordinate returns InvalidArgument and is not
+  /// stored.
   util::StatusOr<uint32_t> Insert(Point point) {
     if (mutable_dataset_ == nullptr) {
       return util::Status::FailedPrecondition(
@@ -408,7 +410,7 @@ class ShardedEngine {
       if constexpr (std::is_same_v<Dataset, data::DenseDataset>) {
         if (mirror_ != nullptr) mirror_->AppendRow(dataset_->point(*id));
       }
-      MaybeScheduleMaintenance(shard.index.get());
+      MaybeScheduleMaintenance(maintenance_group_.get(), shard.index.get());
     }
     return id;
   }
@@ -465,8 +467,9 @@ class ShardedEngine {
   /// Remove / background maintenance run, with no lock or shared mutable
   /// state touched anywhere on the path. Shards are searched sequentially
   /// on the calling thread; concurrency comes from many callers, not an
-  /// internal fan-out. A negative or non-finite radius returns
-  /// InvalidArgument (the spec form's validation).
+  /// internal fan-out. A negative or non-finite radius, or a dense query
+  /// with a NaN or infinite coordinate, returns InvalidArgument (the spec
+  /// form's validation).
   util::Status QueryConcurrent(Point query, double radius,
                                std::vector<uint32_t>* out,
                                QueryScratch* scratch,
@@ -484,6 +487,7 @@ class ShardedEngine {
                                QueryScratch* scratch,
                                ShardedQueryStats* stats = nullptr) const {
     HLSH_RETURN_IF_ERROR(ValidateSpec(spec, /*fused=*/false));
+    HLSH_RETURN_IF_ERROR(ValidateQueryPoint(query));
     ShardedQueryStats local_stats;
     ShardedQueryStats* s = stats != nullptr ? stats : &local_stats;
     QueryOnScratch(query, spec, out, scratch, s);
@@ -500,6 +504,7 @@ class ShardedEngine {
                                     QueryScratch* scratch,
                                     ShardedQueryStats* stats = nullptr) const {
     HLSH_RETURN_IF_ERROR(ValidateSpec(spec, /*fused=*/true));
+    HLSH_RETURN_IF_ERROR(ValidateQueryPoint(query));
     ShardedQueryStats local_stats;
     ShardedQueryStats* s = stats != nullptr ? stats : &local_stats;
     return QueryFusedOnScratch(
@@ -522,8 +527,9 @@ class ShardedEngine {
   /// Distance(point, query) <= radius is reported, exactly on a shard that
   /// scans and with the LSH guarantee (probability >= 1 - delta per point)
   /// on a shard that probes. Results are appended to *out grouped by shard
-  /// (ascending id ranges); ids are global. A negative or non-finite radius
-  /// returns InvalidArgument (the spec form's validation).
+  /// (ascending id ranges); ids are global. A negative or non-finite
+  /// radius, or a dense query with a NaN or infinite coordinate, returns
+  /// InvalidArgument (the spec form's validation).
   util::Status Query(Point query, double radius, std::vector<uint32_t>* out,
                      ShardedQueryStats* stats = nullptr) {
     return Query(query, QuerySpec::Radius(radius), out, stats);
@@ -538,6 +544,7 @@ class ShardedEngine {
                      std::vector<uint32_t>* out,
                      ShardedQueryStats* stats = nullptr) {
     HLSH_RETURN_IF_ERROR(ValidateSpec(spec, /*fused=*/false));
+    HLSH_RETURN_IF_ERROR(ValidateQueryPoint(query));
     ShardedQueryStats local_stats;
     FanOutQuery(query, spec, out, stats != nullptr ? stats : &local_stats);
     return util::Status::Ok();
@@ -552,6 +559,7 @@ class ShardedEngine {
                           std::vector<core::FusedHit>* out,
                           ShardedQueryStats* stats = nullptr) {
     HLSH_RETURN_IF_ERROR(ValidateSpec(spec, /*fused=*/true));
+    HLSH_RETURN_IF_ERROR(ValidateQueryPoint(query));
     ShardedQueryStats local_stats;
     ShardedQueryStats* s = stats != nullptr ? stats : &local_stats;
     return QueryFusedOnScratch(
@@ -570,12 +578,15 @@ class ShardedEngine {
   /// query point, so every worker shares the one composed bitmap read-only
   /// (per-query stats report filter_seconds = 0 and the shared
   /// selectivity, and the batch sees removals as of that stage). Rejects
-  /// fused specs and invalid radii like Query.
+  /// fused specs, invalid radii and non-finite dense queries like Query.
   template <typename QuerySet>
   util::StatusOr<std::vector<ShardedBatchResult>> QueryBatch(
       const QuerySet& queries, const QuerySpec& spec,
       double* wall_seconds = nullptr) {
     HLSH_RETURN_IF_ERROR(ValidateSpec(spec, /*fused=*/false));
+    for (size_t q = 0; q < queries.size(); ++q) {
+      HLSH_RETURN_IF_ERROR(ValidateQueryPoint(queries.point(q)));
+    }
     std::vector<ShardedBatchResult> results(queries.size());
     util::WallTimer timer;
     if (queries.size() > 0) {
@@ -1044,18 +1055,28 @@ class ShardedEngine {
 
   /// Schedules one background maintenance pass for the shard if it has
   /// pending work and none in flight — the per-shard rate limit that keeps
-  /// a burst of inserts from queueing redundant seal tasks. Called under
-  /// write_mu; the task captures the heap-stable index pointer, so the
-  /// engine stays movable while tasks are queued.
-  void MaybeScheduleMaintenance(ShardIndex* index) {
-    if (maintenance_group_ == nullptr || !index->needs_maintenance()) return;
+  /// a burst of inserts from queueing redundant seal tasks. No-op without
+  /// a maintenance group (inline maintenance). Called under write_mu, and
+  /// by a finishing pass; tasks capture only heap-stable pointers (the
+  /// group and the index), so the engine stays movable while tasks are
+  /// queued.
+  static void MaybeScheduleMaintenance(util::TaskGroup* group,
+                                       ShardIndex* index) {
+    if (group == nullptr || !index->needs_maintenance()) return;
     if (index->maintenance_inflight().exchange(true,
                                                std::memory_order_acq_rel)) {
       return;
     }
-    maintenance_group_->Submit([index] {
+    group->Submit([group, index] {
       index->RunMaintenance();
       index->maintenance_inflight().store(false, std::memory_order_release);
+      // An insert that froze a log after the pass's last look found the
+      // flag still set and scheduled nothing. The flag is cleared before
+      // this re-check reads the segment list (under the same mutex the
+      // freeze publishes it with), so either the re-check sees that log or
+      // the insert saw the cleared flag and scheduled its own pass. The
+      // follow-up pass queues behind other shards' tasks.
+      MaybeScheduleMaintenance(group, index);
     });
   }
 
@@ -1511,6 +1532,19 @@ class ShardedEngine {
           return util::Status::InvalidArgument(
               "metric override must be a dense metric (L1/L2/cosine)");
         }
+      }
+    }
+    return util::Status::Ok();
+  }
+
+  /// A dense query must be finite (data::IsFinitePoint): a NaN or infinite
+  /// coordinate has no bucket and no meaningful distance. Binary and sparse
+  /// points have no such values.
+  util::Status ValidateQueryPoint(Point query) const {
+    if constexpr (std::is_same_v<Dataset, data::DenseDataset>) {
+      if (!data::IsFinitePoint(query, dataset_->dim())) {
+        return util::Status::InvalidArgument(
+            "query coordinates must be finite");
       }
     }
     return util::Status::Ok();

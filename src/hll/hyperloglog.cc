@@ -1,6 +1,5 @@
 #include "hll/hyperloglog.h"
 
-#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -21,11 +20,6 @@ util::StatusOr<HyperLogLog> HyperLogLog::Create(int precision) {
         "HyperLogLog precision must be in [4, 18]");
   }
   return HyperLogLog(precision);
-}
-
-int HyperLogLog::CountLeadingZeros(uint64_t x) {
-  // x always has the sentinel bit set by AddHash, so x != 0.
-  return std::countl_zero(x);
 }
 
 double HyperLogLog::Alpha(size_t m) {

@@ -29,6 +29,7 @@
 #ifndef HYBRIDLSH_HLL_HYPERLOGLOG_H_
 #define HYBRIDLSH_HLL_HYPERLOGLOG_H_
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -105,7 +106,12 @@ class HyperLogLog {
   }
 
  private:
-  static int CountLeadingZeros(uint64_t x);
+  /// Defined here so every AddHash inlines it: the query-time fold of the
+  /// active logs calls AddHash once per distinct entry.
+  static int CountLeadingZeros(uint64_t x) {
+    // x always has the sentinel bit set by AddHash, so x != 0.
+    return std::countl_zero(x);
+  }
   /// Bias-correction constant alpha_m.
   static double Alpha(size_t m);
 

@@ -30,6 +30,17 @@ struct ProjBuffer {
   }
 };
 
+/// A p-stable slot from its floored window value. Casting a double outside
+/// the int32 range is undefined, so every such value (the window of a huge
+/// coordinate, or NaN, which fails both compares) maps to INT32_MIN
+/// instead; in-range values cast unchanged.
+int32_t SlotFromFloor(double floor_value) {
+  if (floor_value >= -2147483648.0 && floor_value < 2147483648.0) {
+    return static_cast<int32_t>(floor_value);
+  }
+  return std::numeric_limits<int32_t>::min();
+}
+
 }  // namespace
 
 // --- SimHashFamily ----------------------------------------------------------
@@ -166,7 +177,7 @@ void PStableFamily::SignatureFromProjections(const Functions& fns,
   for (size_t i = 0; i < k; ++i) {
     const double value =
         (static_cast<double>(proj[i]) + fns.offsets[i]) / w_;
-    slots[i] = static_cast<int32_t>(std::floor(value));
+    slots[i] = SlotFromFloor(std::floor(value));
   }
 }
 
@@ -181,7 +192,7 @@ void PStableFamily::SignatureWithProbeCostsFromProjections(
     const double value =
         (static_cast<double>(proj[i]) + fns.offsets[i]) / w_;
     const double floor_value = std::floor(value);
-    slots[i] = static_cast<int32_t>(floor_value);
+    slots[i] = SlotFromFloor(floor_value);
     const double frac = value - floor_value;  // position inside the window
     down_costs[i] = frac;                     // distance to the lower boundary
     up_costs[i] = 1.0 - frac;                 // distance to the upper boundary

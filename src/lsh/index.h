@@ -513,7 +513,12 @@ class FunctionSet {
           if (family_.probe_kind() == ProbeKind::kFlip) {
             perturbed[atom.slot] ^= 1;
           } else {
-            perturbed[atom.slot] += atom.delta;
+            // Wraps at the int32 ends (a huge coordinate's slot is
+            // INT32_MIN) instead of overflowing; every other slot moves
+            // by one.
+            perturbed[atom.slot] = static_cast<int32_t>(
+                static_cast<uint32_t>(perturbed[atom.slot]) +
+                static_cast<uint32_t>(atom.delta));
           }
         }
         const uint64_t key = KeyOf(perturbed, t);

@@ -78,20 +78,34 @@ size_t BitVector::CountAnd(const BitVector& other) const {
   return total;
 }
 
-bool BitVector::AnySetInRangeAcquire(size_t begin, size_t end) const {
+void BitVector::AppendClearBitsAcquire(size_t begin, size_t end,
+                                       std::vector<uint32_t>* out) const {
   HLSH_DCHECK(end <= size());
-  if (begin >= end) return false;
+  if (begin >= end) return;
+  // Size for the all-clear case once, write through a cursor, trim after.
+  const size_t base = out->size();
+  out->resize(base + (end - begin));
+  uint32_t* cursor = out->data() + base;
   const size_t first_word = begin >> 6;
   const size_t last_word = (end - 1) >> 6;
   for (size_t w = first_word; w <= last_word; ++w) {
-    uint64_t word = LoadWord(w, std::memory_order_acquire);
-    if (w == first_word) word &= ~uint64_t{0} << (begin & 63);
+    uint64_t clear = ~LoadWord(w, std::memory_order_acquire);
+    if (w == first_word) clear &= ~uint64_t{0} << (begin & 63);
     if (w == last_word && (end & 63) != 0) {
-      word &= ~uint64_t{0} >> (64 - (end & 63));
+      clear &= ~uint64_t{0} >> (64 - (end & 63));
     }
-    if (word != 0) return true;
+    const uint32_t word_base = static_cast<uint32_t>(w << 6);
+    if (clear == ~uint64_t{0}) {
+      for (uint32_t bit = 0; bit < 64; ++bit) cursor[bit] = word_base + bit;
+      cursor += 64;
+      continue;
+    }
+    while (clear != 0) {
+      *cursor++ = word_base + static_cast<uint32_t>(std::countr_zero(clear));
+      clear &= clear - 1;
+    }
   }
-  return false;
+  out->resize(static_cast<size_t>(cursor - out->data()));
 }
 
 void BitVector::Serialize(ByteWriter* writer) const {

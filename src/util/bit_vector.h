@@ -169,11 +169,14 @@ class BitVector {
   /// concurrently written; each word is read once, atomically).
   size_t CountAnd(const BitVector& other) const;
 
-  /// True when any bit in [begin, end) is set, reading each word once with
-  /// acquire ordering — the tombstone read of a whole-run linear scan (a
-  /// set that happens-before the caller's synchronization point is seen).
-  /// Requires end <= size().
-  bool AnySetInRangeAcquire(size_t begin, size_t end) const;
+  /// Appends every position i in [begin, end) whose bit is clear to *out,
+  /// in ascending order, reading each word once with acquire ordering — the
+  /// tombstone read of a whole-run linear scan (a set that happens-before
+  /// the caller's synchronization point is seen). A word with no bit set
+  /// appends its whole 64-position run at once. Requires end <= size() and
+  /// end <= 2^32 (positions are stored as uint32_t ids).
+  void AppendClearBitsAcquire(size_t begin, size_t end,
+                              std::vector<uint32_t>* out) const;
 
   /// Calls fn(i) for every set bit i in [begin, min(end, size())), in
   /// ascending order. Word-skipping: O(range/64 + #set bits in range), so

@@ -3,6 +3,7 @@
 #include "util/bit_vector.h"
 
 #include <atomic>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -256,6 +257,64 @@ TEST(BitVectorBulkTest, ForEachSetBitInRangeBoundaries) {
   seen.clear();
   bits.ForEachSetBitInRange(50, 50, [&](size_t i) { seen.push_back(i); });
   EXPECT_TRUE(seen.empty());
+}
+
+TEST(BitVectorBulkTest, AppendClearBitsAcquireMatchesPerBitReference) {
+  // The whole-run linear scan's tombstone read: one word at a time, a word
+  // with no bit set appended as a 64-id run. Checked against a per-bit
+  // reference on unaligned and aligned bounds, empty ranges, all-set and
+  // all-clear words, and ranges ending at size().
+  BitVector bits(300);
+  for (size_t i = 64; i < 128; ++i) bits.Set(i);  // an all-set word
+  bits.Set(0);
+  bits.Set(130);
+  bits.Set(191);
+  bits.Set(299);  // the last bit; bits 192..255 stay an all-clear word
+  const auto reference = [&](size_t begin, size_t end) {
+    std::vector<uint32_t> ids = {7};  // appends after existing content
+    for (size_t i = begin; i < end; ++i) {
+      if (!bits.Get(i)) ids.push_back(static_cast<uint32_t>(i));
+    }
+    return ids;
+  };
+  const size_t bounds[] = {0, 1, 5, 63, 64, 65, 127, 128, 129,
+                           191, 192, 256, 299, 300};
+  for (const size_t begin : bounds) {
+    for (const size_t end : bounds) {
+      if (end < begin) continue;
+      std::vector<uint32_t> ids = {7};
+      bits.AppendClearBitsAcquire(begin, end, &ids);
+      EXPECT_EQ(ids, reference(begin, end))
+          << "[" << begin << ", " << end << ")";
+    }
+  }
+  std::vector<uint32_t> ids;
+  bits.AppendClearBitsAcquire(64, 128, &ids);  // all set
+  EXPECT_TRUE(ids.empty());
+  bits.AppendClearBitsAcquire(192, 256, &ids);  // all clear
+  ASSERT_EQ(ids.size(), 64u);
+  EXPECT_EQ(ids.front(), 192u);
+  EXPECT_EQ(ids.back(), 255u);
+  ids.clear();
+  bits.AppendClearBitsAcquire(40, 40, &ids);  // empty
+  EXPECT_TRUE(ids.empty());
+
+  // Random fills, every alignment of a range ending at size().
+  std::mt19937 rng(17);
+  for (int round = 0; round < 20; ++round) {
+    BitVector random(1 + rng() % 700);
+    for (size_t i = 0; i < random.size(); ++i) {
+      if (rng() % 5 == 0) random.Set(i);
+    }
+    const size_t begin = rng() % random.size();
+    std::vector<uint32_t> want;
+    for (size_t i = begin; i < random.size(); ++i) {
+      if (!random.Get(i)) want.push_back(static_cast<uint32_t>(i));
+    }
+    std::vector<uint32_t> got;
+    random.AppendClearBitsAcquire(begin, random.size(), &got);
+    EXPECT_EQ(got, want) << "size " << random.size() << " begin " << begin;
+  }
 }
 
 TEST(BitVectorBulkTest, BulkOpsSafeWithConcurrentReaders) {

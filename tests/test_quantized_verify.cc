@@ -381,6 +381,131 @@ TEST_F(QuantizedVerifyTest, DegenerateInputsStillMatchExactly) {
                   0.5, &stats);
 }
 
+TEST_F(QuantizedVerifyTest, BlockEdgesAndForcedCandidatesMatchOnEveryTier) {
+  // The screen classifies candidates in blocks of 64 and emits each block
+  // from bit masks. Candidate counts around the block size, with the
+  // candidates the bound cannot cover (exact_only rows, ids past the
+  // mirror's published rows) at the block edges, must still emit exactly
+  // VerifyBlock's ids in VerifyBlock's order, for every metric and tier.
+  TierGuard guard;
+  constexpr size_t kEdgeDim = 16;
+  constexpr uint32_t kCalibrated = 300;
+  data::DenseDataset dataset = data::MakeCorelLike(kCalibrated, kEdgeDim, 131);
+  auto mirror = data::QuantizedMirror::Build(dataset);
+  // exact_only rows: appended to both after calibration, far outside it.
+  std::vector<uint32_t> forced_ids;
+  for (size_t i = 0; i < 4; ++i) {
+    std::vector<float> row(dataset.point(i), dataset.point(i) + kEdgeDim);
+    row[i] = i % 2 == 0 ? 50.0f : -50.0f;
+    dataset.Append(row);
+    mirror.AppendRow(row.data());
+    forced_ids.push_back(static_cast<uint32_t>(dataset.size() - 1));
+    ASSERT_TRUE(mirror.exact_only(forced_ids.back()));
+  }
+  // Rows the dataset holds but the mirror has not published (a racing
+  // reader's view): near the query, so some of them report.
+  for (size_t i = 0; i < 4; ++i) {
+    std::vector<float> row(dataset.point(7), dataset.point(7) + kEdgeDim);
+    row[i] += 0.05f * static_cast<float>(i + 1);
+    dataset.Append(row);
+    forced_ids.push_back(static_cast<uint32_t>(dataset.size() - 1));
+  }
+  ASSERT_EQ(mirror.size(), kCalibrated + 4);
+  dataset.PrecomputeNorms();
+
+  std::mt19937 rng(134);
+  std::uniform_int_distribution<uint32_t> pick(0, kCalibrated - 1);
+  const float* query = dataset.point(7);
+  core::kernels::QuantizedScreenStats stats;
+  for (Tier tier : util::simd::SupportedTiers()) {
+    util::simd::SetResolvedTierForTest(tier);
+    for (const size_t count : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                               size_t{65}, size_t{129}}) {
+      for (const bool with_forced : {false, true}) {
+        std::vector<uint32_t> ids(count);
+        for (uint32_t& id : ids) id = pick(rng);
+        if (with_forced) {
+          // Alternate exact_only and past-mirror ids over the edge slots.
+          size_t next = 0;
+          for (const size_t pos :
+               {size_t{0}, size_t{63}, size_t{64}, count - 1}) {
+            if (pos >= count) continue;
+            ids[pos] = forced_ids[(next % 2) * 4 + next / 2 % 4];
+            ++next;
+          }
+        }
+        for (const double radius : {0.05, 0.3, 0.8}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "tier " << util::simd::TierName(tier) << " count "
+                       << count << " forced " << with_forced << " radius "
+                       << radius);
+          ExpectIdentical(dataset, mirror, data::Metric::kL2, query, ids,
+                          radius, &stats);
+          ExpectIdentical(dataset, mirror, data::Metric::kL1, query, ids,
+                          radius * kEdgeDim / 4.0, &stats);
+          ExpectIdentical(dataset, mirror, data::Metric::kCosine, query, ids,
+                          radius / 8.0, &stats);
+        }
+      }
+    }
+  }
+  EXPECT_GT(stats.definite_in, 0u);
+  EXPECT_GT(stats.definite_out, 0u);
+}
+
+TEST_F(QuantizedVerifyTest, ExactOnlyRowWithCodesInsideTheRadiusIsRescored) {
+  // An exact_only row is stored clamped, so its codes can lie inside the
+  // radius while its float row does not. With data max 1.0, a row at the
+  // clamp corner (every coordinate 1.0) except one coordinate at 1.5 has
+  // exactly the codes of a query at that corner — int8 distance 0 — but
+  // lies 0.5 away from it. The screen must rescore it, not report it.
+  TierGuard guard;
+  constexpr size_t kCornerDim = 8;
+  data::DenseDataset dataset(0, 0);
+  std::mt19937 rng(141);
+  std::uniform_real_distribution<float> coordinate(-0.9f, 0.9f);
+  for (size_t i = 0; i < 200; ++i) {
+    std::vector<float> row(kCornerDim);
+    for (float& x : row) x = coordinate(rng);
+    if (i == 0) row[0] = 1.0f;  // the calibrated maximum
+    dataset.Append(row);
+  }
+  auto mirror = data::QuantizedMirror::Build(dataset);
+  ASSERT_DOUBLE_EQ(mirror.scale(), 1.0 / 127.0);
+  const std::vector<float> corner(kCornerDim, 1.0f);
+  std::vector<float> outlier = corner;
+  outlier[3] = 1.5f;
+  dataset.Append(outlier);
+  mirror.AppendRow(outlier.data());
+  const uint32_t outlier_id = static_cast<uint32_t>(dataset.size() - 1);
+  ASSERT_TRUE(mirror.exact_only(outlier_id));
+  for (size_t d = 0; d < kCornerDim; ++d) {
+    ASSERT_EQ(mirror.row(outlier_id)[d], 127);
+  }
+  dataset.PrecomputeNorms();
+
+  std::vector<uint32_t> ids(dataset.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(i);
+  std::vector<uint32_t> exact;
+  core::kernels::VerifyBlock(dataset, data::Metric::kL2, corner.data(), ids,
+                             0.1, &exact);
+  ASSERT_TRUE(std::find(exact.begin(), exact.end(), outlier_id) ==
+              exact.end());
+  for (Tier tier : util::simd::SupportedTiers()) {
+    util::simd::SetResolvedTierForTest(tier);
+    SCOPED_TRACE(util::simd::TierName(tier));
+    ExpectIdentical(dataset, mirror, data::Metric::kL2, corner.data(), ids,
+                    0.1, nullptr);
+    ExpectIdentical(dataset, mirror, data::Metric::kL1, corner.data(), ids,
+                    0.1, nullptr);
+    ExpectIdentical(dataset, mirror, data::Metric::kCosine, corner.data(),
+                    ids, 1e-3, nullptr);
+    // The row is still found at a radius that covers its float distance.
+    ExpectIdentical(dataset, mirror, data::Metric::kL2, corner.data(), ids,
+                    0.6, nullptr);
+  }
+}
+
 // --- Engine integration. -----------------------------------------------------
 
 using L2Engine = engine::ShardedEngine<lsh::PStableFamily>;

@@ -229,6 +229,49 @@ TEST_F(SearchEngineTest, RadiusOverloadsRejectBadRadiiWithStatus) {
   EXPECT_EQ(batch->size(), dense_queries_.size());
 }
 
+TEST_F(SearchEngineTest, DenseEntryPointsRejectNonFinitePoints) {
+  // Every dense Query / QueryFused / QueryBatch / Insert of the facade
+  // returns InvalidArgument for a NaN or infinite coordinate.
+  data::DenseDataset dataset = dense_;
+  EngineOptions options = BaseOptions();
+  options.pstable_w = 2 * kDenseRadius;
+  auto engine = BuildMutableEngine(data::Metric::kL2, &dataset, options);
+  ASSERT_TRUE(engine.ok());
+  QuerySpec fused;
+  fused.subqueries.push_back({kDenseRadius, 1.0, std::nullopt, false});
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    SCOPED_TRACE(bad);
+    std::vector<float> point(dense_queries_.point(1),
+                             dense_queries_.point(1) + kDim);
+    point[0] = bad;
+    std::vector<uint32_t> out;
+    std::vector<core::FusedHit> hits;
+    const util::StatusCode invalid = util::StatusCode::kInvalidArgument;
+    EXPECT_EQ((*engine)->Query(point.data(), kDenseRadius, &out).code(),
+              invalid);
+    EXPECT_EQ((*engine)
+                  ->Query(point.data(), QuerySpec::Radius(kDenseRadius), &out)
+                  .code(),
+              invalid);
+    EXPECT_EQ((*engine)->QueryFused(point.data(), fused, &hits).code(),
+              invalid);
+    data::DenseDataset batch = dense_queries_;
+    batch.Append(point);
+    EXPECT_EQ((*engine)->QueryBatch(batch, kDenseRadius).status().code(),
+              invalid);
+    EXPECT_EQ((*engine)->Insert(point.data()).status().code(), invalid);
+    EXPECT_TRUE(out.empty());
+    EXPECT_TRUE(hits.empty());
+  }
+  EXPECT_EQ((*engine)->size(), dense_.size());
+  // The engine keeps serving finite input.
+  std::vector<uint32_t> out;
+  EXPECT_TRUE(
+      (*engine)->Query(dense_queries_.point(1), kDenseRadius, &out).ok());
+  EXPECT_TRUE((*engine)->Insert(dense_queries_.point(1)).ok());
+}
+
 TEST_F(SearchEngineTest, BuildRejectsProbeWidthsTheFamilyCannotServe) {
   // A multi-probe width is checked when the engine is built. MinHash has no
   // multi-probe, so a width above 1 used to pass the build and abort the

@@ -371,6 +371,89 @@ TEST_F(ShardedEngineTest, RadiusEntryPointsRejectBadRadius) {
   EXPECT_TRUE(engine.Query(queries_.point(0), kRadius, &out).ok());
 }
 
+TEST_F(ShardedEngineTest, PointEntryPointsRejectNonFiniteCoordinates) {
+  // A NaN or infinite coordinate in a dense query or insert is an
+  // InvalidArgument on every entry point: nothing is reported and nothing
+  // is stored. (It used to reach the p-stable slot cast, which is
+  // undefined for a non-finite value.)
+  data::DenseDataset dataset = dataset_;
+  L2Engine::Options options;
+  options.num_shards = 2;
+  options.index = index_options_;
+  options.searcher = searcher_options_;
+  options.searcher.probes_per_table = 3;  // the huge case below probes too
+  auto engine = L2Engine::Build(Family(), &dataset, options);
+  ASSERT_TRUE(engine.ok());
+  auto scratch = engine->MakeQueryScratch();
+  QuerySpec fused;
+  fused.subqueries.push_back({kRadius, 1.0, std::nullopt, false});
+  const size_t size_before = dataset.size();
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    SCOPED_TRACE(bad);
+    std::vector<float> point(queries_.point(0), queries_.point(0) + kDim);
+    point[kDim / 2] = bad;
+    std::vector<uint32_t> out;
+    std::vector<core::FusedHit> hits;
+    const util::StatusCode invalid = util::StatusCode::kInvalidArgument;
+    EXPECT_EQ(engine->Query(point.data(), kRadius, &out).code(), invalid);
+    EXPECT_EQ(
+        engine->Query(point.data(), QuerySpec::Radius(kRadius), &out).code(),
+        invalid);
+    EXPECT_EQ(
+        engine->QueryConcurrent(point.data(), kRadius, &out, &scratch).code(),
+        invalid);
+    EXPECT_EQ(engine
+                  ->QueryConcurrent(point.data(), QuerySpec::Radius(kRadius),
+                                    &out, &scratch)
+                  .code(),
+              invalid);
+    EXPECT_EQ(engine->QueryFused(point.data(), fused, &hits).code(), invalid);
+    EXPECT_EQ(
+        engine->QueryFusedConcurrent(point.data(), fused, &hits, &scratch)
+            .code(),
+        invalid);
+    data::DenseDataset batch = queries_;
+    batch.Append(point);
+    EXPECT_EQ(
+        engine->QueryBatch(batch, QuerySpec::Radius(kRadius)).status().code(),
+        invalid);
+    EXPECT_TRUE(out.empty());
+    EXPECT_TRUE(hits.empty());
+    EXPECT_EQ(engine->Insert(point.data()).status().code(), invalid);
+  }
+  EXPECT_EQ(dataset.size(), size_before);
+  EXPECT_EQ(engine->size(), size_before);
+
+  // A huge finite coordinate is served: a slot past the int32 range maps
+  // to its minimum instead of overflowing the cast, and a multi-probe step
+  // down from that minimum wraps instead of overflowing, so the stored
+  // point hashes like its own query and answers it (every other point is
+  // out of reach).
+  std::vector<float> huge(queries_.point(0), queries_.point(0) + kDim);
+  huge[0] = 1e30f;
+  const auto id = engine->Insert(huge.data());
+  ASSERT_TRUE(id.ok());
+  for (const size_t probes : {size_t{1}, size_t{3}}) {
+    for (const auto forced : {core::ForcedStrategy::kAlwaysLsh,
+                              core::ForcedStrategy::kAlwaysLinear}) {
+      SCOPED_TRACE(probes);
+      data::DenseDataset copy = dataset;
+      options.searcher.probes_per_table = probes;
+      options.searcher.forced = forced;
+      auto check = L2Engine::Build(Family(), copy, options);
+      ASSERT_TRUE(check.ok());
+      std::vector<uint32_t> out;
+      ASSERT_TRUE(check->Query(huge.data(), kRadius, &out).ok());
+      EXPECT_EQ(out, std::vector<uint32_t>{*id});
+    }
+  }
+  std::vector<uint32_t> out;
+  ASSERT_TRUE(engine->Query(huge.data(), kRadius, &out).ok());
+  EXPECT_EQ(out, std::vector<uint32_t>{*id});
+}
+
 TEST_F(ShardedEngineTest, MultiProbeFanOutMatchesOracle) {
   L2Engine::Options options;
   options.num_shards = 5;
@@ -657,6 +740,36 @@ void ExpectLinearWalkMatches(const Family& family, const Dataset& dataset,
       out.clear();
       ASSERT_TRUE(engine->Query(queries.point(q), filtered, &out).ok());
       EXPECT_EQ(out, kept) << "filtered query " << q << " removed " << removed;
+    }
+  }
+}
+
+TEST_F(ShardedEngineTest, DrainMaintenanceLeavesNoFrozenLog) {
+  // A burst of inserts freezes logs faster than the one background pass
+  // per shard seals them. A log frozen after a pass's last look must still
+  // be sealed once the burst ends: the pass re-checks for pending work
+  // after clearing its in-flight flag. (It used to stay frozen until the
+  // shard's next insert, and DrainMaintenance returned with it pending.)
+  const data::DenseDataset incoming = data::MakeCorelLike(500, kDim, 95);
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE(round);
+    data::DenseDataset dataset = dataset_;
+    L2Engine::Options options;
+    options.num_shards = 3;
+    options.index = index_options_;
+    options.searcher = searcher_options_;
+    options.active_seal_threshold = 4;
+    options.max_sealed_segments = 2;
+    auto engine = L2Engine::Build(Family(), &dataset, options);
+    ASSERT_TRUE(engine.ok());
+    for (size_t i = 0; i < incoming.size(); ++i) {
+      ASSERT_TRUE(engine->Insert(incoming.point(i)).ok());
+    }
+    engine->DrainMaintenance();
+    for (size_t s = 0; s < engine->num_shards(); ++s) {
+      const auto lifecycle = engine->shard_index(s).lifecycle();
+      EXPECT_EQ(lifecycle.pending_seal_logs, 0u) << "shard " << s;
+      EXPECT_LE(lifecycle.sealed_segments, 2u) << "shard " << s;
     }
   }
 }
