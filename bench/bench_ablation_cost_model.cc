@@ -29,12 +29,12 @@ int main(int argc, char** argv) {
       data::SplitQueries(full, scale.num_queries, 212);
   const double radius = 0.08;
 
-  lsh::IndexOptions options;
+  engine::EngineOptions options;
   options.num_tables = 50;
   options.delta = 0.1;
   options.radius = radius;
   options.seed = 213;
-  options.num_build_threads = 16;
+  options.num_threads = 16;
   options.small_bucket_threshold = 16;
   const lsh::SimHashFamily family(full.dim());
 

@@ -35,11 +35,11 @@ int main(int argc, char** argv) {
   std::printf("# %-4s %-6s %-12s %-10s %-10s %-12s %-12s\n", "b", "m",
               "theory_se%", "err%", "err_sd%", "est_s/query", "sketch_MiB");
   for (int precision : {4, 5, 6, 7, 8, 10}) {
-    lsh::IndexOptions options;
+    engine::EngineOptions options;
     options.num_tables = 50;
     options.k = 7;
     options.seed = 233;
-    options.num_build_threads = 16;
+    options.num_threads = 16;
     options.hll_precision = precision;
     options.small_bucket_threshold = 16;
 

@@ -36,11 +36,11 @@ int main(int argc, char** argv) {
                                             data::Metric::kL2, 16);
 
   auto run_config = [&](int tables, size_t probes) {
-    lsh::IndexOptions options;
+    engine::EngineOptions options;
     options.num_tables = tables;
     options.k = 7;
     options.seed = 233;
-    options.num_build_threads = 16;
+    options.num_threads = 16;
     options.small_bucket_threshold = 16;
     const auto result = bench::RunStrategies(
         lsh::PStableFamily::L2(32, 2 * radius), split.base, options,

@@ -42,11 +42,11 @@ int main(int argc, char** argv) {
   std::printf("# %-12s %-10s %-12s %-14s %-12s\n", "threshold", "sketches",
               "sketch_MiB", "est_us/query", "hybrid_s");
   for (const Threshold& threshold : thresholds) {
-    lsh::IndexOptions options;
+    engine::EngineOptions options;
     options.num_tables = 50;
     options.k = 7;
     options.seed = 233;
-    options.num_build_threads = 16;
+    options.num_threads = 16;
     options.small_bucket_threshold = threshold.value;
 
     const auto result = bench::RunStrategies(

@@ -148,11 +148,11 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < live_base; ++i) {
       dataset.Append({split.base.point(i), dim});
     }
-    engine::ShardedEngine<lsh::PStableFamily>::Options options;
+    engine::EngineOptions options;
     options.num_shards = 4;
-    options.index.num_tables = 25;
-    options.index.k = 7;
-    options.index.seed = 423;
+    options.num_tables = 25;
+    options.k = 7;
+    options.seed = 423;
     options.active_seal_threshold = 2048;
     options.max_sealed_segments = 4;
     options.searcher.cost_model = core::CostModel::FromRatio(6.0);

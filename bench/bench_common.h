@@ -89,21 +89,16 @@ struct StrategyResult {
   size_t total_sketches = 0;
 };
 
-/// A static 1-shard engine over `base`: the paper's hybrid searcher. Its
-/// pool has index_options.num_build_threads threads, so the L tables build
-/// in parallel; the benches query it on the calling thread
-/// (QueryConcurrent). The strategy is fixed by searcher.forced.
+/// A static 1-shard engine over `base`: the paper's hybrid searcher. The L
+/// tables build in parallel on its pool (options.num_threads threads); the
+/// benches query it on the calling thread (QueryConcurrent). The strategy
+/// is fixed by searcher.forced.
 template <typename Family, typename Dataset>
 engine::ShardedEngine<Family, Dataset> BuildEngine(
-    const Family& family, const Dataset& base,
-    const lsh::IndexOptions& index_options,
+    const Family& family, const Dataset& base, engine::EngineOptions options,
     const core::SearcherOptions& searcher) {
-  typename engine::ShardedEngine<Family, Dataset>::Options options;
   options.num_shards = 1;
-  options.num_threads = std::max<size_t>(1, index_options.num_build_threads);
-  options.index = index_options;
   options.searcher = searcher;
-  options.background_maintenance = false;  // static: nothing to seal
   auto built =
       engine::ShardedEngine<Family, Dataset>::Build(family, base, options);
   HLSH_CHECK(built.ok());
@@ -129,19 +124,19 @@ core::QueryStats QueryOnce(const Engine& engine, Point query, double radius,
 template <typename Family, typename Dataset, typename QuerySet>
 StrategyResult RunStrategies(
     const Family& family, const Dataset& base,
-    const lsh::IndexOptions& index_options,
-    const QuerySet& queries, double radius, const core::CostModel& model,
+    const engine::EngineOptions& options, const QuerySet& queries,
+    double radius, const core::CostModel& model,
     const std::vector<std::vector<uint32_t>>& truth, int runs,
     size_t probes_per_table = 1) {
   StrategyResult result;
   core::SearcherOptions searcher;
   searcher.cost_model = model;
   searcher.probes_per_table = probes_per_table;
-  const auto hybrid = BuildEngine(family, base, index_options, searcher);
+  const auto hybrid = BuildEngine(family, base, options, searcher);
   searcher.forced = core::ForcedStrategy::kAlwaysLsh;
-  const auto lsh = BuildEngine(family, base, index_options, searcher);
+  const auto lsh = BuildEngine(family, base, options, searcher);
   searcher.forced = core::ForcedStrategy::kAlwaysLinear;
-  const auto linear = BuildEngine(family, base, index_options, searcher);
+  const auto linear = BuildEngine(family, base, options, searcher);
   auto hybrid_scratch = hybrid.MakeQueryScratch();
   auto lsh_scratch = lsh.MakeQueryScratch();
   auto linear_scratch = linear.MakeQueryScratch();

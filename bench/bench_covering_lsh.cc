@@ -49,10 +49,10 @@ int main(int argc, char** argv) {
 
     // Covering LSH: 2^(r+1)-1 tables, deterministic guarantee.
     const lsh::CoveringFamily covering(64, radius, /*seed=*/204);
-    lsh::IndexOptions options;
+    engine::EngineOptions options;
     options.num_tables = covering.num_tables();
     options.seed = 204;
-    options.num_build_threads = 16;
+    options.num_threads = 16;
     options.small_bucket_threshold = 16;
     print_row("covering", options.num_tables,
               bench::RunStrategies(covering, split.base, options,
@@ -60,12 +60,12 @@ int main(int argc, char** argv) {
                                    scale.runs));
 
     // Classic bit sampling with the same number of tables.
-    lsh::IndexOptions classic;
+    engine::EngineOptions classic;
     classic.num_tables = covering.num_tables();
     classic.delta = 0.1;
     classic.radius = radius;
     classic.seed = 205;
-    classic.num_build_threads = 16;
+    classic.num_threads = 16;
     classic.small_bucket_threshold = 16;
     print_row("classic", classic.num_tables,
               bench::RunStrategies(lsh::BitSamplingFamily(64), split.base,

@@ -40,12 +40,12 @@ int main(int argc, char** argv) {
       /*paper_ratio=*/1.0);
   bench::PrintFig2Header();
   for (uint32_t radius = 12; radius <= 17; ++radius) {
-    lsh::IndexOptions options;
+    engine::EngineOptions options;
     options.num_tables = 50;
     options.delta = 0.1;
     options.radius = radius;
     options.seed = 204;
-    options.num_build_threads = 16;
+    options.num_threads = 16;
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;

@@ -35,11 +35,11 @@ int main(int argc, char** argv) {
       /*paper_ratio=*/10.0);
   bench::PrintFig2Header();
   for (double radius : {3000.0, 3200.0, 3400.0, 3600.0, 3800.0, 4000.0}) {
-    lsh::IndexOptions options;
+    engine::EngineOptions options;
     options.num_tables = 50;
     options.k = 8;  // paper's pinned setting
     options.seed = 223;
-    options.num_build_threads = 16;
+    options.num_threads = 16;
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;

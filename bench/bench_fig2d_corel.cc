@@ -36,11 +36,11 @@ int main(int argc, char** argv) {
       /*paper_ratio=*/6.0);
   bench::PrintFig2Header();
   for (double radius : {0.35, 0.40, 0.45, 0.50, 0.55, 0.60}) {
-    lsh::IndexOptions options;
+    engine::EngineOptions options;
     options.num_tables = 50;
     options.k = 7;  // paper's pinned setting
     options.seed = 233;
-    options.num_build_threads = 16;
+    options.num_threads = 16;
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;

@@ -44,12 +44,12 @@ int main(int argc, char** argv) {
               "avg_out", "max_out", "min_out", "n/2", "%LS_meas",
               "%LS_papermodel");
   for (double radius : {0.05, 0.06, 0.07, 0.08, 0.09, 0.10}) {
-    lsh::IndexOptions options;
+    engine::EngineOptions options;
     options.num_tables = 50;
     options.delta = 0.1;
     options.radius = radius;
     options.seed = 213;
-    options.num_build_threads = 16;
+    options.num_threads = 16;
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;

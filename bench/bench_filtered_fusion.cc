@@ -73,11 +73,11 @@ int main(int argc, char** argv) {
   }
 
   using Engine = engine::ShardedEngine<lsh::PStableFamily>;
-  Engine::Options options;
+  engine::EngineOptions options;
   options.num_shards = 2;
-  options.index.num_tables = 50;
-  options.index.k = 7;
-  options.index.seed = 413;
+  options.num_tables = 50;
+  options.k = 7;
+  options.seed = 413;
   options.searcher.cost_model = core::CostModel::FromRatio(6.0);
   auto built = Engine::Build(lsh::PStableFamily::L2(split.base.dim(), 2 * radius),
                              split.base, options);

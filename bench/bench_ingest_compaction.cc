@@ -56,11 +56,11 @@ int main(int argc, char** argv) {
       dataset.Append({split.base.point(i), dim});
     }
 
-    engine::ShardedEngine<lsh::PStableFamily>::Options options;
+    engine::EngineOptions options;
     options.num_shards = num_shards;
-    options.index.num_tables = 50;
-    options.index.k = 7;
-    options.index.seed = 413;
+    options.num_tables = 50;
+    options.k = 7;
+    options.seed = 413;
     options.active_seal_threshold = 4096;
     options.max_sealed_segments = 0;  // manual CompactAll below
     options.searcher.cost_model = core::CostModel::FromRatio(6.0);

@@ -43,14 +43,14 @@ uint64_t DirBytes(const std::string& root) {
 void RunOne(size_t n) {
   const data::DenseDataset dataset = data::MakeCorelLike(n, kDim, 7);
 
-  L2Engine::Options options;
+  engine::EngineOptions options;
   options.num_shards = 4;
   options.num_threads = 4;
   // The paper's serving configuration (L = 50, k = 7): what a production
   // engine actually rebuilds on restart.
-  options.index.num_tables = 50;
-  options.index.k = 7;
-  options.index.seed = 11;
+  options.num_tables = 50;
+  options.k = 7;
+  options.seed = 11;
   options.searcher.cost_model = core::CostModel::FromRatio(6.0);
 
   util::WallTimer build_timer;

@@ -55,12 +55,12 @@ int main(int argc, char** argv) {
     const data::DenseSplit split =
         data::SplitQueries(full, scale.num_queries, 212);
     const double radius = 0.05;
-    lsh::IndexOptions options;
+    engine::EngineOptions options;
     options.num_tables = 50;
     options.delta = 0.1;
     options.radius = radius;
     options.seed = 213;
-    options.num_build_threads = 16;
+    options.num_threads = 16;
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;
@@ -86,11 +86,11 @@ int main(int argc, char** argv) {
     const data::DenseSplit split =
         data::SplitQueries(full, scale.num_queries, 222);
     const double radius = 3000;
-    lsh::IndexOptions options;
+    engine::EngineOptions options;
     options.num_tables = 50;
     options.k = 8;
     options.seed = 223;
-    options.num_build_threads = 16;
+    options.num_threads = 16;
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;
@@ -117,11 +117,11 @@ int main(int argc, char** argv) {
     const data::DenseSplit split =
         data::SplitQueries(full, scale.num_queries, 232);
     const double radius = 0.35;
-    lsh::IndexOptions options;
+    engine::EngineOptions options;
     options.num_tables = 50;
     options.k = 7;
     options.seed = 233;
-    options.num_build_threads = 16;
+    options.num_threads = 16;
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;
@@ -151,12 +151,12 @@ int main(int argc, char** argv) {
     const data::BinarySplit split =
         data::SplitQueriesBinary(*codes, scale.num_queries, 203);
     const uint32_t radius = 12;
-    lsh::IndexOptions options;
+    engine::EngineOptions options;
     options.num_tables = 50;
     options.delta = 0.1;
     options.radius = radius;
     options.seed = 204;
-    options.num_build_threads = 16;
+    options.num_threads = 16;
     // Sketch buckets of >= 16 ids: bounds the query-time folding of
     // sketch-less buckets (see DESIGN.md ablation A4) at modest space cost.
     options.small_bucket_threshold = 16;

@@ -77,10 +77,10 @@ int main() {
   config.seed = 11;
   const data::DenseDataset articles = data::MakeWebspamLike(config);
 
-  CosineEngine::Options options;
-  options.index.num_tables = 50;
-  options.index.delta = 0.1;
-  options.index.radius = radius;
+  engine::EngineOptions options;
+  options.num_tables = 50;
+  options.delta = 0.1;
+  options.radius = radius;
   options.num_threads = 8;
   options.searcher.cost_model = core::CostModel::FromRatio(10.0);
   auto engine = CosineEngine::Build(lsh::SimHashFamily(dim), articles, options);

@@ -32,8 +32,8 @@ int main() {
   }
 
   const lsh::CoveringFamily family(width, radius, /*seed=*/1);
-  CoveringEngine::Options options;
-  options.index.num_tables = family.num_tables();
+  engine::EngineOptions options;
+  options.num_tables = family.num_tables();
   options.num_threads = 8;
   options.searcher.cost_model = core::CostModel::FromRatio(1.0);
   auto engine = CoveringEngine::Build(family, codes, options);

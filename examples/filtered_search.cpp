@@ -54,11 +54,11 @@ int main() {
 
   // 2. Engine: a 4-shard hybrid-LSH engine, with the attribute table
   //    attached so predicates can resolve column ids.
-  engine::ShardedEngine<lsh::PStableFamily>::Options options;
+  engine::EngineOptions options;
   options.num_shards = 4;
-  options.index.num_tables = 50;
-  options.index.k = 7;
-  options.index.seed = 9;
+  options.num_tables = 50;
+  options.k = 7;
+  options.seed = 9;
   options.searcher.cost_model = core::CostModel::FromRatio(6.0);
   auto built = engine::ShardedEngine<lsh::PStableFamily>::Build(
       lsh::PStableFamily::L2(dim, 2 * radius), assets, options);

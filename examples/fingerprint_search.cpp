@@ -39,10 +39,10 @@ int main() {
   // 3. A 1-shard engine: one bit-sampling index over the 64-bit codes.
   //    beta/alpha = 1 (paper's MNIST ratio): popcount distances cost about
   //    as much as dedup probes.
-  HammingEngine::Options options;
-  options.index.num_tables = 50;
-  options.index.delta = 0.1;
-  options.index.radius = radius;
+  engine::EngineOptions options;
+  options.num_tables = 50;
+  options.delta = 0.1;
+  options.radius = radius;
   options.num_threads = 8;
   options.searcher.cost_model = core::CostModel::FromRatio(1.0);
   auto engine =

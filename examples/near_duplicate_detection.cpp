@@ -37,10 +37,10 @@ int main() {
   // A 1-shard SimHash engine: 50 tables, k auto-tuned for the radius at
   // delta = 0.1. The paper pins beta/alpha = 10 for Webspam; calibrate
   // instead if your hardware differs (core::CostCalibrator).
-  CosineEngine::Options options;
-  options.index.num_tables = 50;
-  options.index.delta = 0.1;
-  options.index.radius = radius;
+  engine::EngineOptions options;
+  options.num_tables = 50;
+  options.delta = 0.1;
+  options.radius = radius;
   options.num_threads = 8;
   options.searcher.cost_model = core::CostModel::FromRatio(10.0);
   auto engine = CosineEngine::Build(lsh::SimHashFamily(dim), corpus, options);

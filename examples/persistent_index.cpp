@@ -50,9 +50,9 @@ int main() {
               plan->expected_cost);
 
   // 2. Build with the planned parameters and persist.
-  L2Engine::Options options;
-  options.index.k = plan->k;
-  options.index.num_tables = plan->num_tables;
+  engine::EngineOptions options;
+  options.k = plan->k;
+  options.num_tables = plan->num_tables;
   options.num_threads = 8;
   options.searcher.cost_model = core::CostModel::FromRatio(6.0);
   auto engine = L2Engine::Build(family, split.base, options);

@@ -31,11 +31,11 @@ int main() {
   //    paper ties the quantization window to the radius (w = 2r) and k is
   //    derived from (radius, delta) by the E2LSH rule.
   lsh::PStableFamily family = lsh::PStableFamily::L2(dim, 2 * radius);
-  L2Engine::Options options;
-  options.index.num_tables = 50;
-  options.index.k = 0;  // auto: k = ceil(log(1 - delta^(1/L)) / log p1)
-  options.index.delta = 0.1;
-  options.index.radius = radius;
+  engine::EngineOptions options;
+  options.num_tables = 50;
+  options.k = 0;  // auto: k = ceil(log(1 - delta^(1/L)) / log p1)
+  options.delta = 0.1;
+  options.radius = radius;
   options.num_threads = 8;  // the pool builds the 50 tables in parallel
 
   // 3. Decision: the cost model's beta/alpha ratio is the price of one
@@ -93,6 +93,6 @@ int main() {
   }
   std::printf("average recall over %zu queries: %.3f (target >= %.2f)\n",
               split.queries.size(), recall / split.queries.size(),
-              1.0 - options.index.delta);
+              1.0 - options.delta);
   return 0;
 }

@@ -6,8 +6,8 @@
 //   using namespace hybridlsh;
 //
 //   data::DenseDataset points = ...;                     // n x d, L2 metric
-//   L2Engine::Options options;                           // one shard
-//   options.index.radius = r;                            // k auto-tuned
+//   engine::EngineOptions options;                       // one shard
+//   options.radius = r;                                  // k auto-tuned
 //   options.searcher.cost_model = core::CostModel::FromRatio(6.0);
 //   auto engine =
 //       L2Engine::Build(lsh::PStableFamily::L2(d, /*w=*/2 * r), points,
@@ -28,6 +28,7 @@
 #include "data/metric.h"
 #include "data/synthetic.h"
 #include "data/workload.h"
+#include "engine/options.h"
 #include "engine/search_engine.h"
 #include "engine/sharded_engine.h"
 #include "hll/hyperloglog.h"

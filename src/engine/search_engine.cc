@@ -27,32 +27,11 @@ std::map<data::Metric, EngineFactory>& Registry() {
 
 // -- Shared factory plumbing ------------------------------------------------
 
-/// Mirrors the family-independent EngineOptions fields into the per-family
-/// ShardedEngine options.
-template <typename Engine>
-typename Engine::Options ToEngineOptions(const EngineOptions& options) {
-  typename Engine::Options engine_options;
-  engine_options.num_shards = options.num_shards;
-  engine_options.num_threads = options.num_threads;
-  engine_options.index.num_tables = options.num_tables;
-  engine_options.index.k = options.k;
-  engine_options.index.delta = options.delta;
-  engine_options.index.radius = options.radius;
-  engine_options.index.hll_precision = options.hll_precision;
-  engine_options.index.seed = options.seed;
-  engine_options.active_seal_threshold = options.active_seal_threshold;
-  engine_options.max_sealed_segments = options.max_sealed_segments;
-  engine_options.quantized_verify = options.quantized_verify;
-  engine_options.searcher = options.searcher;
-  return engine_options;
-}
-
 template <typename Family, typename Dataset>
 util::StatusOr<std::unique_ptr<SearchEngine>> Adapt(
     Family family, const Dataset& dataset, const EngineOptions& options) {
-  using Engine = ShardedEngine<Family, Dataset>;
-  auto engine =
-      Engine::Build(std::move(family), dataset, ToEngineOptions<Engine>(options));
+  auto engine = ShardedEngine<Family, Dataset>::Build(std::move(family),
+                                                      dataset, options);
   if (!engine.ok()) return engine.status();
   return std::unique_ptr<SearchEngine>(
       new ShardedEngineAdapter<Family, Dataset>(std::move(*engine)));
@@ -72,14 +51,13 @@ util::StatusOr<const Dataset*> Expect(AnyDataset dataset, const char* want) {
       std::string("this metric requires a ") + want + " dataset");
 }
 
-/// The p-stable quantization window: explicit, or the paper's radius-tied
-/// default (w = 4r for L1, 2r for L2; §4.1).
+/// The p-stable quantization window, tied to the radius as in the paper
+/// (w = 4r for L1, 2r for L2; §4.1).
 util::StatusOr<double> PStableW(const EngineOptions& options,
                                 double radius_multiple) {
-  if (options.pstable_w > 0) return options.pstable_w;
   if (options.radius > 0) return radius_multiple * options.radius;
   return util::Status::InvalidArgument(
-      "kL1/kL2 engines need pstable_w > 0 or radius > 0 to derive it");
+      "kL1/kL2 engines need radius > 0 to derive their window w");
 }
 
 // -- Built-in factories, one per paper pairing ------------------------------

@@ -37,48 +37,13 @@
 #include "data/attributes.h"
 #include "data/dataset.h"
 #include "data/metric.h"
+#include "engine/options.h"
 #include "engine/query_pipeline.h"
 #include "engine/sharded_engine.h"
 #include "util/status.h"
 
 namespace hybridlsh {
 namespace engine {
-
-/// Family-independent build parameters, mirrored into the per-family
-/// ShardedEngine<Family>::Options by the registry factories.
-struct EngineOptions {
-  /// Sharding and pool size (see ShardedEngine<Family>::Options).
-  size_t num_shards = 1;
-  size_t num_threads = 0;  // 0 = one per shard
-
-  /// Index parameters shared by all shards (lsh::IndexOptions).
-  int num_tables = 50;
-  int k = 0;  // 0 = auto from (radius, delta)
-  double delta = 0.1;
-  /// Search radius: parameter derivation for k == 0, and the w default for
-  /// the p-stable families.
-  double radius = 0.0;
-  int hll_precision = 7;
-  uint64_t seed = 1;
-
-  /// Quantization window for kL1 / kL2 (PStableFamily). 0 = the paper's
-  /// defaults in terms of `radius`: w = 4r (L1), w = 2r (L2).
-  double pstable_w = 0.0;
-
-  /// Segment lifecycle knobs, applied per shard (see
-  /// engine/segmented_index.h): the active segment seals at this many
-  /// points, and a shard auto-compacts past this many sealed segments.
-  size_t active_seal_threshold = 4096;
-  size_t max_sealed_segments = 4;
-
-  /// Int8 quantized verification tier (dense datasets; see
-  /// ShardedEngine::Options::quantized_verify). false = exact-float
-  /// verification everywhere. Results are identical either way.
-  bool quantized_verify = true;
-
-  /// Cost model, multi-probe width, and forced-strategy escape hatch.
-  core::SearcherOptions searcher;
-};
 
 /// The mutable counterpart of AnyDataset: hand one of these to
 /// BuildEngine (or EnableUpdates) and the engine can append points on

@@ -88,6 +88,7 @@
 
 #include "core/cost_model.h"
 #include "data/dataset.h"
+#include "engine/options.h"
 #include "hll/hyperloglog.h"
 #include "lsh/index.h"
 #include "lsh/table.h"
@@ -393,17 +394,6 @@ class SegmentedIndex {
  public:
   using Point = typename Family::Point;
 
-  struct Options {
-    /// Table count, k / delta / radius, HLL precision, seed, build threads.
-    lsh::IndexOptions index;
-    /// The active log freezes (and, by default, seals) at this many points.
-    /// Smaller = cheaper estimates sooner; larger = cheaper ingest.
-    size_t active_seal_threshold = 4096;
-    /// Compaction triggers when a seal pushes the sealed-segment count past
-    /// this. 0 disables auto-compaction (call Compact yourself).
-    size_t max_sealed_segments = 4;
-  };
-
   /// Lifecycle observability. All counters are atomic snapshots — safe to
   /// read while writers and maintenance run.
   struct LifecycleStats {
@@ -547,7 +537,8 @@ class SegmentedIndex {
   /// per-index).
   static util::StatusOr<SegmentedIndex> Build(
       Family family, const Dataset* dataset, size_t base, size_t count,
-      const Options& options, util::BitVector* shared_tombstones = nullptr) {
+      const EngineOptions& options,
+      util::BitVector* shared_tombstones = nullptr) {
     if (dataset == nullptr) {
       return util::Status::InvalidArgument("dataset pointer is null");
     }
@@ -555,17 +546,14 @@ class SegmentedIndex {
       return util::Status::InvalidArgument(
           "segment range exceeds the dataset");
     }
-    if (options.index.hll_precision < hll::HyperLogLog::kMinPrecision ||
-        options.index.hll_precision > hll::HyperLogLog::kMaxPrecision) {
-      return util::Status::InvalidArgument("hll_precision out of range");
-    }
+    HLSH_RETURN_IF_ERROR(ValidateOptions(options));
     if (dataset->size() > static_cast<size_t>(UINT32_MAX)) {
       return util::Status::InvalidArgument("dataset exceeds 2^32-1 points");
     }
 
     auto functions = lsh::FunctionSet<Family>::Sample(
-        std::move(family), options.index.num_tables, options.index.k,
-        options.index.delta, options.index.radius, options.index.seed);
+        std::move(family), options.num_tables, options.k, options.delta,
+        options.radius, options.seed);
     if (!functions.ok()) return functions.status();
 
     SegmentedIndex index(std::move(*functions));
@@ -574,9 +562,9 @@ class SegmentedIndex {
     index.id_base_ = static_cast<uint32_t>(base);
     index.initial_count_ = count;
     index.build_n_ = dataset->size();
-    index.table_options_.hll_precision = options.index.hll_precision;
+    index.table_options_.hll_precision = options.hll_precision;
     index.table_options_.small_bucket_threshold =
-        options.index.small_bucket_threshold;
+        options.small_bucket_threshold;
     if (shared_tombstones != nullptr) {
       index.tombstones_ = shared_tombstones;
     } else {
@@ -588,12 +576,11 @@ class SegmentedIndex {
     auto view = std::make_shared<SegmentListView>();
     if (count > 0) {
       auto segment = std::make_shared<LshSegment>();
-      segment->tables.resize(static_cast<size_t>(options.index.num_tables));
+      segment->tables.resize(static_cast<size_t>(options.num_tables));
       lsh::LshTable::Options table_options = index.table_options_;
       table_options.id_base = static_cast<uint32_t>(base);
       util::ParallelFor(
-          0, segment->tables.size(), options.index.num_build_threads,
-          [&](size_t t) {
+          0, segment->tables.size(), index.build_threads(), [&](size_t t) {
             std::vector<int32_t> slots;
             std::vector<uint64_t> keys(count);
             for (size_t i = 0; i < count; ++i) {
@@ -869,7 +856,12 @@ class SegmentedIndex {
     return static_cast<int>(functions_.num_tables());
   }
   uint32_t id_base() const { return id_base_; }
-  const Options& options() const { return options_; }
+  const EngineOptions& options() const { return options_; }
+  /// Threads this index builds and compacts its tables on: its shard's
+  /// share of the engine's pool.
+  size_t build_threads() const {
+    return std::max<size_t>(1, options_.num_threads / options_.num_shards);
+  }
 
   /// Coherent (live, indexed) pair from ONE atomic load — both counters
   /// are packed in a single word, so concurrent Insert/Remove can never
@@ -886,14 +878,14 @@ class SegmentedIndex {
   size_t live_size() const { return size(); }
 
   hll::HyperLogLog MakeScratchSketch() const {
-    return hll::HyperLogLog(options_.index.hll_precision);
+    return hll::HyperLogLog(options_.hll_precision);
   }
 
   // --- Snapshot persistence (engine/snapshot.h). -------------------------
   // SaveTo/LoadFrom carry only what this index owns: range bookkeeping,
   // counters, and the sealed segments (CSR tables + sketches + id lists).
-  // The FunctionSet, dataset, tombstones, and Options travel once at the
-  // engine level and are handed back to LoadFrom — that is what makes a
+  // The FunctionSet, dataset, tombstones, and EngineOptions travel once at
+  // the engine level and are handed back to LoadFrom — that is what makes a
   // multi-shard snapshot O(1) in hash functions instead of O(S).
 
   /// Appends this index's segments and counters to the writer. The active
@@ -935,22 +927,19 @@ class SegmentedIndex {
   /// in an inconsistent index.
   static util::StatusOr<SegmentedIndex> LoadFrom(
       util::ByteReader* reader, lsh::FunctionSet<Family> functions,
-      const Dataset* dataset, const Options& options,
+      const Dataset* dataset, const EngineOptions& options,
       util::BitVector* shared_tombstones = nullptr) {
     if (dataset == nullptr) {
       return util::Status::InvalidArgument("dataset pointer is null");
     }
-    if (options.index.hll_precision < hll::HyperLogLog::kMinPrecision ||
-        options.index.hll_precision > hll::HyperLogLog::kMaxPrecision) {
-      return util::Status::InvalidArgument("hll_precision out of range");
-    }
+    HLSH_RETURN_IF_ERROR(ValidateOptions(options));
 
     SegmentedIndex index(std::move(functions));
     index.dataset_ = dataset;
     index.options_ = options;
-    index.table_options_.hll_precision = options.index.hll_precision;
+    index.table_options_.hll_precision = options.hll_precision;
     index.table_options_.small_bucket_threshold =
-        options.index.small_bucket_threshold;
+        options.small_bucket_threshold;
     if (shared_tombstones != nullptr) {
       index.tombstones_ = shared_tombstones;
     } else {
@@ -1195,7 +1184,7 @@ class SegmentedIndex {
     const size_t L = functions_.num_tables();
     auto merged = std::make_shared<LshSegment>();
     merged->tables.resize(L);
-    util::ParallelFor(0, L, options_.index.num_build_threads, [&](size_t t) {
+    util::ParallelFor(0, L, build_threads(), [&](size_t t) {
       std::vector<uint64_t> keys;
       std::vector<uint32_t> ids;
       for (const auto& segment : inputs) {
@@ -1238,7 +1227,7 @@ class SegmentedIndex {
 
   const Dataset* dataset_ = nullptr;
   Dataset* mutable_dataset_ = nullptr;
-  Options options_;
+  EngineOptions options_;
   lsh::FunctionSet<Family> functions_;
   lsh::LshTable::Options table_options_;
 

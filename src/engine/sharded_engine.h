@@ -98,6 +98,7 @@
 #include "data/dataset.h"
 #include "data/metric.h"
 #include "data/quantized.h"
+#include "engine/options.h"
 #include "engine/query_pipeline.h"
 #include "engine/segmented_index.h"
 #include "engine/snapshot.h"
@@ -195,42 +196,6 @@ class ShardedEngine {
   using ShardIndex = SegmentedIndex<Family, Dataset>;
   using Point = typename Family::Point;
 
-  struct Options {
-    /// Number of id-range shards S. Clamped to the dataset size so that no
-    /// shard is empty; shard s covers a contiguous range of n/S (+1 for the
-    /// first n mod S shards) ids.
-    size_t num_shards = 1;
-    /// Worker threads in the engine's persistent pool (shard builds, query
-    /// fan-out, batch execution). 0 = one per shard.
-    size_t num_threads = 0;
-    /// Per-shard index parameters. `num_build_threads` is overwritten by
-    /// the shard's share of the pool (max(1, num_threads / num_shards));
-    /// everything else — including `seed` — is shared by all shards, which
-    /// is what makes the engine candidate-equivalent to a monolithic index
-    /// (see file comment).
-    lsh::IndexOptions index;
-    /// Segment lifecycle knobs, applied per shard (segmented_index.h).
-    size_t active_seal_threshold = 4096;
-    size_t max_sealed_segments = 4;
-    /// Run seal/compaction on the engine's background maintenance thread
-    /// (default). false = the standalone-index behavior: maintenance runs
-    /// inline on the inserting thread at the thresholds, so lifecycle
-    /// counters are deterministic after every Insert (tests, benches that
-    /// measure seal cost on the ingest path).
-    bool background_maintenance = true;
-    /// Quantized verification tier (dense datasets only): build an int8
-    /// mirror of the dataset and screen every candidate with integer SIMD
-    /// kernels plus a conservative error bound, rescoring only the
-    /// borderline ones with the exact float kernels. Result sets are
-    /// bit-identical to the all-float path; this knob is the escape hatch
-    /// back to exact-float-everywhere verification. Ignored (no mirror,
-    /// no overhead) for binary and sparse containers.
-    bool quantized_verify = true;
-    /// Cost model, multi-probe width, and forced-strategy escape hatch.
-    /// The hybrid decision runs per shard with LinearCost(shard_live_n).
-    core::SearcherOptions searcher;
-  };
-
   /// Caller-owned scratch for the lock-free QueryConcurrent path: the
   /// global-id dedup set, the merged HLL sketch, the hash-once plan
   /// workspace, and one cached SegmentSnapshot per shard — re-acquired with two plain
@@ -261,15 +226,14 @@ class ShardedEngine {
   };
 
   /// Builds all shards in parallel. The dataset is retained by pointer and
-  /// must outlive the engine. A multi-probe width of 0 returns
-  /// InvalidArgument, and one above 1 on a family without multi-probe
-  /// Unimplemented (lsh::ValidateProbesPerTable).
+  /// must outlive the engine. Options that fail ValidateOptions return its
+  /// InvalidArgument, and a multi-probe width above 1 on a family without
+  /// multi-probe Unimplemented (lsh::ValidateProbesPerTable). options()
+  /// then reports the resolved shard count and pool size.
   static util::StatusOr<ShardedEngine> Build(Family family,
                                              const Dataset& dataset,
-                                             const Options& options) {
-    if (options.num_shards < 1) {
-      return util::Status::InvalidArgument("num_shards must be >= 1");
-    }
+                                             const EngineOptions& options) {
+    HLSH_RETURN_IF_ERROR(ValidateOptions(options));
     if (dataset.size() == 0) {
       return util::Status::InvalidArgument("cannot build over an empty dataset");
     }
@@ -282,12 +246,14 @@ class ShardedEngine {
         family, options.searcher.probes_per_table));
 
     ShardedEngine engine;
-    engine.options_ = options;
     engine.dataset_ = &dataset;
     const size_t n = dataset.size();
     const size_t num_shards = std::min(options.num_shards, n);
     const size_t num_threads =
         options.num_threads > 0 ? options.num_threads : num_shards;
+    engine.options_ = options;
+    engine.options_.num_shards = num_shards;
+    engine.options_.num_threads = num_threads;
     engine.pool_ = std::make_unique<util::ThreadPool>(num_threads);
 
     // Balanced contiguous partition: n/S per shard, remainder spread left.
@@ -309,11 +275,10 @@ class ShardedEngine {
     engine.tombstones_ = std::make_unique<util::BitVector>(n);
     util::WallTimer build_timer;
     std::vector<util::Status> statuses(num_shards, util::Status::Ok());
-    const typename ShardIndex::Options shard_options = engine.ShardOptions();
     util::ParallelForOn(engine.pool_.get(), 0, num_shards, [&](size_t s) {
       Shard& shard = engine.shards_[s];
       auto built = ShardIndex::Build(family, &dataset, shard.base, shard.size,
-                                     shard_options, engine.tombstones_.get());
+                                     engine.options_, engine.tombstones_.get());
       if (!built.ok()) {
         statuses[s] = built.status();
         return;
@@ -346,7 +311,7 @@ class ShardedEngine {
   /// Build over a mutable dataset: same as the const Build plus
   /// EnableUpdates, so Insert works immediately.
   static util::StatusOr<ShardedEngine> Build(Family family, Dataset* dataset,
-                                             const Options& options) {
+                                             const EngineOptions& options) {
     if (dataset == nullptr) {
       return util::Status::InvalidArgument("dataset pointer is null");
     }
@@ -672,7 +637,7 @@ class ShardedEngine {
     stats.plan_reuse = counters_->plan_reuse.load(std::memory_order_relaxed);
     return stats;
   }
-  const Options& options() const { return options_; }
+  const EngineOptions& options() const { return options_; }
   const Dataset& dataset() const { return *dataset_; }
 
   /// Shard inspection for tests: the index and initial id range of shard s.
@@ -742,7 +707,7 @@ class ShardedEngine {
     manifest.dataset_kind = data::DatasetKindOf(*dataset_);
     manifest.num_points = dataset_->size();
     manifest.initial_n = initial_n_;
-    manifest.config = ToConfig();
+    manifest.config = options_;
     return writer->Commit(std::move(manifest));
   }
 
@@ -774,16 +739,18 @@ class ShardedEngine {
 
     util::WallTimer restore_timer;
     ShardedEngine engine;
-    engine.options_ = OptionsFromConfig(manifest.config);
+    engine.options_ = manifest.config;
+    if (open_options.num_threads > 0) {
+      engine.options_.num_threads = open_options.num_threads;
+    } else if (engine.options_.num_threads == 0) {
+      engine.options_.num_threads = engine.options_.num_shards;
+    }
+    HLSH_RETURN_IF_ERROR(ValidateOptions(engine.options_));
     engine.dataset_ = dataset;
     engine.initial_n_ = manifest.initial_n;
 
-    const size_t num_shards = manifest.config.num_shards;
-    const size_t num_threads =
-        open_options.num_threads > 0 ? open_options.num_threads
-        : manifest.config.num_threads > 0
-            ? static_cast<size_t>(manifest.config.num_threads)
-            : num_shards;
+    const size_t num_shards = engine.options_.num_shards;
+    const size_t num_threads = engine.options_.num_threads;
     engine.pool_ = std::make_unique<util::ThreadPool>(num_threads);
 
     // Phase 1, all on the pool at once: the dataset chain (read + checksum
@@ -856,7 +823,7 @@ class ShardedEngine {
           "snapshot tombstone bitmap mismatches the dataset");
     }
     if (functions->num_tables() !=
-        static_cast<size_t>(manifest.config.num_tables)) {
+        static_cast<size_t>(engine.options_.num_tables)) {
       return util::Status::DataLoss(
           "snapshot function set mismatches the manifest table count");
     }
@@ -865,7 +832,6 @@ class ShardedEngine {
 
     // Phase 2: parse every shard's segments (checksums already verified).
     engine.shards_.resize(num_shards);
-    const typename ShardIndex::Options shard_options = engine.ShardOptions();
     util::ParallelForOn(engine.pool_.get(), 0, num_shards, [&](size_t s) {
       if (!statuses[s].ok()) return;
       util::ByteReader bytes(shard_blobs[s]->payload());
@@ -882,7 +848,7 @@ class ShardedEngine {
       shard.base = static_cast<size_t>(base);
       shard.size = static_cast<size_t>(size);
       auto loaded = ShardIndex::LoadFrom(&bytes, *functions, dataset,
-                                         shard_options,
+                                         engine.options_,
                                          engine.tombstones_.get());
       if (!loaded.ok()) {
         statuses[s] = loaded.status();
@@ -942,58 +908,6 @@ class ShardedEngine {
   }
 
  private:
-  /// The engine's family-independent configuration, as persisted in the
-  /// snapshot manifest and restored by OptionsFromConfig.
-  snapshot::EngineConfig ToConfig() const {
-    snapshot::EngineConfig config;
-    config.num_shards = shards_.size();
-    config.num_threads = pool_->num_threads();
-    config.num_tables = options_.index.num_tables;
-    config.k = options_.index.k;
-    config.delta = options_.index.delta;
-    config.radius = options_.index.radius;
-    config.hll_precision = options_.index.hll_precision;
-    config.small_bucket_threshold = options_.index.small_bucket_threshold;
-    config.seed = options_.index.seed;
-    config.active_seal_threshold = options_.active_seal_threshold;
-    config.max_sealed_segments = options_.max_sealed_segments;
-    config.cost_alpha = options_.searcher.cost_model.alpha;
-    config.cost_beta = options_.searcher.cost_model.beta;
-    config.probes_per_table = options_.searcher.probes_per_table;
-    config.forced_strategy =
-        static_cast<uint32_t>(options_.searcher.forced);
-    config.quantized_verify = options_.quantized_verify ? 1 : 0;
-    config.cost_beta_screen = options_.searcher.cost_model.beta_screen;
-    config.cost_rescore_fraction =
-        options_.searcher.cost_model.rescore_fraction;
-    return config;
-  }
-
-  static Options OptionsFromConfig(const snapshot::EngineConfig& config) {
-    Options options;
-    options.num_shards = config.num_shards;
-    options.num_threads = config.num_threads;
-    options.index.num_tables = config.num_tables;
-    options.index.k = config.k;
-    options.index.delta = config.delta;
-    options.index.radius = config.radius;
-    options.index.hll_precision = config.hll_precision;
-    options.index.small_bucket_threshold = config.small_bucket_threshold;
-    options.index.seed = config.seed;
-    options.active_seal_threshold = config.active_seal_threshold;
-    options.max_sealed_segments = config.max_sealed_segments;
-    options.searcher.cost_model.alpha = config.cost_alpha;
-    options.searcher.cost_model.beta = config.cost_beta;
-    options.searcher.cost_model.beta_screen = config.cost_beta_screen;
-    options.searcher.cost_model.rescore_fraction =
-        config.cost_rescore_fraction;
-    options.searcher.probes_per_table = config.probes_per_table;
-    options.searcher.forced =
-        static_cast<core::ForcedStrategy>(config.forced_strategy);
-    options.quantized_verify = config.quantized_verify != 0;
-    return options;
-  }
-
   struct Shard {
     size_t base = 0;
     size_t size = 0;  // initial range size (inserts/removes don't update it)
@@ -1017,18 +931,6 @@ class ShardedEngine {
       : sync_(std::make_unique<EngineSync>()),
         counters_(std::make_unique<QueryCounters>()) {}
 
-  /// One shard's index options: the engine's, building tables on the
-  /// shard's share of the pool (see Options::index).
-  typename ShardIndex::Options ShardOptions() const {
-    typename ShardIndex::Options shard_options;
-    shard_options.index = options_.index;
-    shard_options.index.num_build_threads =
-        std::max<size_t>(1, pool_->num_threads() / shards_.size());
-    shard_options.active_seal_threshold = options_.active_seal_threshold;
-    shard_options.max_sealed_segments = options_.max_sealed_segments;
-    return shard_options;
-  }
-
   /// Builds the int8 mirror over the engine's dataset when the container
   /// is dense, the option is on, and the data quantizes (non-degenerate
   /// scale). No-op otherwise — queries then verify all-float, which is the
@@ -1043,10 +945,8 @@ class ShardedEngine {
   }
 
   /// Arms deferred maintenance on every shard and spins up the dedicated
-  /// one-thread maintenance pool. No-op in inline mode
-  /// (options_.background_maintenance == false).
+  /// one-thread maintenance pool.
   void StartMaintenance() {
-    if (!options_.background_maintenance) return;
     for (Shard& shard : shards_) shard.index->SetDeferredMaintenance(true);
     maintenance_pool_ = std::make_unique<util::ThreadPool>(1);
     maintenance_group_ =
@@ -1573,7 +1473,7 @@ class ShardedEngine {
     s->filter_survivors = fctx.survivors;
   }
 
-  Options options_;
+  EngineOptions options_;
   const Dataset* dataset_ = nullptr;
   Dataset* mutable_dataset_ = nullptr;
   // Attribute table for the filter stage (row == global id); attached by

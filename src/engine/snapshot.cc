@@ -56,6 +56,14 @@ util::Status ReadString(util::ByteReader* reader, std::string* out) {
   return util::Status::Ok();
 }
 
+/// Reads one size_t option, which the manifest stores as a u64.
+util::Status ReadSize(util::ByteReader* reader, size_t* out) {
+  uint64_t value = 0;
+  HLSH_RETURN_IF_ERROR(reader->ReadU64(&value));
+  *out = static_cast<size_t>(value);
+  return util::Status::Ok();
+}
+
 }  // namespace
 
 std::string ShardFileName(size_t shard) {
@@ -75,6 +83,7 @@ void Manifest::Serialize(util::ByteWriter* writer) const {
   writer->WriteU64(num_points);
   writer->WriteU64(initial_n);
 
+  const core::CostModel& cost = config.searcher.cost_model;
   writer->WriteU64(config.num_shards);
   writer->WriteU64(config.num_threads);
   writer->WriteI32(config.num_tables);
@@ -86,15 +95,15 @@ void Manifest::Serialize(util::ByteWriter* writer) const {
   writer->WriteU64(config.seed);
   writer->WriteU64(config.active_seal_threshold);
   writer->WriteU64(config.max_sealed_segments);
-  writer->WriteF64(config.cost_alpha);
-  writer->WriteF64(config.cost_beta);
-  writer->WriteU64(config.probes_per_table);
-  writer->WriteU32(config.forced_strategy);
+  writer->WriteF64(cost.alpha);
+  writer->WriteF64(cost.beta);
+  writer->WriteU64(config.searcher.probes_per_table);
+  writer->WriteU32(static_cast<uint32_t>(config.searcher.forced));
   // v2 config fields sit between the v1 config block and the file list so
   // the version-gated Parse below can skip them for v1 payloads.
-  writer->WriteU32(config.quantized_verify);
-  writer->WriteF64(config.cost_beta_screen);
-  writer->WriteF64(config.cost_rescore_fraction);
+  writer->WriteU32(config.quantized_verify ? 1 : 0);
+  writer->WriteF64(cost.beta_screen);
+  writer->WriteF64(cost.rescore_fraction);
 
   writer->WriteU64(files.size());
   for (const FileEntry& file : files) {
@@ -122,41 +131,45 @@ util::StatusOr<Manifest> Manifest::Parse(util::ByteReader* reader) {
   HLSH_RETURN_IF_ERROR(reader->ReadU64(&manifest.num_points));
   HLSH_RETURN_IF_ERROR(reader->ReadU64(&manifest.initial_n));
 
-  EngineConfig& config = manifest.config;
-  HLSH_RETURN_IF_ERROR(reader->ReadU64(&config.num_shards));
-  HLSH_RETURN_IF_ERROR(reader->ReadU64(&config.num_threads));
+  EngineOptions& config = manifest.config;
+  core::CostModel& cost = config.searcher.cost_model;
+  uint32_t forced = 0;
+  uint32_t quantized_verify = 1;
+  HLSH_RETURN_IF_ERROR(ReadSize(reader, &config.num_shards));
+  HLSH_RETURN_IF_ERROR(ReadSize(reader, &config.num_threads));
   HLSH_RETURN_IF_ERROR(reader->ReadI32(&config.num_tables));
   HLSH_RETURN_IF_ERROR(reader->ReadI32(&config.k));
   HLSH_RETURN_IF_ERROR(reader->ReadF64(&config.delta));
   HLSH_RETURN_IF_ERROR(reader->ReadF64(&config.radius));
   HLSH_RETURN_IF_ERROR(reader->ReadI32(&config.hll_precision));
-  HLSH_RETURN_IF_ERROR(reader->ReadU64(&config.small_bucket_threshold));
+  HLSH_RETURN_IF_ERROR(ReadSize(reader, &config.small_bucket_threshold));
   HLSH_RETURN_IF_ERROR(reader->ReadU64(&config.seed));
-  HLSH_RETURN_IF_ERROR(reader->ReadU64(&config.active_seal_threshold));
-  HLSH_RETURN_IF_ERROR(reader->ReadU64(&config.max_sealed_segments));
-  HLSH_RETURN_IF_ERROR(reader->ReadF64(&config.cost_alpha));
-  HLSH_RETURN_IF_ERROR(reader->ReadF64(&config.cost_beta));
-  HLSH_RETURN_IF_ERROR(reader->ReadU64(&config.probes_per_table));
-  HLSH_RETURN_IF_ERROR(reader->ReadU32(&config.forced_strategy));
+  HLSH_RETURN_IF_ERROR(ReadSize(reader, &config.active_seal_threshold));
+  HLSH_RETURN_IF_ERROR(ReadSize(reader, &config.max_sealed_segments));
+  HLSH_RETURN_IF_ERROR(reader->ReadF64(&cost.alpha));
+  HLSH_RETURN_IF_ERROR(reader->ReadF64(&cost.beta));
+  HLSH_RETURN_IF_ERROR(ReadSize(reader, &config.searcher.probes_per_table));
+  HLSH_RETURN_IF_ERROR(reader->ReadU32(&forced));
   if (manifest.format_version >= 2) {
-    HLSH_RETURN_IF_ERROR(reader->ReadU32(&config.quantized_verify));
-    HLSH_RETURN_IF_ERROR(reader->ReadF64(&config.cost_beta_screen));
-    HLSH_RETURN_IF_ERROR(reader->ReadF64(&config.cost_rescore_fraction));
+    HLSH_RETURN_IF_ERROR(reader->ReadU32(&quantized_verify));
+    HLSH_RETURN_IF_ERROR(reader->ReadF64(&cost.beta_screen));
+    HLSH_RETURN_IF_ERROR(reader->ReadF64(&cost.rescore_fraction));
   }
   // A v1 snapshot predates quantized verification: restore with the
-  // default-on screen and the single-beta cost model (the EngineConfig
+  // default-on screen and the single-beta cost model (the EngineOptions
   // initializers), and rebuild the mirror from the dataset at open.
-  // Bound the fields that size allocations (shard vectors, thread pool)
-  // before any shard payload is validated — same 2^20 cap as num_files,
-  // FunctionSet::Load, and SegmentedIndex::LoadFrom.
-  constexpr uint64_t kMaxCount = uint64_t{1} << 20;
-  if (config.num_shards == 0 || config.num_shards > kMaxCount ||
-      config.num_threads > kMaxCount || config.num_tables <= 0 ||
-      config.probes_per_table == 0 || config.forced_strategy > 2 ||
-      config.quantized_verify > 1 ||
-      !(config.cost_beta_screen >= 0.0) ||
-      !(config.cost_rescore_fraction >= 0.0)) {
+  if (quantized_verify > 1) {
     return util::Status::DataLoss("snapshot manifest has invalid config");
+  }
+  config.searcher.forced = static_cast<core::ForcedStrategy>(forced);
+  config.quantized_verify = quantized_verify != 0;
+  // The checks Build runs, among them the bounds on the fields that size
+  // allocations (shard vectors, thread pool, active logs), before any
+  // shard payload is read.
+  const util::Status valid = ValidateOptions(config);
+  if (!valid.ok()) {
+    return util::Status::DataLoss("snapshot manifest has invalid config: " +
+                                  valid.message());
   }
 
   uint64_t num_files = 0;

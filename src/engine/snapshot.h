@@ -10,7 +10,7 @@
 //   root/
 //     CURRENT              "snapshot-000007\n"  (atomic rename, synced)
 //     snapshot-000007/
-//       MANIFEST           header + engine config + file table (written LAST)
+//       MANIFEST           header + EngineOptions + file table (written LAST)
 //       functions.bin      one FunctionSet block, shared by all shards
 //       dataset.bin        the point container + dense norm cache
 //       tombstones.bin     the engine-wide delete bitmap
@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/options.h"
 #include "util/mmap_file.h"
 #include "util/serialize.h"
 #include "util/status.h"
@@ -76,31 +77,6 @@ struct OpenOptions {
   size_t num_threads = 0;
 };
 
-/// The family-independent engine configuration a snapshot restores:
-/// sharding, index parameters, segment-lifecycle knobs, and the searcher
-/// policy including the calibrated (alpha, beta) cost constants.
-struct EngineConfig {
-  uint64_t num_shards = 1;
-  uint64_t num_threads = 0;
-  int32_t num_tables = 50;
-  int32_t k = 0;
-  double delta = 0.1;
-  double radius = 0.0;
-  int32_t hll_precision = 7;
-  uint64_t small_bucket_threshold = 0;
-  uint64_t seed = 1;
-  uint64_t active_seal_threshold = 4096;
-  uint64_t max_sealed_segments = 4;
-  double cost_alpha = 1.0;
-  double cost_beta = 10.0;
-  uint64_t probes_per_table = 1;
-  uint32_t forced_strategy = 0;  // core::ForcedStrategy underlying value
-  // --- v2 fields (defaults are what a v1 snapshot restores to). ---
-  uint32_t quantized_verify = 1;  // int8 screen enabled (dense datasets)
-  double cost_beta_screen = 0.0;
-  double cost_rescore_fraction = 1.0;
-};
-
 /// One data file recorded in the manifest.
 struct FileEntry {
   std::string name;
@@ -116,7 +92,9 @@ struct Manifest {
   uint32_t dataset_kind = 0;  // data::kDenseDatasetKind etc.
   uint64_t num_points = 0;    // dataset size at snapshot
   uint64_t initial_n = 0;     // dataset size at the original Build
-  EngineConfig config;
+  /// The engine's options, with the resolved shard count and pool size.
+  /// The calibrated (alpha, beta) constants travel in searcher.cost_model.
+  EngineOptions config;
   std::vector<FileEntry> files;
 
   void Serialize(util::ByteWriter* writer) const;

@@ -3,10 +3,10 @@
 //
 // A table set is L LshTables (lsh/table.h), each keyed by a concatenation
 // of k atomic hashes from `Family`, every bucket carrying a HyperLogLog
-// sketch of its ids. IndexOptions holds its parameters, and FunctionSet
-// one draw of its hash functions. The query side exposes the three LSH
-// steps separately so that the hybrid decision can run the cost estimate
-// before deciding to execute:
+// sketch of its ids. FunctionSet holds one draw of its hash functions; the
+// parameters come from engine::EngineOptions. The query side exposes the
+// three LSH steps separately so that the hybrid decision can run the cost
+// estimate before deciding to execute:
 //
 //   S1  ComputePlan — hash the query once into its ProbePlan: every table's
 //       unique probe keys (home bucket, then multi-probe perturbations);
@@ -46,28 +46,6 @@
 
 namespace hybridlsh {
 namespace lsh {
-
-/// Parameters of a table set (engine::SegmentedIndex::Options::index; an
-/// engine applies one to every shard, ShardedEngine::Options::index).
-struct IndexOptions {
-  /// Number of hash tables L. The paper's evaluation fixes L = 50.
-  int num_tables = 50;
-  /// Concatenation width k; 0 = derive from (radius, delta) via the
-  /// paper's rule AutoK (requires radius > 0).
-  int k = 0;
-  /// Per-point failure probability delta (used when k == 0).
-  double delta = 0.1;
-  /// Search radius used for parameter derivation when k == 0.
-  double radius = 0.0;
-  /// HLL precision b (m = 2^b registers per bucket sketch). Paper: b = 7.
-  int hll_precision = 7;
-  /// Small-bucket threshold; LshTable::kThresholdAuto = m.
-  size_t small_bucket_threshold = LshTable::kThresholdAuto;
-  /// Seed for sampling hash functions.
-  uint64_t seed = 1;
-  /// Threads for table construction (queries are single-threaded).
-  size_t num_build_threads = 1;
-};
 
 /// Result of the query-time cost estimation (paper Alg. 2, lines 1-2).
 struct ProbeEstimate {
@@ -207,7 +185,7 @@ class FunctionSet {
       HLSH_RETURN_IF_ERROR(set.family_.CheckNumTables(num_tables));
       k = static_cast<int>(set.family_.signature_slots());
     } else if (k == 0) {
-      if (radius <= 0.0) {
+      if (!(radius > 0.0)) {
         return util::Status::InvalidArgument(
             "k == 0 (auto) requires a positive radius");
       }

@@ -50,12 +50,13 @@ util::StatusOr<int> AutoK(double p1, int num_tables, double delta) {
   if (num_tables < 1) {
     return util::Status::InvalidArgument("num_tables must be >= 1");
   }
-  if (delta <= 0.0 || delta >= 1.0) {
+  // Written so that NaN fails each check.
+  if (!(delta > 0.0 && delta < 1.0)) {
     return util::Status::InvalidArgument("delta must be in (0, 1)");
   }
-  if (p1 <= 0.0) {
+  if (!(p1 > 0.0)) {
     return util::Status::InvalidArgument(
-        "collision probability at radius is zero; no k can satisfy delta");
+        "collision probability at radius must be > 0");
   }
   if (p1 >= 1.0) return 1;  // colliding surely; one hash suffices
   // target: p1^k >= 1 - delta^(1/L)  <=>  k <= log(1 - delta^(1/L)) / log p1.

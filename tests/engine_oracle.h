@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/options.h"
 #include "engine/segmented_index.h"
 #include "hll/hyperloglog.h"
 #include "lsh/index.h"
@@ -45,11 +46,10 @@ lsh::ProbePlan PlanOf(const Index& index, Point query,
 /// oracle walks.
 template <typename Family, typename Dataset>
 util::StatusOr<engine::SegmentedIndex<Family, Dataset>> BuildStatic(
-    Family family, const Dataset& dataset, const lsh::IndexOptions& options) {
-  typename engine::SegmentedIndex<Family, Dataset>::Options index_options;
-  index_options.index = options;
+    Family family, const Dataset& dataset,
+    const engine::EngineOptions& options) {
   return engine::SegmentedIndex<Family, Dataset>::Build(
-      std::move(family), &dataset, 0, dataset.size(), index_options);
+      std::move(family), &dataset, 0, dataset.size(), options);
 }
 
 /// The reference plan walk (see file comment): accumulates what the
@@ -134,7 +134,7 @@ std::vector<uint32_t> LshOracle(
     const Dataset& dataset, typename Family::Point query, double radius,
     size_t probes_per_table = 1) {
   const auto snapshot = index.Acquire();
-  WalkReference reference(index.options().index.hll_precision,
+  WalkReference reference(index.options().hll_precision,
                           snapshot.id_bound());
   reference.Segments(snapshot, PlanOf(index, query, probes_per_table));
   std::vector<uint32_t> ids;

@@ -31,12 +31,12 @@ class BatchQueryTest : public ::testing::Test {
   }
 
   std::unique_ptr<L2Engine> MakeEngine(size_t num_threads) const {
-    L2Engine::Options options;
+    EngineOptions options;
     options.num_shards = kShards;
     options.num_threads = num_threads;
-    options.index.num_tables = 30;
-    options.index.k = 7;
-    options.index.seed = 43;
+    options.num_tables = 30;
+    options.k = 7;
+    options.seed = 43;
     options.searcher.cost_model = core::CostModel::FromRatio(6.0);
     auto engine = L2Engine::Build(lsh::PStableFamily::L2(kDim, 2 * kRadius),
                                   dataset_, options);

@@ -66,22 +66,20 @@ class ConcurrentEngineTest : public ::testing::Test {
     queries_ = split.queries;
     incoming_ = data::MakeCorelLike(1500, kDim, 63);
 
-    index_options_.num_tables = 15;
-    index_options_.k = 7;
-    index_options_.seed = 64;
-    searcher_options_.cost_model = core::CostModel::FromRatio(6.0);
+    options_.num_tables = 15;
+    options_.k = 7;
+    options_.seed = 64;
+    options_.searcher.cost_model = core::CostModel::FromRatio(6.0);
   }
 
   Engine MakeEngine(data::DenseDataset* dataset, size_t num_shards,
                     core::ForcedStrategy forced) {
-    Engine::Options options;
+    EngineOptions options = options_;
     options.num_shards = num_shards;
-    options.index = index_options_;
     // Small thresholds so the churn below drives many background seals and
     // watermark compactions while queries are in flight.
     options.active_seal_threshold = 64;
     options.max_sealed_segments = 2;
-    options.searcher = searcher_options_;
     options.searcher.forced = forced;
     auto engine = Engine::Build(Family(), dataset, options);
     HLSH_CHECK(engine.ok());
@@ -95,8 +93,7 @@ class ConcurrentEngineTest : public ::testing::Test {
   data::DenseDataset base_;
   data::DenseDataset queries_;
   data::DenseDataset incoming_;
-  lsh::IndexOptions index_options_;
-  core::SearcherOptions searcher_options_;
+  EngineOptions options_;
 };
 
 // The epoch handshake: the writer publishes a monotone counter AFTER each
@@ -325,7 +322,7 @@ TEST_F(ConcurrentEngineTest, LinearPathSeesEveryInsertThatHappenedBefore) {
 TEST_F(ConcurrentEngineTest, LshPathFindsEveryLivePointUnderChurn) {
   for (const int num_tables : {1, 15}) {
     SCOPED_TRACE("num_tables " + std::to_string(num_tables));
-    index_options_.num_tables = num_tables;
+    options_.num_tables = num_tables;
     data::DenseDataset dataset = base_;  // grows with inserts
     Engine engine = MakeEngine(&dataset, 3, core::ForcedStrategy::kAlwaysLsh);
 
@@ -484,33 +481,30 @@ TEST_F(ConcurrentEngineTest, LinearWalkNeverReportsARemoveThatHappenedBefore) {
   }
 }
 
-TEST_F(ConcurrentEngineTest, InlineModeKeepsDeterministicLifecycle) {
+TEST_F(ConcurrentEngineTest, DrainedMaintenanceGivesDeterministicLifecycle) {
   data::DenseDataset dataset = base_;
-  Engine::Options options;
+  EngineOptions options = options_;
   options.num_shards = 2;
-  options.index = index_options_;
   options.active_seal_threshold = 8;
   options.max_sealed_segments = 4;
-  options.background_maintenance = false;  // standalone inline behavior
-  options.searcher = searcher_options_;
   auto built = Engine::Build(Family(), &dataset, options);
   ASSERT_TRUE(built.ok());
   Engine engine = std::move(*built);
 
-  // 40 inserts round-robin over 2 shards = 20 each; with inline sealing at
-  // threshold 8 every shard has exactly 20 % 8 = 4 active points and two
-  // freshly sealed ingest segments, observable immediately — no drain, no
-  // scheduling race.
+  // 40 inserts round-robin over 2 shards = 20 each; at threshold 8 every
+  // shard freezes two logs and keeps 20 % 8 = 4 active points. Once the
+  // background maintenance drains, both logs are sealed, whatever the
+  // scheduling was.
   for (size_t i = 0; i < 40; ++i) {
     ASSERT_TRUE(engine.Insert(incoming_.point(i)).ok());
   }
+  engine.DrainMaintenance();
   for (size_t s = 0; s < engine.num_shards(); ++s) {
     const auto lifecycle = engine.shard_index(s).lifecycle();
     EXPECT_EQ(lifecycle.active_points, 4u) << "shard " << s;
     EXPECT_EQ(lifecycle.pending_seal_logs, 0u) << "shard " << s;
     EXPECT_EQ(lifecycle.sealed_segments, 3u) << "shard " << s;  // initial + 2
   }
-  engine.DrainMaintenance();  // no-op without a maintenance thread
 }
 
 // The plan walks under a concurrent writer. Readers walk snapshots of one
@@ -525,8 +519,7 @@ TEST_F(ConcurrentEngineTest, SnapshotWalksMatchReferenceWhileWriterAppends) {
   constexpr size_t kReaders = 3;
   data::DenseDataset dataset = base_;  // grows with inserts
   util::BitVector tombstones;
-  Index::Options options;
-  options.index = index_options_;
+  EngineOptions options = options_;
   options.active_seal_threshold = 64;
   options.max_sealed_segments = 2;
   auto built = Index::Build(Family(), &dataset, 0, dataset.size(), options,
@@ -562,7 +555,7 @@ TEST_F(ConcurrentEngineTest, SnapshotWalksMatchReferenceWhileWriterAppends) {
         const auto snapshot = index.Acquire();
         if (!test_oracle::SnapshotWalksMatchReference(
                 snapshot, plans[i % plans.size()],
-                index_options_.hll_precision, &tombstones)) {
+                options_.hll_precision, &tombstones)) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
         checks.fetch_add(1, std::memory_order_relaxed);

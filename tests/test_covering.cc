@@ -23,14 +23,15 @@ namespace lsh {
 namespace {
 
 using data::BinaryDataset;
+using engine::EngineOptions;
 using test_oracle::BuildStatic;
 using CoveringTableSet = engine::SegmentedIndex<CoveringFamily>;
 
-IndexOptions MakeOptions(const CoveringFamily& family) {
-  IndexOptions options;
+EngineOptions MakeOptions(const CoveringFamily& family) {
+  EngineOptions options;
   options.num_tables = family.num_tables();
   options.seed = 11;
-  options.num_build_threads = 4;
+  options.num_threads = 4;
   return options;
 }
 
@@ -65,8 +66,7 @@ TEST(CoveringLshTest, BuildValidatesRadiusAndTableCount) {
         << "tables " << bad_tables;
   }
   const BinaryDataset empty(0, 64);
-  engine::ShardedEngine<CoveringFamily>::Options engine_options;
-  engine_options.index = MakeOptions(family);
+  const EngineOptions engine_options = MakeOptions(family);
   EXPECT_FALSE(engine::ShardedEngine<CoveringFamily>::Build(family, empty,
                                                             engine_options)
                    .ok());

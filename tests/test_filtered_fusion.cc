@@ -187,10 +187,10 @@ class FilteredFusionTest : public ::testing::Test {
     queries_ = split.queries;
     FillAttributes(&attributes_, dataset_.size());
 
-    index_options_.num_tables = 25;
-    index_options_.k = 7;
-    index_options_.seed = 53;
-    searcher_options_.cost_model = core::CostModel::FromRatio(6.0);
+    options_.num_tables = 25;
+    options_.k = 7;
+    options_.seed = 53;
+    options_.searcher.cost_model = core::CostModel::FromRatio(6.0);
   }
 
   static lsh::PStableFamily Family() {
@@ -199,13 +199,11 @@ class FilteredFusionTest : public ::testing::Test {
 
   using Engine = ShardedEngine<lsh::PStableFamily>;
 
-  Engine::Options ShardOptions(
+  EngineOptions MakeOptions(
       size_t num_shards,
       core::ForcedStrategy forced = core::ForcedStrategy::kAuto) const {
-    Engine::Options options;
+    EngineOptions options = options_;
     options.num_shards = num_shards;
-    options.index = index_options_;
-    options.searcher = searcher_options_;
     options.searcher.forced = forced;
     return options;
   }
@@ -213,7 +211,7 @@ class FilteredFusionTest : public ::testing::Test {
   Engine MakeEngine(size_t num_shards,
                     core::ForcedStrategy forced = core::ForcedStrategy::kAuto) {
     auto engine =
-        Engine::Build(Family(), dataset_, ShardOptions(num_shards, forced));
+        Engine::Build(Family(), dataset_, MakeOptions(num_shards, forced));
     HLSH_CHECK(engine.ok());
     engine->AttachAttributes(&attributes_);
     return std::move(*engine);
@@ -256,8 +254,7 @@ class FilteredFusionTest : public ::testing::Test {
   data::DenseDataset dataset_;
   data::DenseDataset queries_;
   data::AttributeStore attributes_;
-  lsh::IndexOptions index_options_;
-  core::SearcherOptions searcher_options_;
+  EngineOptions options_;
 };
 
 // --- Filter evaluation. -----------------------------------------------------
@@ -349,7 +346,7 @@ TEST_F(FilteredFusionTest, ShardedEngineChurnPushdownStaysExact) {
     data::DenseDataset working = dataset_;
     data::AttributeStore attributes;
     FillAttributes(&attributes, working.size());
-    auto built = Engine::Build(Family(), &working, ShardOptions(3, forced));
+    auto built = Engine::Build(Family(), &working, MakeOptions(3, forced));
     ASSERT_TRUE(built.ok());
     Engine engine = std::move(*built);
     engine.AttachAttributes(&attributes);
@@ -376,7 +373,7 @@ TEST_F(FilteredFusionTest, ConcurrentFilteredQueriesStaySound) {
   data::DenseDataset working = dataset_;
   data::AttributeStore attributes;
   FillAttributes(&attributes, working.size());
-  auto built = Engine::Build(Family(), &working, ShardOptions(4));
+  auto built = Engine::Build(Family(), &working, MakeOptions(4));
   ASSERT_TRUE(built.ok());
   Engine engine = std::move(*built);
   engine.AttachAttributes(&attributes);
@@ -704,7 +701,7 @@ TEST_F(FilteredFusionTest, EngineFusedTwoRadiiEqualsHandComposition) {
     data::DenseDataset working = dataset_;
     data::AttributeStore attributes;
     FillAttributes(&attributes, working.size());
-    Engine::Options options = ShardOptions(3, c.forced);
+    EngineOptions options = MakeOptions(3, c.forced);
     options.num_threads = c.num_threads;
     auto built = Engine::Build(Family(), &working, options);
     ASSERT_TRUE(built.ok());
@@ -735,12 +732,12 @@ TEST_F(FilteredFusionTest, EngineFusedHammingAndJaccardEqualHandComposition) {
     util::Rng rng(63);
     data::PlantNeighborsHamming(&codes, queries.point(0), 12, 60, &rng);
     using HammingEngine = ShardedEngine<lsh::BitSamplingFamily>;
-    HammingEngine::Options options;
+    EngineOptions options;
     options.num_shards = 3;
-    options.index.num_tables = 20;
-    options.index.k = 10;
-    options.index.seed = 64;
-    options.searcher = searcher_options_;
+    options.num_tables = 20;
+    options.k = 10;
+    options.seed = 64;
+    options.searcher = options_.searcher;
     auto engine =
         HammingEngine::Build(lsh::BitSamplingFamily(64), codes, options);
     ASSERT_TRUE(engine.ok());
@@ -763,12 +760,12 @@ TEST_F(FilteredFusionTest, EngineFusedHammingAndJaccardEqualHandComposition) {
   {
     const data::SparseDataset sets = data::MakeRandomSparse(800, 300, 30, 65);
     using JaccardEngine = ShardedEngine<lsh::MinHashFamily>;
-    JaccardEngine::Options options;
+    EngineOptions options;
     options.num_shards = 2;
-    options.index.num_tables = 20;
-    options.index.k = 3;
-    options.index.seed = 66;
-    options.searcher = searcher_options_;
+    options.num_tables = 20;
+    options.k = 3;
+    options.seed = 66;
+    options.searcher = options_.searcher;
     auto engine = JaccardEngine::Build(lsh::MinHashFamily(), sets, options);
     ASSERT_TRUE(engine.ok());
     QuerySpec fused;
@@ -992,13 +989,9 @@ TEST_F(FilteredFusionTest, SpecValidationRejectsUnknownPredicateColumn) {
   const data::Predicate past_end = data::Predicate::Equals(num_columns, 0);
   const data::Predicate one_bad_term =
       data::Predicate::Equals(0, 1).And({1000000, 0, 5});
-  EngineOptions facade_options;
+  EngineOptions facade_options = options_;
   facade_options.num_shards = 2;
-  facade_options.num_tables = index_options_.num_tables;
-  facade_options.k = index_options_.k;
-  facade_options.seed = index_options_.seed;
   facade_options.radius = kRadius;
-  facade_options.searcher = searcher_options_;
   auto facade =
       BuildEngine(data::Metric::kL2, AnyDataset{&dataset_}, facade_options);
   ASSERT_TRUE(facade.ok());
@@ -1058,13 +1051,9 @@ TEST_F(FilteredFusionTest, EngineBatchSharesOneFilter) {
 // --- Facade. ----------------------------------------------------------------
 
 TEST_F(FilteredFusionTest, FacadeSpecQueriesRouteAndValidate) {
-  EngineOptions facade_options;
+  EngineOptions facade_options = options_;
   facade_options.num_shards = 2;
-  facade_options.num_tables = index_options_.num_tables;
-  facade_options.k = index_options_.k;
-  facade_options.seed = index_options_.seed;
   facade_options.radius = kRadius;
-  facade_options.searcher = searcher_options_;
   // Pin one strategy: bit-identity is only defined strategy-for-strategy
   // (auto mode may legitimately flip to the filtered linear scan).
   facade_options.searcher.forced = core::ForcedStrategy::kAlwaysLinear;

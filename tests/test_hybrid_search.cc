@@ -25,6 +25,7 @@ namespace core {
 namespace {
 
 using data::DenseDataset;
+using engine::EngineOptions;
 
 /// Runs one query on `engine` and returns its one shard's decision stats.
 template <typename Engine, typename Point>
@@ -70,12 +71,12 @@ class HybridCosineTest : public ::testing::Test {
   /// A 1-shard engine over dataset_ (paper: ratio 10 for Webspam).
   CosineEngine Engine(ForcedStrategy forced = ForcedStrategy::kAuto,
                       double ratio = 10.0) const {
-    CosineEngine::Options options;
+    EngineOptions options;
     options.num_threads = 8;
-    options.index.num_tables = 50;
-    options.index.delta = 0.1;
-    options.index.radius = kRadius;
-    options.index.seed = 17;
+    options.num_tables = 50;
+    options.delta = 0.1;
+    options.radius = kRadius;
+    options.seed = 17;
     options.searcher.cost_model = CostModel::FromRatio(ratio);
     options.searcher.forced = forced;
     auto engine =
@@ -282,12 +283,12 @@ TEST(HybridMultiProbeTest, FewerTablesWithProbesStillRecall) {
 
   // 10 tables (vs the paper's 50) but 8 probes per table.
   auto make = [&](size_t probes) {
-    L2Engine::Options options;
+    EngineOptions options;
     options.num_threads = 4;
-    options.index.num_tables = 10;
-    options.index.delta = 0.1;
-    options.index.radius = radius;
-    options.index.seed = 23;
+    options.num_tables = 10;
+    options.delta = 0.1;
+    options.radius = radius;
+    options.seed = 23;
     options.searcher.cost_model = CostModel::FromRatio(6.0);
     options.searcher.probes_per_table = probes;
     options.searcher.forced = ForcedStrategy::kAlwaysLsh;
@@ -328,17 +329,17 @@ TEST(HybridCoveringTest, NoFalseNegativesThroughFullStack) {
   }
 
   const lsh::CoveringFamily family(64, radius, /*seed=*/33);
-  CoveringEngine::Options options;
+  EngineOptions options;
   options.num_threads = 8;
-  options.index.num_tables = family.num_tables();
-  options.index.seed = 33;
+  options.num_tables = family.num_tables();
+  options.seed = 33;
   options.searcher.cost_model = CostModel::FromRatio(1.0);
   auto engine = CoveringEngine::Build(family, dataset, options);
   ASSERT_TRUE(engine.ok());
   // A table count other than 2^(r+1) - 1, or a radius outside [1, 12], is
   // an InvalidArgument from the engine build.
-  CoveringEngine::Options bad = options;
-  bad.index.num_tables = 50;
+  EngineOptions bad = options;
+  bad.num_tables = 50;
   EXPECT_EQ(CoveringEngine::Build(family, dataset, bad).status().code(),
             util::StatusCode::kInvalidArgument);
   const lsh::CoveringFamily bad_radius(64, 13, 33);

@@ -16,16 +16,14 @@ namespace {
 
 using core::CostModel;
 using core::Strategy;
+using engine::EngineOptions;
 
 /// A 1-shard engine over `dataset`: the paper's hybrid searcher.
 template <typename Engine, typename Family, typename Dataset>
 Engine MakeEngine(const Family& family, const Dataset& dataset,
-                  const lsh::IndexOptions& index,
-                  const CostModel& model,
+                  EngineOptions options, const CostModel& model,
                   core::ForcedStrategy forced = core::ForcedStrategy::kAuto) {
-  typename Engine::Options options;
   options.num_threads = 8;
-  options.index = index;
   options.searcher.cost_model = model;
   options.searcher.forced = forced;
   auto engine = Engine::Build(family, dataset, options);
@@ -54,7 +52,7 @@ TEST(IntegrationTest, CorelRegimeL2) {
   const data::DenseDataset full = data::MakeCorelLike(8000, dim, 101);
   const data::DenseSplit split = data::SplitQueries(full, 20, 102);
 
-  lsh::IndexOptions options;
+  EngineOptions options;
   options.num_tables = 50;
   options.k = 7;
   options.seed = 103;
@@ -78,7 +76,7 @@ TEST(IntegrationTest, CovtypeRegimeL1) {
   const data::DenseDataset full = data::MakeCovtypeLike(8000, dim, 111);
   const data::DenseSplit split = data::SplitQueries(full, 20, 112);
 
-  lsh::IndexOptions options;
+  EngineOptions options;
   options.num_tables = 50;
   options.k = 8;
   options.seed = 113;
@@ -109,7 +107,7 @@ TEST(IntegrationTest, WebspamRegimeCosine) {
   const data::DenseDataset full = data::MakeWebspamLike(config);
   const data::DenseSplit split = data::SplitQueries(full, 20, 122);
 
-  lsh::IndexOptions options;
+  EngineOptions options;
   options.num_tables = 50;
   options.delta = 0.1;
   options.radius = radius;
@@ -151,7 +149,7 @@ TEST(IntegrationTest, MnistRegimeHammingFingerprints) {
   ASSERT_TRUE(codes.ok());
   const data::BinarySplit split = data::SplitQueriesBinary(*codes, 20, 133);
 
-  lsh::IndexOptions options;
+  EngineOptions options;
   options.num_tables = 50;
   options.delta = 0.1;
   options.radius = radius;
@@ -182,7 +180,7 @@ TEST(IntegrationTest, HybridNeverSlowerThanWorstPureStrategy) {
   config.seed = 141;
   const data::DenseDataset dataset = data::MakeWebspamLike(config);
 
-  lsh::IndexOptions options;
+  EngineOptions options;
   options.num_tables = 50;
   options.delta = 0.1;
   options.radius = radius;

@@ -31,6 +31,7 @@ namespace hybridlsh {
 namespace core {
 namespace {
 
+using engine::EngineOptions;
 using util::simd::Tier;
 
 /// Restores the process-wide resolved tier when a test scope ends.
@@ -459,9 +460,7 @@ TEST(DenseNormCacheTest, PrecomputeAndInvalidate) {
 template <typename Family, typename Dataset>
 engine::ShardedEngine<Family, Dataset> MakeEngine(
     const Family& family, const Dataset& dataset,
-    const lsh::IndexOptions& index) {
-  typename engine::ShardedEngine<Family, Dataset>::Options options;
-  options.index = index;
+    EngineOptions options) {
   options.searcher.cost_model = CostModel::FromRatio(6.0);
   auto built = engine::ShardedEngine<Family, Dataset>::Build(family, dataset,
                                                              options);
@@ -510,7 +509,7 @@ TEST(TierEquivalenceTest, DenseL2) {
   for (int q = 0; q < 8; ++q) {
     queries.Append(std::span<const float>(dataset.point(q * 300), 32));
   }
-  lsh::IndexOptions options;
+  EngineOptions options;
   options.num_tables = 20;
   options.radius = 0.45;
   options.seed = 52;
@@ -524,7 +523,7 @@ TEST(TierEquivalenceTest, DenseL1) {
   for (int q = 0; q < 8; ++q) {
     queries.Append(std::span<const float>(dataset.point(q * 250), 20));
   }
-  lsh::IndexOptions options;
+  EngineOptions options;
   options.num_tables = 20;
   options.radius = 2.0;
   options.seed = 54;
@@ -542,7 +541,7 @@ TEST(TierEquivalenceTest, DenseCosineWithNorms) {
   for (int q = 0; q < 8; ++q) {
     queries.Append(std::span<const float>(dataset.point(q * 300), 48));
   }
-  lsh::IndexOptions options;
+  EngineOptions options;
   options.num_tables = 20;
   options.radius = 0.15;
   options.seed = 56;
@@ -561,7 +560,7 @@ TEST(TierEquivalenceTest, BinaryHamming) {
     data::PlantNeighborsHamming(&dataset, &code, 6, 4, &rng);
     queries.Append(&code);
   }
-  lsh::IndexOptions options;
+  EngineOptions options;
   options.num_tables = 20;
   options.radius = 6.0;
   options.seed = 59;
@@ -571,7 +570,7 @@ TEST(TierEquivalenceTest, BinaryHamming) {
 
 TEST(TierEquivalenceTest, SparseJaccard) {
   data::SparseDataset dataset = data::MakeRandomSparse(1500, 4000, 40, 60);
-  lsh::IndexOptions options;
+  EngineOptions options;
   options.num_tables = 20;
   options.k = 2;
   options.seed = 61;
@@ -589,12 +588,11 @@ TEST(TierEquivalenceTest, SparseJaccard) {
 
 TEST(TierEquivalenceTest, OneShardEngineWithChurn) {
   data::DenseDataset dataset = data::MakeCorelLike(2000, 24, 62);
-  L2Engine::Options options;
-  options.index.num_tables = 15;
-  options.index.radius = 0.45;
-  options.index.seed = 63;
+  EngineOptions options;
+  options.num_tables = 15;
+  options.radius = 0.45;
+  options.seed = 63;
   options.active_seal_threshold = 256;
-  options.background_maintenance = false;
   options.searcher.cost_model = CostModel::FromRatio(6.0);
   auto engine =
       L2Engine::Build(lsh::PStableFamily::L2(24, 0.9), &dataset, options);
@@ -608,6 +606,8 @@ TEST(TierEquivalenceTest, OneShardEngineWithChurn) {
   for (uint32_t id = 100; id < 200; ++id) {
     ASSERT_TRUE(engine->Remove(id).ok());
   }
+  // The full log seals in the background; every tier must see one layout.
+  engine->DrainMaintenance();
   data::DenseDataset queries(0, 24);
   for (int q = 0; q < 6; ++q) {
     queries.Append(std::span<const float>(dataset.point(q * 250 + 3), 24));
@@ -623,12 +623,12 @@ TEST(TierEquivalenceTest, ShardedEngineBatch) {
     queries.Append(std::span<const float>(dataset.point(q * 280), 32));
   }
   using Engine = engine::ShardedEngine<lsh::PStableFamily>;
-  Engine::Options options;
+  EngineOptions options;
   options.num_shards = 3;
   options.num_threads = 2;
-  options.index.num_tables = 15;
-  options.index.radius = 0.45;
-  options.index.seed = 65;
+  options.num_tables = 15;
+  options.radius = 0.45;
+  options.seed = 65;
   options.searcher.cost_model = CostModel::FromRatio(6.0);
   auto engine =
       Engine::Build(lsh::PStableFamily::L2(32, 0.9), dataset, options);

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -30,6 +31,7 @@ namespace {
 
 using data::BinaryDataset;
 using data::DenseDataset;
+using engine::EngineOptions;
 using test_oracle::BuildStatic;
 using test_oracle::PlanOf;
 
@@ -63,14 +65,14 @@ class L2IndexTest : public ::testing::Test {
     }
   }
 
-  IndexOptions AutoOptions() const {
-    IndexOptions options;
+  EngineOptions AutoOptions() const {
+    EngineOptions options;
     options.num_tables = 50;
     options.k = 0;
     options.delta = 0.1;
     options.radius = kRadius;
     options.seed = 42;
-    options.num_build_threads = 4;
+    options.num_threads = 4;
     return options;
   }
 
@@ -78,7 +80,7 @@ class L2IndexTest : public ::testing::Test {
     return PStableFamily::L2(kDim, 2 * kRadius);  // paper: w = 2r
   }
 
-  util::StatusOr<Index> Build(const IndexOptions& options) const {
+  util::StatusOr<Index> Build(const EngineOptions& options) const {
     return BuildStatic(Family(), dataset_, options);
   }
 
@@ -104,6 +106,16 @@ TEST_F(L2IndexTest, BuildValidatesOptions) {
   options = AutoOptions();
   options.k = -3;
   EXPECT_FALSE(Build(options).ok());
+
+  // NaN radius or delta with k auto: the k rule must fail, not cast NaN.
+  options = AutoOptions();
+  options.radius = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(Build(options).status().code(),
+            util::StatusCode::kInvalidArgument);
+  options = AutoOptions();
+  options.delta = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(Build(options).status().code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 TEST_F(L2IndexTest, StatsArePopulated) {
@@ -420,12 +432,12 @@ TEST(SimHashIndexTest, RecallOnPlantedNeighbors) {
     queries.Append(query);
   }
 
-  IndexOptions options;
+  EngineOptions options;
   options.num_tables = 50;
   options.delta = 0.1;
   options.radius = radius;
   options.seed = 3;
-  options.num_build_threads = 4;
+  options.num_threads = 4;
   auto index = BuildStatic(SimHashFamily(dim), dataset, options);
   ASSERT_TRUE(index.ok());
   const auto snapshot = index->Acquire();
@@ -459,13 +471,13 @@ TEST(L1IndexTest, RecallOnPlantedNeighbors) {
     queries.Append(query);
   }
 
-  IndexOptions options;
+  EngineOptions options;
   options.num_tables = 50;
   options.k = 0;  // auto from (radius, delta), paper's rule
   options.delta = 0.1;
   options.radius = radius;
   options.seed = 4;
-  options.num_build_threads = 4;
+  options.num_threads = 4;
   auto index =
       BuildStatic(PStableFamily::L1(dim, 4 * radius), dataset, options);
   ASSERT_TRUE(index.ok());
@@ -503,12 +515,12 @@ TEST(HammingIndexTest, RecallOnPlantedNeighbors) {
     queries.Append(query.data());
   }
 
-  IndexOptions options;
+  EngineOptions options;
   options.num_tables = 50;
   options.delta = 0.1;
   options.radius = radius;
   options.seed = 5;
-  options.num_build_threads = 4;
+  options.num_threads = 4;
   auto index = BuildStatic(BitSamplingFamily(width), dataset, options);
   ASSERT_TRUE(index.ok());
   const auto snapshot = index->Acquire();
@@ -547,12 +559,12 @@ TEST(MinHashIndexTest, RecallOnSimilarSets) {
     }
   }
 
-  IndexOptions options;
+  EngineOptions options;
   options.num_tables = 50;
   options.delta = 0.1;
   options.radius = radius;
   options.seed = 6;
-  options.num_build_threads = 4;
+  options.num_threads = 4;
   auto index = BuildStatic(MinHashFamily(), dataset, options);
   ASSERT_TRUE(index.ok());
   const auto snapshot = index->Acquire();

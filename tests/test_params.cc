@@ -3,6 +3,7 @@
 #include "lsh/params.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -97,6 +98,10 @@ TEST(AutoKTest, RejectsBadInputs) {
   EXPECT_FALSE(AutoK(0.9, 50, 1.0).ok());
   EXPECT_FALSE(AutoK(0.0, 50, 0.1).ok());
   EXPECT_FALSE(AutoK(-0.5, 50, 0.1).ok());
+  // NaN fails every range check instead of reaching the int cast.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(AutoK(nan, 50, 0.1).ok());
+  EXPECT_FALSE(AutoK(0.9, 50, nan).ok());
 }
 
 TEST(AutoKTest, CertainCollisionGivesKOne) {

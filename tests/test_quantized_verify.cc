@@ -39,6 +39,7 @@ namespace hybridlsh {
 namespace {
 
 namespace fs = std::filesystem;
+using engine::EngineOptions;
 using util::simd::Tier;
 
 /// Restores the process-wide resolved tier when a test scope ends.
@@ -513,14 +514,13 @@ using L2Engine = engine::ShardedEngine<lsh::PStableFamily>;
 constexpr size_t kDim = 16;
 constexpr double kRadius = 0.4;
 
-L2Engine::Options EngineOptionsFor(bool quantized,
-                                   core::ForcedStrategy forced =
-                                       core::ForcedStrategy::kAuto) {
-  L2Engine::Options options;
+EngineOptions EngineOptionsFor(
+    bool quantized, core::ForcedStrategy forced = core::ForcedStrategy::kAuto) {
+  EngineOptions options;
   options.num_shards = 3;
-  options.index.num_tables = 20;
-  options.index.k = 7;
-  options.index.seed = 51;
+  options.num_tables = 20;
+  options.k = 7;
+  options.seed = 51;
   options.active_seal_threshold = 64;
   options.searcher.cost_model = core::CostModel::FromRatio(6.0);
   options.searcher.forced = forced;

@@ -58,7 +58,7 @@ class SearchEngineTest : public ::testing::Test {
 
 TEST_F(SearchEngineTest, ServesTwoFamiliesThroughOneInterface) {
   EngineOptions options = BaseOptions();
-  options.pstable_w = 2 * kDenseRadius;
+  options.radius = kDenseRadius;  // w = 2r
   auto l2 = BuildEngine(data::Metric::kL2, &dense_, options);
   ASSERT_TRUE(l2.ok()) << l2.status().ToString();
   auto hamming = BuildEngine(data::Metric::kHamming, &binary_, BaseOptions());
@@ -105,18 +105,12 @@ TEST_F(SearchEngineTest, ServesTwoFamiliesThroughOneInterface) {
 
 TEST_F(SearchEngineTest, FacadeMatchesDirectShardedEngine) {
   EngineOptions options = BaseOptions();
-  options.pstable_w = 2 * kDenseRadius;
+  options.radius = kDenseRadius;  // w = 2r
   auto facade = BuildEngine(data::Metric::kL2, &dense_, options);
   ASSERT_TRUE(facade.ok());
 
-  ShardedEngine<lsh::PStableFamily>::Options direct_options;
-  direct_options.num_shards = options.num_shards;
-  direct_options.index.num_tables = options.num_tables;
-  direct_options.index.k = options.k;
-  direct_options.index.seed = options.seed;
-  direct_options.searcher = options.searcher;
   auto direct = ShardedEngine<lsh::PStableFamily>::Build(
-      lsh::PStableFamily::L2(kDim, options.pstable_w), dense_, direct_options);
+      lsh::PStableFamily::L2(kDim, 2 * kDenseRadius), dense_, options);
   ASSERT_TRUE(direct.ok());
 
   std::vector<uint32_t> expected;
@@ -133,7 +127,7 @@ TEST_F(SearchEngineTest, FacadeMatchesDirectShardedEngine) {
 
 TEST_F(SearchEngineTest, BatchMatchesSingleQueriesThroughFacade) {
   EngineOptions options = BaseOptions();
-  options.pstable_w = 2 * kDenseRadius;
+  options.radius = kDenseRadius;  // w = 2r
   auto engine = BuildEngine(data::Metric::kL2, &dense_, options);
   ASSERT_TRUE(engine.ok());
 
@@ -172,7 +166,7 @@ TEST_F(SearchEngineTest, JaccardSparseEngineServesThirdFamily) {
 
 TEST_F(SearchEngineTest, RejectsMismatchedPointRepresentation) {
   EngineOptions options = BaseOptions();
-  options.pstable_w = 2 * kDenseRadius;
+  options.radius = kDenseRadius;  // w = 2r
   auto l2 = BuildEngine(data::Metric::kL2, &dense_, options);
   ASSERT_TRUE(l2.ok());
 
@@ -193,7 +187,7 @@ TEST_F(SearchEngineTest, RadiusOverloadsRejectBadRadiiWithStatus) {
   // negative or non-finite radius is an InvalidArgument, not an answer (an
   // L2 engine used to report radius -r as radius r) and not an abort.
   EngineOptions options = BaseOptions();
-  options.pstable_w = 2 * kDenseRadius;
+  options.radius = kDenseRadius;  // w = 2r
   auto l2 = BuildEngine(data::Metric::kL2, &dense_, options);
   ASSERT_TRUE(l2.ok());
   auto hamming = BuildEngine(data::Metric::kHamming, &binary_, BaseOptions());
@@ -234,7 +228,7 @@ TEST_F(SearchEngineTest, DenseEntryPointsRejectNonFinitePoints) {
   // returns InvalidArgument for a NaN or infinite coordinate.
   data::DenseDataset dataset = dense_;
   EngineOptions options = BaseOptions();
-  options.pstable_w = 2 * kDenseRadius;
+  options.radius = kDenseRadius;  // w = 2r
   auto engine = BuildMutableEngine(data::Metric::kL2, &dataset, options);
   ASSERT_TRUE(engine.ok());
   QuerySpec fused;
@@ -306,16 +300,34 @@ TEST_F(SearchEngineTest, RejectsMismatchedDatasetContainer) {
   EXPECT_EQ(engine.status().code(), util::StatusCode::kInvalidArgument);
 }
 
-TEST_F(SearchEngineTest, PStableRequiresWindowOrRadius) {
-  EngineOptions options = BaseOptions();  // pstable_w == 0, radius == 0
+TEST_F(SearchEngineTest, PStableRequiresRadius) {
+  EngineOptions options = BaseOptions();  // radius == 0
   auto engine = BuildEngine(data::Metric::kL2, &dense_, options);
   EXPECT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), util::StatusCode::kInvalidArgument);
 
-  // Radius alone is enough: w defaults to the paper's 2r.
+  // The radius gives w: the paper's 2r.
   options.radius = kDenseRadius;
   auto derived = BuildEngine(data::Metric::kL2, &dense_, options);
   EXPECT_TRUE(derived.ok()) << derived.status().ToString();
+}
+
+TEST_F(SearchEngineTest, AutoKRejectsNaNRadiusOrDelta) {
+  // Cosine takes no window, so a NaN radius reaches the paper's k rule.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EngineOptions options = BaseOptions();
+  options.k = 0;
+  options.radius = nan;
+  EXPECT_EQ(BuildEngine(data::Metric::kCosine, &dense_, options)
+                .status()
+                .code(),
+            util::StatusCode::kInvalidArgument);
+  options.radius = 0.2;
+  options.delta = nan;
+  EXPECT_EQ(BuildEngine(data::Metric::kCosine, &dense_, options)
+                .status()
+                .code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 TEST_F(SearchEngineTest, MutableLifecycleThroughTheFacade) {

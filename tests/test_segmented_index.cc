@@ -85,15 +85,16 @@ std::vector<std::vector<uint32_t>> SnapshotResults(
   return results;
 }
 
-/// The reference side: a static (one-segment) index rebuilt over the live
-/// points of (index, dataset), queried through the test-local oracle (lsh)
-/// or a range scan (linear). The static index numbers points 0..live-1;
-/// results are mapped back through the live-id list.
+/// The reference side: a static (one-segment) index rebuilt with the
+/// index's options over the live points of (index, dataset), queried
+/// through the test-local oracle (lsh) or a range scan (linear). The
+/// static index numbers points 0..live-1; results are mapped back through
+/// the live-id list.
 template <typename Family, typename Dataset, typename Queries>
 std::vector<std::vector<uint32_t>> StaticRebuildResults(
     const SegmentedIndex<Family, Dataset>& index, const Dataset& dataset,
-    const Queries& queries, double radius, const lsh::IndexOptions& options,
-    size_t probes_per_table, bool lsh) {
+    const Queries& queries, double radius, size_t probes_per_table,
+    bool lsh) {
   std::vector<uint32_t> live_ids;
   index.Acquire().GatherLiveIds(nullptr, &live_ids);
   std::sort(live_ids.begin(), live_ids.end());
@@ -102,7 +103,8 @@ std::vector<std::vector<uint32_t>> StaticRebuildResults(
   for (const uint32_t id : live_ids) {
     HLSH_CHECK(AppendDatasetPoint(&live, dataset.point(id)).ok());
   }
-  auto rebuilt = test_oracle::BuildStatic(index.family(), live, options);
+  auto rebuilt =
+      test_oracle::BuildStatic(index.family(), live, index.options());
   HLSH_CHECK(rebuilt.ok());
 
   std::vector<std::vector<uint32_t>> results(queries.size());
@@ -121,13 +123,12 @@ std::vector<std::vector<uint32_t>> StaticRebuildResults(
 template <typename Family, typename Dataset, typename Queries>
 void ExpectEquivalent(const SegmentedIndex<Family, Dataset>& index,
                       const Dataset& dataset, const Queries& queries,
-                      double radius, const lsh::IndexOptions& options,
-                      size_t probes_per_table) {
+                      double radius, size_t probes_per_table) {
   for (const bool lsh : {true, false}) {
     const auto segmented = SnapshotResults(index, dataset, queries, radius,
                                            probes_per_table, lsh);
     const auto rebuilt = StaticRebuildResults(index, dataset, queries, radius,
-                                              options, probes_per_table, lsh);
+                                              probes_per_table, lsh);
     for (size_t q = 0; q < queries.size(); ++q) {
       EXPECT_EQ(segmented[q], rebuilt[q])
           << "query " << q << (lsh ? " lsh" : " linear");
@@ -152,18 +153,12 @@ class SegmentedL2Test : public ::testing::Test {
     // Fresh points to stream in, disjoint from the base set.
     incoming_ = data::MakeCorelLike(1200, kDim, 19);
 
-    index_options_.num_tables = 20;
-    index_options_.k = 7;
-    index_options_.seed = 23;
-  }
-
-  SegmentedIndex<lsh::PStableFamily>::Options SegOptions() const {
-    SegmentedIndex<lsh::PStableFamily>::Options options;
-    options.index = index_options_;
-    options.index.num_build_threads = 2;
-    options.active_seal_threshold = 256;
-    options.max_sealed_segments = 3;
-    return options;
+    options_.num_threads = 2;
+    options_.num_tables = 20;
+    options_.k = 7;
+    options_.seed = 23;
+    options_.active_seal_threshold = 256;
+    options_.max_sealed_segments = 3;
   }
 
   lsh::PStableFamily Family() const {
@@ -172,19 +167,18 @@ class SegmentedL2Test : public ::testing::Test {
 
   void ExpectEquivalent(const SegmentedIndex<lsh::PStableFamily>& index,
                         const data::DenseDataset& dataset) {
-    engine::ExpectEquivalent(index, dataset, queries_, kRadius,
-                             index_options_, kProbes);
+    engine::ExpectEquivalent(index, dataset, queries_, kRadius, kProbes);
   }
 
   data::DenseDataset dataset_;
   data::DenseDataset queries_;
   data::DenseDataset incoming_;
-  lsh::IndexOptions index_options_;
+  EngineOptions options_;
 };
 
 TEST_F(SegmentedL2Test, ChurnMatchesStaticRebuildAtEveryPhase) {
   auto built = SegmentedIndex<lsh::PStableFamily>::Build(
-      Family(), &dataset_, 0, dataset_.size(), SegOptions());
+      Family(), &dataset_, 0, dataset_.size(), options_);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   auto index = std::move(*built);
   ASSERT_TRUE(index.EnableUpdates(&dataset_).ok());
@@ -237,7 +231,7 @@ TEST_F(SegmentedL2Test, ChurnMatchesStaticRebuildAtEveryPhase) {
 TEST_F(SegmentedL2Test, StreamingFromZeroMatchesStaticRebuild) {
   data::DenseDataset empty(0, kDim);
   auto built = SegmentedIndex<lsh::PStableFamily>::Build(Family(), &empty, 0,
-                                                         0, SegOptions());
+                                                         0, options_);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   auto index = std::move(*built);
   ASSERT_TRUE(index.EnableUpdates(&empty).ok());
@@ -255,7 +249,7 @@ TEST_F(SegmentedL2Test, StreamingFromZeroMatchesStaticRebuild) {
 
 TEST_F(SegmentedL2Test, LifecycleAccountingAndGuards) {
   auto built = SegmentedIndex<lsh::PStableFamily>::Build(
-      Family(), &dataset_, 0, dataset_.size(), SegOptions());
+      Family(), &dataset_, 0, dataset_.size(), options_);
   ASSERT_TRUE(built.ok());
   auto index = std::move(*built);
 
@@ -272,7 +266,7 @@ TEST_F(SegmentedL2Test, LifecycleAccountingAndGuards) {
   ASSERT_TRUE(index.EnableUpdates(&dataset_).ok());
 
   // Active points count until the seal threshold freezes them.
-  const size_t threshold = SegOptions().active_seal_threshold;
+  const size_t threshold = options_.active_seal_threshold;
   for (size_t i = 0; i < threshold - 1; ++i) {
     ASSERT_TRUE(index.Insert(incoming_.point(i)).ok());
   }
@@ -373,14 +367,14 @@ TEST_F(SegmentedL2Test, LogWalksMatchOneProbeAtATimeReference) {
 TEST_F(SegmentedL2Test, SnapshotWalksMatchReferenceAcrossSegmentKinds) {
   util::BitVector tombstones;
   auto built = SegmentedIndex<lsh::PStableFamily>::Build(
-      Family(), &dataset_, 0, dataset_.size(), SegOptions(), &tombstones);
+      Family(), &dataset_, 0, dataset_.size(), options_, &tombstones);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   auto index = std::move(*built);
   ASSERT_TRUE(index.EnableUpdates(&dataset_).ok());
   // Deferred maintenance leaves filled logs frozen, so one snapshot holds a
   // sealed segment, two frozen logs and a partly filled active log.
   index.SetDeferredMaintenance(true);
-  const size_t threshold = SegOptions().active_seal_threshold;
+  const size_t threshold = options_.active_seal_threshold;
   for (size_t i = 0; i < 2 * threshold + threshold / 2; ++i) {
     ASSERT_TRUE(index.Insert(incoming_.point(i)).ok());
   }
@@ -400,7 +394,7 @@ TEST_F(SegmentedL2Test, SnapshotWalksMatchReferenceAcrossSegmentKinds) {
           index.ComputePlan(queries_.point(q), probes, &plan_scratch, &plan)
               .ok());
       EXPECT_TRUE(test_oracle::SnapshotWalksMatchReference(
-          snapshot, plan, index_options_.hll_precision, &tombstones))
+          snapshot, plan, options_.hll_precision, &tombstones))
           << "probes " << probes << " query " << q;
     }
   }
@@ -419,13 +413,10 @@ TEST(SegmentedHammingTest, ChurnMatchesStaticRebuild) {
   const data::BinaryDataset queries = split.queries;
   const data::BinaryDataset incoming = data::MakeRandomCodes(900, kBits, 33);
 
-  lsh::IndexOptions index_options;
-  index_options.num_tables = 20;
-  index_options.k = 9;
-  index_options.seed = 37;
-
-  SegmentedIndex<lsh::BitSamplingFamily>::Options options;
-  options.index = index_options;
+  EngineOptions options;
+  options.num_tables = 20;
+  options.k = 9;
+  options.seed = 37;
   options.active_seal_threshold = 200;
   options.max_sealed_segments = 2;
 
@@ -450,8 +441,7 @@ TEST(SegmentedHammingTest, ChurnMatchesStaticRebuild) {
   }
 
   // Multi-probe on (bit flips).
-  ExpectEquivalent(index, dataset, queries, kRadius, index_options,
-                   /*probes_per_table=*/2);
+  ExpectEquivalent(index, dataset, queries, kRadius, /*probes_per_table=*/2);
 }
 
 }  // namespace

@@ -53,13 +53,13 @@ class ShardedEngineTest : public ::testing::Test {
     dataset_ = split.base;
     queries_ = split.queries;
 
-    index_options_.num_tables = 25;
-    index_options_.k = 7;
-    index_options_.seed = 43;
-    searcher_options_.cost_model = core::CostModel::FromRatio(6.0);
+    options_.num_tables = 25;
+    options_.k = 7;
+    options_.seed = 43;
+    options_.searcher.cost_model = core::CostModel::FromRatio(6.0);
 
-    lsh::IndexOptions mono_options = index_options_;
-    mono_options.num_build_threads = 4;
+    EngineOptions mono_options = options_;
+    mono_options.num_threads = 4;
     auto index = BuildStatic(Family(), dataset_, mono_options);
     HLSH_CHECK(index.ok());
     index_ = std::make_unique<StaticIndex>(std::move(*index));
@@ -72,11 +72,9 @@ class ShardedEngineTest : public ::testing::Test {
   L2Engine MakeEngine(
       size_t num_shards,
       core::ForcedStrategy forced = core::ForcedStrategy::kAuto) {
-    L2Engine::Options options;
+    EngineOptions options = options_;
     options.num_shards = num_shards;
     options.num_threads = 4;  // 1- and 2-shard engines build tables pooled
-    options.index = index_options_;
-    options.searcher = searcher_options_;
     options.searcher.forced = forced;
     auto engine = L2Engine::Build(Family(), dataset_, options);
     HLSH_CHECK(engine.ok());
@@ -96,8 +94,7 @@ class ShardedEngineTest : public ::testing::Test {
 
   data::DenseDataset dataset_;
   data::DenseDataset queries_;
-  lsh::IndexOptions index_options_;
-  core::SearcherOptions searcher_options_;
+  EngineOptions options_;
   std::unique_ptr<StaticIndex> index_;
 };
 
@@ -139,12 +136,12 @@ TEST_F(ShardedEngineTest, SingleShardFollowsAlgorithm2) {
   // is 0), decides with Eq. 1 vs Eq. 2, and answers with the chosen
   // strategy's oracle.
   auto engine = MakeEngine(1);
-  const core::CostModel& model = searcher_options_.cost_model;
+  const core::CostModel& model = options_.searcher.cost_model;
   const auto snapshot = index_->Acquire();
   std::vector<uint32_t> out;
   size_t lsh_queries = 0;
   for (size_t q = 0; q < queries_.size(); ++q) {
-    test_oracle::WalkReference reference(index_options_.hll_precision,
+    test_oracle::WalkReference reference(options_.hll_precision,
                                          snapshot.id_bound());
     reference.Segments(snapshot,
                        test_oracle::PlanOf(*index_, queries_.point(q)));
@@ -206,34 +203,81 @@ TEST_F(ShardedEngineTest, ShardRangesPartitionTheDataset) {
 
 TEST_F(ShardedEngineTest, ShardCountClampedToDatasetSize) {
   data::DenseDataset tiny(5, kDim);
-  L2Engine::Options options;
+  EngineOptions options = options_;
   options.num_shards = 8;
-  options.index = index_options_;
-  options.searcher = searcher_options_;
   auto engine = L2Engine::Build(Family(), tiny, options);
   ASSERT_TRUE(engine.ok());
   EXPECT_EQ(engine->num_shards(), 5u);
+  EXPECT_EQ(engine->options().num_shards, 5u);
   EXPECT_EQ(engine->size(), 5u);
 }
 
 TEST_F(ShardedEngineTest, ShardBuildsShareThePool) {
-  // Each shard builds its tables on its share of the pool:
-  // max(1, num_threads / num_shards) threads, whatever the caller set.
-  struct Case { size_t shards, threads, expected; };
-  for (const Case c : {Case{1, 4, 4}, {4, 1, 1}, {4, 8, 2}, {3, 0, 1}}) {
-    L2Engine::Options options;
+  // Build writes the resolved pool size into the options every shard
+  // holds, and each shard builds its tables on its share of the pool:
+  // max(1, num_threads / num_shards) threads.
+  struct Case { size_t shards, threads, pool, expected; };
+  for (const Case c :
+       {Case{1, 4, 4, 4}, {4, 1, 1, 1}, {4, 8, 8, 2}, {3, 0, 3, 1}}) {
+    EngineOptions options = options_;
     options.num_shards = c.shards;
     options.num_threads = c.threads;
-    options.index = index_options_;
-    options.index.num_build_threads = 16;
     auto engine = L2Engine::Build(Family(), dataset_, options);
     ASSERT_TRUE(engine.ok());
+    EXPECT_EQ(engine->num_threads(), c.pool);
+    EXPECT_EQ(engine->options().num_threads, c.pool);
     for (size_t s = 0; s < engine->num_shards(); ++s) {
-      EXPECT_EQ(engine->shard_index(s).options().index.num_build_threads,
-                c.expected)
+      EXPECT_EQ(engine->shard_index(s).options().num_threads, c.pool);
+      EXPECT_EQ(engine->shard_index(s).build_threads(), c.expected)
           << "shards=" << c.shards << " threads=" << c.threads;
     }
   }
+}
+
+TEST(EngineOptionsTest, ValidateRejectsEachBadField) {
+  EXPECT_TRUE(ValidateOptions(EngineOptions{}).ok());
+  struct Case {
+    const char* name;
+    void (*apply)(EngineOptions*);
+  };
+  const Case bad[] = {
+      {"no shards", [](EngineOptions* o) { o->num_shards = 0; }},
+      {"2^20+1 shards",
+       [](EngineOptions* o) { o->num_shards = kMaxOptionCount + 1; }},
+      {"2^20+1 threads",
+       [](EngineOptions* o) { o->num_threads = kMaxOptionCount + 1; }},
+      {"no tables", [](EngineOptions* o) { o->num_tables = 0; }},
+      {"hll below range", [](EngineOptions* o) { o->hll_precision = 3; }},
+      {"hll above range", [](EngineOptions* o) { o->hll_precision = 19; }},
+      {"seal threshold 2^20+1",
+       [](EngineOptions* o) {
+         o->active_seal_threshold = kMaxOptionCount + 1;
+       }},
+      {"no probes", [](EngineOptions* o) { o->searcher.probes_per_table = 0; }},
+      {"forced out of range",
+       [](EngineOptions* o) {
+         o->searcher.forced = static_cast<core::ForcedStrategy>(3);
+       }},
+      {"negative beta_screen",
+       [](EngineOptions* o) { o->searcher.cost_model.beta_screen = -1.0; }},
+      {"NaN rescore_fraction",
+       [](EngineOptions* o) {
+         o->searcher.cost_model.rescore_fraction = std::nan("");
+       }},
+  };
+  for (const Case& c : bad) {
+    EngineOptions options;
+    c.apply(&options);
+    EXPECT_EQ(ValidateOptions(options).code(),
+              util::StatusCode::kInvalidArgument)
+        << c.name;
+  }
+  // The bounds themselves are accepted.
+  EngineOptions edge;
+  edge.num_shards = kMaxOptionCount;
+  edge.num_threads = kMaxOptionCount;
+  edge.active_seal_threshold = kMaxOptionCount;
+  EXPECT_TRUE(ValidateOptions(edge).ok());
 }
 
 TEST_F(ShardedEngineTest, StatsAggregateAcrossShards) {
@@ -263,7 +307,7 @@ TEST_F(ShardedEngineTest, HashOncePlanEvaluatesLSignaturesPerQuery) {
   // observed per query — the plan is computed on shard 0's functions and
   // walked by all 4 shards.
   auto engine = MakeEngine(4);
-  const uint64_t L = index_options_.num_tables;
+  const uint64_t L = options_.num_tables;
   std::vector<uint32_t> out;
   ShardedQueryStats stats;
 
@@ -309,7 +353,7 @@ TEST_F(ShardedEngineTest, BatchHashesOncePerQueryThroughBlockedKernels) {
   // projection form): still exactly L evaluations per query (results are
   // compared with single queries in BatchMatchesSingleQueries).
   auto engine = MakeEngine(4);
-  const uint64_t L = index_options_.num_tables;
+  const uint64_t L = options_.num_tables;
 
   lsh::SetHashEvalCounting(true);
   const uint64_t before = lsh::HashEvalCountForTest();
@@ -377,10 +421,8 @@ TEST_F(ShardedEngineTest, PointEntryPointsRejectNonFiniteCoordinates) {
   // is stored. (It used to reach the p-stable slot cast, which is
   // undefined for a non-finite value.)
   data::DenseDataset dataset = dataset_;
-  L2Engine::Options options;
+  EngineOptions options = options_;
   options.num_shards = 2;
-  options.index = index_options_;
-  options.searcher = searcher_options_;
   options.searcher.probes_per_table = 3;  // the huge case below probes too
   auto engine = L2Engine::Build(Family(), &dataset, options);
   ASSERT_TRUE(engine.ok());
@@ -455,10 +497,8 @@ TEST_F(ShardedEngineTest, PointEntryPointsRejectNonFiniteCoordinates) {
 }
 
 TEST_F(ShardedEngineTest, MultiProbeFanOutMatchesOracle) {
-  L2Engine::Options options;
+  EngineOptions options = options_;
   options.num_shards = 5;
-  options.index = index_options_;
-  options.searcher = searcher_options_;
   options.searcher.probes_per_table = 4;
   options.searcher.forced = core::ForcedStrategy::kAlwaysLsh;
   auto engine = L2Engine::Build(Family(), dataset_, options);
@@ -476,8 +516,7 @@ TEST_F(ShardedEngineTest, BuildValidatesProbeWidthPerFamily) {
   // Width 0 is InvalidArgument on every family; above 1 is Unimplemented
   // on a family without multi-probe (MinHash, covering), which used to
   // build and then abort on the first query.
-  L2Engine::Options l2;
-  l2.index = index_options_;
+  EngineOptions l2 = options_;
   l2.searcher.probes_per_table = 0;
   EXPECT_EQ(L2Engine::Build(Family(), dataset_, l2).status().code(),
             util::StatusCode::kInvalidArgument);
@@ -490,19 +529,19 @@ TEST_F(ShardedEngineTest, BuildValidatesProbeWidthPerFamily) {
     const util::StatusCode want = probes == 0
                                       ? util::StatusCode::kInvalidArgument
                                       : util::StatusCode::kUnimplemented;
-    ShardedEngine<lsh::MinHashFamily>::Options jaccard;
+    EngineOptions jaccard;
     jaccard.num_shards = 2;
-    jaccard.index.num_tables = 10;
-    jaccard.index.k = 2;
+    jaccard.num_tables = 10;
+    jaccard.k = 2;
     jaccard.searcher.probes_per_table = probes;
     EXPECT_EQ(ShardedEngine<lsh::MinHashFamily>::Build(lsh::MinHashFamily(),
                                                        sets, jaccard)
                   .status()
                   .code(),
               want);
-    ShardedEngine<lsh::CoveringFamily>::Options cover;
+    EngineOptions cover;
     cover.num_shards = 2;
-    cover.index.num_tables = static_cast<int>(covering.num_tables());
+    cover.num_tables = static_cast<int>(covering.num_tables());
     cover.searcher.probes_per_table = probes;
     EXPECT_EQ(
         ShardedEngine<lsh::CoveringFamily>::Build(covering, codes, cover)
@@ -514,8 +553,7 @@ TEST_F(ShardedEngineTest, BuildValidatesProbeWidthPerFamily) {
 
 TEST_F(ShardedEngineTest, RejectsEmptyDataset) {
   data::DenseDataset empty(0, kDim);
-  L2Engine::Options options;
-  options.index = index_options_;
+  EngineOptions options = options_;
   auto engine = L2Engine::Build(Family(), empty, options);
   EXPECT_FALSE(engine.ok());
 }
@@ -526,7 +564,7 @@ TEST(ShardedEngineHammingTest, ForcedLshMatchesOracle) {
   const data::BinarySplit split = data::SplitQueriesBinary(full, 20, 52);
   const uint32_t radius = 12;
 
-  lsh::IndexOptions options;
+  EngineOptions options;
   options.num_tables = 20;
   options.k = 10;
   options.seed = 53;
@@ -535,9 +573,8 @@ TEST(ShardedEngineHammingTest, ForcedLshMatchesOracle) {
   ASSERT_TRUE(index.ok());
 
   for (size_t num_shards : {1, 4, 6}) {
-    HammingEngine::Options engine_options;
+    EngineOptions engine_options = options;
     engine_options.num_shards = num_shards;
-    engine_options.index = options;
     engine_options.searcher.cost_model = core::CostModel::FromRatio(10.0);
     engine_options.searcher.forced = core::ForcedStrategy::kAlwaysLsh;
     auto engine = HammingEngine::Build(family, split.base, engine_options);
@@ -567,13 +604,11 @@ TEST_F(ShardedEngineTest, ChurnMatchesStaticRebuildAcrossShardCounts) {
       // routing is round-robin and the remove sequence is seeded, so the
       // final live set is identical across runs.
       data::DenseDataset dataset = dataset_;  // grows with inserts
-      L2Engine::Options options;
+      EngineOptions options = options_;
       options.num_shards = num_shards;
-      options.index = index_options_;
       options.active_seal_threshold = 128;
       options.max_sealed_segments = 2;
-      options.searcher = searcher_options_;
-      options.searcher.probes_per_table = 3;  // multi-probe on
+        options.searcher.probes_per_table = 3;  // multi-probe on
       options.searcher.forced = forced;
       auto built = L2Engine::Build(Family(), &dataset, options);
       ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -610,7 +645,7 @@ TEST_F(ShardedEngineTest, ChurnMatchesStaticRebuildAcrossShardCounts) {
       for (const uint32_t id : live_ids) {
         live.Append(std::span<const float>(dataset.point(id), kDim));
       }
-      auto rebuilt = BuildStatic(Family(), live, index_options_);
+      auto rebuilt = BuildStatic(Family(), live, options_);
       ASSERT_TRUE(rebuilt.ok());
 
       std::vector<uint32_t> out;
@@ -641,10 +676,8 @@ TEST_F(ShardedEngineTest, ChurnMatchesStaticRebuildAcrossShardCounts) {
 
 TEST_F(ShardedEngineTest, UpdateRoutingAndGuards) {
   data::DenseDataset dataset = dataset_;
-  L2Engine::Options options;
+  EngineOptions options = options_;
   options.num_shards = 4;
-  options.index = index_options_;
-  options.searcher = searcher_options_;
 
   // Read-only build: Insert rejected until EnableUpdates; Remove works.
   auto engine = L2Engine::Build(
@@ -706,9 +739,9 @@ template <typename Engine, typename Family, typename Dataset,
 void ExpectLinearWalkMatches(const Family& family, const Dataset& dataset,
                              const Queries& queries, double radius,
                              Truth truth) {
-  typename Engine::Options options;
-  options.index.num_tables = 4;
-  options.index.k = 4;
+  EngineOptions options;
+  options.num_tables = 4;
+  options.k = 4;
   options.searcher.forced = core::ForcedStrategy::kAlwaysLinear;
   auto engine = Engine::Build(family, dataset, options);
   ASSERT_TRUE(engine.ok());
@@ -754,10 +787,8 @@ TEST_F(ShardedEngineTest, DrainMaintenanceLeavesNoFrozenLog) {
   for (int round = 0; round < 5; ++round) {
     SCOPED_TRACE(round);
     data::DenseDataset dataset = dataset_;
-    L2Engine::Options options;
+    EngineOptions options = options_;
     options.num_shards = 3;
-    options.index = index_options_;
-    options.searcher = searcher_options_;
     options.active_seal_threshold = 4;
     options.max_sealed_segments = 2;
     auto engine = L2Engine::Build(Family(), &dataset, options);

@@ -51,6 +51,24 @@ class SnapshotTest : public ::testing::Test {
     return (root_ / name).string();
   }
 
+  /// Re-commits every file of the snapshot under `dir` under a manifest
+  /// whose options `edit` changed: a config no build saves.
+  template <typename Edit>
+  void RecommitWithOptions(const std::string& dir, Edit edit) {
+    auto reader = snapshot::SnapshotReader::Open(dir, false);
+    ASSERT_TRUE(reader.ok());
+    auto writer = snapshot::SnapshotWriter::Begin(dir);
+    ASSERT_TRUE(writer.ok());
+    for (const snapshot::FileEntry& file : reader->manifest().files) {
+      auto blob = reader->ReadFile(file.name);
+      ASSERT_TRUE(blob.ok());
+      ASSERT_TRUE(writer->WriteFile(file.name, blob->payload()).ok());
+    }
+    snapshot::Manifest manifest = reader->manifest();
+    edit(&manifest.config);
+    ASSERT_TRUE(writer->Commit(std::move(manifest)).ok());
+  }
+
   /// Strict equivalence over a query set: identical result sets (order
   /// included) and identical per-shard strategy decisions and estimates.
   template <typename EngineT, typename Queries>
@@ -100,12 +118,12 @@ using L2Engine = ShardedEngine<lsh::PStableFamily>;
 constexpr size_t kDim = 16;
 constexpr double kRadius = 0.4;
 
-L2Engine::Options DenseOptions(size_t num_shards) {
-  L2Engine::Options options;
+EngineOptions DenseOptions(size_t num_shards) {
+  EngineOptions options;
   options.num_shards = num_shards;
-  options.index.num_tables = 20;
-  options.index.k = 7;
-  options.index.seed = 43;
+  options.num_tables = 20;
+  options.k = 7;
+  options.seed = 43;
   options.active_seal_threshold = 64;  // small: force seals during churn
   options.searcher.cost_model = core::CostModel{1.25, 7.5};  // "calibrated"
   return options;
@@ -166,21 +184,52 @@ TEST_F(SnapshotTest, DenseChurnRoundTripIsBitIdentical) {
 TEST_F(SnapshotTest, RestoredOptionsCarryTheCostModelAndConfig) {
   const data::DenseDataset full = data::MakeCorelLike(600, kDim, 51);
   data::DenseDataset dataset = full;
+  // Every persisted field away from its default (k is explicit, so delta
+  // and radius only travel).
+  EngineOptions options = DenseOptions(2);
+  options.num_threads = 3;
+  options.delta = 0.05;
+  options.radius = 0.35;
+  options.hll_precision = 6;
+  options.small_bucket_threshold = 40;
+  options.seed = 4321;
+  options.max_sealed_segments = 3;
+  options.quantized_verify = false;
+  options.searcher.probes_per_table = 2;
+  options.searcher.forced = core::ForcedStrategy::kAlwaysLsh;
+  options.searcher.cost_model.beta_screen = 0.5;
+  options.searcher.cost_model.rescore_fraction = 0.25;
   auto live = L2Engine::Build(lsh::PStableFamily::L2(kDim, 2 * kRadius),
-                              &dataset, DenseOptions(2));
+                              &dataset, options);
   ASSERT_TRUE(live.ok());
   ASSERT_TRUE(live->SaveSnapshot(Dir("snap")).ok());
 
   data::DenseDataset restored_dataset;
   auto restored = L2Engine::OpenSnapshot(Dir("snap"), &restored_dataset);
   ASSERT_TRUE(restored.ok());
-  EXPECT_DOUBLE_EQ(restored->options().searcher.cost_model.alpha, 1.25);
-  EXPECT_DOUBLE_EQ(restored->options().searcher.cost_model.beta, 7.5);
-  EXPECT_EQ(restored->options().index.num_tables, 20);
-  EXPECT_EQ(restored->options().index.k, 7);
-  EXPECT_EQ(restored->options().active_seal_threshold, 64u);
+  const EngineOptions& got = restored->options();
+  EXPECT_EQ(got.num_shards, 2u);
+  EXPECT_EQ(got.num_threads, 3u);
+  EXPECT_EQ(got.num_tables, 20);
+  EXPECT_EQ(got.k, 7);
+  EXPECT_EQ(got.delta, 0.05);
+  EXPECT_EQ(got.radius, 0.35);
+  EXPECT_EQ(got.hll_precision, 6);
+  EXPECT_EQ(got.small_bucket_threshold, 40u);
+  EXPECT_EQ(got.seed, 4321u);
+  EXPECT_EQ(got.active_seal_threshold, 64u);
+  EXPECT_EQ(got.max_sealed_segments, 3u);
+  EXPECT_FALSE(got.quantized_verify);
+  EXPECT_EQ(got.searcher.probes_per_table, 2u);
+  EXPECT_EQ(got.searcher.forced, core::ForcedStrategy::kAlwaysLsh);
+  EXPECT_EQ(got.searcher.cost_model.alpha, 1.25);
+  EXPECT_EQ(got.searcher.cost_model.beta, 7.5);
+  EXPECT_EQ(got.searcher.cost_model.beta_screen, 0.5);
+  EXPECT_EQ(got.searcher.cost_model.rescore_fraction, 0.25);
   EXPECT_EQ(restored->num_shards(), 2u);
   EXPECT_EQ(restored->num_threads(), live->num_threads());
+  EXPECT_FALSE(restored->stats().quantized_verify);
+  ExpectIdenticalServing(*live, *restored, full, kRadius);
 
   // Thread override: a snapshot from a big machine restores on one thread.
   data::DenseDataset small_dataset;
@@ -190,6 +239,17 @@ TEST_F(SnapshotTest, RestoredOptionsCarryTheCostModelAndConfig) {
                                       open_options);
   ASSERT_TRUE(small.ok());
   EXPECT_EQ(small->num_threads(), 1u);
+  EXPECT_EQ(small->options().num_threads, 1u);
+
+  // An override past the pool bound fails the options check before the
+  // pool starts.
+  open_options.num_threads = kMaxOptionCount + 1;
+  data::DenseDataset rejected_dataset;
+  EXPECT_EQ(L2Engine::OpenSnapshot(Dir("snap"), &rejected_dataset,
+                                   open_options)
+                .status()
+                .code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 TEST_F(SnapshotTest, RestoreEvaluatesZeroHashFunctions) {
@@ -219,11 +279,11 @@ TEST_F(SnapshotTest, CosineSnapshotKeepsTheNormCache) {
                                                       .seed = 48});
   dataset.PrecomputeNorms();
   using CosineEngine = ShardedEngine<lsh::SimHashFamily>;
-  CosineEngine::Options options;
+  EngineOptions options;
   options.num_shards = 2;
-  options.index.num_tables = 12;
-  options.index.k = 10;
-  options.index.seed = 5;
+  options.num_tables = 12;
+  options.k = 10;
+  options.seed = 5;
   options.searcher.cost_model = core::CostModel::FromRatio(6.0);
   auto live = CosineEngine::Build(lsh::SimHashFamily(24), &dataset, options);
   ASSERT_TRUE(live.ok());
@@ -251,11 +311,11 @@ TEST_F(SnapshotTest, L1RoundTripKeepsTheCauchyFamily) {
   data::DenseDataset dataset = split.base;
   const lsh::PStableFamily family =
       lsh::PStableFamily::L1(kL1Dim, 4 * kL1Radius);
-  L1Engine::Options options;
+  EngineOptions options;
   options.num_shards = 2;
-  options.index.num_tables = 10;
-  options.index.k = 8;
-  options.index.seed = 4;
+  options.num_tables = 10;
+  options.k = 8;
+  options.seed = 4;
   options.searcher.cost_model = core::CostModel::FromRatio(6.0);
   options.searcher.probes_per_table = 4;
   auto live = L1Engine::Build(family, &dataset, options);
@@ -279,11 +339,11 @@ TEST_F(SnapshotTest, L1RoundTripKeepsTheCauchyFamily) {
 TEST_F(SnapshotTest, BinaryRoundTripWithTombstones) {
   using HammingEngine = ShardedEngine<lsh::BitSamplingFamily>;
   data::BinaryDataset dataset = data::MakeRandomCodes(900, 64, 61);
-  HammingEngine::Options options;
+  EngineOptions options;
   options.num_shards = 3;
-  options.index.num_tables = 15;
-  options.index.k = 9;
-  options.index.seed = 62;
+  options.num_tables = 15;
+  options.k = 9;
+  options.seed = 62;
   options.searcher.cost_model = core::CostModel::FromRatio(1.0);
   auto live = HammingEngine::Build(lsh::BitSamplingFamily(64), &dataset,
                                    options);
@@ -304,11 +364,11 @@ TEST_F(SnapshotTest, SparseRoundTripWithChurn) {
   using JaccardEngine = ShardedEngine<lsh::MinHashFamily>;
   data::SparseDataset dataset = data::MakeRandomSparse(700, 5000, 30, 81);
   const data::SparseDataset extra = data::MakeRandomSparse(150, 5000, 30, 82);
-  JaccardEngine::Options options;
+  EngineOptions options;
   options.num_shards = 2;
-  options.index.num_tables = 10;
-  options.index.k = 4;
-  options.index.seed = 83;
+  options.num_tables = 10;
+  options.k = 4;
+  options.seed = 83;
   options.active_seal_threshold = 32;
   options.searcher.cost_model = core::CostModel::FromRatio(10.0);
   auto live = JaccardEngine::Build(lsh::MinHashFamily(), &dataset, options);
@@ -468,29 +528,18 @@ TEST_F(SnapshotTest, MultiProbeOnAFamilyWithoutItIsRejectedAtOpen) {
   // query aborts the process.
   using JaccardEngine = ShardedEngine<lsh::MinHashFamily>;
   data::SparseDataset dataset = data::MakeRandomSparse(300, 5000, 30, 84);
-  JaccardEngine::Options options;
+  EngineOptions options;
   options.num_shards = 2;
-  options.index.num_tables = 10;
-  options.index.k = 4;
-  options.index.seed = 85;
+  options.num_tables = 10;
+  options.k = 4;
+  options.seed = 85;
   auto live = JaccardEngine::Build(lsh::MinHashFamily(), &dataset, options);
   ASSERT_TRUE(live.ok());
   ASSERT_TRUE(live->SaveSnapshot(Dir("snap")).ok());
 
-  // Re-commit every file of the snapshot under a manifest that asks for
-  // two probes per table.
-  auto reader = snapshot::SnapshotReader::Open(Dir("snap"), false);
-  ASSERT_TRUE(reader.ok());
-  auto writer = snapshot::SnapshotWriter::Begin(Dir("snap"));
-  ASSERT_TRUE(writer.ok());
-  for (const snapshot::FileEntry& file : reader->manifest().files) {
-    auto blob = reader->ReadFile(file.name);
-    ASSERT_TRUE(blob.ok());
-    ASSERT_TRUE(writer->WriteFile(file.name, blob->payload()).ok());
-  }
-  snapshot::Manifest manifest = reader->manifest();
-  manifest.config.probes_per_table = 2;
-  ASSERT_TRUE(writer->Commit(std::move(manifest)).ok());
+  RecommitWithOptions(Dir("snap"), [](EngineOptions* config) {
+    config->searcher.probes_per_table = 2;
+  });
 
   data::SparseDataset restored_dataset;
   EXPECT_EQ(JaccardEngine::OpenSnapshot(Dir("snap"), &restored_dataset)
@@ -499,6 +548,126 @@ TEST_F(SnapshotTest, MultiProbeOnAFamilyWithoutItIsRejectedAtOpen) {
             util::StatusCode::kUnimplemented);
   EXPECT_EQ(OpenSnapshotEngine(Dir("snap")).status().code(),
             util::StatusCode::kUnimplemented);
+}
+
+TEST_F(SnapshotTest, OversizedSealThresholdIsRejectedAtBuildAndOpen) {
+  // The active log sizes three arrays by the threshold and stores entry
+  // indexes as int32, so a huge one must fail before anything allocates.
+  const data::DenseDataset full = data::MakeCorelLike(300, kDim, 86);
+  data::DenseDataset dataset = full;
+  EngineOptions options = DenseOptions(2);
+  options.active_seal_threshold = size_t{1} << 40;
+  EXPECT_EQ(L2Engine::Build(lsh::PStableFamily::L2(kDim, 2 * kRadius),
+                            &dataset, options)
+                .status()
+                .code(),
+            util::StatusCode::kInvalidArgument);
+  options.radius = kRadius;
+  EXPECT_EQ(BuildEngine(data::Metric::kL2, &dataset, options).status().code(),
+            util::StatusCode::kInvalidArgument);
+
+  // A manifest can still carry one: opening it is DataLoss.
+  auto live = L2Engine::Build(lsh::PStableFamily::L2(kDim, 2 * kRadius),
+                              &dataset, DenseOptions(2));
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE(live->SaveSnapshot(Dir("snap")).ok());
+  RecommitWithOptions(Dir("snap"), [](EngineOptions* config) {
+    config->active_seal_threshold = size_t{1} << 40;
+  });
+  data::DenseDataset restored_dataset;
+  EXPECT_EQ(L2Engine::OpenSnapshot(Dir("snap"), &restored_dataset)
+                .status()
+                .code(),
+            util::StatusCode::kDataLoss);
+  EXPECT_EQ(OpenSnapshotEngine(Dir("snap")).status().code(),
+            util::StatusCode::kDataLoss);
+}
+
+TEST(ManifestTest, SerializedBytesArePinned) {
+  // Every persisted field holds a distinct non-default value, and the
+  // expected bytes are the v2 layout as written before the manifest held
+  // EngineOptions. A field reordered on both the write and the read side
+  // passes every round trip but fails here.
+  snapshot::Manifest manifest;
+  manifest.family_tag = 0x42545350;
+  manifest.metric_tag = 2;
+  manifest.dataset_kind = 1;
+  manifest.num_points = 1234;
+  manifest.initial_n = 1000;
+  EngineOptions& config = manifest.config;
+  config.num_shards = 3;
+  config.num_threads = 6;
+  config.num_tables = 17;
+  config.k = 9;
+  config.delta = 0.05;
+  config.radius = 1.25;
+  config.hll_precision = 5;
+  config.small_bucket_threshold = 33;
+  config.seed = 987654321;
+  config.active_seal_threshold = 777;
+  config.max_sealed_segments = 2;
+  config.searcher.cost_model.alpha = 1.5;
+  config.searcher.cost_model.beta = 12.5;
+  config.searcher.probes_per_table = 4;
+  config.searcher.forced = core::ForcedStrategy::kAlwaysLsh;
+  config.quantized_verify = false;
+  config.searcher.cost_model.beta_screen = 0.75;
+  config.searcher.cost_model.rescore_fraction = 0.125;
+  manifest.files.push_back(
+      snapshot::FileEntry{"shard-000.bin", 4321, 0x0123456789abcdefULL});
+
+  util::ByteWriter writer;
+  manifest.Serialize(&writer);
+  const std::string expected =
+      "48534c48534e415002000000505354420200000001000000d204000000000000"
+      "e803000000000000030000000000000006000000000000001100000009000000"
+      "9a9999999999a93f000000000000f43f050000002100000000000000b168de3a"
+      "0000000009030000000000000200000000000000000000000000f83f00000000"
+      "0000294004000000000000000100000000000000000000000000e83f00000000"
+      "0000c03f01000000000000000d0000000000000073686172642d3030302e6269"
+      "6ee110000000000000efcdab8967452301";
+  std::string got;
+  for (const uint8_t byte : writer.bytes()) {
+    constexpr char kHex[] = "0123456789abcdef";
+    got += kHex[byte >> 4];
+    got += kHex[byte & 15];
+  }
+  EXPECT_EQ(got, expected);
+
+  util::ByteReader reader(writer.bytes());
+  auto parsed = snapshot::Manifest::Parse(&reader);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->format_version, snapshot::kFormatVersion);
+  EXPECT_EQ(parsed->family_tag, manifest.family_tag);
+  EXPECT_EQ(parsed->metric_tag, manifest.metric_tag);
+  EXPECT_EQ(parsed->dataset_kind, manifest.dataset_kind);
+  EXPECT_EQ(parsed->num_points, manifest.num_points);
+  EXPECT_EQ(parsed->initial_n, manifest.initial_n);
+  const EngineOptions& back = parsed->config;
+  EXPECT_EQ(back.num_shards, config.num_shards);
+  EXPECT_EQ(back.num_threads, config.num_threads);
+  EXPECT_EQ(back.num_tables, config.num_tables);
+  EXPECT_EQ(back.k, config.k);
+  EXPECT_EQ(back.delta, config.delta);
+  EXPECT_EQ(back.radius, config.radius);
+  EXPECT_EQ(back.hll_precision, config.hll_precision);
+  EXPECT_EQ(back.small_bucket_threshold, config.small_bucket_threshold);
+  EXPECT_EQ(back.seed, config.seed);
+  EXPECT_EQ(back.active_seal_threshold, config.active_seal_threshold);
+  EXPECT_EQ(back.max_sealed_segments, config.max_sealed_segments);
+  EXPECT_EQ(back.quantized_verify, config.quantized_verify);
+  EXPECT_EQ(back.searcher.cost_model.alpha, config.searcher.cost_model.alpha);
+  EXPECT_EQ(back.searcher.cost_model.beta, config.searcher.cost_model.beta);
+  EXPECT_EQ(back.searcher.cost_model.beta_screen,
+            config.searcher.cost_model.beta_screen);
+  EXPECT_EQ(back.searcher.cost_model.rescore_fraction,
+            config.searcher.cost_model.rescore_fraction);
+  EXPECT_EQ(back.searcher.probes_per_table, config.searcher.probes_per_table);
+  EXPECT_EQ(back.searcher.forced, config.searcher.forced);
+  ASSERT_EQ(parsed->files.size(), 1u);
+  EXPECT_EQ(parsed->files[0].name, "shard-000.bin");
+  EXPECT_EQ(parsed->files[0].size, 4321u);
+  EXPECT_EQ(parsed->files[0].checksum, 0x0123456789abcdefULL);
 }
 
 TEST_F(SnapshotTest, MmapLoadServesIdentically) {
@@ -608,7 +777,7 @@ TEST_F(SnapshotTest, FacadeDispatchesEveryMetric) {
     const data::DenseDataset dense = data::MakeCorelLike(400, kDim, 95);
     EngineOptions l2_options = options;
     l2_options.k = 7;
-    l2_options.pstable_w = 2 * kRadius;
+    l2_options.radius = kRadius;  // w = 2r
     auto live = BuildEngine(data::Metric::kL2, &dense, l2_options);
     ASSERT_TRUE(live.ok());
     ASSERT_TRUE((*live)->SaveSnapshot(Dir("l2")).ok());
@@ -683,10 +852,10 @@ void ExpectEveryCutRejected(const std::vector<uint8_t>& payload, Load load) {
 template <typename Family, typename Dataset>
 void ExpectTruncationRejected(const Family& family, const Dataset& dataset) {
   using Index = SegmentedIndex<Family, Dataset>;
-  typename Index::Options options;
-  options.index.num_tables = 3;
-  options.index.k = 3;
-  options.index.seed = 17;
+  EngineOptions options;
+  options.num_tables = 3;
+  options.k = 3;
+  options.seed = 17;
   auto index = Index::Build(family, &dataset, 0, dataset.size(), options);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
 
