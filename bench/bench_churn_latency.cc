@@ -1,12 +1,13 @@
 // Serving-latency-under-churn benchmark for the concurrent core
-// (engine/sharded_engine.h QueryConcurrent + background seal/compaction).
+// (engine/sharded_engine.h Query from several threads + background
+// seal/compaction).
 //
 // The question the lock-free query path exists to answer: what does a
 // reader's tail latency look like while writers churn the index? Two
 // phases per reader-thread count:
 //
-//   1. read_only — N reader threads, each with its own QueryScratch,
-//      running QueryConcurrent back to back over a quiesced engine;
+//   1. read_only — N reader threads running Query back to back over a
+//      quiesced engine (each on a query context the engine lends it);
 //   2. mixed     — the same readers while one writer thread streams
 //      rate-limited Insert/Remove churn (1 delete per 4 inserts) with
 //      background maintenance sealing and compacting off the write path.
@@ -56,7 +57,6 @@ PhaseResult RunReaders(engine::ShardedEngine<lsh::PStableFamily>& engine,
   readers.reserve(num_threads);
   for (size_t t = 0; t < num_threads; ++t) {
     readers.emplace_back([&, t] {
-      auto scratch = engine.MakeQueryScratch();
       std::vector<uint32_t> out;
       latencies[t].reserve(queries_per_thread);
       ready.fetch_add(1);
@@ -65,7 +65,7 @@ PhaseResult RunReaders(engine::ShardedEngine<lsh::PStableFamily>& engine,
         const auto query = queries.point((q * num_threads + t) % queries.size());
         out.clear();
         util::WallTimer timer;
-        engine.QueryConcurrent(query, radius, &out, &scratch);
+        HLSH_CHECK(engine.Query(query, radius, &out).ok());
         latencies[t].push_back(timer.ElapsedSeconds());
       }
     });
@@ -120,7 +120,7 @@ PhaseResult MedianByP99(engine::ShardedEngine<lsh::PStableFamily>& engine,
 
 int main(int argc, char** argv) {
   const bench::BenchScale scale = bench::GetScale(argc, argv);
-  std::printf("# Concurrent serving core: QueryConcurrent tail latency, "
+  std::printf("# Concurrent serving core: Query tail latency, "
               "quiesced vs. under rate-limited insert/delete churn\n");
   bench::PrintScaleNote(scale);
 

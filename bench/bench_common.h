@@ -91,8 +91,8 @@ struct StrategyResult {
 
 /// A static 1-shard engine over `base`: the paper's hybrid searcher. The L
 /// tables build in parallel on its pool (options.num_threads threads); the
-/// benches query it on the calling thread (QueryConcurrent). The strategy
-/// is fixed by searcher.forced.
+/// benches query its one shard on the calling thread. The strategy is
+/// fixed by searcher.forced.
 template <typename Family, typename Dataset>
 engine::ShardedEngine<Family, Dataset> BuildEngine(
     const Family& family, const Dataset& base, engine::EngineOptions options,
@@ -109,11 +109,10 @@ engine::ShardedEngine<Family, Dataset> BuildEngine(
 /// shard's Algorithm 2 stats.
 template <typename Engine, typename Point>
 core::QueryStats QueryOnce(const Engine& engine, Point query, double radius,
-                           typename Engine::QueryScratch* scratch,
                            std::vector<uint32_t>* out) {
   engine::ShardedQueryStats stats;
   out->clear();
-  HLSH_CHECK(engine.QueryConcurrent(query, radius, out, scratch, &stats).ok());
+  HLSH_CHECK(engine.Query(query, radius, out, &stats).ok());
   return stats.per_shard[0];
 }
 
@@ -137,9 +136,6 @@ StrategyResult RunStrategies(
   const auto lsh = BuildEngine(family, base, options, searcher);
   searcher.forced = core::ForcedStrategy::kAlwaysLinear;
   const auto linear = BuildEngine(family, base, options, searcher);
-  auto hybrid_scratch = hybrid.MakeQueryScratch();
-  auto lsh_scratch = lsh.MakeQueryScratch();
-  auto linear_scratch = linear.MakeQueryScratch();
 
   for (const auto& segment : hybrid.shard_index(0).Acquire().view().sealed) {
     for (const lsh::LshTable& table : segment->tables) {
@@ -160,21 +156,21 @@ StrategyResult RunStrategies(
     {
       util::WallTimer timer;
       for (size_t q = 0; q < num_queries; ++q) {
-        QueryOnce(hybrid, queries.point(q), radius, &hybrid_scratch, &out);
+        QueryOnce(hybrid, queries.point(q), radius, &out);
       }
       result.hybrid_seconds += timer.ElapsedSeconds();
     }
     {
       util::WallTimer timer;
       for (size_t q = 0; q < num_queries; ++q) {
-        QueryOnce(lsh, queries.point(q), radius, &lsh_scratch, &out);
+        QueryOnce(lsh, queries.point(q), radius, &out);
       }
       result.lsh_seconds += timer.ElapsedSeconds();
     }
     {
       util::WallTimer timer;
       for (size_t q = 0; q < num_queries; ++q) {
-        QueryOnce(linear, queries.point(q), radius, &linear_scratch, &out);
+        QueryOnce(linear, queries.point(q), radius, &out);
       }
       result.linear_seconds += timer.ElapsedSeconds();
     }
@@ -190,7 +186,7 @@ StrategyResult RunStrategies(
   size_t linear_calls = 0;
   for (size_t q = 0; q < num_queries; ++q) {
     const core::QueryStats stats =
-        QueryOnce(hybrid, queries.point(q), radius, &hybrid_scratch, &out);
+        QueryOnce(hybrid, queries.point(q), radius, &out);
     result.estimate_seconds += stats.estimate_seconds;
     linear_calls += (stats.strategy == core::Strategy::kLinear);
     output_sizes.Add(static_cast<double>(out.size()));
@@ -201,7 +197,7 @@ StrategyResult RunStrategies(
                    static_cast<double>(stats.cand_actual));
     }
     if (!truth.empty()) {
-      QueryOnce(lsh, queries.point(q), radius, &lsh_scratch, &out);
+      QueryOnce(lsh, queries.point(q), radius, &out);
       result.lsh_recall += data::Recall(out, truth[q]);
     }
   }

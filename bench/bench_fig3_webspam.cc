@@ -70,13 +70,11 @@ int main(int argc, char** argv) {
     paper_options.cost_model = core::CostModel::FromRatio(10.0);
     const auto paper_engine =
         bench::BuildEngine(family, split.base, options, paper_options);
-    auto scratch = paper_engine.MakeQueryScratch();
     std::vector<uint32_t> out;
     size_t paper_linear_calls = 0;
     for (size_t q = 0; q < split.queries.size(); ++q) {
       paper_linear_calls +=
-          bench::QueryOnce(paper_engine, split.queries.point(q), radius,
-                           &scratch, &out)
+          bench::QueryOnce(paper_engine, split.queries.point(q), radius, &out)
               .strategy == core::Strategy::kLinear;
     }
     const double pct_paper = 100.0 * static_cast<double>(paper_linear_calls) /

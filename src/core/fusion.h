@@ -75,8 +75,8 @@ struct ScoredList {
 };
 
 /// Reusable allocation scratch for RankScoredList and FuseScoredLists (the
-/// query paths keep one per QueryScratch so steady-state fusion does not
-/// allocate).
+/// engine keeps one in each query context it lends, so steady-state fusion
+/// does not allocate).
 struct FusionScratch {
   /// Rank sort: order-preserving distance bits and the radix ping-pong
   /// halves.

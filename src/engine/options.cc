@@ -12,8 +12,12 @@ util::Status ValidateOptions(const EngineOptions& options) {
   if (options.num_threads > kMaxOptionCount) {
     return util::Status::InvalidArgument("num_threads must be at most 2^20");
   }
-  if (options.num_tables < 1) {
-    return util::Status::InvalidArgument("num_tables must be >= 1");
+  if (options.num_tables < 1 ||
+      static_cast<size_t>(options.num_tables) > kMaxOptionCount) {
+    return util::Status::InvalidArgument("num_tables must be in [1, 2^20]");
+  }
+  if (options.k < 0 || static_cast<size_t>(options.k) > kMaxOptionCount) {
+    return util::Status::InvalidArgument("k must be in [0, 2^20]");
   }
   if (options.hll_precision < hll::HyperLogLog::kMinPrecision ||
       options.hll_precision > hll::HyperLogLog::kMaxPrecision) {

@@ -27,10 +27,13 @@ struct EngineOptions {
   /// Number of id-range shards S. Build clamps it to the dataset size, so
   /// that no shard is empty, and writes the clamped count back.
   size_t num_shards = 1;
-  /// Worker threads in the engine's persistent pool (shard builds, query
-  /// fan-out, batch execution). 0 = one per shard; Build writes the
-  /// resolved pool size back. Each shard builds its tables on
-  /// max(1, num_threads / num_shards) of them.
+  /// Worker threads in the engine's persistent pool: shard builds,
+  /// compaction, QueryBatch's workers, and the shard walks of a query that
+  /// is the only one in flight (with company, each caller walks its shards
+  /// on its own thread). 0 = one per shard; Build writes the resolved pool
+  /// size back. Each shard builds its tables on
+  /// max(1, num_threads / num_shards) of them. Query callers need no
+  /// worker of their own: any number of threads may query the engine.
   size_t num_threads = 0;
 
   /// Number of hash tables L. The paper's evaluation fixes L = 50.
@@ -69,17 +72,19 @@ struct EngineOptions {
   core::SearcherOptions searcher;
 };
 
-/// The largest num_shards, num_threads and active_seal_threshold accepted:
-/// each sizes an allocation (shard vectors, the thread pool, three arrays
-/// of every active log).
+/// The largest num_shards, num_threads, active_seal_threshold, num_tables
+/// and k accepted: each sizes an allocation (shard vectors, the thread
+/// pool, three arrays of every active log, L sampled functions of k
+/// slots). The table and k caps are the ones lsh::FunctionSet::Load
+/// applies, so Build and a snapshot accept the same range.
 inline constexpr size_t kMaxOptionCount = size_t{1} << 20;
 
 /// The family-independent checks of the set: InvalidArgument naming the
 /// first bad field. Build runs it on the caller's options and
 /// snapshot::Manifest::Parse on the persisted ones (reporting DataLoss).
 /// What depends on the family stays with it: a multi-probe width the
-/// family lacks (lsh::ValidateProbesPerTable), and k, radius and delta
-/// (lsh::FunctionSet::Sample).
+/// family lacks (lsh::ValidateProbesPerTable), and the radius and delta
+/// that derive k when it is 0 (lsh::FunctionSet::Sample).
 util::Status ValidateOptions(const EngineOptions& options);
 
 }  // namespace engine

@@ -24,7 +24,7 @@
 //   merge   deterministic RRF / LINEAR fusion (core/fusion.h) with stable
 //           tie-breaks.
 //
-// The legacy entry points (Query / QueryConcurrent / QueryBatch) are thin
+// The radius entry points (Query, and the facade's QueryBatch) are thin
 // wrappers that build a trivial QuerySpec, so there is exactly one
 // execution path to maintain; a trivial spec takes the null-filter,
 // no-fusion fast branches and compiles to the pre-pipeline flow.

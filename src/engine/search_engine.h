@@ -54,8 +54,13 @@ using AnyMutableDataset = std::variant<data::DenseDataset*,
 
 /// Runtime-polymorphic handle to a built sharded engine (see file comment).
 ///
-/// Thread-safety matches ShardedEngine: one engine = one logical caller;
-/// internal parallelism (shard fan-out, batch workers) is the engine's own.
+/// Thread-safety matches ShardedEngine: any number of threads may call
+/// Query, QueryFused, QueryBatch, Insert, Remove, Compact, SaveSnapshot and
+/// the accessors concurrently; queries take no lock and never wait for
+/// writers. AttachAttributes and EnableUpdates are set-up calls, made
+/// before the queries and writes that depend on them. A query that is the
+/// only one in flight walks its shards on the engine's pool; concurrent
+/// queries each walk theirs on the calling thread.
 class SearchEngine {
  public:
   virtual ~SearchEngine() = default;
@@ -126,8 +131,9 @@ class SearchEngine {
                                   ShardedQueryStats* stats = nullptr);
 
   // --- Batches, one typed overload per dataset container. ---------------
-  // Pooled execution with per-worker scratch reuse (ShardedEngine::
-  // QueryBatch); results are positionally aligned with the query set.
+  // Pooled execution, each worker on a query context the engine lends it
+  // (ShardedEngine::QueryBatch); results are positionally aligned with the
+  // query set.
   // `wall_seconds` (optional) receives the batch wall time. A negative or
   // non-finite radius returns InvalidArgument.
 

@@ -2,11 +2,12 @@
 //
 // ShardedEngine<Family> splits the dataset into S disjoint contiguous id
 // ranges, builds one SegmentedIndex<Family> per range (in parallel, on the
-// engine's persistent util::ThreadPool), and answers a query by fanning out
-// across shards and concatenating results. Each shard runs the paper's full
-// Algorithm-2 hybrid decision *locally*, with LinearCost(shard_live_n)
-// instead of LinearCost(n) — so a small or dense shard can independently
-// fall back to an exact scan of its range while the others stay on LSH.
+// engine's persistent util::ThreadPool), and answers a query by walking
+// every shard and concatenating results in shard order. Each shard runs the
+// paper's full Algorithm-2 hybrid decision *locally*, with
+// LinearCost(shard_live_n) instead of LinearCost(n) — so a small or dense
+// shard can independently fall back to an exact scan of its range while the
+// others stay on LSH.
 //
 // Shards share the hash-function seed: table t of every shard samples the
 // same k-wise functions and bucket-key seed as a monolithic table set (a
@@ -36,13 +37,26 @@
 // The engine serves reads lock-free while writes and background
 // maintenance run:
 //
-//   - QueryConcurrent + a caller-owned QueryScratch (one per reader
-//     thread, MakeQueryScratch) is the concurrent read path: each query
-//     walks an epoch-published SegmentSnapshot per shard — acquired with
-//     plain atomic loads, re-acquired only when a shard's segment list
-//     actually changed — and takes no lock anywhere. Any number of reader
-//     threads may call it concurrently with each other, with Insert /
-//     Remove, and with background seal / compaction.
+//   - Query, QueryFused and QueryBatch are const, and any number of
+//     threads may call them concurrently with each other, with Insert /
+//     Remove, and with background seal / compaction. Each query walks an
+//     epoch-published SegmentSnapshot per shard — acquired with plain
+//     atomic loads, re-acquired only when a shard's segment list actually
+//     changed — and takes no lock anywhere.
+//   - Everything a query writes lives in a query context the engine lends
+//     for the call: one slot per shard (cached snapshot, dedup set, merged
+//     sketch, live-id and output buffers) plus the plan, filter and fusion
+//     workspaces. A caller claims a free context of a fixed-size array
+//     with a compare-exchange and hands it back with a release store; when
+//     every one is claimed it gets a fresh context for that call. No lock
+//     is taken either way.
+//   - A query that is the only one in flight walks its shards on the pool,
+//     one task per shard, when the pool has more than one worker. With
+//     company — another caller, or a QueryBatch, which counts as one query
+//     and whose workers walk their shards in order — each query walks its
+//     shards in order on its own thread. Either way every shard runs
+//     QueryShard on the same snapshot, plan and filter, so the answer and
+//     its stats do not depend on which.
 //   - Insert and Remove serialize against each other on an internal writer
 //     mutex (callers need no external locking) and never block readers.
 //   - When ingest fills a shard's active segment, the freeze is published
@@ -55,11 +69,8 @@
 //     poll from any thread.
 //   - SaveSnapshot and CompactAll take the writer mutex and drain
 //     maintenance first: they block writers, not readers.
-//
-// The Query / QueryBatch entry points (internal shard fan-out / batch
-// pooling) use engine-owned scratch: at most one thread may be in them at a
-// time, but they may run concurrently with writers and maintenance — they
-// ride the same snapshot path underneath.
+//   - AttachAttributes and EnableUpdates are set-up calls: make them before
+//     the queries and writes that depend on them.
 //
 // --- The composable query pipeline (engine/query_pipeline.h) ----------------
 //
@@ -112,7 +123,7 @@
 namespace hybridlsh {
 namespace engine {
 
-/// Aggregate per-query observability across the shard fan-out.
+/// Aggregate per-query observability across the shard walks.
 struct ShardedQueryStats {
   /// Shards queried (== engine num_shards()).
   size_t num_shards = 0;
@@ -134,7 +145,7 @@ struct ShardedQueryStats {
   /// Wall seconds computing the probe plan (S1; amortized share of the
   /// batch plan computation on the QueryBatch path).
   double hash_seconds = 0.0;
-  /// Wall seconds for the whole fan-out (not the per-shard sum).
+  /// Wall seconds for the whole query (not the per-shard sum).
   double total_seconds = 0.0;
   /// Filter stage (pushdown predicate): whether this query carried one,
   /// the fraction of live points passing it, the composed-bitmap
@@ -195,35 +206,6 @@ class ShardedEngine {
  public:
   using ShardIndex = SegmentedIndex<Family, Dataset>;
   using Point = typename Family::Point;
-
-  /// Caller-owned scratch for the lock-free QueryConcurrent path: the
-  /// global-id dedup set, the merged HLL sketch, the hash-once plan
-  /// workspace, and one cached SegmentSnapshot per shard — re-acquired with two plain
-  /// atomic loads per query and only refreshed (a shared_ptr copy) when
-  /// that shard's segment list actually changed. Create one per reader
-  /// thread with MakeQueryScratch(); a scratch must never be used by two
-  /// queries at once.
-  class QueryScratch {
-   private:
-    friend class ShardedEngine;
-    struct ShardView {
-      typename ShardIndex::SegmentSnapshot snapshot;
-      uint64_t version = 0;
-    };
-    QueryScratch(util::VisitedSet v, hll::HyperLogLog m, size_t num_shards)
-        : visited(std::move(v)), merged(std::move(m)), views(num_shards) {}
-
-    util::VisitedSet visited;
-    hll::HyperLogLog merged;
-    std::vector<uint32_t> live_ids;  // flat buffer for the linear path
-    std::vector<ShardView> views;    // per-shard epoch cache
-    lsh::PlanScratch plan_scratch;   // hash-once S1 workspace
-    lsh::ProbePlan plan;             // the query's plan, shared by all shards
-    util::BitVector filter;          // filter stage: predicate ∧ ¬tombstone
-    core::ScoredList walk_hits;      // fused: the shared walk's scored hits
-    std::vector<core::ScoredList> sub_lists;  // fused per-subquery results
-    core::FusionScratch fusion;      // score + merge workspace
-  };
 
   /// Builds all shards in parallel. The dataset is retained by pointer and
   /// must outlive the engine. Options that fail ValidateOptions return its
@@ -297,14 +279,6 @@ class ShardedEngine {
     engine.stats_.build_seconds = build_timer.ElapsedSeconds();
     engine.stats_.simd_tier = util::simd::TierName(util::ResolvedSimdTier());
     engine.StartMaintenance();
-
-    // Fan-out scratch: one per shard (single-query path). Batch scratch is
-    // created lazily, one per pool worker.
-    engine.fanout_scratch_.reserve(num_shards);
-    engine.fanout_out_.resize(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      engine.fanout_scratch_.push_back(engine.MakeQueryScratch());
-    }
     return engine;
   }
 
@@ -424,130 +398,67 @@ class ShardedEngine {
                         [&](size_t s) { shards_[s].index->Compact(); });
   }
 
-  /// The lock-free concurrent read path: answers one query on a
-  /// caller-owned scratch (one per reader thread, MakeQueryScratch). Every
-  /// id with Distance(point, query) <= radius is appended to *out with the
-  /// same per-shard guarantees as Query, each shard walked over an
-  /// epoch-published SegmentSnapshot — consistent even while Insert /
-  /// Remove / background maintenance run, with no lock or shared mutable
-  /// state touched anywhere on the path. Shards are searched sequentially
-  /// on the calling thread; concurrency comes from many callers, not an
-  /// internal fan-out. A negative or non-finite radius, or a dense query
-  /// with a NaN or infinite coordinate, returns InvalidArgument (the spec
-  /// form's validation).
-  util::Status QueryConcurrent(Point query, double radius,
-                               std::vector<uint32_t>* out,
-                               QueryScratch* scratch,
-                               ShardedQueryStats* stats = nullptr) const {
-    return QueryConcurrent(query, QuerySpec::Radius(radius), out, scratch,
-                           stats);
-  }
-
-  /// Spec form of the concurrent read path: same lock-free guarantees,
-  /// plus the filter stage (evaluated into the scratch's BitVector) when
-  /// the spec carries a predicate. Rejects fused specs — those return
-  /// scored hits, use QueryFusedConcurrent.
-  util::Status QueryConcurrent(Point query, const QuerySpec& spec,
-                               std::vector<uint32_t>* out,
-                               QueryScratch* scratch,
-                               ShardedQueryStats* stats = nullptr) const {
-    HLSH_RETURN_IF_ERROR(ValidateSpec(spec, /*fused=*/false));
-    HLSH_RETURN_IF_ERROR(ValidateQueryPoint(query));
-    ShardedQueryStats local_stats;
-    ShardedQueryStats* s = stats != nullptr ? stats : &local_stats;
-    QueryOnScratch(query, spec, out, scratch, s);
-    return util::Status::Ok();
-  }
-
-  /// Concurrent fused query, merged into (id, score) hits under the spec's
-  /// fusion mode. Its same-metric radius clauses share one QueryConcurrent
-  /// walk at the widest radius (shards sequential on the calling thread);
-  /// see QueryFusedOnScratch. Lock-free like QueryConcurrent; one scratch
-  /// per reader thread.
-  util::Status QueryFusedConcurrent(Point query, const QuerySpec& spec,
-                                    std::vector<core::FusedHit>* out,
-                                    QueryScratch* scratch,
-                                    ShardedQueryStats* stats = nullptr) const {
-    HLSH_RETURN_IF_ERROR(ValidateSpec(spec, /*fused=*/true));
-    HLSH_RETURN_IF_ERROR(ValidateQueryPoint(query));
-    ShardedQueryStats local_stats;
-    ShardedQueryStats* s = stats != nullptr ? stats : &local_stats;
-    return QueryFusedOnScratch(
-        query, spec, out, scratch, s,
-        [&](const QuerySpec& walk, std::vector<uint32_t>* ids) {
-          return QueryOnScratch(query, walk, ids, scratch, s);
-        });
-  }
-
-  /// A scratch sized for this engine: dedup over the current id space
-  /// (widened automatically as inserts land), sketch at the engine's HLL
-  /// precision, one snapshot slot per shard.
-  QueryScratch MakeQueryScratch() const {
-    return QueryScratch(util::VisitedSet(dataset_->size()),
-                        shards_[0].index->MakeScratchSketch(),
-                        shards_.size());
-  }
-
-  /// Answers one query with a parallel fan-out across shards: every id with
-  /// Distance(point, query) <= radius is reported, exactly on a shard that
-  /// scans and with the LSH guarantee (probability >= 1 - delta per point)
-  /// on a shard that probes. Results are appended to *out grouped by shard
-  /// (ascending id ranges); ids are global. A negative or non-finite
+  /// Answers one query: every id with Distance(point, query) <= radius is
+  /// reported, exactly on a shard that scans and with the LSH guarantee
+  /// (probability >= 1 - delta per point) on a shard that probes. Results
+  /// are appended to *out grouped by shard (ascending id ranges); ids are
+  /// global. Safe from any number of threads, concurrently with writers
+  /// and maintenance (see the file comment). A negative or non-finite
   /// radius, or a dense query with a NaN or infinite coordinate, returns
   /// InvalidArgument (the spec form's validation).
   util::Status Query(Point query, double radius, std::vector<uint32_t>* out,
-                     ShardedQueryStats* stats = nullptr) {
+                     ShardedQueryStats* stats = nullptr) const {
     return Query(query, QuerySpec::Radius(radius), out, stats);
   }
 
-  /// Spec form of the parallel fan-out: the filter stage runs once on the
-  /// calling thread (into engine-owned storage), then every shard worker
+  /// Spec form: the filter stage runs once per query, and every shard walk
   /// reads the composed bitmap const. Rejects fused specs — use
-  /// QueryFused. Engine-owned scratch: one caller at a time, like the
-  /// radius overload.
+  /// QueryFused.
   util::Status Query(Point query, const QuerySpec& spec,
                      std::vector<uint32_t>* out,
-                     ShardedQueryStats* stats = nullptr) {
+                     ShardedQueryStats* stats = nullptr) const {
     HLSH_RETURN_IF_ERROR(ValidateSpec(spec, /*fused=*/false));
     HLSH_RETURN_IF_ERROR(ValidateQueryPoint(query));
     ShardedQueryStats local_stats;
-    FanOutQuery(query, spec, out, stats != nullptr ? stats : &local_stats);
+    const InFlightQuery in_flight(*this);
+    const ContextLease context(*this);
+    RunQuery(query, spec, context.get(), out,
+             stats != nullptr ? stats : &local_stats);
     return util::Status::Ok();
   }
 
-  /// Fused query on engine-owned scratch (one caller at a time), merged
-  /// into (id, score) hits under the spec's fusion options. Its same-metric
-  /// radius clauses share one walk at the widest radius through the same
-  /// parallel shard fan-out as Query, so every shard estimates, decides,
-  /// gathers and verifies once; see QueryFusedOnScratch.
+  /// Fused query, merged into (id, score) hits under the spec's fusion
+  /// options. Its same-metric radius clauses share one walk at the widest
+  /// radius, so every shard estimates, decides, gathers and verifies once;
+  /// see RunFused. Safe from any number of threads, like Query.
   util::Status QueryFused(Point query, const QuerySpec& spec,
                           std::vector<core::FusedHit>* out,
-                          ShardedQueryStats* stats = nullptr) {
+                          ShardedQueryStats* stats = nullptr) const {
     HLSH_RETURN_IF_ERROR(ValidateSpec(spec, /*fused=*/true));
     HLSH_RETURN_IF_ERROR(ValidateQueryPoint(query));
     ShardedQueryStats local_stats;
-    ShardedQueryStats* s = stats != nullptr ? stats : &local_stats;
-    return QueryFusedOnScratch(
-        query, spec, out, &fanout_scratch_[0], s,
-        [&](const QuerySpec& walk, std::vector<uint32_t>* ids) {
-          return FanOutQuery(query, walk, ids, s);
-        });
+    const InFlightQuery in_flight(*this);
+    const ContextLease context(*this);
+    return RunFused(query, spec, context.get(), out,
+                    stats != nullptr ? stats : &local_stats);
   }
 
   /// Answers a whole query set (any container with size() and point(i)) on
   /// the pool: queries are distributed dynamically across workers, each
-  /// worker owns one reusable scratch and runs every shard of its query
-  /// sequentially. Results are positionally aligned with the query set.
+  /// worker borrows one query context and walks every shard of its query
+  /// in order. Results are positionally aligned with the query set.
   /// `wall_seconds` (optional) receives the batch wall time. The filter
   /// stage runs ONCE for the whole batch — predicates do not depend on the
   /// query point, so every worker shares the one composed bitmap read-only
   /// (per-query stats report filter_seconds = 0 and the shared
-  /// selectivity, and the batch sees removals as of that stage). Rejects
-  /// fused specs, invalid radii and non-finite dense queries like Query.
+  /// selectivity, and the batch sees removals as of that stage). Every
+  /// buffer of the batch is its own, so batches may run concurrently with
+  /// each other and with single queries. Rejects fused specs, invalid
+  /// radii and non-finite dense queries like Query.
   template <typename QuerySet>
   util::StatusOr<std::vector<ShardedBatchResult>> QueryBatch(
       const QuerySet& queries, const QuerySpec& spec,
-      double* wall_seconds = nullptr) {
+      double* wall_seconds = nullptr) const {
     HLSH_RETURN_IF_ERROR(ValidateSpec(spec, /*fused=*/false));
     for (size_t q = 0; q < queries.size(); ++q) {
       HLSH_RETURN_IF_ERROR(ValidateQueryPoint(queries.point(q)));
@@ -555,47 +466,47 @@ class ShardedEngine {
     std::vector<ShardedBatchResult> results(queries.size());
     util::WallTimer timer;
     if (queries.size() > 0) {
-      EnsureBatchScratch();
-      FilterContext batch_fctx;
-      const FilterContext* shared_filter = nullptr;
+      const InFlightQuery in_flight(*this);
+      BatchShare share;
+      util::BitVector filter_storage;
+      FilterContext filter;
       if (spec.predicate != nullptr) {
         ShardedQueryStats filter_stats;
-        batch_fctx = BuildFilterStage(spec, &batch_filter_, &filter_stats);
-        shared_filter = &batch_fctx;
+        filter = BuildFilterStage(spec, &filter_storage, &filter_stats);
+        share.filter = &filter;
       }
       // S1 for the whole batch up front: every table's projections run
       // through the blocked (multi-query) kernel form, and the workers
       // consume the precomputed plans read-only.
-      const bool hash_once =
-          options_.searcher.forced != core::ForcedStrategy::kAlwaysLinear;
-      double hash_share = 0.0;
-      if (hash_once) {
+      std::vector<lsh::ProbePlan> plans;
+      if (options_.searcher.forced != core::ForcedStrategy::kAlwaysLinear) {
         util::WallTimer hash_timer;
-        batch_points_.resize(queries.size());
+        std::vector<Point> points(queries.size());
         for (size_t q = 0; q < queries.size(); ++q) {
-          batch_points_[q] = queries.point(q);
+          points[q] = queries.point(q);
         }
-        batch_plans_.resize(queries.size());
+        plans.resize(queries.size());
+        lsh::PlanScratch plan_scratch;
         HLSH_CHECK(shards_[0]
                        .index
-                       ->ComputePlanBatch(batch_points_.data(), queries.size(),
+                       ->ComputePlanBatch(points.data(), queries.size(),
                                           options_.searcher.probes_per_table,
-                                          &batch_plan_scratch_,
-                                          batch_plans_.data())
+                                          &plan_scratch, plans.data())
                        .ok());
-        hash_share = hash_timer.ElapsedSeconds() / queries.size();
+        share.hash_seconds = hash_timer.ElapsedSeconds() / queries.size();
       }
       const size_t num_workers =
-          std::min(batch_scratch_.size(), queries.size());
+          std::min(pool_->num_threads(), queries.size());
       std::atomic<size_t> next{0};
-      util::ParallelForOn(pool_.get(), 0, num_workers, [&](size_t w) {
-        QueryScratch& scratch = batch_scratch_[w];
+      util::ParallelForOn(pool_.get(), 0, num_workers, [&](size_t) {
+        const ContextLease context(*this);
+        BatchShare query_share = share;
         for (size_t q = next.fetch_add(1); q < queries.size();
              q = next.fetch_add(1)) {
+          if (!plans.empty()) query_share.plan = &plans[q];
           ShardedBatchResult& result = results[q];
-          QueryOnScratch(queries.point(q), spec, &result.neighbors, &scratch,
-                         &result.stats, hash_once ? &batch_plans_[q] : nullptr,
-                         hash_share, shared_filter);
+          RunQuery(queries.point(q), spec, context.get(), &result.neighbors,
+                   &result.stats, &query_share);
         }
       });
     }
@@ -898,11 +809,6 @@ class ShardedEngine {
     engine.stats_.simd_tier = util::simd::TierName(util::ResolvedSimdTier());
 
     engine.StartMaintenance();
-    engine.fanout_scratch_.reserve(num_shards);
-    engine.fanout_out_.resize(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      engine.fanout_scratch_.push_back(engine.MakeQueryScratch());
-    }
     HLSH_RETURN_IF_ERROR(engine.EnableUpdates(dataset));
     return engine;
   }
@@ -925,11 +831,127 @@ class ShardedEngine {
   struct QueryCounters {
     std::atomic<uint64_t> hash_evals{0};
     std::atomic<uint64_t> plan_reuse{0};
+    /// Queries in flight, a QueryBatch counting as one (InFlightQuery).
+    /// A query that finds itself alone fans its shard walks out on the
+    /// pool; relaxed, because it only picks where the walks run.
+    std::atomic<size_t> in_flight{0};
+  };
+
+  /// What one shard walk writes: the shard's cached epoch snapshot
+  /// (re-acquired with two atomic loads, refreshed only when the shard's
+  /// segment list changed), the global-id dedup set (sized on first use),
+  /// the merged HLL sketch, the linear path's live-id buffer and the
+  /// walk's output.
+  struct ShardSlot {
+    explicit ShardSlot(hll::HyperLogLog sketch) : merged(std::move(sketch)) {}
+    typename ShardIndex::SegmentSnapshot snapshot;
+    uint64_t version = 0;
+    util::VisitedSet visited;
+    hll::HyperLogLog merged;
+    std::vector<uint32_t> live_ids;
+    std::vector<uint32_t> out;
+  };
+
+  /// Everything one query writes: a slot per shard, so that a fanned-out
+  /// walk gives each worker its own, plus the plan, filter and fusion
+  /// workspaces. One caller holds it at a time (ContextLease).
+  struct QueryContext {
+    std::vector<ShardSlot> shards;
+    lsh::PlanScratch plan_scratch;   // hash-once S1 workspace
+    lsh::ProbePlan plan;             // the query's plan, shared by all shards
+    util::BitVector filter;          // filter stage: predicate ∧ ¬tombstone
+    core::ScoredList walk_hits;      // fused: the shared walk's scored hits
+    std::vector<core::ScoredList> sub_lists;  // fused per-subquery results
+    core::FusionScratch fusion;      // score + merge workspace
+  };
+
+  /// The engine's lendable contexts: a fixed number of slots, each on its
+  /// own cache line, its context created by the first caller to claim it.
+  /// Sixteen cover a few concurrent callers next to a batch's workers; a
+  /// call past them builds a fresh context and regrows its dedup sets.
+  static constexpr size_t kLentContexts = 16;
+  struct alignas(64) ContextSlot {
+    std::atomic<bool> claimed{false};
+    std::unique_ptr<QueryContext> context;
+  };
+
+  /// One call's query context: the first free slot, claimed with a
+  /// compare-exchange (acquire: the last holder's writes are visible) and
+  /// handed back with a release store, or a fresh context of its own when
+  /// every slot is claimed. Never blocks.
+  class ContextLease {
+   public:
+    explicit ContextLease(const ShardedEngine& engine) {
+      for (size_t i = 0; i < kLentContexts; ++i) {
+        ContextSlot& slot = engine.contexts_[i];
+        bool expected = false;
+        if (slot.claimed.compare_exchange_strong(expected, true,
+                                                 std::memory_order_acquire,
+                                                 std::memory_order_relaxed)) {
+          if (slot.context == nullptr) slot.context = engine.NewContext();
+          slot_ = &slot;
+          context_ = slot.context.get();
+          return;
+        }
+      }
+      fresh_ = engine.NewContext();
+      context_ = fresh_.get();
+    }
+    ~ContextLease() {
+      if (slot_ != nullptr) {
+        slot_->claimed.store(false, std::memory_order_release);
+      }
+    }
+    ContextLease(const ContextLease&) = delete;
+    ContextLease& operator=(const ContextLease&) = delete;
+
+    QueryContext* get() const { return context_; }
+
+   private:
+    ContextSlot* slot_ = nullptr;
+    std::unique_ptr<QueryContext> fresh_;
+    QueryContext* context_ = nullptr;
+  };
+
+  /// Counts one query (or one whole batch) in QueryCounters::in_flight for
+  /// its scope.
+  class InFlightQuery {
+   public:
+    explicit InFlightQuery(const ShardedEngine& engine)
+        : count_(&engine.counters_->in_flight) {
+      count_->fetch_add(1, std::memory_order_relaxed);
+    }
+    ~InFlightQuery() { count_->fetch_sub(1, std::memory_order_relaxed); }
+    InFlightQuery(const InFlightQuery&) = delete;
+    InFlightQuery& operator=(const InFlightQuery&) = delete;
+
+   private:
+    std::atomic<size_t>* count_;
+  };
+
+  /// What QueryBatch hands the driver for one of its queries: the plan its
+  /// blocked S1 pass computed (null on forced-linear), that pass's
+  /// per-query share of time, and the batch's one filter stage (null when
+  /// the spec has no predicate).
+  struct BatchShare {
+    const lsh::ProbePlan* plan = nullptr;
+    double hash_seconds = 0.0;
+    const FilterContext* filter = nullptr;
   };
 
   ShardedEngine()
       : sync_(std::make_unique<EngineSync>()),
-        counters_(std::make_unique<QueryCounters>()) {}
+        counters_(std::make_unique<QueryCounters>()),
+        contexts_(std::make_unique<ContextSlot[]>(kLentContexts)) {}
+
+  std::unique_ptr<QueryContext> NewContext() const {
+    auto context = std::make_unique<QueryContext>();
+    context->shards.reserve(shards_.size());
+    for (const Shard& shard : shards_) {
+      context->shards.emplace_back(shard.index->MakeScratchSketch());
+    }
+    return context;
+  }
 
   /// Builds the int8 mirror over the engine's dataset when the container
   /// is dense, the option is on, and the data quantizes (non-degenerate
@@ -980,101 +1002,67 @@ class ShardedEngine {
     });
   }
 
-  void EnsureBatchScratch() {
-    if (!batch_scratch_.empty()) return;
-    batch_scratch_.reserve(pool_->num_threads());
-    for (size_t w = 0; w < pool_->num_threads(); ++w) {
-      batch_scratch_.push_back(MakeQueryScratch());
-    }
-  }
-
-  /// Re-acquires shard s's snapshot into a view cache slot (two atomic
+  /// Re-acquires shard i's snapshot into its context slot (two atomic
   /// loads when the segment list is unchanged).
-  void RefreshShardView(size_t s,
-                        typename QueryScratch::ShardView* view) const {
-    shards_[s].index->AcquireCached(&view->snapshot, &view->version);
+  void RefreshSnapshot(size_t i, ShardSlot* slot) const {
+    shards_[i].index->AcquireCached(&slot->snapshot, &slot->version);
   }
 
-  /// The pool fan-out behind Query and QueryFused: the filter stage and S1
-  /// run once on the calling thread, then worker i walks shard i on
-  /// fanout_scratch_[i]. Worker i caches its snapshot in slot i of
-  /// fanout_scratch_[0].views (no slot has two writers), so after the
-  /// barrier that one scratch holds every shard's snapshot, as
-  /// QueryOnScratch leaves its scratch. Returns the filter stage's product.
-  FilterContext FanOutQuery(Point query, const QuerySpec& spec,
-                            std::vector<uint32_t>* out,
-                            ShardedQueryStats* s) {
-    ResetStats(s);
-    util::WallTimer timer;
-    const FilterContext fctx = BuildFilterStage(spec, &fanout_filter_, s);
-
-    // S1 once, on the calling thread: every worker reads the one plan
-    // (const; the pool dispatch orders the writes before the reads).
-    const lsh::ProbePlan* plan = nullptr;
-    if (options_.searcher.forced != core::ForcedStrategy::kAlwaysLinear) {
-      util::WallTimer hash_timer;
-      ComputePlan(query, &fanout_plan_scratch_, &fanout_plan_);
-      s->hash_seconds = hash_timer.ElapsedSeconds();
-      s->hash_evals = fanout_plan_.num_tables();
-      plan = &fanout_plan_;
-    }
-
-    util::ParallelForOn(pool_.get(), 0, shards_.size(), [&](size_t i) {
-      fanout_out_[i].clear();
-      auto& view = fanout_scratch_[0].views[i];
-      RefreshShardView(i, &view);
-      QueryShard(shards_[i], view.snapshot, query, spec.radius, plan, fctx,
-                 &fanout_scratch_[i], &fanout_out_[i], &s->per_shard[i]);
-    });
-
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      out->insert(out->end(), fanout_out_[i].begin(), fanout_out_[i].end());
-    }
-    FoldStats(s);
-    NoteQueryCounters(*s);
-    s->total_seconds = timer.ElapsedSeconds();
-    return fctx;
-  }
-
-  /// One full query over every shard on the caller's scratch: compute (or
-  /// adopt) the probe plan once, refresh each shard's snapshot, run
-  /// Algorithm 2 per shard sequentially, fold stats. Lock-free — shared by
-  /// QueryConcurrent, QueryFusedConcurrent and the batch workers.
-  /// `shared_plan` (batch path) is a plan precomputed for this query;
-  /// nullptr computes one into the scratch. Forced-linear skips planning
-  /// entirely — no hash function runs. Returns the filter stage's product.
-  FilterContext QueryOnScratch(
-      Point query, const QuerySpec& spec, std::vector<uint32_t>* out,
-      QueryScratch* scratch, ShardedQueryStats* s,
-      const lsh::ProbePlan* shared_plan = nullptr,
-      double shared_hash_seconds = 0.0,
-      const FilterContext* shared_filter = nullptr) const {
+  /// The one query driver, behind Query, QueryFused's shared walk and every
+  /// QueryBatch worker: runs the filter stage (or adopts the batch's),
+  /// computes the probe plan once (or adopts the batch's; forced-linear
+  /// skips planning, so no hash function runs), walks every shard through
+  /// QueryShard on the context's slot for it, appends the shard outputs to
+  /// *out in shard order and folds the stats. A query alone in flight on a
+  /// pool of several workers walks its shards there, one task per shard;
+  /// otherwise the calling thread walks them in order. A batch worker
+  /// always walks in order: it runs on the pool, and a fan-out from it
+  /// would wait on the pool it occupies (ParallelForOn must not nest).
+  /// Each slot has one writer either way, and the pool dispatch orders the
+  /// plan and filter writes before the walks read them. Returns the filter
+  /// stage's product.
+  FilterContext RunQuery(Point query, const QuerySpec& spec,
+                         QueryContext* context, std::vector<uint32_t>* out,
+                         ShardedQueryStats* s,
+                         const BatchShare* batch = nullptr) const {
     ResetStats(s);
     util::WallTimer timer;
     FilterContext fctx;
-    if (shared_filter != nullptr) {
+    if (batch != nullptr && batch->filter != nullptr) {
       // Prebuilt for the whole batch: adopt it (filter_seconds stays 0 —
       // the cost was paid once, not per query).
-      fctx = *shared_filter;
+      fctx = *batch->filter;
       NoteFilterStats(fctx, s);
     } else {
-      fctx = BuildFilterStage(spec, &scratch->filter, s);
+      fctx = BuildFilterStage(spec, &context->filter, s);
     }
-    const lsh::ProbePlan* plan = shared_plan;
+    const lsh::ProbePlan* plan = batch != nullptr ? batch->plan : nullptr;
     if (plan != nullptr) {
-      s->hash_seconds = shared_hash_seconds;
+      s->hash_seconds = batch->hash_seconds;
     } else if (options_.searcher.forced !=
                core::ForcedStrategy::kAlwaysLinear) {
       util::WallTimer hash_timer;
-      ComputePlan(query, &scratch->plan_scratch, &scratch->plan);
+      ComputePlan(query, &context->plan_scratch, &context->plan);
       s->hash_seconds = hash_timer.ElapsedSeconds();
-      plan = &scratch->plan;
+      plan = &context->plan;
     }
     if (plan != nullptr) s->hash_evals = plan->num_tables();
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      RefreshShardView(i, &scratch->views[i]);
-      QueryShard(shards_[i], scratch->views[i].snapshot, query, spec.radius,
-                 plan, fctx, scratch, out, &s->per_shard[i]);
+
+    const auto walk = [&](size_t i) {
+      ShardSlot& slot = context->shards[i];
+      RefreshSnapshot(i, &slot);
+      slot.out.clear();
+      QueryShard(shards_[i], slot.snapshot, query, spec.radius, plan, fctx,
+                 &slot, &s->per_shard[i]);
+    };
+    if (batch == nullptr && pool_->num_threads() > 1 &&
+        counters_->in_flight.load(std::memory_order_relaxed) == 1) {
+      util::ParallelForOn(pool_.get(), 0, shards_.size(), walk);
+    } else {
+      for (size_t i = 0; i < shards_.size(); ++i) walk(i);
+    }
+    for (const ShardSlot& slot : context->shards) {
+      out->insert(out->end(), slot.out.begin(), slot.out.end());
     }
     FoldStats(s);
     NoteQueryCounters(*s);
@@ -1085,10 +1073,9 @@ class ShardedEngine {
   /// The fused execution path (score + merge stages live here).
   ///
   /// Gather: every same-metric radius clause runs inside ONE ordinary
-  /// radius query at the widest such radius, through the entry point's own
-  /// gather (`gather(walk_spec, &ids)`: Query's pool fan-out or
-  /// QueryOnScratch), so each shard estimates, decides, gathers and
-  /// verifies once. A narrower clause is carved out by re-verifying the
+  /// radius query at the widest such radius (RunQuery, on this context),
+  /// so each shard estimates, decides, gathers and verifies once. A
+  /// narrower clause is carved out by re-verifying the
   /// walk's hits at its own radius. That is exact: the Algorithm 2
   /// decision does not read the radius, so a separate query at the
   /// narrower radius would verify the same candidates, and every verify
@@ -1103,11 +1090,10 @@ class ShardedEngine {
   /// order, so every clause's list comes out already ranked: RRF reads the
   /// ranks off as is, and in both modes the fused hits reach the final
   /// ranking nearly in order (core/fusion.h).
-  template <typename Gather>
-  util::Status QueryFusedOnScratch(Point query, const QuerySpec& spec,
-                                   std::vector<core::FusedHit>* out,
-                                   QueryScratch* scratch, ShardedQueryStats* s,
-                                   Gather gather) const {
+  util::Status RunFused(Point query, const QuerySpec& spec,
+                        QueryContext* context,
+                        std::vector<core::FusedHit>* out,
+                        ShardedQueryStats* s) const {
     util::WallTimer timer;
     const data::Metric engine_metric = shards_[0].index->family().metric();
     auto walks_index = [&](const SubquerySpec& sub) {
@@ -1121,18 +1107,18 @@ class ShardedEngine {
       }
     }
 
-    core::ScoredList& walk = scratch->walk_hits;
+    core::ScoredList& walk = context->walk_hits;
     walk.ids.clear();
     FilterContext fctx;
     if (widest.has_value()) {
       QuerySpec walk_spec = QuerySpec::Radius(*widest);
       walk_spec.predicate = spec.predicate;
-      fctx = gather(walk_spec, &walk.ids);
+      fctx = RunQuery(query, walk_spec, context, &walk.ids, s);
     } else {
       ResetStats(s);
-      fctx = BuildFilterStage(spec, &scratch->filter, s);
+      fctx = BuildFilterStage(spec, &context->filter, s);
       for (size_t i = 0; i < shards_.size(); ++i) {
-        RefreshShardView(i, &scratch->views[i]);
+        RefreshSnapshot(i, &context->shards[i]);
       }
     }
 
@@ -1140,9 +1126,9 @@ class ShardedEngine {
     for (size_t k = 0; k < walk.ids.size(); ++k) {
       walk.distances[k] = ExactDistance(query, walk.ids[k], engine_metric);
     }
-    core::RankScoredList(&walk, &scratch->fusion);
+    core::RankScoredList(&walk, &context->fusion);
 
-    auto& lists = scratch->sub_lists;
+    auto& lists = context->sub_lists;
     lists.resize(spec.subqueries.size());
     for (size_t j = 0; j < lists.size(); ++j) {
       const SubquerySpec& sub = spec.subqueries[j];
@@ -1164,11 +1150,11 @@ class ShardedEngine {
               list.distances.push_back(0.0);
             });
       } else if (!walks_index(sub)) {
-        for (size_t i = 0; i < shards_.size(); ++i) {
-          ExecuteOverrideScan(scratch->views[i].snapshot, query, sub, fctx,
-                              &scratch->live_ids, &list);
+        for (ShardSlot& slot : context->shards) {
+          ExecuteOverrideScan(slot.snapshot, query, sub, fctx, &slot.live_ids,
+                              &list);
         }
-        core::RankScoredList(&list, &scratch->fusion);
+        core::RankScoredList(&list, &context->fusion);
       } else {
         // A narrower clause: its hits are the walk's hits that pass the
         // verify at its radius, emitted in the walk's order — so the
@@ -1185,7 +1171,7 @@ class ShardedEngine {
     }
 
     HLSH_RETURN_IF_ERROR(
-        core::FuseScoredLists(lists, spec.fusion, &scratch->fusion, out));
+        core::FuseScoredLists(lists, spec.fusion, &context->fusion, out));
     s->fusion_subqueries = spec.subqueries.size();
     s->output_size = out->size();  // fused hits, not the walk's
     s->total_seconds = timer.ElapsedSeconds();
@@ -1240,12 +1226,12 @@ class ShardedEngine {
   /// against LinearCost(shard_live_n), execute. The decision is priced
   /// from ONE coherent LiveStats read, so the tombstone correction and
   /// the linear side cannot mix counter values from different instants.
-  /// Appends global ids to *out. Lock-free.
+  /// Appends global ids to slot->out. Lock-free.
   void QueryShard(const Shard& shard,
                   const typename ShardIndex::SegmentSnapshot& snap,
                   Point query, double radius, const lsh::ProbePlan* plan,
-                  const FilterContext& fctx, QueryScratch* scratch,
-                  std::vector<uint32_t>* out, core::QueryStats* st) const {
+                  const FilterContext& fctx, ShardSlot* slot,
+                  core::QueryStats* st) const {
     *st = core::QueryStats{};
     util::WallTimer total_timer;
     const core::CostModel& model = options_.searcher.cost_model;
@@ -1254,7 +1240,7 @@ class ShardedEngine {
       st->strategy = core::Strategy::kLinear;
       st->linear_cost = model.LinearCost(shard.index->live_stats().live,
                                          fctx.selectivity);
-      ExecuteLinear(shard, snap, query, radius, fctx, out, st, scratch);
+      ExecuteLinear(shard, snap, query, radius, fctx, slot, st);
       st->total_seconds = total_timer.ElapsedSeconds();
       return;
     }
@@ -1268,7 +1254,7 @@ class ShardedEngine {
     // Alg. 2 lines 1-2 over the snapshot's segments.
     {
       util::WallTimer estimate_timer;
-      const auto estimate = snap.EstimateProbe(*plan, &scratch->merged);
+      const auto estimate = snap.EstimateProbe(*plan, &slot->merged);
       st->collisions = estimate.collisions;
       st->cand_estimate = estimate.cand_estimate;
       st->estimate_seconds = estimate_timer.ElapsedSeconds();
@@ -1293,18 +1279,18 @@ class ShardedEngine {
       st->strategy = core::Strategy::kLsh;
       // The dedup set spans the *global* id space (shard buckets store
       // global ids): widen it to every id this snapshot can emit.
-      if (scratch->visited.capacity() < snap.id_bound()) {
-        scratch->visited.Resize(snap.id_bound());
+      if (slot->visited.capacity() < snap.id_bound()) {
+        slot->visited.Resize(snap.id_bound());
       }
-      scratch->visited.Reset();
-      st->collisions = snap.CollectCandidates(*plan, &scratch->visited);
-      st->cand_actual = scratch->visited.size();
+      slot->visited.Reset();
+      st->collisions = snap.CollectCandidates(*plan, &slot->visited);
+      st->cand_actual = slot->visited.size();
       st->output_size += core::kernels::VerifyCandidatesQuantized(
           *shard.index, *dataset_, mirror_.get(), query,
-          scratch->visited.touched(), radius, out, fctx.filter);
+          slot->visited.touched(), radius, &slot->out, fctx.filter);
     } else {
       st->strategy = core::Strategy::kLinear;
-      ExecuteLinear(shard, snap, query, radius, fctx, out, st, scratch);
+      ExecuteLinear(shard, snap, query, radius, fctx, slot, st);
     }
     st->total_seconds = total_timer.ElapsedSeconds();
   }
@@ -1312,17 +1298,16 @@ class ShardedEngine {
   void ExecuteLinear(const Shard& shard,
                      const typename ShardIndex::SegmentSnapshot& snap,
                      Point query, double radius, const FilterContext& fctx,
-                     std::vector<uint32_t>* out, core::QueryStats* st,
-                     QueryScratch* scratch) const {
+                     ShardSlot* slot, core::QueryStats* st) const {
     // Flatten the snapshot's live ids — through the filter when one is
     // pushed down, so non-survivors never reach the kernels — then verify
     // in one block-batched pass (core/kernels.h, int8 screen included)
     // instead of per-id Distance calls.
-    scratch->live_ids.clear();
-    snap.GatherLiveIds(fctx.filter, &scratch->live_ids);
+    slot->live_ids.clear();
+    snap.GatherLiveIds(fctx.filter, &slot->live_ids);
     st->output_size += core::kernels::VerifyCandidatesQuantized(
-        *shard.index, *dataset_, mirror_.get(), query, scratch->live_ids,
-        radius, out);
+        *shard.index, *dataset_, mirror_.get(), query, slot->live_ids,
+        radius, &slot->out);
   }
 
   /// Linear scan of one shard's snapshot under a metric override — the
@@ -1481,7 +1466,8 @@ class ShardedEngine {
   const data::AttributeStore* attributes_ = nullptr;
   // Writer mutex (heap-stable across engine moves).
   std::unique_ptr<EngineSync> sync_;
-  // Cumulative hash/plan counters (heap-stable across engine moves).
+  // Cumulative hash/plan counters and the in-flight count (heap-stable
+  // across engine moves).
   std::unique_ptr<QueryCounters> counters_;
   std::unique_ptr<util::ThreadPool> pool_;
   // One tombstone bitmap shared by every shard (heap-stable across moves).
@@ -1500,24 +1486,9 @@ class ShardedEngine {
   std::unique_ptr<util::TaskGroup> maintenance_group_;
   size_t initial_n_ = 0;  // dataset size at Build
   EngineStats stats_;     // build-time shape; dynamic fields redone in stats()
-  // Single-query fan-out scratch (one per shard) and shard result buffers.
-  std::vector<QueryScratch> fanout_scratch_;
-  std::vector<std::vector<uint32_t>> fanout_out_;
-  // Hash-once plan of the in-flight Query (computed on the calling thread,
-  // read by every fan-out worker).
-  lsh::PlanScratch fanout_plan_scratch_;
-  lsh::ProbePlan fanout_plan_;
-  // Filter-stage storage of the in-flight fan-out Query / QueryBatch
-  // (built once on the calling thread, read const by the workers).
-  util::BitVector fanout_filter_;
-  util::BitVector batch_filter_;
-  // Batch scratch (one per pool worker), created on first QueryBatch, plus
-  // the batched S1 buffers: materialized query points, one plan per query,
-  // and the blocked-projection workspace.
-  std::vector<QueryScratch> batch_scratch_;
-  std::vector<Point> batch_points_;
-  std::vector<lsh::ProbePlan> batch_plans_;
-  lsh::PlanScratch batch_plan_scratch_;
+  // The lendable query contexts (ContextLease), kLentContexts of them;
+  // heap-stable across engine moves.
+  std::unique_ptr<ContextSlot[]> contexts_;
 };
 
 }  // namespace engine

@@ -3,9 +3,11 @@
 // A *single* query stays single-threaded on each shard to keep the cost
 // model's alpha/beta constants meaningful (the paper's per-query CPU-time
 // measurements). Parallelism lives one level up: table construction within
-// an index, and shard builds, shard fan-out and batch execution in
-// engine/sharded_engine.h — the engine's paths reuse one persistent
-// ThreadPool via ParallelForOn instead of spawning threads per call.
+// an index, and in engine/sharded_engine.h shard builds, compaction, batch
+// execution, and the shard walks of a query that is the only one in flight
+// (concurrent callers each walk their shards on their own thread). The
+// engine's paths reuse one persistent ThreadPool via ParallelForOn instead
+// of spawning threads per call.
 
 #ifndef HYBRIDLSH_UTIL_THREAD_POOL_H_
 #define HYBRIDLSH_UTIL_THREAD_POOL_H_

@@ -11,6 +11,10 @@
 // through LshTable::Lookup, a log by scanning its entries newest first,
 // which is the order its bucket chains list them in. A plan walk must match
 // it in collisions, merged HLL registers and VisitedSet::touched() order.
+//
+// ExpectSameShardWalks compares two runs of one query instead: the tests
+// use it to hold a lone caller's shard walks in order (1-worker pool) to
+// the same walks fanned out on a 4-worker pool.
 
 #ifndef HYBRIDLSH_TESTS_ENGINE_ORACLE_H_
 #define HYBRIDLSH_TESTS_ENGINE_ORACLE_H_
@@ -21,8 +25,12 @@
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
+#include "core/strategy.h"
 #include "engine/options.h"
 #include "engine/segmented_index.h"
+#include "engine/sharded_engine.h"
 #include "hll/hyperloglog.h"
 #include "lsh/index.h"
 #include "lsh/table.h"
@@ -167,6 +175,27 @@ bool SnapshotWalksMatchReference(const Snapshot& snapshot,
          collected == reference.collisions() &&
          merged == reference.merged() &&
          visited.touched() == reference.touched();
+}
+
+/// Expects two runs of one query to have walked every shard alike: the
+/// same decision, Algorithm 2 counts and output per shard, and the same
+/// plan and filter totals. Timings are not compared.
+inline void ExpectSameShardWalks(const engine::ShardedQueryStats& got,
+                                 const engine::ShardedQueryStats& want) {
+  ASSERT_EQ(got.per_shard.size(), want.per_shard.size());
+  for (size_t s = 0; s < got.per_shard.size(); ++s) {
+    const core::QueryStats& a = got.per_shard[s];
+    const core::QueryStats& b = want.per_shard[s];
+    EXPECT_EQ(a.strategy, b.strategy) << "shard " << s;
+    EXPECT_EQ(a.collisions, b.collisions) << "shard " << s;
+    EXPECT_EQ(a.cand_estimate, b.cand_estimate) << "shard " << s;
+    EXPECT_EQ(a.cand_actual, b.cand_actual) << "shard " << s;
+    EXPECT_EQ(a.output_size, b.output_size) << "shard " << s;
+    EXPECT_EQ(a.plan_reuse, b.plan_reuse) << "shard " << s;
+  }
+  EXPECT_EQ(got.hash_evals, want.hash_evals);
+  EXPECT_EQ(got.output_size, want.output_size);
+  EXPECT_EQ(got.filter_survivors, want.filter_survivors);
 }
 
 }  // namespace test_oracle

@@ -1,8 +1,8 @@
 // Stress tests for the concurrent serving core (engine/sharded_engine.h +
-// engine/segmented_index.h): reader threads run QueryConcurrent on their own
-// QueryScratch while a writer thread inserts, removes, and compacts, with
-// background seal/compaction enabled. The suite checks the two guarantees
-// the lock-free path makes:
+// engine/segmented_index.h): reader threads call Query on one engine (each
+// on a query context the engine lends it) while a writer thread inserts,
+// removes, and compacts, with background seal/compaction enabled. The suite
+// checks the two guarantees the lock-free path makes:
 //
 //   1. Soundness — every reported id is within the radius and was live at
 //      some point during the query. In particular a Remove whose completion
@@ -41,6 +41,7 @@
 #include "data/attributes.h"
 #include "engine/segmented_index.h"
 #include "engine/sharded_engine.h"
+#include "engine/snapshot.h"
 #include "engine_oracle.h"
 
 namespace hybridlsh {
@@ -48,11 +49,6 @@ namespace engine {
 namespace {
 
 using Engine = ShardedEngine<lsh::PStableFamily>;
-
-std::vector<uint32_t> Sorted(std::vector<uint32_t> ids) {
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
 
 class ConcurrentEngineTest : public ::testing::Test {
  protected:
@@ -145,7 +141,6 @@ TEST_F(ConcurrentEngineTest, ChurnStressSoundUnderConcurrentReaders) {
   readers.reserve(kReaders);
   for (size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
-      Engine::QueryScratch scratch = engine.MakeQueryScratch();
       std::vector<uint32_t> out;
       size_t q = r;
       do {  // do-while: every reader completes at least one query
@@ -155,7 +150,7 @@ TEST_F(ConcurrentEngineTest, ChurnStressSoundUnderConcurrentReaders) {
             clock.epoch.load(std::memory_order_acquire);
         out.clear();
         ShardedQueryStats stats;
-        engine.QueryConcurrent(query, kRadius, &out, &scratch, &stats);
+        engine.Query(query, kRadius, &out, &stats);
         reader_queries.fetch_add(1, std::memory_order_relaxed);
         if (stats.output_size != out.size()) {
           violations.fetch_add(1, std::memory_order_relaxed);
@@ -226,16 +221,36 @@ TEST_F(ConcurrentEngineTest, ChurnStressSoundUnderConcurrentReaders) {
   engine.DrainMaintenance();
   EXPECT_EQ(engine.size(), base_.size() + kInserts - removed_count);
 
-  // Quiesced equivalence: the lock-free path and the legacy fan-out see
-  // the same index.
-  Engine::QueryScratch scratch = engine.MakeQueryScratch();
+  // Quiesced equivalence of the two shard walks over the churned index:
+  // restored on a 1-worker pool a lone caller walks the shards in order, on
+  // a 4-worker pool it fans them out. Both answer as the churned engine
+  // does, id for id, with identical per-shard decisions.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "hybridlsh_concurrent_churn";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(engine.SaveSnapshot(dir.string()).ok());
+  data::DenseDataset in_order_dataset, fanned_dataset;
+  snapshot::OpenOptions one_worker, four_workers;
+  one_worker.num_threads = 1;
+  four_workers.num_threads = 4;
+  auto in_order = Engine::OpenSnapshot(dir.string(), &in_order_dataset,
+                                       one_worker);
+  auto fanned = Engine::OpenSnapshot(dir.string(), &fanned_dataset,
+                                     four_workers);
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(in_order.ok()) << in_order.status().ToString();
+  ASSERT_TRUE(fanned.ok()) << fanned.status().ToString();
   for (size_t q = 0; q < queries_.size(); ++q) {
-    std::vector<uint32_t> concurrent_out;
-    std::vector<uint32_t> legacy_out;
-    engine.QueryConcurrent(queries_.point(q), kRadius, &concurrent_out,
-                           &scratch);
-    engine.Query(queries_.point(q), kRadius, &legacy_out);
-    EXPECT_EQ(Sorted(concurrent_out), Sorted(legacy_out)) << "query " << q;
+    SCOPED_TRACE(q);
+    std::vector<uint32_t> live_out, in_order_out, fanned_out;
+    ShardedQueryStats in_order_stats, fanned_stats;
+    engine.Query(queries_.point(q), kRadius, &live_out);
+    in_order->Query(queries_.point(q), kRadius, &in_order_out,
+                    &in_order_stats);
+    fanned->Query(queries_.point(q), kRadius, &fanned_out, &fanned_stats);
+    EXPECT_EQ(in_order_out, live_out);
+    EXPECT_EQ(fanned_out, in_order_out);
+    test_oracle::ExpectSameShardWalks(fanned_stats, in_order_stats);
   }
 }
 
@@ -260,7 +275,6 @@ TEST_F(ConcurrentEngineTest, LinearPathSeesEveryInsertThatHappenedBefore) {
   readers.reserve(kReaders);
   for (size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
-      Engine::QueryScratch scratch = engine.MakeQueryScratch();
       std::vector<uint32_t> out;
       std::vector<char> reported;
       size_t q = r;
@@ -270,7 +284,7 @@ TEST_F(ConcurrentEngineTest, LinearPathSeesEveryInsertThatHappenedBefore) {
         const uint64_t start_epoch =
             clock.epoch.load(std::memory_order_acquire);
         out.clear();
-        engine.QueryConcurrent(query, kRadius, &out, &scratch);
+        engine.Query(query, kRadius, &out);
         reported.assign(max_ids, 0);
         for (const uint32_t id : out) {
           if (id >= max_ids) {
@@ -331,10 +345,10 @@ TEST_F(ConcurrentEngineTest, LshPathFindsEveryLivePointUnderChurn) {
     // 1 when the answer for id is wrong: a live id not reported, or a
     // removed id reported.
     std::vector<uint32_t> out;
-    const auto check = [&](Engine& target, const data::DenseDataset& points,
-                           Engine::QueryScratch* scratch, uint32_t id) {
+    const auto check = [&](const Engine& target,
+                           const data::DenseDataset& points, uint32_t id) {
       out.clear();
-      target.QueryConcurrent(points.point(id), 0.0, &out, scratch);
+      target.Query(points.point(id), 0.0, &out);
       ++checks;
       const bool reported =
           std::find(out.begin(), out.end(), id) != out.end();
@@ -342,7 +356,6 @@ TEST_F(ConcurrentEngineTest, LshPathFindsEveryLivePointUnderChurn) {
                                                         : size_t{0};
     };
 
-    Engine::QueryScratch scratch = engine.MakeQueryScratch();
     util::Rng rng(66);
     size_t churn_errors = 0;
     const size_t kSteps = 1200;
@@ -350,26 +363,26 @@ TEST_F(ConcurrentEngineTest, LshPathFindsEveryLivePointUnderChurn) {
       auto id = engine.Insert(incoming_.point(i));
       ASSERT_TRUE(id.ok()) << id.status().ToString();
       removed.resize(dataset.size(), 0);
-      churn_errors += check(engine, dataset, &scratch, *id);
+      churn_errors += check(engine, dataset, *id);
       if (i % 2 == 0) {
         const uint32_t victim = static_cast<uint32_t>(
             rng.UniformInt(0, static_cast<int64_t>(dataset.size() - 1)));
         if (!removed[victim]) {
           ASSERT_TRUE(engine.Remove(victim).ok());
           removed[victim] = 1;
-          churn_errors += check(engine, dataset, &scratch, victim);
+          churn_errors += check(engine, dataset, victim);
         }
       }
       const uint32_t probe = static_cast<uint32_t>(
           rng.UniformInt(0, static_cast<int64_t>(dataset.size() - 1)));
-      churn_errors += check(engine, dataset, &scratch, probe);
+      churn_errors += check(engine, dataset, probe);
     }
     EXPECT_EQ(churn_errors, 0u) << "of " << checks << " checks during churn";
 
     engine.DrainMaintenance();
     size_t drained_errors = 0;
     for (uint32_t id = 0; id < dataset.size(); ++id) {
-      drained_errors += check(engine, dataset, &scratch, id);
+      drained_errors += check(engine, dataset, id);
     }
     EXPECT_EQ(drained_errors, 0u) << "after DrainMaintenance";
 
@@ -382,11 +395,9 @@ TEST_F(ConcurrentEngineTest, LshPathFindsEveryLivePointUnderChurn) {
     auto restored = Engine::OpenSnapshot(dir.string(), &restored_dataset);
     std::filesystem::remove_all(dir);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    Engine::QueryScratch restored_scratch = restored->MakeQueryScratch();
     size_t restored_errors = 0;
     for (uint32_t id = 0; id < restored_dataset.size(); ++id) {
-      restored_errors +=
-          check(*restored, restored_dataset, &restored_scratch, id);
+      restored_errors += check(*restored, restored_dataset, id);
     }
     EXPECT_EQ(restored_errors, 0u) << "after a snapshot round trip";
   }
@@ -425,23 +436,21 @@ TEST_F(ConcurrentEngineTest, LinearWalkNeverReportsARemoveThatHappenedBefore) {
   MutationClock clock(dataset.size());
   std::atomic<bool> done{false};
   std::atomic<size_t> violations{0}, queries_run{0};
-  auto run = [&](size_t q, Engine::QueryScratch* scratch,
-                 std::vector<uint32_t>* out) {  // odd q: filtered
+  auto run = [&](size_t q, std::vector<uint32_t>* out) {  // odd q: filtered
     out->clear();
     const float* query = queries_.point(q / 2 % queries_.size());
-    const util::Status status =
-        q % 2 == 0 ? engine.QueryConcurrent(query, radius, out, scratch)
-                   : engine.QueryConcurrent(query, filtered, out, scratch);
+    const util::Status status = q % 2 == 0
+                                    ? engine.Query(query, radius, out)
+                                    : engine.Query(query, filtered, out);
     if (!status.ok()) violations.fetch_add(1, std::memory_order_relaxed);
   };
   std::vector<std::thread> readers;
   for (size_t r = 0; r < 2; ++r) {
     readers.emplace_back([&, r] {
-      Engine::QueryScratch scratch = engine.MakeQueryScratch();
       std::vector<uint32_t> out;
       for (size_t q = r; !done.load(std::memory_order_acquire); ++q) {
         const uint64_t start = clock.epoch.load(std::memory_order_acquire);
-        run(q, &scratch, &out);
+        run(q, &out);
         for (const uint32_t id : out) {
           const uint64_t removed =
               clock.removed_at[id].load(std::memory_order_acquire);
@@ -471,12 +480,11 @@ TEST_F(ConcurrentEngineTest, LinearWalkNeverReportsARemoveThatHappenedBefore) {
   EXPECT_EQ(violations.load(), 0u);
 
   // Quiesced: both forms answer exactly, minus the victims.
-  auto scratch = engine.MakeQueryScratch();
   std::vector<uint32_t> out;
   for (size_t q = 0; q < 2 * queries_.size(); ++q) {
     std::vector<uint32_t> expected = truth[q / 2];
     for (const uint32_t victim : victims) std::erase(expected, victim);
-    run(q, &scratch, &out);
+    run(q, &out);
     EXPECT_EQ(out, expected) << "query " << q / 2 << " filtered " << q % 2;
   }
 }

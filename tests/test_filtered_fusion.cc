@@ -30,6 +30,7 @@
 #include "engine/query_pipeline.h"
 #include "engine/search_engine.h"
 #include "engine/sharded_engine.h"
+#include "engine_oracle.h"
 
 namespace hybridlsh {
 namespace engine {
@@ -141,12 +142,14 @@ void ExpectSameHits(const std::vector<core::FusedHit>& got,
 }
 
 /// What a fused query must reproduce exactly: one single-clause Query per
-/// clause, scalar distances (`distance(id)`), FuseScoredLists. Checks both
-/// fused entry points — QueryFused (the pool fan-out) and
-/// QueryFusedConcurrent (the sequential walk) — and that the same spec
-/// twice is bit-identical.
+/// clause, scalar distances (`distance(id)`), FuseScoredLists. `engine`
+/// runs on a pool of several workers, so its lone caller fans the shared
+/// walk out; `in_order` holds the same index on a 1-worker pool, where the
+/// walk runs shard by shard. Both must give the same hits and per-shard
+/// walks, and the same spec twice must be bit-identical.
 template <typename Engine, typename Distance>
-void ExpectFusedMatchesHandComposition(Engine& engine,
+void ExpectFusedMatchesHandComposition(const Engine& engine,
+                                       const Engine& in_order,
                                        typename Engine::Point query,
                                        const QuerySpec& fused,
                                        Distance distance) {
@@ -164,16 +167,17 @@ void ExpectFusedMatchesHandComposition(Engine& engine,
   ASSERT_TRUE(
       core::FuseScoredLists(lists, fused.fusion, nullptr, &expected).ok());
 
-  auto scratch = engine.MakeQueryScratch();
-  std::vector<core::FusedHit> got, again, concurrent;
-  ShardedQueryStats stats;
+  std::vector<core::FusedHit> got, again, walked_in_order;
+  ShardedQueryStats stats, in_order_stats;
   ASSERT_TRUE(engine.QueryFused(query, fused, &got, &stats).ok());
   ASSERT_TRUE(engine.QueryFused(query, fused, &again).ok());
   ASSERT_TRUE(
-      engine.QueryFusedConcurrent(query, fused, &concurrent, &scratch).ok());
+      in_order.QueryFused(query, fused, &walked_in_order, &in_order_stats)
+          .ok());
   ExpectSameHits(got, expected);
   ExpectSameHits(again, got);
-  ExpectSameHits(concurrent, got);
+  ExpectSameHits(walked_in_order, got);
+  test_oracle::ExpectSameShardWalks(stats, in_order_stats);
   EXPECT_EQ(stats.fusion_subqueries, fused.subqueries.size());
   EXPECT_EQ(stats.output_size, got.size());
 }
@@ -199,19 +203,23 @@ class FilteredFusionTest : public ::testing::Test {
 
   using Engine = ShardedEngine<lsh::PStableFamily>;
 
+  /// num_threads 0 gives one pool worker per shard.
   EngineOptions MakeOptions(
       size_t num_shards,
-      core::ForcedStrategy forced = core::ForcedStrategy::kAuto) const {
+      core::ForcedStrategy forced = core::ForcedStrategy::kAuto,
+      size_t num_threads = 0) const {
     EngineOptions options = options_;
     options.num_shards = num_shards;
+    options.num_threads = num_threads;
     options.searcher.forced = forced;
     return options;
   }
 
   Engine MakeEngine(size_t num_shards,
-                    core::ForcedStrategy forced = core::ForcedStrategy::kAuto) {
-    auto engine =
-        Engine::Build(Family(), dataset_, MakeOptions(num_shards, forced));
+                    core::ForcedStrategy forced = core::ForcedStrategy::kAuto,
+                    size_t num_threads = 0) {
+    auto engine = Engine::Build(Family(), dataset_,
+                                MakeOptions(num_shards, forced, num_threads));
     HLSH_CHECK(engine.ok());
     engine->AttachAttributes(&attributes_);
     return std::move(*engine);
@@ -305,37 +313,81 @@ TEST_F(FilteredFusionTest, OneShardAutoBracketsForcedStrategies) {
 // --- Pushdown bit-identity: sharded engine. ---------------------------------
 
 TEST_F(FilteredFusionTest, ShardedEnginePushdownBitIdentical) {
+  // Each engine comes as a 4-worker pool, whose lone caller fans its shard
+  // walks out, and a 1-worker twin that walks them in order: both push
+  // down bit-identically, with the same per-shard walks.
   const data::Predicate pred = data::Predicate::Equals(0, 1);
   for (size_t num_shards : {1u, 3u, 8u}) {
     for (const auto forced : {core::ForcedStrategy::kAlwaysLsh,
                               core::ForcedStrategy::kAlwaysLinear}) {
-      auto engine = MakeEngine(num_shards, forced);
+      SCOPED_TRACE(testing::Message() << "shards=" << num_shards << " forced="
+                                      << static_cast<int>(forced));
+      const auto fanned = MakeEngine(num_shards, forced, 4);
+      const auto in_order = MakeEngine(num_shards, forced, 1);
       const util::BitVector filter = PredicateBits(pred, dataset_.size());
       QuerySpec spec = QuerySpec::Radius(kRadius);
       spec.predicate = &pred;
-      auto scratch = engine.MakeQueryScratch();
-      std::vector<uint32_t> unfiltered, pushed, pushed_concurrent;
+      std::vector<uint32_t> unfiltered, pushed, pushed_in_order;
       for (size_t q = 0; q < queries_.size(); ++q) {
+        SCOPED_TRACE(q);
         unfiltered.clear();
         pushed.clear();
-        pushed_concurrent.clear();
-        engine.Query(queries_.point(q), kRadius, &unfiltered);
-        ShardedQueryStats stats;
+        pushed_in_order.clear();
+        fanned.Query(queries_.point(q), kRadius, &unfiltered);
+        ShardedQueryStats stats, in_order_stats;
         ASSERT_TRUE(
-            engine.Query(queries_.point(q), spec, &pushed, &stats).ok());
-        ASSERT_TRUE(engine
-                        .QueryConcurrent(queries_.point(q), spec,
-                                         &pushed_concurrent, &scratch)
+            fanned.Query(queries_.point(q), spec, &pushed, &stats).ok());
+        ASSERT_TRUE(in_order
+                        .Query(queries_.point(q), spec, &pushed_in_order,
+                               &in_order_stats)
                         .ok());
-        const auto expected = PostFilter(unfiltered, filter);
-        EXPECT_EQ(pushed, expected)
-            << "shards=" << num_shards << " forced=" << static_cast<int>(forced)
-            << " query=" << q;
-        EXPECT_EQ(pushed_concurrent, expected);
+        EXPECT_EQ(pushed, PostFilter(unfiltered, filter));
+        EXPECT_EQ(pushed_in_order, pushed);
+        test_oracle::ExpectSameShardWalks(stats, in_order_stats);
         EXPECT_TRUE(stats.filtered);
         EXPECT_EQ(stats.filter_survivors,
                   filter.Count());  // no tombstones yet: composition is a no-op
       }
+    }
+  }
+}
+
+// The two ways a query walks its shards: a lone caller on a 1-worker pool
+// walks them in order, on a 4-worker pool it fans them out. Both run
+// QueryShard on the same snapshot, plan and filter, so the plain, filtered
+// and fused answers must agree id for id, in order, with the same
+// per-shard decisions and counts.
+TEST_F(FilteredFusionTest, InOrderAndFannedOutWalksAgree) {
+  const data::Predicate pred = data::Predicate::Between(1, 0, 499);
+  QuerySpec plain = QuerySpec::Radius(kRadius);
+  QuerySpec filtered = plain;
+  filtered.predicate = &pred;
+  QuerySpec fused;
+  fused.predicate = &pred;
+  fused.subqueries = {Clause(kRadius, 1.0), Clause(1.5 * kRadius, 0.5)};
+  for (const size_t num_shards : {1u, 3u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << num_shards);
+    const auto in_order = MakeEngine(num_shards, core::ForcedStrategy::kAuto,
+                                     1);
+    const auto fanned = MakeEngine(num_shards, core::ForcedStrategy::kAuto,
+                                   4);
+    for (size_t q = 0; q < queries_.size(); ++q) {
+      SCOPED_TRACE(q);
+      const float* query = queries_.point(q);
+      for (const QuerySpec* spec : {&plain, &filtered}) {
+        std::vector<uint32_t> a, b;
+        ShardedQueryStats a_stats, b_stats;
+        ASSERT_TRUE(in_order.Query(query, *spec, &a, &a_stats).ok());
+        ASSERT_TRUE(fanned.Query(query, *spec, &b, &b_stats).ok());
+        EXPECT_EQ(b, a);
+        test_oracle::ExpectSameShardWalks(b_stats, a_stats);
+      }
+      std::vector<core::FusedHit> a, b;
+      ShardedQueryStats a_stats, b_stats;
+      ASSERT_TRUE(in_order.QueryFused(query, fused, &a, &a_stats).ok());
+      ASSERT_TRUE(fanned.QueryFused(query, fused, &b, &b_stats).ok());
+      ExpectSameHits(b, a);
+      test_oracle::ExpectSameShardWalks(b_stats, a_stats);
     }
   }
 }
@@ -400,7 +452,6 @@ TEST_F(FilteredFusionTest, ConcurrentFilteredQueriesStaySound) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&, r] {
-      auto scratch = engine.MakeQueryScratch();
       QuerySpec spec = QuerySpec::Radius(kRadius);
       spec.predicate = &pred;
       std::vector<uint32_t> out;
@@ -408,9 +459,7 @@ TEST_F(FilteredFusionTest, ConcurrentFilteredQueriesStaySound) {
       for (int iter = 0; iter < 60; ++iter) {
         const size_t q = (static_cast<size_t>(r) + iter) % queries_.size();
         out.clear();
-        ASSERT_TRUE(
-            engine.QueryConcurrent(queries_.point(q), spec, &out, &scratch)
-                .ok());
+        ASSERT_TRUE(engine.Query(queries_.point(q), spec, &out).ok());
         for (const uint32_t id : out) {
           // Soundness under churn: every reported id was visible, passes
           // the predicate, and is a true rNNR hit (rows are immutable
@@ -426,10 +475,8 @@ TEST_F(FilteredFusionTest, ConcurrentFilteredQueriesStaySound) {
           fused.subqueries.push_back({kRadius, 1.0, std::nullopt, false});
           fused.subqueries.push_back({kRadius * 1.5, 0.5, std::nullopt, false});
           fused_out.clear();
-          ASSERT_TRUE(engine
-                          .QueryFusedConcurrent(queries_.point(q), fused,
-                                                &fused_out, &scratch)
-                          .ok());
+          ASSERT_TRUE(
+              engine.QueryFused(queries_.point(q), fused, &fused_out).ok());
           for (const core::FusedHit& hit : fused_out) {
             ASSERT_LT(hit.id, working.size());
             EXPECT_EQ(CategoryOf(hit.id), 4u);
@@ -653,15 +700,15 @@ TEST_F(FilteredFusionTest, FuseIdsNearUint32Max) {
 // --- Deterministic fusion: engine path == hand-composed. --------------------
 
 // One row of the shared-walk table: a fused spec shape and the engine it
-// runs on.
+// runs on. Every row runs on a 4-worker pool (the fanned-out walk) and on a
+// 1-worker twin (the in-order walk).
 struct FusedCase {
   const char* name;
   core::FusionMode mode;
   std::vector<SubquerySpec> clauses;
   bool filtered;
   core::ForcedStrategy forced;
-  bool churn;          // inserts, removes and CompactAll before querying
-  size_t num_threads;  // engine pool; >= 2 runs the fused fan-out on it
+  bool churn;  // inserts, removes and CompactAll before querying
 };
 
 TEST_F(FilteredFusionTest, EngineFusedTwoRadiiEqualsHandComposition) {
@@ -670,44 +717,45 @@ TEST_F(FilteredFusionTest, EngineFusedTwoRadiiEqualsHandComposition) {
   const double r = kRadius;
   const std::vector<FusedCase> cases = {
       {"rrf", FusionMode::kRrf, {Clause(r, 1.0), Clause(1.5 * r, 0.5)},
-       true, ForcedStrategy::kAuto, false, 1},
+       true, ForcedStrategy::kAuto, false},
       {"linear", FusionMode::kLinear, {Clause(r, 1.0), Clause(1.5 * r, 0.5)},
-       false, ForcedStrategy::kAuto, false, 1},
+       false, ForcedStrategy::kAuto, false},
       {"radii_out_of_order", FusionMode::kRrf,
        {Clause(1.5 * r, 0.5), Clause(r, 1.0)}, false,
-       ForcedStrategy::kAlwaysLsh, false, 1},
+       ForcedStrategy::kAlwaysLsh, false},
       {"duplicate_radii", FusionMode::kLinear,
        {Clause(r, 1.0), Clause(r, 0.25)}, true,
-       ForcedStrategy::kAlwaysLinear, false, 1},
+       ForcedStrategy::kAlwaysLinear, false},
       {"three_clauses", FusionMode::kRrf,
        {Clause(r, 1.0), Clause(1.5 * r, 0.5), Clause(0.5 * r, 2.0)}, false,
-       ForcedStrategy::kAlwaysLinear, false, 1},
+       ForcedStrategy::kAlwaysLinear, false},
       {"three_clauses_duplicate_widest", FusionMode::kLinear,
        {Clause(1.5 * r, 0.5), Clause(0.75 * r, 1.0), Clause(1.5 * r, 0.75)},
-       true, ForcedStrategy::kAlwaysLsh, false, 1},
+       true, ForcedStrategy::kAlwaysLsh, false},
       {"after_churn", FusionMode::kRrf, {Clause(r, 1.0), Clause(1.5 * r, 0.5)},
-       true, ForcedStrategy::kAuto, true, 1},
+       true, ForcedStrategy::kAuto, true},
       {"after_churn_linear", FusionMode::kLinear,
        {Clause(1.5 * r, 1.0), Clause(r, 0.5)}, false,
-       ForcedStrategy::kAlwaysLsh, true, 1},
-      {"pool_fan_out", FusionMode::kRrf,
-       {Clause(r, 1.0), Clause(1.5 * r, 0.5)}, true, ForcedStrategy::kAuto,
-       false, 3},
+       ForcedStrategy::kAlwaysLsh, true},
   };
   const data::Predicate pred = data::Predicate::Between(1, 0, 599);
 
   for (const FusedCase& c : cases) {
     SCOPED_TRACE(c.name);
-    data::DenseDataset working = dataset_;
-    data::AttributeStore attributes;
-    FillAttributes(&attributes, working.size());
-    EngineOptions options = MakeOptions(3, c.forced);
-    options.num_threads = c.num_threads;
-    auto built = Engine::Build(Family(), &working, options);
-    ASSERT_TRUE(built.ok());
-    Engine engine = std::move(*built);
-    engine.AttachAttributes(&attributes);
-    if (c.churn) Churn(&engine, &attributes);
+    // The same build and churn on both pools: one engine per walk branch,
+    // each with its own dataset copy and attribute rows.
+    data::DenseDataset working[2] = {dataset_, dataset_};
+    data::AttributeStore attributes[2];
+    std::vector<Engine> engines;
+    for (size_t e = 0; e < 2; ++e) {
+      FillAttributes(&attributes[e], working[e].size());
+      EngineOptions options = MakeOptions(3, c.forced, e == 0 ? 4 : 1);
+      auto built = Engine::Build(Family(), &working[e], options);
+      ASSERT_TRUE(built.ok());
+      engines.push_back(std::move(*built));
+      engines.back().AttachAttributes(&attributes[e]);
+      if (c.churn) Churn(&engines.back(), &attributes[e]);
+    }
 
     QuerySpec fused;
     fused.fusion.mode = c.mode;
@@ -716,9 +764,10 @@ TEST_F(FilteredFusionTest, EngineFusedTwoRadiiEqualsHandComposition) {
     for (size_t q = 0; q < queries_.size(); ++q) {
       SCOPED_TRACE(q);
       const float* query = queries_.point(q);
-      ExpectFusedMatchesHandComposition(engine, query, fused, [&](uint32_t id) {
-        return ScalarL2(query, working.point(id));
-      });
+      ExpectFusedMatchesHandComposition(
+          engines[0], engines[1], query, fused, [&](uint32_t id) {
+            return ScalarL2(query, working[0].point(id));
+          });
     }
   }
 }
@@ -734,6 +783,7 @@ TEST_F(FilteredFusionTest, EngineFusedHammingAndJaccardEqualHandComposition) {
     using HammingEngine = ShardedEngine<lsh::BitSamplingFamily>;
     EngineOptions options;
     options.num_shards = 3;
+    options.num_threads = 4;
     options.num_tables = 20;
     options.k = 10;
     options.seed = 64;
@@ -741,6 +791,10 @@ TEST_F(FilteredFusionTest, EngineFusedHammingAndJaccardEqualHandComposition) {
     auto engine =
         HammingEngine::Build(lsh::BitSamplingFamily(64), codes, options);
     ASSERT_TRUE(engine.ok());
+    options.num_threads = 1;
+    auto in_order =
+        HammingEngine::Build(lsh::BitSamplingFamily(64), codes, options);
+    ASSERT_TRUE(in_order.ok());
     QuerySpec fused;
     fused.subqueries = {Clause(12, 1.0), Clause(8, 0.5), Clause(22, 0.25)};
     for (const auto mode :
@@ -749,7 +803,7 @@ TEST_F(FilteredFusionTest, EngineFusedHammingAndJaccardEqualHandComposition) {
       for (size_t q = 0; q < queries.size(); ++q) {
         SCOPED_TRACE(q);
         const uint64_t* query = queries.point(q);
-        ExpectFusedMatchesHandComposition(*engine, query, fused,
+        ExpectFusedMatchesHandComposition(*engine, *in_order, query, fused,
                                           [&](uint32_t id) {
           return static_cast<double>(data::HammingDistance(
               query, codes.point(id), codes.words_per_code()));
@@ -762,12 +816,16 @@ TEST_F(FilteredFusionTest, EngineFusedHammingAndJaccardEqualHandComposition) {
     using JaccardEngine = ShardedEngine<lsh::MinHashFamily>;
     EngineOptions options;
     options.num_shards = 2;
+    options.num_threads = 4;
     options.num_tables = 20;
     options.k = 3;
     options.seed = 66;
     options.searcher = options_.searcher;
     auto engine = JaccardEngine::Build(lsh::MinHashFamily(), sets, options);
     ASSERT_TRUE(engine.ok());
+    options.num_threads = 1;
+    auto in_order = JaccardEngine::Build(lsh::MinHashFamily(), sets, options);
+    ASSERT_TRUE(in_order.ok());
     QuerySpec fused;
     fused.subqueries = {Clause(0.9, 1.0), Clause(0.8, 2.0)};
     for (const auto mode :
@@ -776,7 +834,7 @@ TEST_F(FilteredFusionTest, EngineFusedHammingAndJaccardEqualHandComposition) {
       for (size_t q = 0; q < 6; ++q) {
         SCOPED_TRACE(q);
         const auto query = sets.point(q);
-        ExpectFusedMatchesHandComposition(*engine, query, fused,
+        ExpectFusedMatchesHandComposition(*engine, *in_order, query, fused,
                                           [&](uint32_t id) {
           return static_cast<double>(
               data::JaccardDistance(query, sets.point(id)));
@@ -789,11 +847,12 @@ TEST_F(FilteredFusionTest, EngineFusedHammingAndJaccardEqualHandComposition) {
 TEST_F(FilteredFusionTest, EngineFusedWalksEachShardOnce) {
   // Two radius clauses run as ONE walk at the wider radius: every shard's
   // Algorithm 2 counters equal a plain Query's at that radius, and each
-  // shard consumes the shared plan exactly once.
-  auto engine = MakeEngine(3);
+  // shard consumes the shared plan exactly once — fanned out on the pool
+  // and walked in order on a 1-worker twin alike.
+  const auto engine = MakeEngine(3, core::ForcedStrategy::kAuto, 4);
+  const auto in_order = MakeEngine(3, core::ForcedStrategy::kAuto, 1);
   QuerySpec fused;
   fused.subqueries = {Clause(kRadius, 1.0), Clause(1.5 * kRadius, 0.5)};
-  auto scratch = engine.MakeQueryScratch();
   for (size_t q = 0; q < queries_.size(); ++q) {
     SCOPED_TRACE(q);
     std::vector<uint32_t> ids;
@@ -806,10 +865,9 @@ TEST_F(FilteredFusionTest, EngineFusedWalksEachShardOnce) {
     ShardedQueryStats fan_out, sequential;
     ASSERT_TRUE(engine.QueryFused(queries_.point(q), fused, &hits, &fan_out)
                     .ok());
-    ASSERT_TRUE(engine
-                    .QueryFusedConcurrent(queries_.point(q), fused, &hits,
-                                          &scratch, &sequential)
-                    .ok());
+    ASSERT_TRUE(
+        in_order.QueryFused(queries_.point(q), fused, &hits, &sequential)
+            .ok());
     for (const ShardedQueryStats* stats : {&fan_out, &sequential}) {
       EXPECT_EQ(stats->plan_reuse, engine.num_shards());
       EXPECT_EQ(stats->hash_evals, widest.hash_evals);
@@ -931,16 +989,10 @@ TEST_F(FilteredFusionTest, SpecValidationRejectsBadSpecs) {
   // (the dense kernels compare squared distances against radius^2).
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  auto scratch = engine.MakeQueryScratch();
   for (const double bad : {-1.0, -1e-12, nan, inf, -inf}) {
     SCOPED_TRACE(bad);
     out.clear();
     EXPECT_EQ(engine.Query(queries_.point(0), QuerySpec::Radius(bad), &out)
-                  .code(),
-              util::StatusCode::kInvalidArgument);
-    EXPECT_EQ(engine
-                  .QueryConcurrent(queries_.point(0), QuerySpec::Radius(bad),
-                                   &out, &scratch)
                   .code(),
               util::StatusCode::kInvalidArgument);
     EXPECT_TRUE(out.empty());
@@ -956,11 +1008,6 @@ TEST_F(FilteredFusionTest, SpecValidationRejectsBadSpecs) {
     bad_rrf_k.fusion.rrf_k = bad;
     for (const QuerySpec* spec : {&bad_radius, &bad_weight, &bad_rrf_k}) {
       EXPECT_EQ(engine.QueryFused(queries_.point(0), *spec, &fused_out).code(),
-                util::StatusCode::kInvalidArgument);
-      EXPECT_EQ(engine
-                    .QueryFusedConcurrent(queries_.point(0), *spec, &fused_out,
-                                          &scratch)
-                    .code(),
                 util::StatusCode::kInvalidArgument);
     }
   }
@@ -998,7 +1045,6 @@ TEST_F(FilteredFusionTest, SpecValidationRejectsUnknownPredicateColumn) {
   ASSERT_TRUE((*facade)->AttachAttributes(&attributes_).ok());
 
   const float* query = queries_.point(0);
-  auto scratch = engine.MakeQueryScratch();
   std::vector<uint32_t> out;
   std::vector<core::FusedHit> hits;
   for (const data::Predicate* pred : {&past_end, &one_bad_term}) {
@@ -1008,13 +1054,8 @@ TEST_F(FilteredFusionTest, SpecValidationRejectsUnknownPredicateColumn) {
     fused.subqueries = {Clause(kRadius, 1.0), Clause(0.5 * kRadius, 0.5)};
     constexpr util::StatusCode kInvalid = util::StatusCode::kInvalidArgument;
     EXPECT_EQ(engine.Query(query, spec, &out).code(), kInvalid);
-    EXPECT_EQ(engine.QueryConcurrent(query, spec, &out, &scratch).code(),
-              kInvalid);
     EXPECT_EQ(engine.QueryBatch(queries_, spec).status().code(), kInvalid);
     EXPECT_EQ(engine.QueryFused(query, fused, &hits).code(), kInvalid);
-    EXPECT_EQ(
-        engine.QueryFusedConcurrent(query, fused, &hits, &scratch).code(),
-        kInvalid);
     EXPECT_EQ((*facade)->Query(query, spec, &out).code(), kInvalid);
     EXPECT_EQ((*facade)->QueryFused(query, fused, &hits).code(), kInvalid);
     EXPECT_TRUE(out.empty());

@@ -600,13 +600,12 @@ TEST(QuantizedEngineTest, ConcurrentReadersStayExactDuringChurn) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&, t] {
-      auto scratch = engine->MakeQueryScratch();
       std::vector<uint32_t> out;
       size_t q = static_cast<size_t>(t);
       while (!stop.load(std::memory_order_relaxed)) {
         out.clear();
-        engine->QueryConcurrent(split.queries.point(q % split.queries.size()),
-                                kRadius, &out, &scratch);
+        engine->Query(split.queries.point(q % split.queries.size()), kRadius,
+                      &out);
         // Results must be well-formed mid-churn: unique ids within bounds.
         std::sort(out.begin(), out.end());
         EXPECT_TRUE(std::adjacent_find(out.begin(), out.end()) == out.end());

@@ -5,13 +5,16 @@
 #include "engine/search_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/hybridlsh.h"
+#include "data/attributes.h"
 
 namespace hybridlsh {
 namespace engine {
@@ -20,6 +23,11 @@ namespace {
 std::vector<uint32_t> Sorted(std::vector<uint32_t> ids) {
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+bool HasDuplicates(std::vector<uint32_t> ids) {
+  ids = Sorted(std::move(ids));
+  return std::adjacent_find(ids.begin(), ids.end()) != ids.end();
 }
 
 EngineOptions BaseOptions() {
@@ -328,6 +336,189 @@ TEST_F(SearchEngineTest, AutoKRejectsNaNRadiusOrDelta) {
                 .status()
                 .code(),
             util::StatusCode::kInvalidArgument);
+}
+
+TEST_F(SearchEngineTest, OversizedTableCountOrKIsRejectedBeforeBuilding) {
+  // Build samples L tables of k function slots, so either field at 2^30
+  // must be an InvalidArgument from ValidateOptions before anything is
+  // sampled or allocated, not a bad_alloc that ends the process.
+  EngineOptions tables = BaseOptions();
+  tables.num_tables = 1 << 30;
+  EngineOptions width = BaseOptions();
+  width.k = 1 << 30;
+  for (const EngineOptions* options : {&tables, &width}) {
+    EXPECT_EQ(BuildEngine(data::Metric::kCosine, &dense_, *options)
+                  .status()
+                  .code(),
+              util::StatusCode::kInvalidArgument);
+  }
+}
+
+// The facade under concurrent callers: several threads query one engine
+// (plain, filtered and fused), another runs batches, and a writer inserts
+// and removes through the same facade while background maintenance seals
+// and compacts. Every answer must be sound whichever way its shard walks
+// ran; once quiesced, every thread's answer equals a lone caller's. No
+// timing decides the outcome: each loop runs until the writer is done,
+// and at least once.
+TEST_F(SearchEngineTest, ConcurrentCallersShareOneFacade) {
+  constexpr size_t kReaders = 3;
+  constexpr uint32_t kBuckets = 5;
+  data::DenseDataset dataset = dense_;  // grows with inserts
+  data::AttributeStore attributes;
+  attributes.AddColumn("bucket");
+  auto append_row = [&](size_t id) {
+    const uint32_t row[1] = {static_cast<uint32_t>(id % kBuckets)};
+    attributes.AppendRow(row);
+  };
+  for (size_t id = 0; id < dataset.size(); ++id) append_row(id);
+
+  EngineOptions options = BaseOptions();
+  options.num_shards = 4;
+  options.num_threads = 4;
+  options.radius = kDenseRadius;
+  options.active_seal_threshold = 64;  // many background seals
+  options.max_sealed_segments = 2;     // and watermark compactions
+  auto built = BuildMutableEngine(data::Metric::kL2, &dataset, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  SearchEngine& engine = **built;
+  ASSERT_TRUE(engine.AttachAttributes(&attributes).ok());
+
+  const data::Predicate pred = data::Predicate::Equals(0, 2);
+  QuerySpec filtered = QuerySpec::Radius(kDenseRadius);
+  filtered.predicate = &pred;
+  const double wide = 1.5 * kDenseRadius;
+  QuerySpec fused;
+  fused.subqueries.push_back({kDenseRadius, 1.0, std::nullopt, false});
+  fused.subqueries.push_back({wide, 0.5, std::nullopt, false});
+
+  // Rows are immutable once published, so these reads cannot race the
+  // writer's appends.
+  auto in_radius = [&](const float* query, uint32_t id, double radius) {
+    return id < dataset.size() &&
+           data::L2Distance(query, dataset.point(id), kDim) <=
+               radius * (1.0 + 1e-4);
+  };
+  std::atomic<bool> done{false};
+  std::atomic<size_t> ready{0}, violations{0};
+  auto violation = [&] { violations.fetch_add(1, std::memory_order_relaxed); };
+
+  std::vector<std::thread> threads;
+  for (size_t r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      std::vector<uint32_t> out;
+      std::vector<core::FusedHit> hits;
+      size_t q = r;
+      ready.fetch_add(1, std::memory_order_release);
+      do {
+        const float* query = dense_queries_.point(q++ % dense_queries_.size());
+        out.clear();
+        if (!engine.Query(query, kDenseRadius, &out).ok()) violation();
+        for (const uint32_t id : out) {
+          if (!in_radius(query, id, kDenseRadius)) violation();
+        }
+        if (HasDuplicates(out)) violation();
+
+        out.clear();
+        if (!engine.Query(query, filtered, &out).ok()) violation();
+        for (const uint32_t id : out) {
+          if (!in_radius(query, id, kDenseRadius) || id % kBuckets != 2) {
+            violation();
+          }
+        }
+        if (HasDuplicates(out)) violation();
+
+        hits.clear();
+        if (!engine.QueryFused(query, fused, &hits).ok()) violation();
+        std::vector<uint32_t> hit_ids;
+        for (size_t i = 0; i < hits.size(); ++i) {
+          hit_ids.push_back(hits[i].id);
+          if (!in_radius(query, hits[i].id, wide)) violation();
+          if (i > 0 && (hits[i - 1].score < hits[i].score ||
+                        (hits[i - 1].score == hits[i].score &&
+                         hits[i - 1].id >= hits[i].id))) {
+            violation();  // not ordered by (score desc, id asc)
+          }
+        }
+        if (HasDuplicates(hit_ids)) violation();
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  threads.emplace_back([&] {
+    ready.fetch_add(1, std::memory_order_release);
+    do {
+      auto batch = engine.QueryBatch(dense_queries_, kDenseRadius);
+      if (!batch.ok() || batch->size() != dense_queries_.size()) {
+        violation();
+        continue;
+      }
+      for (size_t q = 0; q < batch->size(); ++q) {
+        for (const uint32_t id : (*batch)[q].neighbors) {
+          if (!in_radius(dense_queries_.point(q), id, kDenseRadius)) {
+            violation();
+          }
+        }
+        if (HasDuplicates((*batch)[q].neighbors)) violation();
+      }
+    } while (!done.load(std::memory_order_acquire));
+  });
+
+  // Writer: inserts (attribute rows in lockstep, on this thread) and a
+  // removal of an initial point every third insert. A failed write is a
+  // violation, so that the readers are always joined. It starts once every
+  // other thread is querying.
+  while (ready.load(std::memory_order_acquire) < kReaders + 1) {
+    std::this_thread::yield();
+  }
+  const data::DenseDataset incoming = data::MakeCorelLike(600, kDim, 75);
+  for (size_t i = 0; i < incoming.size(); ++i) {
+    auto id = engine.Insert(incoming.point(i));
+    if (!id.ok()) {
+      violation();
+      break;
+    }
+    append_row(*id);
+    if (i % 3 == 0 &&
+        !engine.Remove(static_cast<uint32_t>(7 * i % dense_.size())).ok()) {
+      violation();
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(violations.load(), 0u);
+
+  // Quiesced: every thread's answer to one query equals a lone call's.
+  ASSERT_TRUE(engine.Compact().ok());
+  const float* query = dense_queries_.point(0);
+  std::vector<uint32_t> lone, lone_filtered;
+  std::vector<core::FusedHit> lone_fused;
+  ASSERT_TRUE(engine.Query(query, kDenseRadius, &lone).ok());
+  ASSERT_TRUE(engine.Query(query, filtered, &lone_filtered).ok());
+  ASSERT_TRUE(engine.QueryFused(query, fused, &lone_fused).ok());
+  ASSERT_FALSE(lone.empty());
+  std::atomic<size_t> mismatches{0};
+  threads.clear();
+  for (size_t r = 0; r < kReaders + 1; ++r) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 20; ++round) {
+        std::vector<uint32_t> out, out_filtered;
+        std::vector<core::FusedHit> hits;
+        const bool ok =
+            engine.Query(query, kDenseRadius, &out).ok() &&
+            engine.Query(query, filtered, &out_filtered).ok() &&
+            engine.QueryFused(query, fused, &hits).ok();
+        bool same = ok && out == lone && out_filtered == lone_filtered &&
+                    hits.size() == lone_fused.size();
+        for (size_t i = 0; same && i < hits.size(); ++i) {
+          same = hits[i].id == lone_fused[i].id &&
+                 hits[i].score == lone_fused[i].score;
+        }
+        if (!same) mismatches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 TEST_F(SearchEngineTest, MutableLifecycleThroughTheFacade) {

@@ -69,12 +69,15 @@ class ShardedEngineTest : public ::testing::Test {
     return lsh::PStableFamily::L2(kDim, 2 * kRadius);
   }
 
+  /// A 4-worker pool builds 1- and 2-shard engines' tables pooled; one
+  /// worker makes a lone caller walk its shards in order.
   L2Engine MakeEngine(
       size_t num_shards,
-      core::ForcedStrategy forced = core::ForcedStrategy::kAuto) {
+      core::ForcedStrategy forced = core::ForcedStrategy::kAuto,
+      size_t num_threads = 4) {
     EngineOptions options = options_;
     options.num_shards = num_shards;
-    options.num_threads = 4;  // 1- and 2-shard engines build tables pooled
+    options.num_threads = num_threads;
     options.searcher.forced = forced;
     auto engine = L2Engine::Build(Family(), dataset_, options);
     HLSH_CHECK(engine.ok());
@@ -247,6 +250,10 @@ TEST(EngineOptionsTest, ValidateRejectsEachBadField) {
       {"2^20+1 threads",
        [](EngineOptions* o) { o->num_threads = kMaxOptionCount + 1; }},
       {"no tables", [](EngineOptions* o) { o->num_tables = 0; }},
+      {"2^20+1 tables",
+       [](EngineOptions* o) { o->num_tables = (1 << 20) + 1; }},
+      {"negative k", [](EngineOptions* o) { o->k = -1; }},
+      {"k 2^20+1", [](EngineOptions* o) { o->k = (1 << 20) + 1; }},
       {"hll below range", [](EngineOptions* o) { o->hll_precision = 3; }},
       {"hll above range", [](EngineOptions* o) { o->hll_precision = 19; }},
       {"seal threshold 2^20+1",
@@ -277,6 +284,8 @@ TEST(EngineOptionsTest, ValidateRejectsEachBadField) {
   edge.num_shards = kMaxOptionCount;
   edge.num_threads = kMaxOptionCount;
   edge.active_seal_threshold = kMaxOptionCount;
+  edge.num_tables = 1 << 20;
+  edge.k = 1 << 20;
   EXPECT_TRUE(ValidateOptions(edge).ok());
 }
 
@@ -391,80 +400,83 @@ TEST_F(ShardedEngineTest, BatchMatchesSingleQueries) {
 
 TEST_F(ShardedEngineTest, RadiusEntryPointsRejectBadRadius) {
   // A negative or non-finite radius is an InvalidArgument on every entry
-  // point, never an abort, and nothing is reported.
-  auto engine = MakeEngine(2);
-  auto scratch = engine.MakeQueryScratch();
-  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
-                           std::numeric_limits<double>::infinity()}) {
+  // point, never an abort, and nothing is reported — whether the lone
+  // caller would walk the shards in order (1 worker) or fan them out.
+  for (const size_t num_threads : {1u, 4u}) {
+    SCOPED_TRACE(num_threads);
+    const auto engine =
+        MakeEngine(2, core::ForcedStrategy::kAuto, num_threads);
+    for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+      std::vector<uint32_t> out;
+      EXPECT_EQ(engine.Query(queries_.point(0), bad, &out).code(),
+                util::StatusCode::kInvalidArgument)
+          << bad;
+      EXPECT_TRUE(out.empty());
+      EXPECT_EQ(
+          engine.QueryBatch(queries_, QuerySpec::Radius(bad)).status().code(),
+          util::StatusCode::kInvalidArgument)
+          << bad;
+    }
+    // The engine keeps serving afterwards.
     std::vector<uint32_t> out;
-    EXPECT_EQ(engine.Query(queries_.point(0), bad, &out).code(),
-              util::StatusCode::kInvalidArgument)
-        << bad;
-    EXPECT_EQ(
-        engine.QueryConcurrent(queries_.point(0), bad, &out, &scratch).code(),
-        util::StatusCode::kInvalidArgument)
-        << bad;
-    EXPECT_TRUE(out.empty());
-    EXPECT_EQ(
-        engine.QueryBatch(queries_, QuerySpec::Radius(bad)).status().code(),
-        util::StatusCode::kInvalidArgument)
-        << bad;
+    EXPECT_TRUE(engine.Query(queries_.point(0), kRadius, &out).ok());
   }
-  // The engine keeps serving afterwards.
-  std::vector<uint32_t> out;
-  EXPECT_TRUE(engine.Query(queries_.point(0), kRadius, &out).ok());
 }
 
 TEST_F(ShardedEngineTest, PointEntryPointsRejectNonFiniteCoordinates) {
   // A NaN or infinite coordinate in a dense query or insert is an
   // InvalidArgument on every entry point: nothing is reported and nothing
   // is stored. (It used to reach the p-stable slot cast, which is
-  // undefined for a non-finite value.)
+  // undefined for a non-finite value.) Checked on a 4-worker pool, whose
+  // lone caller fans its shard walks out, and on a 1-worker twin that walks
+  // them in order.
   data::DenseDataset dataset = dataset_;
+  data::DenseDataset in_order_dataset = dataset_;
   EngineOptions options = options_;
   options.num_shards = 2;
+  options.num_threads = 4;
   options.searcher.probes_per_table = 3;  // the huge case below probes too
   auto engine = L2Engine::Build(Family(), &dataset, options);
   ASSERT_TRUE(engine.ok());
-  auto scratch = engine->MakeQueryScratch();
+  EngineOptions in_order_options = options;
+  in_order_options.num_threads = 1;
+  auto in_order =
+      L2Engine::Build(Family(), &in_order_dataset, in_order_options);
+  ASSERT_TRUE(in_order.ok());
   QuerySpec fused;
   fused.subqueries.push_back({kRadius, 1.0, std::nullopt, false});
   const size_t size_before = dataset.size();
-  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
-                          std::numeric_limits<float>::infinity(),
-                          -std::numeric_limits<float>::infinity()}) {
-    SCOPED_TRACE(bad);
-    std::vector<float> point(queries_.point(0), queries_.point(0) + kDim);
-    point[kDim / 2] = bad;
-    std::vector<uint32_t> out;
-    std::vector<core::FusedHit> hits;
-    const util::StatusCode invalid = util::StatusCode::kInvalidArgument;
-    EXPECT_EQ(engine->Query(point.data(), kRadius, &out).code(), invalid);
-    EXPECT_EQ(
-        engine->Query(point.data(), QuerySpec::Radius(kRadius), &out).code(),
-        invalid);
-    EXPECT_EQ(
-        engine->QueryConcurrent(point.data(), kRadius, &out, &scratch).code(),
-        invalid);
-    EXPECT_EQ(engine
-                  ->QueryConcurrent(point.data(), QuerySpec::Radius(kRadius),
-                                    &out, &scratch)
-                  .code(),
-              invalid);
-    EXPECT_EQ(engine->QueryFused(point.data(), fused, &hits).code(), invalid);
-    EXPECT_EQ(
-        engine->QueryFusedConcurrent(point.data(), fused, &hits, &scratch)
-            .code(),
-        invalid);
-    data::DenseDataset batch = queries_;
-    batch.Append(point);
-    EXPECT_EQ(
-        engine->QueryBatch(batch, QuerySpec::Radius(kRadius)).status().code(),
-        invalid);
-    EXPECT_TRUE(out.empty());
-    EXPECT_TRUE(hits.empty());
-    EXPECT_EQ(engine->Insert(point.data()).status().code(), invalid);
+  for (L2Engine* target : {&*engine, &*in_order}) {
+    SCOPED_TRACE(target->num_threads());
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()}) {
+      SCOPED_TRACE(bad);
+      std::vector<float> point(queries_.point(0), queries_.point(0) + kDim);
+      point[kDim / 2] = bad;
+      std::vector<uint32_t> out;
+      std::vector<core::FusedHit> hits;
+      const util::StatusCode invalid = util::StatusCode::kInvalidArgument;
+      EXPECT_EQ(target->Query(point.data(), kRadius, &out).code(), invalid);
+      EXPECT_EQ(
+          target->Query(point.data(), QuerySpec::Radius(kRadius), &out).code(),
+          invalid);
+      EXPECT_EQ(target->QueryFused(point.data(), fused, &hits).code(),
+                invalid);
+      data::DenseDataset batch = queries_;
+      batch.Append(point);
+      EXPECT_EQ(target->QueryBatch(batch, QuerySpec::Radius(kRadius))
+                    .status()
+                    .code(),
+                invalid);
+      EXPECT_TRUE(out.empty());
+      EXPECT_TRUE(hits.empty());
+      EXPECT_EQ(target->Insert(point.data()).status().code(), invalid);
+    }
   }
+  EXPECT_EQ(in_order_dataset.size(), size_before);
+  EXPECT_EQ(in_order->size(), size_before);
   EXPECT_EQ(dataset.size(), size_before);
   EXPECT_EQ(engine->size(), size_before);
 

@@ -583,6 +583,31 @@ TEST_F(SnapshotTest, OversizedSealThresholdIsRejectedAtBuildAndOpen) {
             util::StatusCode::kDataLoss);
 }
 
+TEST_F(SnapshotTest, OversizedTableCountOrKIsDataLossAtOpen) {
+  // ValidateOptions caps both at 2^20, the caps the function-set loader
+  // applies, so a manifest past either is corrupt.
+  const data::DenseDataset full = data::MakeCorelLike(300, kDim, 87);
+  data::DenseDataset dataset = full;
+  auto live = L2Engine::Build(lsh::PStableFamily::L2(kDim, 2 * kRadius),
+                              &dataset, DenseOptions(2));
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE(live->SaveSnapshot(Dir("tables")).ok());
+  RecommitWithOptions(Dir("tables"), [](EngineOptions* config) {
+    config->num_tables = (1 << 20) + 1;
+  });
+  ASSERT_TRUE(live->SaveSnapshot(Dir("k")).ok());
+  RecommitWithOptions(Dir("k"), [](EngineOptions* config) {
+    config->k = (1 << 20) + 1;
+  });
+  for (const char* name : {"tables", "k"}) {
+    data::DenseDataset restored_dataset;
+    EXPECT_EQ(
+        L2Engine::OpenSnapshot(Dir(name), &restored_dataset).status().code(),
+        util::StatusCode::kDataLoss)
+        << name;
+  }
+}
+
 TEST(ManifestTest, SerializedBytesArePinned) {
   // Every persisted field holds a distinct non-default value, and the
   // expected bytes are the v2 layout as written before the manifest held
