@@ -4,10 +4,15 @@
 // k by the delta = 0.1 rule, measured "for a small range of radii where
 // LSH-based search significantly outperforms linear search".
 //
-//   %Cost  = time spent merging HLLs + estimating candSize, as a share of
-//            total query time;
+//   %Cost  = the decision's overhead as a share of total query time: the
+//            HLL merge of decisions the bounds leave open, plus the bucket
+//            walk of queries decided linear. The engine decides bounds
+//            first (core::DecisionBounds), so a query the upper bound
+//            settles merges no sketch and costs nothing here; the paper's
+//            figure is the merge on every query;
 //   %Error = relative error of the candSize estimate vs the exact distinct
-//            candidate count.
+//            candidate count, over the LSH-decided queries; the estimate
+//            is merged for each of them whatever settled its decision.
 //
 // Paper values:  Webspam 1.31 / 5.99,  CoverType 0.12 / 5.86,
 //                Corel 3.18 / 6.74,    MNIST 17.54 / 6.80   (%Cost/%Error).

@@ -70,12 +70,16 @@ int main() {
         data::RangeScanBinary(split.base, split.queries.point(q), radius);
     recall += data::Recall(neighbors, truth);
     std::printf(
-        "query %zu: %-6s  reported=%zu / true=%zu  collisions=%llu  "
-        "candSize~%.0f\n",
+        "query %zu: %-6s  decided_by=%-11s  reported=%zu / true=%zu  "
+        "collisions=%llu",
         q, std::string(core::StrategyName(decision.strategy)).c_str(),
+        std::string(core::SettlementName(decision.decided_by)).c_str(),
         neighbors.size(), truth.size(),
-        static_cast<unsigned long long>(decision.collisions),
-        decision.cand_estimate);
+        static_cast<unsigned long long>(decision.collisions));
+    if (decision.decided_by == core::Settlement::kSketch) {
+      std::printf("  candSize~%.0f", decision.cand_estimate);
+    }
+    std::printf("\n");
   }
   std::printf("average recall: %.3f\n", recall / split.queries.size());
   return 0;

@@ -59,7 +59,9 @@ int main() {
 
   // 4. Queries: every point within `radius` is reported with probability
   //    >= 1 - delta, by LSH or a linear scan chosen per query; the shard's
-  //    stats show the decision.
+  //    stats show the decision and what settled it: the collisions alone
+  //    (upper or lower bound), or the merged sketches' candSize estimate
+  //    when the bounds left it open.
   std::vector<uint32_t> neighbors;
   engine::ShardedQueryStats stats;
   for (size_t q = 0; q < split.queries.size(); ++q) {
@@ -72,12 +74,17 @@ int main() {
     }
     const core::QueryStats& decision = stats.per_shard[0];
     std::printf(
-        "query %zu: strategy=%-6s  neighbors=%-5zu  collisions=%-6llu "
-        "candSize~%-7.0f (actual %zu)  cost lsh=%.0f linear=%.0f\n",
+        "query %zu: strategy=%-6s  decided_by=%-11s  neighbors=%-5zu  "
+        "collisions=%-6llu ",
         q, std::string(core::StrategyName(decision.strategy)).c_str(),
-        neighbors.size(), static_cast<unsigned long long>(decision.collisions),
-        decision.cand_estimate, decision.cand_actual, decision.lsh_cost,
-        decision.linear_cost);
+        std::string(core::SettlementName(decision.decided_by)).c_str(),
+        neighbors.size(),
+        static_cast<unsigned long long>(decision.collisions));
+    if (decision.decided_by == core::Settlement::kSketch) {
+      std::printf("candSize~%.0f ", decision.cand_estimate);
+    }
+    std::printf("(actual %zu)  cost lsh=%.0f linear=%.0f\n",
+                decision.cand_actual, decision.lsh_cost, decision.linear_cost);
   }
 
   // 5. Recall check against exact ground truth (linear scan).

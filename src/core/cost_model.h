@@ -15,6 +15,11 @@
 // CoverType, Corel and MNIST respectively. CostCalibrator reproduces that
 // measurement for any dataset; CostModel::FromRatio pins the ratio
 // directly, which the figure benches use to mirror the published setup.
+//
+// The walk that collects candidates already knows #collisions exactly, and
+// #collisions bounds candSize from above; the largest per-table probed total
+// bounds it from below. DecisionBounds decides from those two bounds and
+// leaves only the gap between them to the paper's HLL estimate.
 
 #ifndef HYBRIDLSH_CORE_COST_MODEL_H_
 #define HYBRIDLSH_CORE_COST_MODEL_H_
@@ -160,6 +165,77 @@ struct CostModel {
                               double effective_fraction) const {
     return VerifyBeta() * cand_size * (1.0 - effective_fraction);
   }
+};
+
+/// The two bounds that settle most hybrid decisions without a sketch (the
+/// bounds-first form of Algorithm 2 in ShardedEngine::QueryShard). A walk
+/// of the probed buckets counts #collisions c exactly, and the distinct
+/// candidate count lies in [lower, c], where `lower` is the largest total
+/// that one table's probed buckets hold summed over the walked segments:
+/// one table's probe keys are distinct, so its buckets are disjoint, and
+/// the segments of a snapshot hold disjoint ids. Both sides count
+/// tombstoned ids, as the sketches do and as CorrectedLshCost expects.
+/// CorrectedLshCost does not fall as candSize grows, so whatever the
+/// sketches would estimate,
+///
+///   upper bound: CorrectedLshCost(c, c)     <  LinearCost  settles LSH;
+///   lower bound: CorrectedLshCost(c, lower) >= LinearCost  settles linear.
+///
+/// c and lower only grow during a walk, so once the lower bound holds it
+/// holds for the rest of the walk, which may stop there; while the upper
+/// bound holds, the lower one cannot. Only the gap between them needs the
+/// merged HLL estimate, clamped into [lower, c]. Whenever
+/// the raw estimate lies within those bounds the decision is the one the
+/// sketch alone makes.
+class DecisionBounds {
+ public:
+  /// Bounds against LinearCost(live.live, selectivity), priced from one
+  /// coherent LiveStats read.
+  DecisionBounds(const CostModel& model, const LiveStats& live,
+                 double selectivity = 1.0)
+      : model_(model),
+        live_fraction_(live.fraction()),
+        selectivity_(selectivity),
+        linear_cost_(model.LinearCost(live.live, selectivity)) {}
+
+  /// The bounds of a forced-LSH walk: the upper bound always holds, so the
+  /// walk collects every id and never stops.
+  static DecisionBounds AlwaysLsh(const CostModel& model,
+                                  const LiveStats& live,
+                                  double selectivity = 1.0) {
+    DecisionBounds bounds(model, live, selectivity);
+    bounds.always_lsh_ = true;
+    return bounds;
+  }
+
+  /// CostModel::CorrectedLshCost at this decision's live fraction and
+  /// selectivity.
+  double CorrectedLshCost(uint64_t collisions, double cand_size) const {
+    return model_.CorrectedLshCost(collisions, cand_size, live_fraction_,
+                                   selectivity_);
+  }
+
+  /// Whether LSH wins even if every collision is a distinct candidate.
+  bool UpperSettlesLsh(uint64_t collisions) const {
+    return always_lsh_ ||
+           CorrectedLshCost(collisions, static_cast<double>(collisions)) <
+               linear_cost_;
+  }
+
+  /// Whether the linear scan wins even if only `lower` candidates are
+  /// distinct.
+  bool LowerSettlesLinear(uint64_t collisions, uint64_t lower) const {
+    return !always_lsh_ &&
+           CorrectedLshCost(collisions, static_cast<double>(lower)) >=
+               linear_cost_;
+  }
+
+ private:
+  CostModel model_;
+  double live_fraction_;
+  double selectivity_;
+  double linear_cost_;
+  bool always_lsh_ = false;
 };
 
 /// Measures alpha and beta empirically (paper §4.2's procedure). Degenerate

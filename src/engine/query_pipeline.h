@@ -6,11 +6,15 @@
 //
 //   plan    hash the query once per (query, family): lsh::ComputePlan /
 //           ComputePlanBatch, shared across shards and subqueries;
-//   probe   once per shard: EstimateProbe over the epoch snapshot's
-//           sketches feeds the cost model (a fused query's same-metric
-//           radius clauses share one walk at the widest radius);
-//   gather  S2 bucket merge into the VisitedSet (tombstone-filtered), or
-//           the filtered linear path's survivor enumeration;
+//   probe   once per shard: one bounded walk over the epoch snapshot's
+//           buckets (SegmentSnapshot::BoundedWalk) bounds candSize for
+//           the cost model, and EstimateProbe merges sketches only when
+//           the bounds leave the decision open (a fused query's
+//           same-metric radius clauses share one walk at the widest
+//           radius);
+//   gather  S2 bucket merge into the VisitedSet (tombstone-filtered),
+//           done by that same walk while LSH can still win, or the
+//           filtered linear path's survivor enumeration;
 //   filter  evaluate the predicate into a BitVector over [0, id_bound),
 //           compose word-wise with the tombstone bitmap
 //           (BitVector::AndWithNot), and derive one selectivity for the

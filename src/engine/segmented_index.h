@@ -37,10 +37,15 @@
 // That is the lifecycle's equivalence guarantee, tested in
 // tests/test_segmented_index.cc.
 //
-// The hybrid decision sums ProbeEstimates across segments; tombstones bias
-// the estimate upward (dead ids still sit in the merged sketches), which
-// core::CostModel::CorrectedLshCost discounts before the LSH-vs-linear
-// comparison.
+// The hybrid decision walks every segment once (SegmentSnapshot::
+// BoundedWalk): sealed buckets are resolved from their directories before
+// any id is read, the logs' chains are counted, and the exact collisions
+// plus the largest per-table probed total bound candSize from both sides
+// (core::DecisionBounds). Only when those bounds leave the decision open is
+// a ProbeEstimate summed across segments from the merged sketches
+// (EstimateProbe). Tombstones bias both upward (dead ids still sit in
+// buckets and sketches), which core::CostModel::CorrectedLshCost discounts
+// before the LSH-vs-linear comparison.
 //
 // --- Concurrency model (the PR 6 serving core) -----------------------------
 //
@@ -157,6 +162,52 @@ inline util::Status AppendDatasetPoint(data::SparseDataset* dataset,
   return dataset->Append(buffer);
 }
 
+/// The running state of one bounded walk (SegmentedIndex's
+/// SegmentSnapshot::BoundedWalk) against the decision bounds of its shard
+/// (core::DecisionBounds): the collisions counted so far, each table's
+/// probed total and their maximum `lower`, and whether the upper bound
+/// still holds. While it holds the walk collects ids; once it fails (c only
+/// grows, so it never holds again) the walk only counts, and stops as soon
+/// as the lower bound settles linear.
+class BoundedWalkState {
+ public:
+  /// Starts a walk of `num_tables` tables; `table_totals` is reusable
+  /// scratch.
+  BoundedWalkState(const core::DecisionBounds& bounds, size_t num_tables,
+                   std::vector<uint64_t>* table_totals)
+      : bounds_(&bounds), totals_(table_totals) {
+    totals_->assign(num_tables, 0);
+  }
+
+  /// Re-tests the bounds at the current counts. Returns true when the
+  /// lower bound settles linear: the walk stops.
+  bool Settle() {
+    if (collecting_) collecting_ = bounds_->UpperSettlesLsh(collisions_);
+    return !collecting_ && bounds_->LowerSettlesLinear(collisions_, lower_);
+  }
+
+  /// Counts `n` more collisions in table t, then Settle()s.
+  bool Add(size_t t, uint64_t n) {
+    if (n == 0) return false;  // nothing moved since the last Settle
+    collisions_ += n;
+    uint64_t& total = (*totals_)[t];
+    total += n;
+    lower_ = std::max(lower_, total);
+    return Settle();
+  }
+
+  bool collecting() const { return collecting_; }
+  uint64_t collisions() const { return collisions_; }
+  uint64_t lower() const { return lower_; }
+
+ private:
+  const core::DecisionBounds* bounds_;
+  std::vector<uint64_t>* totals_;
+  uint64_t collisions_ = 0;
+  uint64_t lower_ = 0;
+  bool collecting_ = true;
+};
+
 /// Fixed-capacity, insert-only chained-hash log over L tables: the active
 /// segment of a SegmentedIndex. One writer appends entries; any number of
 /// readers walk buckets concurrently with no locks.
@@ -267,12 +318,33 @@ class ActiveLshLog {
     uint64_t collisions = 0;
     WalkProbedChains(plan, limit, [&](size_t entry) {
       ++collisions;
-      const uint32_t id = ids_[entry];
-      if (tombstones == nullptr || !tombstones->TestAcquire(id)) {
-        visited->Insert(id);
-      }
+      Collect(entry, visited, tombstones);
     });
     return collisions;
+  }
+
+  /// The log's part of a bounded walk over entries [0, limit): counts every
+  /// probed match into *walk one chain at a time, and dedups a chain's
+  /// live ids into *visited, as CollectProbedIds does, when the walk was
+  /// still collecting as the chain began. Returns true when the walk
+  /// stopped: the lower bound settled after some chain.
+  bool BoundedProbe(const lsh::ProbePlan& plan, size_t limit,
+                    BoundedWalkState* walk, util::VisitedSet* visited,
+                    const util::BitVector* tombstones) const {
+    bool collect = walk->collecting();
+    uint64_t matches = 0;
+    return WalkProbedChains(
+        plan, limit,
+        [&](size_t entry) {
+          ++matches;
+          if (collect) Collect(entry, visited, tombstones);
+        },
+        [&](size_t t) {
+          const bool stop = walk->Add(t, matches);
+          matches = 0;
+          collect = walk->collecting();
+          return stop;
+        });
   }
 
   /// Heap bytes of the log's fixed storage.
@@ -291,14 +363,24 @@ class ActiveLshLog {
            (static_cast<size_t>(key ^ (key >> 32)) & bucket_mask_);
   }
 
+  void Collect(size_t entry, util::VisitedSet* visited,
+               const util::BitVector* tombstones) const {
+    const uint32_t id = ids_[entry];
+    if (tombstones == nullptr || !tombstones->TestAcquire(id)) {
+      visited->Insert(id);
+    }
+  }
+
   /// Calls fn(entry) for every entry below `limit` in the bucket of every
   /// (table, key) of `plan`, in plan order (table-major, then probe order),
-  /// each chain newest first. The prefetching (see the class comment) runs
-  /// in windows of lsh::internal::kProbeWindow probes and never changes
-  /// that order.
-  template <typename Fn>
-  void WalkProbedChains(const lsh::ProbePlan& plan, size_t limit,
-                        Fn&& fn) const {
+  /// each chain newest first, and chain_done(t) after each probe's chain
+  /// (t its table); a true return from chain_done ends the walk, and the
+  /// walker returns whether that happened. The prefetching (see the class
+  /// comment) runs in windows of lsh::internal::kProbeWindow probes and
+  /// never changes that order.
+  template <typename Fn, typename ChainDone>
+  bool WalkProbedChains(const lsh::ProbePlan& plan, size_t limit, Fn&& fn,
+                        ChainDone&& chain_done) const {
     HLSH_DCHECK(plan.num_tables() == num_tables_);
     constexpr size_t kWindow = lsh::internal::kProbeWindow;
     for (size_t t = 0; t < num_tables_; ++t) {
@@ -308,12 +390,14 @@ class ActiveLshLog {
     }
     const size_t num_keys = plan.keys.size();
     int32_t heads[kWindow];
-    size_t bases[kWindow];  // t * capacity_ of each probe's table
-    size_t t = 0;           // table of the next probe to resolve
+    size_t tables[kWindow];  // each probe's table
+    size_t bases[kWindow];   // t * capacity_ of each probe's table
+    size_t t = 0;            // table of the next probe to resolve
     for (size_t window = 0; window < num_keys; window += kWindow) {
       const size_t n = std::min(kWindow, num_keys - window);
       for (size_t w = 0; w < n; ++w) {
         while (window + w >= plan.table_offsets[t + 1]) ++t;
+        tables[w] = t;
         bases[w] = t * capacity_;
         heads[w] = heads_[BucketSlot(t, plan.keys[window + w])].load(
             std::memory_order_acquire);
@@ -332,8 +416,15 @@ class ActiveLshLog {
           if (entry >= limit) continue;  // appended after the caller's snapshot
           if (keys_[bases[w] + entry] == key) fn(entry);
         }
+        if (chain_done(tables[w])) return true;
       }
     }
+    return false;
+  }
+  template <typename Fn>
+  void WalkProbedChains(const lsh::ProbePlan& plan, size_t limit,
+                        Fn&& fn) const {
+    WalkProbedChains(plan, limit, fn, [](size_t) { return false; });
   }
 
   size_t num_tables_;
@@ -345,6 +436,28 @@ class ActiveLshLog {
   std::vector<uint32_t> ids_;   // [i]
   std::unique_ptr<std::atomic<int32_t>[]> heads_;  // [t * buckets + slot]
   std::atomic<size_t> count_{0};
+};
+
+/// Reusable scratch of SegmentSnapshot::BoundedWalk, one per query
+/// context slot: the sealed buckets its first step resolves, and each
+/// table's probed total.
+struct BoundedWalkScratch {
+  std::vector<lsh::LshTable::BucketView> resolved;
+  std::vector<uint64_t> table_totals;
+};
+
+/// What one SegmentSnapshot::BoundedWalk learned.
+struct BoundedWalkResult {
+  /// Collisions counted: all of them unless the walk stopped.
+  uint64_t collisions = 0;
+  /// The largest per-table probed total: a lower bound on the distinct
+  /// candidates (tombstoned ids included).
+  uint64_t lower = 0;
+  /// The lower bound settled linear before the walk reached the end.
+  bool stopped = false;
+  /// The upper bound held throughout: every probed live id is in the
+  /// visited set, in the order CollectCandidates inserts them.
+  bool collected = false;
 };
 
 /// A frozen segment: L CSR tables with sketches plus its live-at-seal id
@@ -415,12 +528,65 @@ class SegmentedIndex {
   /// concurrently with Insert/Remove/maintenance.
   class SegmentSnapshot {
    public:
+    /// The one bucket walk of a shard decision (ShardedEngine::QueryShard),
+    /// against `bounds` (core::DecisionBounds), in three steps:
+    ///
+    ///   1. every probed bucket of every sealed segment is resolved from
+    ///      the directories alone (lsh::ResolveProbedBuckets): no id is
+    ///      read, and the collisions and per-table totals accumulate;
+    ///   2. if the upper bound still holds, the resolved buckets' ids are
+    ///      dedup'd into *visited in plan order;
+    ///   3. the frozen and active logs' chains are walked: every match is
+    ///      counted, and dedup'd while the upper bound holds.
+    ///
+    /// After each table of step 1 and each chain of step 3 the bounds are
+    /// re-tested, and the walk stops as soon as the lower bound settles
+    /// linear. So a linear-settled walk reads at most the ids dedup'd
+    /// before the upper bound failed, and a walk the upper bound settles
+    /// has collected every candidate in CollectCandidates' order. *visited
+    /// must be empty and span id_bound(). Tombstoned ids count as
+    /// collisions but are not inserted, as in CollectCandidates.
+    BoundedWalkResult BoundedWalk(const lsh::ProbePlan& plan,
+                                  const core::DecisionBounds& bounds,
+                                  BoundedWalkScratch* scratch,
+                                  util::VisitedSet* visited) const {
+      BoundedWalkState walk(bounds, plan.num_tables(),
+                            &scratch->table_totals);
+      scratch->resolved.clear();
+      bool stopped = walk.Settle();
+      for (const auto& segment : view_->sealed) {
+        if (stopped) break;
+        stopped = lsh::ResolveProbedBuckets(
+            segment->tables, plan, &scratch->resolved,
+            [&](size_t t, uint64_t probed) { return walk.Add(t, probed); });
+      }
+      if (!stopped && walk.collecting()) {
+        lsh::CollectResolvedIds(scratch->resolved, visited, tombstones_);
+      }
+      for (const auto& log : view_->frozen) {
+        if (stopped) break;
+        stopped = log->BoundedProbe(plan, log->size_acquire(), &walk,
+                                    visited, tombstones_);
+      }
+      if (!stopped && active_count_ > 0) {
+        stopped = view_->active->BoundedProbe(plan, active_count_, &walk,
+                                              visited, tombstones_);
+      }
+      BoundedWalkResult result;
+      result.collisions = walk.collisions();
+      result.lower = walk.lower();
+      result.stopped = stopped;
+      result.collected = walk.collecting();
+      return result;
+    }
+
     /// Sums the Alg. 2 lines 1-2 estimate across every segment, replaying
     /// one ProbePlan against each: collisions exactly, candSize from ONE
     /// merged HLL (sketches from sealed buckets, on-demand folding for
     /// small/active buckets). Tombstoned ids are still counted — apply
     /// CostModel's tombstone correction with the live fraction before
-    /// comparing against the linear cost.
+    /// comparing against the linear cost. The engine merges only when
+    /// BoundedWalk's bounds leave its decision open.
     lsh::ProbeEstimate EstimateProbe(const lsh::ProbePlan& plan,
                                      hll::HyperLogLog* scratch) const {
       scratch->Clear();

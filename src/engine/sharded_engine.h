@@ -130,7 +130,15 @@ struct ShardedQueryStats {
   /// How many shards answered with LSH-based search vs. exact scan.
   size_t lsh_shards = 0;
   size_t linear_shards = 0;
-  /// Sums of the per-shard Algorithm-2 quantities.
+  /// How many shard decisions each core::Settlement settled: the upper
+  /// bound (LSH), the lower bound (linear), the merged sketches (the gap
+  /// between the bounds) or a forced strategy.
+  size_t upper_bound_shards = 0;
+  size_t lower_bound_shards = 0;
+  size_t sketch_shards = 0;
+  size_t forced_shards = 0;
+  /// Sums of the per-shard Algorithm-2 quantities (core::QueryStats says
+  /// what a shard the bounds settled reports).
   uint64_t collisions = 0;
   double cand_estimate = 0.0;
   size_t cand_actual = 0;
@@ -192,6 +200,13 @@ struct EngineStats {
   /// hash-once pipeline's savings made visible.
   uint64_t hash_evals = 0;
   uint64_t plan_reuse = 0;
+  /// Cumulative shard decisions by core::Settlement (atomic snapshots; the
+  /// ShardedQueryStats counts summed over every query): how often the
+  /// bounds alone decided, and how often the sketches had to.
+  uint64_t upper_bound_decisions = 0;
+  uint64_t lower_bound_decisions = 0;
+  uint64_t sketch_decisions = 0;
+  uint64_t forced_decisions = 0;
   /// Instruction-set tier resolved at build ("scalar"/"sse2"/"avx2"). The
   /// kernel dispatch is process-wide (util/simd.h), so every shard and
   /// segment of every engine verifies through the same kernel table.
@@ -429,7 +444,7 @@ class ShardedEngine {
 
   /// Fused query, merged into (id, score) hits under the spec's fusion
   /// options. Its same-metric radius clauses share one walk at the widest
-  /// radius, so every shard estimates, decides, gathers and verifies once;
+  /// radius, so every shard walks, decides, gathers and verifies once;
   /// see RunFused. Safe from any number of threads, like Query.
   util::Status QueryFused(Point query, const QuerySpec& spec,
                           std::vector<core::FusedHit>* out,
@@ -546,6 +561,14 @@ class ShardedEngine {
     stats.quantized_verify = mirror_ != nullptr;
     stats.hash_evals = counters_->hash_evals.load(std::memory_order_relaxed);
     stats.plan_reuse = counters_->plan_reuse.load(std::memory_order_relaxed);
+    stats.upper_bound_decisions =
+        counters_->upper_bound_decisions.load(std::memory_order_relaxed);
+    stats.lower_bound_decisions =
+        counters_->lower_bound_decisions.load(std::memory_order_relaxed);
+    stats.sketch_decisions =
+        counters_->sketch_decisions.load(std::memory_order_relaxed);
+    stats.forced_decisions =
+        counters_->forced_decisions.load(std::memory_order_relaxed);
     return stats;
   }
   const EngineOptions& options() const { return options_; }
@@ -831,6 +854,11 @@ class ShardedEngine {
   struct QueryCounters {
     std::atomic<uint64_t> hash_evals{0};
     std::atomic<uint64_t> plan_reuse{0};
+    /// Shard decisions by core::Settlement.
+    std::atomic<uint64_t> upper_bound_decisions{0};
+    std::atomic<uint64_t> lower_bound_decisions{0};
+    std::atomic<uint64_t> sketch_decisions{0};
+    std::atomic<uint64_t> forced_decisions{0};
     /// Queries in flight, a QueryBatch counting as one (InFlightQuery).
     /// A query that finds itself alone fans its shard walks out on the
     /// pool; relaxed, because it only picks where the walks run.
@@ -840,13 +868,15 @@ class ShardedEngine {
   /// What one shard walk writes: the shard's cached epoch snapshot
   /// (re-acquired with two atomic loads, refreshed only when the shard's
   /// segment list changed), the global-id dedup set (sized on first use),
-  /// the merged HLL sketch, the linear path's live-id buffer and the
-  /// walk's output.
+  /// the bounded walk's scratch, the merged HLL sketch (written only when
+  /// the bounds leave the decision open), the linear path's live-id buffer
+  /// and the walk's output.
   struct ShardSlot {
     explicit ShardSlot(hll::HyperLogLog sketch) : merged(std::move(sketch)) {}
     typename ShardIndex::SegmentSnapshot snapshot;
     uint64_t version = 0;
     util::VisitedSet visited;
+    BoundedWalkScratch walk;
     hll::HyperLogLog merged;
     std::vector<uint32_t> live_ids;
     std::vector<uint32_t> out;
@@ -1074,7 +1104,7 @@ class ShardedEngine {
   ///
   /// Gather: every same-metric radius clause runs inside ONE ordinary
   /// radius query at the widest such radius (RunQuery, on this context),
-  /// so each shard estimates, decides, gathers and verifies once. A
+  /// so each shard walks, decides, gathers and verifies once. A
   /// narrower clause is carved out by re-verifying the
   /// walk's hits at its own radius. That is exact: the Algorithm 2
   /// decision does not read the radius, so a separate query at the
@@ -1205,6 +1235,20 @@ class ShardedEngine {
       } else {
         ++s->linear_shards;
       }
+      switch (shard.decided_by) {
+        case core::Settlement::kUpperBound:
+          ++s->upper_bound_shards;
+          break;
+        case core::Settlement::kLowerBound:
+          ++s->lower_bound_shards;
+          break;
+        case core::Settlement::kSketch:
+          ++s->sketch_shards;
+          break;
+        case core::Settlement::kForced:
+          ++s->forced_shards;
+          break;
+      }
       s->collisions += shard.collisions;
       s->cand_estimate += shard.cand_estimate;
       s->cand_actual += shard.cand_actual;
@@ -1213,20 +1257,40 @@ class ShardedEngine {
     }
   }
 
-  /// Folds one query's hash accounting into the engine-lifetime counters
-  /// surfaced by stats(). Relaxed: the counters are monotonic telemetry,
-  /// not synchronization.
+  /// Folds one query's hash and settlement accounting into the
+  /// engine-lifetime counters surfaced by stats(). Relaxed: the counters
+  /// are monotonic telemetry, not synchronization.
   void NoteQueryCounters(const ShardedQueryStats& s) const {
-    counters_->hash_evals.fetch_add(s.hash_evals, std::memory_order_relaxed);
-    counters_->plan_reuse.fetch_add(s.plan_reuse, std::memory_order_relaxed);
+    QueryCounters& c = *counters_;
+    c.hash_evals.fetch_add(s.hash_evals, std::memory_order_relaxed);
+    c.plan_reuse.fetch_add(s.plan_reuse, std::memory_order_relaxed);
+    const auto add = [](std::atomic<uint64_t>& counter, size_t n) {
+      if (n > 0) counter.fetch_add(n, std::memory_order_relaxed);
+    };
+    add(c.upper_bound_decisions, s.upper_bound_shards);
+    add(c.lower_bound_decisions, s.lower_bound_shards);
+    add(c.sketch_decisions, s.sketch_shards);
+    add(c.forced_decisions, s.forced_shards);
   }
 
   /// The paper's Algorithm 2 on one shard over an epoch-published
-  /// snapshot: estimate (summed across the snapshot's segments), decide
-  /// against LinearCost(shard_live_n), execute. The decision is priced
-  /// from ONE coherent LiveStats read, so the tombstone correction and
-  /// the linear side cannot mix counter values from different instants.
-  /// Appends global ids to slot->out. Lock-free.
+  /// snapshot, bounds first: one bucket walk (SegmentSnapshot::
+  /// BoundedWalk) counts the collisions c exactly and the largest
+  /// per-table probed total `lower`, which bound candSize from both sides
+  /// (core::DecisionBounds), and collects the candidates while LSH can
+  /// still win. The walk settles most decisions on its own: the upper
+  /// bound CorrectedLshCost(c, c) < LinearCost(shard_live_n) is LSH, with
+  /// the candidates already collected; the lower bound
+  /// CorrectedLshCost(c, lower) >= LinearCost is linear, and cuts the walk
+  /// short. Only in the gap between them are the sketches merged
+  /// (EstimateProbe), the estimate clamped into [lower, c] and the
+  /// decision taken as Eq. 1 vs Eq. 2; an LSH decision there collects the
+  /// candidates afresh (CollectCandidates). The bounds are priced from ONE
+  /// coherent LiveStats read taken before the walk, so the tombstone
+  /// correction and the linear side cannot mix counter values from
+  /// different instants. Forced-LSH walks with no bound, forced-linear
+  /// does not walk. Appends global ids to slot->out and records how the
+  /// decision was settled. Lock-free.
   void QueryShard(const Shard& shard,
                   const typename ShardIndex::SegmentSnapshot& snap,
                   Point query, double radius, const lsh::ProbePlan* plan,
@@ -1235,11 +1299,19 @@ class ShardedEngine {
     *st = core::QueryStats{};
     util::WallTimer total_timer;
     const core::CostModel& model = options_.searcher.cost_model;
+    const core::ForcedStrategy forced = options_.searcher.forced;
+    // Tombstoned ids inflate both bounds and the estimate, so the LSH side
+    // subtracts their verification share, and a pushdown filter shrinks
+    // BOTH sides through the one effective live fraction (cost_model.h):
+    // the linear scan only pays exact distances on filter survivors, and
+    // LSH candidates that fail the bit test stop before the distance. At
+    // low selectivity the model therefore finds that the filtered linear
+    // scan wins.
+    const core::LiveStats live = shard.index->live_stats();
+    st->linear_cost = model.LinearCost(live.live, fctx.selectivity);
 
-    if (options_.searcher.forced == core::ForcedStrategy::kAlwaysLinear) {
+    if (forced == core::ForcedStrategy::kAlwaysLinear) {
       st->strategy = core::Strategy::kLinear;
-      st->linear_cost = model.LinearCost(shard.index->live_stats().live,
-                                         fctx.selectivity);
       ExecuteLinear(shard, snap, query, radius, fctx, slot, st);
       st->total_seconds = total_timer.ElapsedSeconds();
       return;
@@ -1251,45 +1323,65 @@ class ShardedEngine {
     HLSH_DCHECK(plan != nullptr);
     st->plan_reuse = 1;
 
-    // Alg. 2 lines 1-2 over the snapshot's segments.
-    {
-      util::WallTimer estimate_timer;
-      const auto estimate = snap.EstimateProbe(*plan, &slot->merged);
-      st->collisions = estimate.collisions;
-      st->cand_estimate = estimate.cand_estimate;
-      st->estimate_seconds = estimate_timer.ElapsedSeconds();
+    const core::DecisionBounds bounds =
+        forced == core::ForcedStrategy::kAlwaysLsh
+            ? core::DecisionBounds::AlwaysLsh(model, live, fctx.selectivity)
+            : core::DecisionBounds(model, live, fctx.selectivity);
+    // The dedup set spans the *global* id space (shard buckets store
+    // global ids): widen it to every id this snapshot can emit.
+    if (slot->visited.capacity() < snap.id_bound()) {
+      slot->visited.Resize(snap.id_bound());
     }
+    slot->visited.Reset();
+    util::WallTimer walk_timer;
+    const BoundedWalkResult walk =
+        snap.BoundedWalk(*plan, bounds, &slot->walk, &slot->visited);
+    const double walk_seconds = walk_timer.ElapsedSeconds();
+    st->collisions = walk.collisions;
 
-    // Alg. 2 lines 3-4 with the shard-local live linear cost; tombstoned
-    // ids inflate the estimate, so subtract their verification share, and
-    // a pushdown filter shrinks BOTH sides through the one effective live
-    // fraction (cost_model.h): the linear scan only pays exact distances
-    // on filter survivors, and LSH candidates that fail the bit test stop
-    // before the distance. At low selectivity the model therefore finds
-    // that the filtered linear scan wins.
-    const core::LiveStats live = shard.index->live_stats();
-    st->lsh_cost = model.CorrectedLshCost(st->collisions, st->cand_estimate,
-                                          live, fctx.selectivity);
-    st->linear_cost = model.LinearCost(live.live, fctx.selectivity);
-    const bool use_lsh =
-        options_.searcher.forced == core::ForcedStrategy::kAlwaysLsh ||
-        st->lsh_cost < st->linear_cost;
+    bool use_lsh = true;
+    if (walk.collected) {
+      // The upper bound held, as it always does under forced-LSH.
+      if (forced == core::ForcedStrategy::kAuto) {
+        st->decided_by = core::Settlement::kUpperBound;
+      }
+      st->lsh_cost = bounds.CorrectedLshCost(
+          walk.collisions, static_cast<double>(walk.collisions));
+    } else if (walk.stopped) {
+      st->decided_by = core::Settlement::kLowerBound;
+      st->lsh_cost = bounds.CorrectedLshCost(
+          walk.collisions, static_cast<double>(walk.lower));
+      use_lsh = false;
+    } else {
+      // The gap: Alg. 2 lines 1-4 with the sketch estimate, which can
+      // only move within [lower, c].
+      st->decided_by = core::Settlement::kSketch;
+      util::WallTimer merge_timer;
+      const lsh::ProbeEstimate estimate =
+          snap.EstimateProbe(*plan, &slot->merged);
+      HLSH_DCHECK(estimate.collisions == walk.collisions);
+      st->cand_estimate = std::clamp(estimate.cand_estimate,
+                                     static_cast<double>(walk.lower),
+                                     static_cast<double>(walk.collisions));
+      st->lsh_cost =
+          bounds.CorrectedLshCost(walk.collisions, st->cand_estimate);
+      use_lsh = st->lsh_cost < st->linear_cost;
+      st->estimate_seconds = merge_timer.ElapsedSeconds();
+      if (use_lsh) {
+        slot->visited.Reset();
+        snap.CollectCandidates(*plan, &slot->visited);
+      }
+    }
 
     if (use_lsh) {
       st->strategy = core::Strategy::kLsh;
-      // The dedup set spans the *global* id space (shard buckets store
-      // global ids): widen it to every id this snapshot can emit.
-      if (slot->visited.capacity() < snap.id_bound()) {
-        slot->visited.Resize(snap.id_bound());
-      }
-      slot->visited.Reset();
-      st->collisions = snap.CollectCandidates(*plan, &slot->visited);
       st->cand_actual = slot->visited.size();
       st->output_size += core::kernels::VerifyCandidatesQuantized(
           *shard.index, *dataset_, mirror_.get(), query,
           slot->visited.touched(), radius, &slot->out, fctx.filter);
     } else {
       st->strategy = core::Strategy::kLinear;
+      st->estimate_seconds += walk_seconds;
       ExecuteLinear(shard, snap, query, radius, fctx, slot, st);
     }
     st->total_seconds = total_timer.ElapsedSeconds();

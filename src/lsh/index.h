@@ -5,21 +5,28 @@
 // of k atomic hashes from `Family`, every bucket carrying a HyperLogLog
 // sketch of its ids. FunctionSet holds one draw of its hash functions; the
 // parameters come from engine::EngineOptions. The query side exposes the
-// three LSH steps separately so that the hybrid decision can run the cost
-// estimate before deciding to execute:
+// LSH steps separately so that the hybrid decision can settle before any
+// work it would waste:
 //
 //   S1  ComputePlan — hash the query once into its ProbePlan: every table's
 //       unique probe keys (home bucket, then multi-probe perturbations);
-//   (estimate)  AccumulateProbe — #collisions exactly + candSize via merged
-//       HLLs (paper Alg. 2 lines 1-2), in O(mL) plus small-bucket folding;
-//   S2  CollectProbedIds — dedup bucket contents into a VisitedSet;
+//   (bounds)  ResolveProbedBuckets — look every probed bucket up in the
+//       directory, reading no id: #collisions exactly and each table's
+//       probed total, the two bounds on candSize (core::DecisionBounds);
+//   S2  CollectResolvedIds / CollectProbedIds — dedup bucket contents into
+//       a VisitedSet;
+//   (estimate)  AccumulateProbe — candSize via merged HLLs (paper Alg. 2
+//       lines 1-2), in O(mL) plus small-bucket folding; only a decision the
+//       bounds leave open needs it;
 //   S3  (caller) verify candidate distances and report.
 //
 // engine::SegmentedIndex owns one FunctionSet and *many* table sets (the
 // sealed segments of its LSM-style lifecycle); a static table set is a
-// SegmentedIndex with one sealed segment. The estimate and collect steps
-// are free functions over any table range, so several segments sum into
-// one decision. Queries are served by engine::ShardedEngine.
+// SegmentedIndex with one sealed segment. The walks are free functions
+// over any table range, so several segments sum into one decision (the
+// one bounded walk per shard is engine::SegmentedIndex's
+// SegmentSnapshot::BoundedWalk). Queries are served by
+// engine::ShardedEngine.
 //
 // The template parameter Family supplies the point type, the atomic hash
 // sampler, the paired metric, and multi-probe costs (see lsh/families.h).
@@ -545,6 +552,10 @@ class FunctionSet {
 // merged registers and the dedup order do not depend on it. The
 // active/frozen logs walk their bucket chains in the same windows
 // (engine::ActiveLshLog).
+//
+// The decision's bounded walk splits a range's walk in two instead
+// (ResolveProbedBuckets, then CollectResolvedIds), so that it can stop
+// before reading any id; it consumes the same buckets in the same order.
 
 namespace internal {
 /// Buckets resolved (and prefetched) ahead of consumption in one window.
@@ -600,6 +611,18 @@ inline void AccumulateProbe(std::span<const LshTable> tables,
       });
 }
 
+namespace internal {
+inline void InsertBucket(const LshTable::BucketView& bucket,
+                         util::VisitedSet* visited,
+                         const util::BitVector* tombstones) {
+  if (tombstones == nullptr) {
+    visited->InsertSpan(bucket.ids);
+  } else {
+    visited->InsertSpanFiltered(bucket.ids, *tombstones);
+  }
+}
+}  // namespace internal
+
 /// S2 over one table range: dedups every probed id into *visited, whose
 /// touched() list then IS the flat candidate buffer block verification
 /// consumes (core/kernels.h), and returns the exact number of collisions.
@@ -615,13 +638,55 @@ inline uint64_t CollectProbedIds(std::span<const LshTable> tables,
   internal::WalkProbedBuckets(
       tables, plan, [&](const LshTable::BucketView& bucket) {
         collisions += bucket.size();
-        if (tombstones == nullptr) {
-          visited->InsertSpan(bucket.ids);
-        } else {
-          visited->InsertSpanFiltered(bucket.ids, *tombstones);
-        }
+        internal::InsertBucket(bucket, visited, tombstones);
       });
   return collisions;
+}
+
+/// The first step of a bounded walk over one table range: resolves the
+/// bucket of every (table, key) of `plan` from the directory alone (every
+/// probed slot is prefetched first, as in the other walks), reading no id
+/// and no sketch register. Appends the non-empty buckets to *resolved in
+/// plan order, and after each table calls table_done(t, probed), `probed`
+/// being the sizes of table t's probed buckets summed; a true return ends
+/// the walk there. Returns whether it ended early.
+template <typename TableDone>
+bool ResolveProbedBuckets(std::span<const LshTable> tables,
+                          const ProbePlan& plan,
+                          std::vector<LshTable::BucketView>* resolved,
+                          TableDone&& table_done) {
+  HLSH_DCHECK(plan.num_tables() == tables.size());
+  for (size_t t = 0; t < tables.size(); ++t) {
+    for (const uint64_t key : plan.TableKeys(t)) tables[t].PrefetchSlot(key);
+  }
+  for (size_t t = 0; t < tables.size(); ++t) {
+    uint64_t probed = 0;
+    for (const uint64_t key : plan.TableKeys(t)) {
+      const LshTable::BucketView bucket = tables[t].Lookup(key);
+      if (bucket.empty()) continue;
+      probed += bucket.size();
+      resolved->push_back(bucket);
+    }
+    if (table_done(t, probed)) return true;
+  }
+  return false;
+}
+
+/// S2 over buckets ResolveProbedBuckets resolved: the inserts
+/// CollectProbedIds makes over the same buckets, in the same order. Each
+/// bucket's ids are prefetched kProbeWindow buckets ahead of its inserts.
+inline void CollectResolvedIds(std::span<const LshTable::BucketView> buckets,
+                               util::VisitedSet* visited,
+                               const util::BitVector* tombstones = nullptr) {
+  constexpr size_t kAhead = internal::kProbeWindow;
+  const size_t n = buckets.size();
+  for (size_t i = 0; i < std::min(kAhead, n); ++i) {
+    __builtin_prefetch(buckets[i].ids.data());
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kAhead < n) __builtin_prefetch(buckets[i + kAhead].ids.data());
+    internal::InsertBucket(buckets[i], visited, tombstones);
+  }
 }
 
 }  // namespace lsh

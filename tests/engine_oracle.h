@@ -10,7 +10,8 @@
 // order, with none of the walks' windowing or prefetching: a sealed table
 // through LshTable::Lookup, a log by scanning its entries newest first,
 // which is the order its bucket chains list them in. A plan walk must match
-// it in collisions, merged HLL registers and VisitedSet::touched() order.
+// it in collisions, each table's probed total (their maximum is the bounded
+// walk's `lower`), merged HLL registers and VisitedSet::touched() order.
 //
 // ExpectSameShardWalks compares two runs of one query instead: the tests
 // use it to hold a lone caller's shard walks in order (1-worker pool) to
@@ -27,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cost_model.h"
 #include "core/strategy.h"
 #include "engine/options.h"
 #include "engine/segmented_index.h"
@@ -61,8 +63,9 @@ util::StatusOr<engine::SegmentedIndex<Family, Dataset>> BuildStatic(
 }
 
 /// The reference plan walk (see file comment): accumulates what the
-/// estimate (collisions, merged registers) and S2 (dedup order of the ids
-/// not set in `tombstones`) of the same probes produce.
+/// estimate (collisions, merged registers), the bounds (per-table probed
+/// totals) and S2 (dedup order of the ids not set in `tombstones`) of the
+/// same probes produce.
 class WalkReference {
  public:
   WalkReference(int hll_precision, size_t id_bound,
@@ -72,10 +75,12 @@ class WalkReference {
   /// Every probe of `plan` against one sealed table range.
   void Sealed(std::span<const lsh::LshTable> tables,
               const lsh::ProbePlan& plan) {
+    table_totals_.resize(plan.num_tables());
     for (size_t t = 0; t < plan.num_tables(); ++t) {
       for (const uint64_t key : plan.TableKeys(t)) {
         const lsh::LshTable::BucketView bucket = tables[t].Lookup(key);
         collisions_ += bucket.size();
+        table_totals_[t] += bucket.size();
         if (bucket.sketch != nullptr) {
           HLSH_CHECK(merged_.Merge(*bucket.sketch).ok());
         } else {
@@ -90,11 +95,13 @@ class WalkReference {
   /// engine::ActiveLshLog, through its per-entry accessors).
   template <typename Log>
   void LogEntries(const Log& log, const lsh::ProbePlan& plan, size_t limit) {
+    table_totals_.resize(plan.num_tables());
     for (size_t t = 0; t < plan.num_tables(); ++t) {
       for (const uint64_t key : plan.TableKeys(t)) {
         for (size_t i = limit; i-- > 0;) {
           if (log.key(t, i) != key) continue;
           ++collisions_;
+          ++table_totals_[t];
           merged_.AddPoint(log.id(i));
           Collect(log.id(i));
         }
@@ -117,6 +124,18 @@ class WalkReference {
   }
 
   uint64_t collisions() const { return collisions_; }
+  /// The largest per-table probed total: the bounded walk's lower bound on
+  /// the distinct candidates.
+  uint64_t lower() const {
+    uint64_t lower = 0;
+    for (const uint64_t total : table_totals_) lower = std::max(lower, total);
+    return lower;
+  }
+  /// The merged sketches' candSize estimate (0 over no collisions), as
+  /// SegmentSnapshot::EstimateProbe reports it.
+  double estimate() const {
+    return collisions_ == 0 ? 0.0 : merged_.Estimate();
+  }
   const hll::HyperLogLog& merged() const { return merged_; }
   const std::vector<uint32_t>& touched() const { return visited_.touched(); }
 
@@ -128,6 +147,7 @@ class WalkReference {
   }
 
   uint64_t collisions_ = 0;
+  std::vector<uint64_t> table_totals_;
   hll::HyperLogLog merged_;
   util::VisitedSet visited_;
   const util::BitVector* tombstones_;
@@ -155,11 +175,32 @@ std::vector<uint32_t> LshOracle(
   return ids;
 }
 
-/// Whether a snapshot's EstimateProbe and CollectCandidates walks of `plan`
-/// match the reference walk of the same snapshot in collisions, merged
-/// registers and dedup order. `tombstones` is the bitmap the snapshot's
-/// index filters with. Safe while a writer appends to the snapshot's index
-/// (the concurrency suite's reader check).
+/// Whether `prefix` is a prefix of `ids`.
+inline bool IsPrefix(const std::vector<uint32_t>& prefix,
+                     const std::vector<uint32_t>& ids) {
+  return prefix.size() <= ids.size() &&
+         std::equal(prefix.begin(), prefix.end(), ids.begin());
+}
+
+/// Whether a snapshot's EstimateProbe, CollectCandidates and BoundedWalk
+/// walks of `plan` match the reference walk of the same snapshot:
+///
+///   - the estimate in collisions and merged registers;
+///   - the collect walk in collisions and dedup order;
+///   - an unbounded walk (forced-LSH bounds) in collisions, `lower` and
+///     dedup order;
+///   - when lower < collisions, a walk whose collision budget runs out
+///     midway in collisions and `lower`, having collected a prefix of the
+///     dedup order;
+///   - when lower > 0, a walk the lower bound stops, having counted no
+///     more than the collisions and reached exactly `lower`.
+///
+/// The last two price Eq. 1 at alpha = 0 and beta = 1 against `live` live
+/// points, so the upper bound holds while c < live and the lower bound
+/// settles once lower >= live: live = lower + 1 makes the budget run out
+/// and never stops, live = lower stops. `tombstones` is the bitmap the
+/// snapshot's index filters with. Safe while a writer appends to the
+/// snapshot's index (the concurrency suite's reader check).
 template <typename Snapshot>
 bool SnapshotWalksMatchReference(const Snapshot& snapshot,
                                  const lsh::ProbePlan& plan,
@@ -171,10 +212,45 @@ bool SnapshotWalksMatchReference(const Snapshot& snapshot,
   const lsh::ProbeEstimate estimate = snapshot.EstimateProbe(plan, &merged);
   util::VisitedSet visited(snapshot.id_bound());
   const uint64_t collected = snapshot.CollectCandidates(plan, &visited);
-  return estimate.collisions == reference.collisions() &&
-         collected == reference.collisions() &&
-         merged == reference.merged() &&
-         visited.touched() == reference.touched();
+  bool match = estimate.collisions == reference.collisions() &&
+               collected == reference.collisions() &&
+               merged == reference.merged() &&
+               visited.touched() == reference.touched();
+
+  engine::BoundedWalkScratch scratch;
+  const auto walk = [&](const core::DecisionBounds& bounds,
+                        engine::BoundedWalkResult* result) {
+    visited.Reset();
+    *result = snapshot.BoundedWalk(plan, bounds, &scratch, &visited);
+    return IsPrefix(visited.touched(), reference.touched());
+  };
+  engine::BoundedWalkResult result;
+  const core::CostModel model;
+  match = match &&
+          walk(core::DecisionBounds::AlwaysLsh(model, core::LiveStats{1, 1}),
+               &result) &&
+          result.collected && !result.stopped &&
+          result.collisions == reference.collisions() &&
+          result.lower == reference.lower() &&
+          visited.touched() == reference.touched();
+
+  const core::CostModel distinct_only{0.0, 1.0};
+  const uint64_t lower = reference.lower();
+  if (lower < reference.collisions()) {
+    const core::LiveStats live{lower + 1, lower + 1};
+    match = match && walk(core::DecisionBounds(distinct_only, live), &result) &&
+            !result.collected && !result.stopped &&
+            result.collisions == reference.collisions() &&
+            result.lower == lower;
+  }
+  if (lower > 0) {
+    const core::LiveStats live{lower, lower};
+    match = match && walk(core::DecisionBounds(distinct_only, live), &result) &&
+            !result.collected && result.stopped &&
+            result.collisions <= reference.collisions() &&
+            result.lower == lower;
+  }
+  return match;
 }
 
 /// Expects two runs of one query to have walked every shard alike: the

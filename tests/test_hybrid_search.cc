@@ -223,18 +223,34 @@ TEST_F(HybridCosineTest, ExtremeRatiosForceEachPath) {
 }
 
 TEST_F(HybridCosineTest, CandEstimateTracksActual) {
-  // A forced-LSH query reports both the estimate the decision would use
-  // and the exact distinct candidate count.
+  // The merged sketches' estimate (EstimateProbe, the one a decision in
+  // the gap between the bounds reads) against the exact distinct candidate
+  // count a forced-LSH query collects. Forced-LSH merges no sketch itself,
+  // so the estimate comes from the shard's snapshot on the query's plan.
   auto lsh = Engine(ForcedStrategy::kAlwaysLsh);
+  const auto& index = lsh.shard_index(0);
+  const auto snapshot = index.Acquire();
+  hll::HyperLogLog merged = index.MakeScratchSketch();
+  lsh::PlanScratch plan_scratch;
+  lsh::ProbePlan plan;
+  size_t checked = 0;
   for (size_t q = 0; q < queries_.size(); ++q) {
     std::vector<uint32_t> out;
     const QueryStats stats = QueryOne(&lsh, queries_.point(q), kRadius, &out);
+    EXPECT_EQ(stats.cand_estimate, 0.0) << "query " << q;
     if (stats.cand_actual < 50) continue;
+    ASSERT_TRUE(
+        index.ComputePlan(queries_.point(q), 1, &plan_scratch, &plan).ok());
+    const lsh::ProbeEstimate estimate = snapshot.EstimateProbe(plan, &merged);
+    EXPECT_EQ(estimate.collisions, stats.collisions) << "query " << q;
     const double rel_err =
-        std::abs(stats.cand_estimate - static_cast<double>(stats.cand_actual)) /
+        std::abs(estimate.cand_estimate -
+                 static_cast<double>(stats.cand_actual)) /
         static_cast<double>(stats.cand_actual);
     EXPECT_LT(rel_err, 0.3) << "query " << q;
+    ++checked;
   }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST_F(HybridCosineTest, ZeroRadiusReportsOnlyExactDuplicates) {

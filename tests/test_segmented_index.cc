@@ -400,6 +400,67 @@ TEST_F(SegmentedL2Test, SnapshotWalksMatchReferenceAcrossSegmentKinds) {
   }
 }
 
+TEST_F(SegmentedL2Test, DecisionBoundsBracketDistinctCandidates) {
+  // The bounds-first decision (core::DecisionBounds) rests on lower <=
+  // distinct <= collisions, tombstoned ids counted on every side. Checked
+  // on a churned index holding sealed segments, frozen logs and a partly
+  // filled active log, with ids removed from each: `distinct` is the
+  // reference walk's dedup count with no tombstone filter, and the bounds
+  // are those of an unbounded walk.
+  util::BitVector tombstones;
+  auto built = SegmentedIndex<lsh::PStableFamily>::Build(
+      Family(), &dataset_, 0, dataset_.size(), options_, &tombstones);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  auto index = std::move(*built);
+  ASSERT_TRUE(index.EnableUpdates(&dataset_).ok());
+  const size_t threshold = options_.active_seal_threshold;
+  for (size_t i = 0; i < threshold; ++i) {
+    ASSERT_TRUE(index.Insert(incoming_.point(i)).ok());
+  }
+  ASSERT_EQ(index.lifecycle().sealed_segments, 2u);
+  index.SetDeferredMaintenance(true);
+  for (size_t i = threshold; i < 3 * threshold + threshold / 3; ++i) {
+    ASSERT_TRUE(index.Insert(incoming_.point(i)).ok());
+  }
+  for (uint32_t id = 5; id < dataset_.size(); id += 7) {
+    ASSERT_TRUE(index.Remove(id).ok());
+  }
+  const auto snapshot = index.Acquire();
+  ASSERT_EQ(snapshot.view().sealed.size(), 2u);
+  ASSERT_EQ(snapshot.view().frozen.size(), 2u);
+  ASSERT_EQ(snapshot.active_count(), threshold / 3);
+
+  const core::CostModel model;
+  const core::DecisionBounds unbounded =
+      core::DecisionBounds::AlwaysLsh(model, index.live_stats());
+  BoundedWalkScratch scratch;
+  util::VisitedSet visited(snapshot.id_bound());
+  lsh::PlanScratch plan_scratch;
+  lsh::ProbePlan plan;
+  size_t gaps = 0;
+  for (const size_t probes : {size_t{1}, size_t{2}}) {
+    for (size_t q = 0; q < queries_.size(); ++q) {
+      SCOPED_TRACE(::testing::Message() << "probes " << probes << " query "
+                                        << q);
+      ASSERT_TRUE(
+          index.ComputePlan(queries_.point(q), probes, &plan_scratch, &plan)
+              .ok());
+      test_oracle::WalkReference reference(options_.hll_precision,
+                                           snapshot.id_bound());
+      reference.Segments(snapshot, plan);
+      const uint64_t distinct = reference.touched().size();
+      visited.Reset();
+      const BoundedWalkResult walk =
+          snapshot.BoundedWalk(plan, unbounded, &scratch, &visited);
+      EXPECT_LE(walk.lower, distinct);
+      EXPECT_LE(distinct, walk.collisions);
+      EXPECT_EQ(walk.collisions, reference.collisions());
+      gaps += walk.lower < walk.collisions;
+    }
+  }
+  EXPECT_GT(gaps, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Binary / Hamming: the second family of the acceptance matrix.
 

@@ -3,10 +3,11 @@
 // the whole dataset) built with the same (seed, k, L) — forced-LSH results
 // equal the reference walk of that index's plan and forced-linear results
 // equal a brute-force scan for any shard count, a 1-shard engine makes the
-// paper's Algorithm 2 decision from the reference walk's estimate, and the
-// auto decision is bracketed between the forced strategies. The reference
-// side (tests/engine_oracle.h, data::RangeScan*) shares no code with the
-// engine's query path.
+// paper's Algorithm 2 decision bounds first from the reference walk's
+// collisions, per-table totals and estimate, the cost model can force each
+// way a decision settles, and the auto decision is bracketed between the
+// forced strategies. The reference side (tests/engine_oracle.h,
+// data::RangeScan*) shares no code with the engine's query path.
 
 #include "engine/sharded_engine.h"
 
@@ -133,13 +134,18 @@ TEST_F(ShardedEngineTest, ForcedLinearMatchesGroundTruth) {
 }
 
 TEST_F(ShardedEngineTest, SingleShardFollowsAlgorithm2) {
-  // A 1-shard engine is the paper's hybrid searcher: it estimates from the
-  // same buckets and sketches as the monolithic index (collisions and
-  // merged registers of the reference walk; an estimate over 0 collisions
-  // is 0), decides with Eq. 1 vs Eq. 2, and answers with the chosen
-  // strategy's oracle.
+  // A 1-shard engine is the paper's hybrid searcher, deciding bounds first
+  // from the monolithic index's buckets and sketches. The reference walk
+  // gives the collisions c, `lower` (the largest per-table probed total)
+  // and the merged sketches' estimate. Eq. 1 at candSize = c below Eq. 2
+  // settles LSH (upper bound); Eq. 1 at candSize = lower reaching it
+  // settles linear (lower bound); otherwise Eq. 1 at the estimate clamped
+  // into [lower, c] decides (sketch). A shard that walks to the end
+  // reports c exactly, the lower bound may cut the walk short, and the
+  // answer is the chosen strategy's oracle.
   auto engine = MakeEngine(1);
   const core::CostModel& model = options_.searcher.cost_model;
+  const double linear_cost = model.LinearCost(dataset_.size());
   const auto snapshot = index_->Acquire();
   std::vector<uint32_t> out;
   size_t lsh_queries = 0;
@@ -149,24 +155,196 @@ TEST_F(ShardedEngineTest, SingleShardFollowsAlgorithm2) {
     reference.Segments(snapshot,
                        test_oracle::PlanOf(*index_, queries_.point(q)));
     const uint64_t collisions = reference.collisions();
-    const double cand_estimate =
-        collisions == 0 ? 0.0 : reference.merged().Estimate();
-    const bool expect_lsh = model.LshCost(collisions, cand_estimate) <
-                            model.LinearCost(dataset_.size());
+    const uint64_t lower = reference.lower();
+    core::Settlement expect_by = core::Settlement::kSketch;
+    double cand_estimate = 0.0;
+    bool expect_lsh = true;
+    if (model.LshCost(collisions, static_cast<double>(collisions)) <
+        linear_cost) {
+      expect_by = core::Settlement::kUpperBound;
+    } else if (model.LshCost(collisions, static_cast<double>(lower)) >=
+               linear_cost) {
+      expect_by = core::Settlement::kLowerBound;
+      expect_lsh = false;
+    } else {
+      cand_estimate = std::clamp(reference.estimate(),
+                                 static_cast<double>(lower),
+                                 static_cast<double>(collisions));
+      expect_lsh = model.LshCost(collisions, cand_estimate) < linear_cost;
+    }
 
     out.clear();
     ShardedQueryStats stats;
     ASSERT_TRUE(engine.Query(queries_.point(q), kRadius, &out, &stats).ok());
     const core::QueryStats& shard = stats.per_shard[0];
-    EXPECT_EQ(shard.collisions, collisions) << "query " << q;
-    EXPECT_EQ(shard.cand_estimate, cand_estimate) << "query " << q;
+    EXPECT_EQ(shard.decided_by, expect_by) << "query " << q;
     EXPECT_EQ(shard.strategy,
               expect_lsh ? core::Strategy::kLsh : core::Strategy::kLinear)
         << "query " << q;
+    if (expect_by == core::Settlement::kLowerBound) {
+      EXPECT_LE(shard.collisions, collisions) << "query " << q;
+    } else {
+      EXPECT_EQ(shard.collisions, collisions) << "query " << q;
+    }
+    EXPECT_EQ(shard.cand_estimate, cand_estimate) << "query " << q;
     EXPECT_EQ(Sorted(out), expect_lsh ? Oracle(q) : Truth(q)) << "query " << q;
     lsh_queries += expect_lsh;
   }
   EXPECT_GT(lsh_queries, 0u);
+}
+
+TEST_F(ShardedEngineTest, CostModelForcesEachSettlement) {
+  // One query on a churned 1-shard engine (sealed segments, an active log
+  // and tombstones in both). beta/alpha is set from the reference walk's c
+  // and lower (live fraction f, L live points; Eq. 1 is c + beta*f*x and
+  // Eq. 2 beta*L) so that each auto engine settles one way: far above
+  // c / (L - f*c) the upper bound holds, far below c / (L - f*lower) the
+  // lower bound does, and between the two the sketch decides. A
+  // forced-LSH engine settles kForced. Each answer matches its strategy's
+  // oracle, a lower-bound-settled walk stops before counting every
+  // collision, and the counts reach the query stats and stats().
+  EngineOptions options = options_;
+  options.num_shards = 1;
+  options.num_threads = 1;
+  options.active_seal_threshold = 256;
+  options.max_sealed_segments = 8;
+  const data::DenseDataset incoming = data::MakeCorelLike(700, kDim, 44);
+  struct Churned {
+    std::unique_ptr<data::DenseDataset> points;
+    std::unique_ptr<L2Engine> engine;
+  };
+  const auto make_churned = [&](double ratio, core::ForcedStrategy forced) {
+    Churned churned;
+    churned.points = std::make_unique<data::DenseDataset>(dataset_);
+    EngineOptions engine_options = options;
+    engine_options.searcher.cost_model = core::CostModel::FromRatio(ratio);
+    engine_options.searcher.forced = forced;
+    auto built =
+        L2Engine::Build(Family(), churned.points.get(), engine_options);
+    HLSH_CHECK(built.ok());
+    churned.engine = std::make_unique<L2Engine>(std::move(*built));
+    for (size_t i = 0; i < incoming.size(); ++i) {
+      HLSH_CHECK(churned.engine->Insert(incoming.point(i)).ok());
+    }
+    // Seal before removing, so that every engine drops the same ids.
+    churned.engine->DrainMaintenance();
+    for (uint32_t id = 2; id < churned.points->size(); id += 9) {
+      HLSH_CHECK(churned.engine->Remove(id).ok());
+    }
+    return churned;
+  };
+  util::BitVector dead(dataset_.size() + incoming.size());
+  for (uint32_t id = 2; id < dead.size(); id += 9) dead.Set(id);
+
+  // Reference bounds of every query on one churned engine. The models are
+  // set for the query with the widest gap between lower and c among those
+  // whose c leaves room for the upper bound (f*c well below L).
+  const Churned probe = make_churned(6.0, core::ForcedStrategy::kAuto);
+  const L2Engine::ShardIndex& index = probe.engine->shard_index(0);
+  const auto snapshot = index.Acquire();
+  ASSERT_GE(snapshot.view().sealed.size(), 2u);
+  ASSERT_GT(snapshot.active_count(), 0u);
+  const core::LiveStats live = index.live_stats();
+  const double n = static_cast<double>(live.live);
+  const double f = live.fraction();
+  size_t q = 0;
+  uint64_t best_gap = 0;
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    test_oracle::WalkReference reference(options.hll_precision,
+                                         snapshot.id_bound());
+    reference.Segments(snapshot, test_oracle::PlanOf(index,
+                                                     queries_.point(i)));
+    const uint64_t gap = reference.collisions() - reference.lower();
+    if (f * static_cast<double>(reference.collisions()) < n / 2 &&
+        gap > best_gap) {
+      best_gap = gap;
+      q = i;
+    }
+  }
+  ASSERT_GT(best_gap, 0u);
+  const float* query = queries_.point(q);
+  test_oracle::WalkReference reference(options.hll_precision,
+                                       snapshot.id_bound(), &dead);
+  reference.Segments(snapshot, test_oracle::PlanOf(index, query));
+  const double c = static_cast<double>(reference.collisions());
+  const double lower = static_cast<double>(reference.lower());
+  const double upper_ratio = c / (n - f * c);  // upper bound holds above
+  const double lower_ratio = c / (n - f * lower);  // lower bound holds below
+  ASSERT_LT(lower_ratio, upper_ratio);
+
+  // The oracles: in-radius live candidates of the reference walk, and a
+  // brute-force scan of the live points.
+  std::vector<uint32_t> lsh_oracle;
+  for (const uint32_t id : reference.touched()) {
+    if (index.Distance(probe.points->point(id), query) <= kRadius) {
+      lsh_oracle.push_back(id);
+    }
+  }
+  std::sort(lsh_oracle.begin(), lsh_oracle.end());
+  std::vector<uint32_t> truth;
+  for (const uint32_t id : data::RangeScanDense(*probe.points, query, kRadius,
+                                                data::Metric::kL2)) {
+    if (index.is_live(id)) truth.push_back(id);
+  }
+
+  const struct {
+    double ratio;
+    core::ForcedStrategy forced;
+    core::Settlement settlement;
+  } cases[] = {
+      {4.0 * upper_ratio, core::ForcedStrategy::kAuto,
+       core::Settlement::kUpperBound},
+      {0.1 * lower_ratio, core::ForcedStrategy::kAuto,
+       core::Settlement::kLowerBound},
+      {std::sqrt(lower_ratio * upper_ratio), core::ForcedStrategy::kAuto,
+       core::Settlement::kSketch},
+      {6.0, core::ForcedStrategy::kAlwaysLsh, core::Settlement::kForced},
+  };
+  for (const auto& test_case : cases) {
+    const core::Settlement settlement = test_case.settlement;
+    SCOPED_TRACE(core::SettlementName(settlement));
+    const Churned churned = make_churned(test_case.ratio, test_case.forced);
+    std::vector<uint32_t> out;
+    ShardedQueryStats stats;
+    ASSERT_TRUE(churned.engine->Query(query, kRadius, &out, &stats).ok());
+    const core::QueryStats& shard = stats.per_shard[0];
+    EXPECT_EQ(shard.decided_by, settlement);
+
+    bool expect_lsh = settlement != core::Settlement::kLowerBound;
+    double cand_estimate = 0.0;
+    if (settlement == core::Settlement::kSketch) {
+      // Eq. 1 vs Eq. 2 at the clamped estimate, with the tombstone
+      // correction (CostModel::CorrectedLshCost).
+      const core::CostModel model = core::CostModel::FromRatio(test_case.ratio);
+      cand_estimate = std::clamp(reference.estimate(), lower, c);
+      expect_lsh = model.CorrectedLshCost(reference.collisions(),
+                                          cand_estimate, live) <
+                   model.LinearCost(live.live);
+    }
+    EXPECT_EQ(shard.strategy,
+              expect_lsh ? core::Strategy::kLsh : core::Strategy::kLinear);
+    EXPECT_EQ(shard.cand_estimate, cand_estimate);
+    if (settlement == core::Settlement::kLowerBound) {
+      EXPECT_LT(shard.collisions, reference.collisions());
+    } else {
+      EXPECT_EQ(shard.collisions, reference.collisions());
+    }
+    EXPECT_EQ(Sorted(out), expect_lsh ? lsh_oracle : truth);
+
+    EXPECT_EQ(stats.upper_bound_shards,
+              settlement == core::Settlement::kUpperBound ? 1u : 0u);
+    EXPECT_EQ(stats.lower_bound_shards,
+              settlement == core::Settlement::kLowerBound ? 1u : 0u);
+    EXPECT_EQ(stats.sketch_shards,
+              settlement == core::Settlement::kSketch ? 1u : 0u);
+    EXPECT_EQ(stats.forced_shards,
+              settlement == core::Settlement::kForced ? 1u : 0u);
+    const EngineStats lifetime = churned.engine->stats();
+    EXPECT_EQ(lifetime.upper_bound_decisions, stats.upper_bound_shards);
+    EXPECT_EQ(lifetime.lower_bound_decisions, stats.lower_bound_shards);
+    EXPECT_EQ(lifetime.sketch_decisions, stats.sketch_shards);
+    EXPECT_EQ(lifetime.forced_decisions, stats.forced_shards);
+  }
 }
 
 TEST_F(ShardedEngineTest, AutoIsBracketedByForcedStrategies) {
