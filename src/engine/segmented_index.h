@@ -310,24 +310,12 @@ class ActiveLshLog {
     });
   }
 
-  /// S2 over entries [0, limit): dedups probed live ids into *visited and
-  /// returns the collision count. Mirrors lsh::CollectProbedIds.
-  uint64_t CollectProbedIds(const lsh::ProbePlan& plan, size_t limit,
-                            util::VisitedSet* visited,
-                            const util::BitVector* tombstones) const {
-    uint64_t collisions = 0;
-    WalkProbedChains(plan, limit, [&](size_t entry) {
-      ++collisions;
-      Collect(entry, visited, tombstones);
-    });
-    return collisions;
-  }
-
-  /// The log's part of a bounded walk over entries [0, limit): counts every
-  /// probed match into *walk one chain at a time, and dedups a chain's
-  /// live ids into *visited, as CollectProbedIds does, when the walk was
-  /// still collecting as the chain began. Returns true when the walk
-  /// stopped: the lower bound settled after some chain.
+  /// The log's part of a bounded walk over entries [0, limit), and its S2:
+  /// counts every probed match into *walk one chain at a time, and dedups
+  /// a chain's live ids into *visited (tombstoned ids are counted but not
+  /// inserted) when the walk was still collecting as the chain began.
+  /// Returns true when the walk stopped: the lower bound settled after
+  /// some chain.
   bool BoundedProbe(const lsh::ProbePlan& plan, size_t limit,
                     BoundedWalkState* walk, util::VisitedSet* visited,
                     const util::BitVector* tombstones) const {
@@ -439,8 +427,8 @@ class ActiveLshLog {
 };
 
 /// Reusable scratch of SegmentSnapshot::BoundedWalk, one per query
-/// context slot: the sealed buckets its first step resolves, and each
-/// table's probed total.
+/// context slot: the sealed buckets its first step resolves (which
+/// CollectWalked reuses), and each table's probed total.
 struct BoundedWalkScratch {
   std::vector<lsh::LshTable::BucketView> resolved;
   std::vector<uint64_t> table_totals;
@@ -456,7 +444,7 @@ struct BoundedWalkResult {
   /// The lower bound settled linear before the walk reached the end.
   bool stopped = false;
   /// The upper bound held throughout: every probed live id is in the
-  /// visited set, in the order CollectCandidates inserts them.
+  /// visited set, in the order an unbounded walk inserts them.
   bool collected = false;
 };
 
@@ -535,7 +523,7 @@ class SegmentedIndex {
     ///      the directories alone (lsh::ResolveProbedBuckets): no id is
     ///      read, and the collisions and per-table totals accumulate;
     ///   2. if the upper bound still holds, the resolved buckets' ids are
-    ///      dedup'd into *visited in plan order;
+    ///      dedup'd into *visited in plan order (lsh::CollectResolvedIds);
     ///   3. the frozen and active logs' chains are walked: every match is
     ///      counted, and dedup'd while the upper bound holds.
     ///
@@ -543,9 +531,11 @@ class SegmentedIndex {
     /// re-tested, and the walk stops as soon as the lower bound settles
     /// linear. So a linear-settled walk reads at most the ids dedup'd
     /// before the upper bound failed, and a walk the upper bound settles
-    /// has collected every candidate in CollectCandidates' order. *visited
-    /// must be empty and span id_bound(). Tombstoned ids count as
-    /// collisions but are not inserted, as in CollectCandidates.
+    /// has collected every candidate: S2, whose touched() list is the flat
+    /// candidate buffer block verification consumes (core/kernels.h).
+    /// *visited must be empty and span id_bound(). Tombstoned ids count as
+    /// collisions (their probe cost was paid) but are never inserted, so
+    /// S3 only verifies live candidates.
     BoundedWalkResult BoundedWalk(const lsh::ProbePlan& plan,
                                   const core::DecisionBounds& bounds,
                                   BoundedWalkScratch* scratch,
@@ -560,17 +550,8 @@ class SegmentedIndex {
             segment->tables, plan, &scratch->resolved,
             [&](size_t t, uint64_t probed) { return walk.Add(t, probed); });
       }
-      if (!stopped && walk.collecting()) {
-        lsh::CollectResolvedIds(scratch->resolved, visited, tombstones_);
-      }
-      for (const auto& log : view_->frozen) {
-        if (stopped) break;
-        stopped = log->BoundedProbe(plan, log->size_acquire(), &walk,
-                                    visited, tombstones_);
-      }
-      if (!stopped && active_count_ > 0) {
-        stopped = view_->active->BoundedProbe(plan, active_count_, &walk,
-                                              visited, tombstones_);
+      if (!stopped) {
+        stopped = CollectResolved(plan, scratch->resolved, &walk, visited);
       }
       BoundedWalkResult result;
       result.collisions = walk.collisions();
@@ -578,6 +559,28 @@ class SegmentedIndex {
       result.stopped = stopped;
       result.collected = walk.collecting();
       return result;
+    }
+
+    /// Collects every candidate after a BoundedWalk that ran to the end
+    /// without collecting them (an LSH decision taken in the gap between
+    /// the bounds): the sealed buckets the walk resolved into *scratch are
+    /// dedup'd with no second directory lookup, then the logs' chains are
+    /// walked again with no bound. *visited must be empty; it ends as an
+    /// unbounded BoundedWalk leaves it.
+    void CollectWalked(const lsh::ProbePlan& plan, BoundedWalkScratch* scratch,
+                       util::VisitedSet* visited) const {
+      const core::DecisionBounds unbounded = NoBounds();
+      BoundedWalkState walk(unbounded, plan.num_tables(),
+                            &scratch->table_totals);
+      CollectResolved(plan, scratch->resolved, &walk, visited);
+    }
+
+    /// S2 with no bound: an unbounded BoundedWalk, returning the exact
+    /// collision count.
+    uint64_t CollectCandidates(const lsh::ProbePlan& plan,
+                               util::VisitedSet* visited) const {
+      BoundedWalkScratch scratch;
+      return BoundedWalk(plan, NoBounds(), &scratch, visited).collisions;
     }
 
     /// Sums the Alg. 2 lines 1-2 estimate across every segment, replaying
@@ -606,27 +609,6 @@ class SegmentedIndex {
       estimate.cand_estimate =
           estimate.collisions == 0 ? 0.0 : scratch->Estimate();
       return estimate;
-    }
-
-    /// S2 across every segment. Tombstoned ids count as collisions (their
-    /// probe cost was paid) but are never inserted, so S3 only verifies
-    /// live candidates.
-    uint64_t CollectCandidates(const lsh::ProbePlan& plan,
-                               util::VisitedSet* visited) const {
-      uint64_t collisions = 0;
-      for (const auto& segment : view_->sealed) {
-        collisions += lsh::CollectProbedIds(segment->tables, plan, visited,
-                                            tombstones_);
-      }
-      for (const auto& log : view_->frozen) {
-        collisions += log->CollectProbedIds(plan, log->size_acquire(),
-                                            visited, tombstones_);
-      }
-      if (active_count_ > 0) {
-        collisions += view_->active->CollectProbedIds(plan, active_count_,
-                                                      visited, tombstones_);
-      }
-      return collisions;
     }
 
     /// The linear scan's id source: appends the snapshot's live ids to *ids
@@ -683,6 +665,34 @@ class SegmentedIndex {
 
    private:
     friend class SegmentedIndex;
+
+    /// Bounds under which a walk collects every id and never stops.
+    static core::DecisionBounds NoBounds() {
+      return core::DecisionBounds::AlwaysLsh(core::CostModel{},
+                                             core::LiveStats{});
+    }
+
+    /// Steps 2 and 3 of BoundedWalk, once step 1 has resolved every sealed
+    /// bucket into `resolved`. Returns whether the lower bound stopped the
+    /// walk.
+    bool CollectResolved(const lsh::ProbePlan& plan,
+                         std::span<const lsh::LshTable::BucketView> resolved,
+                         BoundedWalkState* walk,
+                         util::VisitedSet* visited) const {
+      if (walk->collecting()) {
+        lsh::CollectResolvedIds(resolved, visited, tombstones_);
+      }
+      for (const auto& log : view_->frozen) {
+        if (log->BoundedProbe(plan, log->size_acquire(), walk, visited,
+                              tombstones_)) {
+          return true;
+        }
+      }
+      return active_count_ > 0 &&
+             view_->active->BoundedProbe(plan, active_count_, walk, visited,
+                                         tombstones_);
+    }
+
     std::shared_ptr<const SegmentListView> view_;
     const util::BitVector* tombstones_ = nullptr;
     size_t active_count_ = 0;

@@ -1285,12 +1285,13 @@ class ShardedEngine {
   /// short. Only in the gap between them are the sketches merged
   /// (EstimateProbe), the estimate clamped into [lower, c] and the
   /// decision taken as Eq. 1 vs Eq. 2; an LSH decision there collects the
-  /// candidates afresh (CollectCandidates). The bounds are priced from ONE
-  /// coherent LiveStats read taken before the walk, so the tombstone
-  /// correction and the linear side cannot mix counter values from
-  /// different instants. Forced-LSH walks with no bound, forced-linear
-  /// does not walk. Appends global ids to slot->out and records how the
-  /// decision was settled. Lock-free.
+  /// candidates from the sealed buckets the walk resolved and the logs'
+  /// chains (CollectWalked). The bounds are priced from ONE coherent
+  /// LiveStats read taken before the walk, so the tombstone correction and
+  /// the linear side cannot mix counter values from different instants.
+  /// Forced-LSH walks with no bound, forced-linear does not walk. Appends
+  /// global ids to slot->out and records how the decision was settled.
+  /// Lock-free.
   void QueryShard(const Shard& shard,
                   const typename ShardIndex::SegmentSnapshot& snap,
                   Point query, double radius, const lsh::ProbePlan* plan,
@@ -1369,7 +1370,7 @@ class ShardedEngine {
       st->estimate_seconds = merge_timer.ElapsedSeconds();
       if (use_lsh) {
         slot->visited.Reset();
-        snap.CollectCandidates(*plan, &slot->visited);
+        snap.CollectWalked(*plan, &slot->walk, &slot->visited);
       }
     }
 

@@ -13,8 +13,8 @@
 //   (bounds)  ResolveProbedBuckets — look every probed bucket up in the
 //       directory, reading no id: #collisions exactly and each table's
 //       probed total, the two bounds on candSize (core::DecisionBounds);
-//   S2  CollectResolvedIds / CollectProbedIds — dedup bucket contents into
-//       a VisitedSet;
+//   S2  CollectResolvedIds — dedup the resolved buckets' contents into a
+//       VisitedSet;
 //   (estimate)  AccumulateProbe — candSize via merged HLLs (paper Alg. 2
 //       lines 1-2), in O(mL) plus small-bucket folding; only a decision the
 //       bounds leave open needs it;
@@ -536,26 +536,26 @@ class FunctionSet {
 };
 
 // --- Plan-based probe walks. ------------------------------------------------
-// AccumulateProbe / CollectProbedIds replay a ProbePlan against one table
-// range through one walker, WalkProbedBuckets. Per-table keys are already
-// unique, and the walk is prefetched in two stages. First the directory
-// slot of every probe of the table range is prefetched, so the range's
-// lookups (most of which miss) overlap their cache misses instead of paying
-// them one at a time. Then the walk is windowed over the plan's flattened
-// key list, crossing table boundaries: a window resolves kProbeWindow
-// buckets and prefetches their id and sketch storage before consuming the
-// first, hiding those dependent loads behind the HLL merges and dedup
-// inserts. At one probe per table (the paper's setting) a window spans 8
-// tables; a window per table would hold one bucket, prefetched just before
-// the load that consumes it. Buckets are consumed in plan order
-// (table-major, then probe order) whatever the window, so collisions,
-// merged registers and the dedup order do not depend on it. The
-// active/frozen logs walk their bucket chains in the same windows
-// (engine::ActiveLshLog).
+// Two walks replay a ProbePlan against one table range, both consuming
+// buckets in plan order (table-major, then probe order), so collisions,
+// merged registers and the dedup order do not depend on their prefetching.
+// Per-table keys are already unique, and both first prefetch the directory
+// slot of every probe of the range, so the range's lookups (most of which
+// miss) overlap their cache misses instead of paying them one at a time.
 //
-// The decision's bounded walk splits a range's walk in two instead
-// (ResolveProbedBuckets, then CollectResolvedIds), so that it can stop
-// before reading any id; it consumes the same buckets in the same order.
+// The decision's bounded walk runs in two steps, so that it can stop
+// before reading any id: ResolveProbedBuckets looks the buckets up and
+// sums their sizes, then CollectResolvedIds dedups their ids (S2), each
+// bucket's ids prefetched a few buckets ahead of its inserts.
+//
+// AccumulateProbe, the estimate, walks through WalkProbedBuckets, which is
+// windowed over the plan's flattened key list, crossing table boundaries:
+// a window resolves kProbeWindow buckets and prefetches their id and
+// sketch storage before consuming the first, hiding those dependent loads
+// behind the HLL merges. At one probe per table (the paper's setting) a
+// window spans 8 tables; a window per table would hold one bucket,
+// prefetched just before the load that consumes it. The active/frozen
+// logs walk their bucket chains in the same windows (engine::ActiveLshLog).
 
 namespace internal {
 /// Buckets resolved (and prefetched) ahead of consumption in one window.
@@ -611,41 +611,9 @@ inline void AccumulateProbe(std::span<const LshTable> tables,
       });
 }
 
-namespace internal {
-inline void InsertBucket(const LshTable::BucketView& bucket,
-                         util::VisitedSet* visited,
-                         const util::BitVector* tombstones) {
-  if (tombstones == nullptr) {
-    visited->InsertSpan(bucket.ids);
-  } else {
-    visited->InsertSpanFiltered(bucket.ids, *tombstones);
-  }
-}
-}  // namespace internal
-
-/// S2 over one table range: dedups every probed id into *visited, whose
-/// touched() list then IS the flat candidate buffer block verification
-/// consumes (core/kernels.h), and returns the exact number of collisions.
-/// Bucket ids are bulk-inserted with the dedup bits prefetched ahead of
-/// the probe loop. Ids whose `tombstones` bit is set are counted as
-/// collisions (the probe cost was paid) but not inserted, so deleted
-/// points never reach verification.
-inline uint64_t CollectProbedIds(std::span<const LshTable> tables,
-                                 const ProbePlan& plan,
-                                 util::VisitedSet* visited,
-                                 const util::BitVector* tombstones = nullptr) {
-  uint64_t collisions = 0;
-  internal::WalkProbedBuckets(
-      tables, plan, [&](const LshTable::BucketView& bucket) {
-        collisions += bucket.size();
-        internal::InsertBucket(bucket, visited, tombstones);
-      });
-  return collisions;
-}
-
 /// The first step of a bounded walk over one table range: resolves the
 /// bucket of every (table, key) of `plan` from the directory alone (every
-/// probed slot is prefetched first, as in the other walks), reading no id
+/// probed slot is prefetched first, as in WalkProbedBuckets), reading no id
 /// and no sketch register. Appends the non-empty buckets to *resolved in
 /// plan order, and after each table calls table_done(t, probed), `probed`
 /// being the sizes of table t's probed buckets summed; a true return ends
@@ -672,9 +640,13 @@ bool ResolveProbedBuckets(std::span<const LshTable> tables,
   return false;
 }
 
-/// S2 over buckets ResolveProbedBuckets resolved: the inserts
-/// CollectProbedIds makes over the same buckets, in the same order. Each
-/// bucket's ids are prefetched kProbeWindow buckets ahead of its inserts.
+/// S2 over buckets ResolveProbedBuckets resolved: dedups their ids into
+/// *visited in order, whose touched() list then IS the flat candidate
+/// buffer block verification consumes (core/kernels.h). Bucket ids are
+/// bulk-inserted, each bucket's ids prefetched kProbeWindow buckets ahead
+/// of its inserts. Ids whose `tombstones` bit is set are not inserted (the
+/// caller counted them as collisions: the probe cost was paid), so deleted
+/// points never reach verification.
 inline void CollectResolvedIds(std::span<const LshTable::BucketView> buckets,
                                util::VisitedSet* visited,
                                const util::BitVector* tombstones = nullptr) {
@@ -685,7 +657,11 @@ inline void CollectResolvedIds(std::span<const LshTable::BucketView> buckets,
   }
   for (size_t i = 0; i < n; ++i) {
     if (i + kAhead < n) __builtin_prefetch(buckets[i + kAhead].ids.data());
-    internal::InsertBucket(buckets[i], visited, tombstones);
+    if (tombstones == nullptr) {
+      visited->InsertSpan(buckets[i].ids);
+    } else {
+      visited->InsertSpanFiltered(buckets[i].ids, *tombstones);
+    }
   }
 }
 

@@ -182,16 +182,16 @@ inline bool IsPrefix(const std::vector<uint32_t>& prefix,
          std::equal(prefix.begin(), prefix.end(), ids.begin());
 }
 
-/// Whether a snapshot's EstimateProbe, CollectCandidates and BoundedWalk
-/// walks of `plan` match the reference walk of the same snapshot:
+/// Whether a snapshot's EstimateProbe, BoundedWalk and CollectWalked walks
+/// of `plan` match the reference walk of the same snapshot:
 ///
 ///   - the estimate in collisions and merged registers;
-///   - the collect walk in collisions and dedup order;
 ///   - an unbounded walk (forced-LSH bounds) in collisions, `lower` and
 ///     dedup order;
 ///   - when lower < collisions, a walk whose collision budget runs out
 ///     midway in collisions and `lower`, having collected a prefix of the
-///     dedup order;
+///     dedup order, and CollectWalked from that walk's resolved buckets
+///     (the gap's LSH collect) in dedup order;
 ///   - when lower > 0, a walk the lower bound stops, having counted no
 ///     more than the collisions and reached exactly `lower`.
 ///
@@ -210,13 +210,10 @@ bool SnapshotWalksMatchReference(const Snapshot& snapshot,
   reference.Segments(snapshot, plan);
   hll::HyperLogLog merged(hll_precision);
   const lsh::ProbeEstimate estimate = snapshot.EstimateProbe(plan, &merged);
-  util::VisitedSet visited(snapshot.id_bound());
-  const uint64_t collected = snapshot.CollectCandidates(plan, &visited);
   bool match = estimate.collisions == reference.collisions() &&
-               collected == reference.collisions() &&
-               merged == reference.merged() &&
-               visited.touched() == reference.touched();
+               merged == reference.merged();
 
+  util::VisitedSet visited(snapshot.id_bound());
   engine::BoundedWalkScratch scratch;
   const auto walk = [&](const core::DecisionBounds& bounds,
                         engine::BoundedWalkResult* result) {
@@ -242,6 +239,9 @@ bool SnapshotWalksMatchReference(const Snapshot& snapshot,
             !result.collected && !result.stopped &&
             result.collisions == reference.collisions() &&
             result.lower == lower;
+    visited.Reset();
+    snapshot.CollectWalked(plan, &scratch, &visited);
+    match = match && visited.touched() == reference.touched();
   }
   if (lower > 0) {
     const core::LiveStats live{lower, lower};

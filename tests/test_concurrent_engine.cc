@@ -519,10 +519,11 @@ TEST_F(ConcurrentEngineTest, DrainedMaintenanceGivesDeterministicLifecycle) {
 // index while its writer appends to the active log (sealing and compacting
 // inline as logs fill). The walks acquire a window's chain heads before
 // walking any of its chains, and those heads may already name entries past
-// the snapshot's count; each reader's EstimateProbe, CollectCandidates and
-// bounded walks (unbounded, budget-limited and stopped by the lower bound)
-// must still equal the reference walk of its own snapshot, whose active log
-// it bounds by that snapshot's count.
+// the snapshot's count; each reader's EstimateProbe, bounded walks
+// (unbounded, budget-limited and stopped by the lower bound) and the gap's
+// collect from a budget-limited walk (CollectWalked) must still equal the
+// reference walk of its own snapshot, whose active log it bounds by that
+// snapshot's count.
 TEST_F(ConcurrentEngineTest, SnapshotWalksMatchReferenceWhileWriterAppends) {
   using Index = SegmentedIndex<lsh::PStableFamily>;
   constexpr size_t kReaders = 3;

@@ -329,10 +329,12 @@ TEST_F(L2IndexTest, ComputePlanRejectsZeroProbes) {
 }
 
 // --- Plan-walk equivalence ---------------------------------------------------
-// AccumulateProbe and CollectProbedIds resolve buckets in windows over the
-// plan's flattened key list, crossing table boundaries. Whatever the window,
-// they must consume the buckets of the one-probe-at-a-time reference
-// (tests/engine_oracle.h) in the same order.
+// AccumulateProbe resolves buckets in windows over the plan's flattened key
+// list, crossing table boundaries; the bounded walk's two steps
+// (ResolveProbedBuckets, then CollectResolvedIds) prefetch ahead of their
+// lookups and inserts. Whatever the prefetching, they must consume the
+// buckets of the one-probe-at-a-time reference (tests/engine_oracle.h) in
+// the same order.
 
 TEST_F(L2IndexTest, PlanWalksMatchOneProbeAtATimeReference) {
   // 13 tables: windows of 8 probes straddle a table boundary at one probe
@@ -398,9 +400,18 @@ TEST_F(L2IndexTest, PlanWalksMatchOneProbeAtATimeReference) {
         EXPECT_EQ(collisions, reference.collisions());
         EXPECT_EQ(merged, reference.merged());
 
+        std::vector<LshTable::BucketView> resolved;
+        uint64_t resolved_collisions = 0, lower = 0;
+        EXPECT_FALSE(ResolveProbedBuckets(
+            tables, plan, &resolved, [&](size_t, uint64_t probed) {
+              resolved_collisions += probed;
+              lower = std::max(lower, probed);
+              return false;
+            }));
+        EXPECT_EQ(resolved_collisions, reference.collisions());
+        EXPECT_EQ(lower, reference.lower());
         util::VisitedSet visited(dataset_.size());
-        EXPECT_EQ(CollectProbedIds(tables, plan, &visited, dead),
-                  reference.collisions());
+        CollectResolvedIds(resolved, &visited, dead);
         EXPECT_EQ(visited.touched(), reference.touched());
       }
     }

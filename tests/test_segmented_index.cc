@@ -295,9 +295,9 @@ TEST_F(SegmentedL2Test, LifecycleAccountingAndGuards) {
 
 // ---------------------------------------------------------------------------
 // Plan-walk equivalence: the logs' windowed chain walk (behind
-// ActiveLshLog::AccumulateProbe / CollectProbedIds) and a snapshot's sum
-// over every segment kind must consume the entries of the one-probe-at-a-
-// time reference (tests/engine_oracle.h) in the same order.
+// ActiveLshLog::AccumulateProbe / BoundedProbe) and a snapshot's sum over
+// every segment kind must consume the entries of the one-probe-at-a-time
+// reference (tests/engine_oracle.h) in the same order.
 
 TEST_F(SegmentedL2Test, LogWalksMatchOneProbeAtATimeReference) {
   // 13 tables: windows of 8 probes straddle a table boundary at one probe
@@ -326,6 +326,9 @@ TEST_F(SegmentedL2Test, LogWalksMatchOneProbeAtATimeReference) {
   lsh::PlanScratch plan_scratch;
   lsh::ProbePlan plan;
   const util::BitVector* const tombstone_cases[] = {nullptr, &tombstones};
+  const core::DecisionBounds unbounded =
+      core::DecisionBounds::AlwaysLsh(core::CostModel{}, core::LiveStats{});
+  std::vector<uint64_t> table_totals;
   uint64_t total_collisions = 0;
   for (const size_t probes : {size_t{1}, size_t{4}}) {
     for (size_t q = 0; q <= queries_.size(); ++q) {
@@ -353,9 +356,11 @@ TEST_F(SegmentedL2Test, LogWalksMatchOneProbeAtATimeReference) {
           EXPECT_EQ(collisions, reference.collisions());
           EXPECT_EQ(merged, reference.merged());
 
+          BoundedWalkState walk(unbounded, kTables, &table_totals);
           util::VisitedSet visited(id_bound);
-          EXPECT_EQ(log.CollectProbedIds(plan, limit, &visited, dead),
-                    reference.collisions());
+          EXPECT_FALSE(log.BoundedProbe(plan, limit, &walk, &visited, dead));
+          EXPECT_EQ(walk.collisions(), reference.collisions());
+          EXPECT_EQ(walk.lower(), reference.lower());
           EXPECT_EQ(visited.touched(), reference.touched());
         }
       }
@@ -371,91 +376,49 @@ TEST_F(SegmentedL2Test, SnapshotWalksMatchReferenceAcrossSegmentKinds) {
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   auto index = std::move(*built);
   ASSERT_TRUE(index.EnableUpdates(&dataset_).ok());
-  // Deferred maintenance leaves filled logs frozen, so one snapshot holds a
-  // sealed segment, two frozen logs and a partly filled active log.
-  index.SetDeferredMaintenance(true);
+  // One log sealed inline, then deferred maintenance leaves filled logs
+  // frozen, so one snapshot holds two sealed segments, two frozen logs and
+  // a partly filled active log, with ids removed from each.
   const size_t threshold = options_.active_seal_threshold;
-  for (size_t i = 0; i < 2 * threshold + threshold / 2; ++i) {
+  for (size_t i = 0; i < threshold; ++i) {
+    ASSERT_TRUE(index.Insert(incoming_.point(i)).ok());
+  }
+  index.SetDeferredMaintenance(true);
+  for (size_t i = threshold; i < 3 * threshold + threshold / 2; ++i) {
     ASSERT_TRUE(index.Insert(incoming_.point(i)).ok());
   }
   for (uint32_t id = 3; id < dataset_.size(); id += 11) {
     ASSERT_TRUE(index.Remove(id).ok());
   }
   const auto snapshot = index.Acquire();
-  ASSERT_EQ(snapshot.view().sealed.size(), 1u);
+  ASSERT_EQ(snapshot.view().sealed.size(), 2u);
   ASSERT_EQ(snapshot.view().frozen.size(), 2u);
   ASSERT_EQ(snapshot.active_count(), threshold / 2);
 
   lsh::PlanScratch plan_scratch;
   lsh::ProbePlan plan;
-  for (const size_t probes : {size_t{1}, kProbes}) {
-    for (size_t q = 0; q < queries_.size(); ++q) {
-      ASSERT_TRUE(
-          index.ComputePlan(queries_.point(q), probes, &plan_scratch, &plan)
-              .ok());
-      EXPECT_TRUE(test_oracle::SnapshotWalksMatchReference(
-          snapshot, plan, options_.hll_precision, &tombstones))
-          << "probes " << probes << " query " << q;
-    }
-  }
-}
-
-TEST_F(SegmentedL2Test, DecisionBoundsBracketDistinctCandidates) {
-  // The bounds-first decision (core::DecisionBounds) rests on lower <=
-  // distinct <= collisions, tombstoned ids counted on every side. Checked
-  // on a churned index holding sealed segments, frozen logs and a partly
-  // filled active log, with ids removed from each: `distinct` is the
-  // reference walk's dedup count with no tombstone filter, and the bounds
-  // are those of an unbounded walk.
-  util::BitVector tombstones;
-  auto built = SegmentedIndex<lsh::PStableFamily>::Build(
-      Family(), &dataset_, 0, dataset_.size(), options_, &tombstones);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  auto index = std::move(*built);
-  ASSERT_TRUE(index.EnableUpdates(&dataset_).ok());
-  const size_t threshold = options_.active_seal_threshold;
-  for (size_t i = 0; i < threshold; ++i) {
-    ASSERT_TRUE(index.Insert(incoming_.point(i)).ok());
-  }
-  ASSERT_EQ(index.lifecycle().sealed_segments, 2u);
-  index.SetDeferredMaintenance(true);
-  for (size_t i = threshold; i < 3 * threshold + threshold / 3; ++i) {
-    ASSERT_TRUE(index.Insert(incoming_.point(i)).ok());
-  }
-  for (uint32_t id = 5; id < dataset_.size(); id += 7) {
-    ASSERT_TRUE(index.Remove(id).ok());
-  }
-  const auto snapshot = index.Acquire();
-  ASSERT_EQ(snapshot.view().sealed.size(), 2u);
-  ASSERT_EQ(snapshot.view().frozen.size(), 2u);
-  ASSERT_EQ(snapshot.active_count(), threshold / 3);
-
-  const core::CostModel model;
-  const core::DecisionBounds unbounded =
-      core::DecisionBounds::AlwaysLsh(model, index.live_stats());
-  BoundedWalkScratch scratch;
-  util::VisitedSet visited(snapshot.id_bound());
-  lsh::PlanScratch plan_scratch;
-  lsh::ProbePlan plan;
   size_t gaps = 0;
-  for (const size_t probes : {size_t{1}, size_t{2}}) {
+  for (const size_t probes : {size_t{1}, size_t{2}, kProbes}) {
     for (size_t q = 0; q < queries_.size(); ++q) {
       SCOPED_TRACE(::testing::Message() << "probes " << probes << " query "
                                         << q);
       ASSERT_TRUE(
           index.ComputePlan(queries_.point(q), probes, &plan_scratch, &plan)
               .ok());
-      test_oracle::WalkReference reference(options_.hll_precision,
-                                           snapshot.id_bound());
-      reference.Segments(snapshot, plan);
-      const uint64_t distinct = reference.touched().size();
-      visited.Reset();
-      const BoundedWalkResult walk =
-          snapshot.BoundedWalk(plan, unbounded, &scratch, &visited);
-      EXPECT_LE(walk.lower, distinct);
-      EXPECT_LE(distinct, walk.collisions);
-      EXPECT_EQ(walk.collisions, reference.collisions());
-      gaps += walk.lower < walk.collisions;
+      EXPECT_TRUE(test_oracle::SnapshotWalksMatchReference(
+          snapshot, plan, options_.hll_precision, &tombstones));
+      // The bounds-first decision (core::DecisionBounds) rests on lower <=
+      // distinct <= collisions, tombstoned ids counted on every side: here
+      // `distinct` is an unfiltered reference walk's dedup count, and the
+      // check above holds the bounded walk's lower and collisions to the
+      // reference's.
+      test_oracle::WalkReference all_ids(options_.hll_precision,
+                                         snapshot.id_bound());
+      all_ids.Segments(snapshot, plan);
+      const uint64_t distinct = all_ids.touched().size();
+      EXPECT_LE(all_ids.lower(), distinct);
+      EXPECT_LE(distinct, all_ids.collisions());
+      gaps += all_ids.lower() < all_ids.collisions();
     }
   }
   EXPECT_GT(gaps, 0u);
