@@ -7,7 +7,8 @@
 //     including the small-bucket on-demand path;
 //   * probe plans: one key per bucket per table, multi-probe candidate
 //     growth;
-//   * the windowed plan walks against a one-probe-at-a-time reference.
+//   * the plan walks (the windowed estimate, the bounded walk's resolve
+//     and collect steps) against a one-probe-at-a-time reference.
 
 #include "lsh/index.h"
 
