@@ -1,9 +1,9 @@
 // Kernel-subsystem microbench: ns/distance per metric per SIMD tier, HLL
-// register-op latency, and block-batched verification throughput against
-// the old per-id scalar baseline.
+// register-op latency, and block-batched verification and score-pass
+// throughput against the old per-id scalar baselines.
 //
 // One JSON object per line (comment lines carry context), the repo's
-// machine-readable bench format. Three row kinds:
+// machine-readable bench format. Row kinds:
 //
 //   {"bench":"kernels","kind":"distance","kernel":"l2sq","tier":"avx2",
 //    "dim":64,"ns_per_distance":3.1}
@@ -18,15 +18,21 @@
 //   {"bench":"kernels","kind":"verify_quantized","metric":"L2","tier":"avx2",
 //    "dim":64,"ids":20000,"mcand_per_sec":620.0,
 //    "speedup_vs_float_block":2.1,"borderline_pct":0.4}
+//   {"bench":"kernels","kind":"score","metric":"L2","tier":"avx2",
+//    "dim":64,"ids":50000,"mcand_per_sec":40.0,
+//    "speedup_vs_per_id_scalar":5.0}
 //
 // The verify baseline ("tier":"per_id_scalar") re-creates the pre-kernel
 // hot path: one data/metric.h call per candidate, no blocking, no
 // prefetch, sqrt per L2 candidate. The verify rows run at a radius where
 // almost nothing reports, and again (rows with "shape":"dense_core") at an
 // L2 radius where about 30% of the candidates report, the shape of a
-// linear scan inside a near-duplicate core. The committed
-// BENCH_kernels.json tracks these rows; the CI smoke job just checks the
-// binary runs.
+// linear scan inside a near-duplicate core. The score rows time a fused
+// query's score stage the same way: the per-hit data::L2Distance reference
+// it ran before ("tier":"per_id_scalar") against the block score pass
+// (ScoreBlock plus the key-to-distance map) on each tier. The committed
+// BENCH_kernels.json tracks these rows, and CI's regression step gates
+// them.
 
 #include <algorithm>
 #include <cmath>
@@ -395,6 +401,78 @@ void BenchBlockVerify(const data::DenseDataset& dataset,
   }
 }
 
+/// A fused query's score stage over hits gathered from a large dataset:
+/// the per-hit scalar reference the engine scored with before (one
+/// data::L2Distance call per hit, no blocking, no prefetch) against the
+/// block score pass on each tier (ScoreBlock's squared-distance keys, then
+/// KeyToDistance per key, as the engine maps them after its carve). Each
+/// round times the reference and then every tier back to back, and a row's
+/// speedup is the median of its per-round ratios: on a shared host a slow
+/// phase then slows both sides of a ratio rather than one.
+void BenchScorePass(const data::DenseDataset& dataset, size_t num_ids,
+                    int runs) {
+  const util::simd::Tier entry_tier = util::simd::ResolvedTier();
+  util::Rng rng(105);
+  std::vector<uint32_t> ids(num_ids);
+  for (uint32_t& id : ids) {
+    id = static_cast<uint32_t>(rng.NextU64() % dataset.size());
+  }
+  const float* query = dataset.point(1);
+  std::vector<double> scores(num_ids);
+  const auto reference = [&] {
+    for (size_t k = 0; k < num_ids; ++k) {
+      scores[k] = data::L2Distance(query, dataset.point(ids[k]), kDim);
+    }
+    g_sink_d = g_sink_d + scores[num_ids / 2];
+  };
+  const auto block_pass = [&] {
+    core::kernels::ScoreBlock(dataset, data::Metric::kL2, query, ids,
+                              scores.data());
+    for (double& score : scores) {
+      score = core::kernels::KeyToDistance(data::Metric::kL2, score);
+    }
+    g_sink_d = g_sink_d + scores[num_ids / 2];
+  };
+  const auto seconds_of = [](const auto& fn) {
+    util::WallTimer timer;
+    fn();
+    return timer.ElapsedSeconds();
+  };
+
+  const std::vector<util::simd::Tier> tiers = SupportedTiers();
+  std::vector<double> reference_seconds;
+  std::vector<std::vector<double>> tier_seconds(tiers.size());
+  std::vector<std::vector<double>> ratios(tiers.size());
+  for (int run = -1; run < runs; ++run) {  // run -1 warms every path up
+    const double base = seconds_of(reference);
+    for (size_t t = 0; t < tiers.size(); ++t) {
+      util::simd::SetResolvedTierForTest(tiers[t]);
+      const double seconds = seconds_of(block_pass);
+      if (run < 0) continue;
+      tier_seconds[t].push_back(seconds);
+      ratios[t].push_back(base / seconds);
+    }
+    if (run >= 0) reference_seconds.push_back(base);
+  }
+  util::simd::SetResolvedTierForTest(entry_tier);
+
+  const double mcand = static_cast<double>(num_ids) / 1e6;
+  std::printf(
+      "{\"bench\":\"kernels\",\"kind\":\"score\",\"metric\":\"L2\","
+      "\"tier\":\"per_id_scalar\",\"dim\":%zu,\"ids\":%zu,"
+      "\"mcand_per_sec\":%.1f,\"speedup_vs_per_id_scalar\":1.00}\n",
+      kDim, num_ids, mcand / util::Percentile(reference_seconds, 0.5));
+  for (size_t t = 0; t < tiers.size(); ++t) {
+    std::printf(
+        "{\"bench\":\"kernels\",\"kind\":\"score\",\"metric\":\"L2\","
+        "\"tier\":\"%s\",\"dim\":%zu,\"ids\":%zu,"
+        "\"mcand_per_sec\":%.1f,\"speedup_vs_per_id_scalar\":%.2f}\n",
+        std::string(util::simd::TierName(tiers[t])).c_str(), kDim, num_ids,
+        mcand / util::Percentile(tier_seconds[t], 0.5),
+        util::Percentile(ratios[t], 0.5));
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -432,5 +510,6 @@ int main(int argc, char** argv) {
   const data::QuantizedMirror mirror = data::QuantizedMirror::Build(verify_rows);
   BenchBlockVerify(verify_rows, &mirror, scale.full ? 200000 : 50000,
                    scale.full ? 5 : 3);
+  BenchScorePass(verify_rows, scale.full ? 200000 : 50000, 11);
   return 0;
 }

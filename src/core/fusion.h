@@ -14,10 +14,10 @@
 // id contributes nothing. The final ranking orders by (fused score
 // descending, id ascending). Every tie-break is total, and each id's
 // contributions are added in subquery order starting from 0.0, so the
-// merge is bit-deterministic across runs, thread counts, SIMD tiers, and
-// the order entries arrive in within a list — the per-id distances it
-// consumes come from the scalar scoring helpers, not the vectorized
-// verify kernels.
+// merge is bit-deterministic across runs, thread counts and the order
+// entries arrive in within a list. It is across SIMD tiers too: the engine
+// takes the per-id distances it consumes from the verify kernels' score
+// pass (core/kernels.h), whose every tier computes the same bits.
 //
 // Cost is linear in the entries for lists that arrive ranked. A list
 // already in rank order (the engine emits every list that way) is detected

@@ -1001,100 +1001,107 @@ const ProjectionKernelTable kProjAvx2Table = {
 };
 #endif  // HLSH_SIMD_X86
 
-/// Dense verification over a flat id buffer.
-size_t VerifyDenseImpl(const data::DenseDataset& dataset, data::Metric metric,
-                       const float* query, std::span<const uint32_t> ids,
-                       double radius, std::vector<uint32_t>* out) {
+/// The one definition of the dense verify key (kernels.h, "Score pass"):
+/// calls emit(j, key) for every ids[j] in order, prefetching rows
+/// kPrefetchAhead candidates ahead. The verify compares the key against
+/// VerifyThreshold and the score pass stores it, so the two cannot differ.
+template <typename Emit>
+void ForEachDenseKey(const data::DenseDataset& dataset, data::Metric metric,
+                     const float* query, std::span<const uint32_t> ids,
+                     Emit&& emit) {
   const size_t count = ids.size();
   const size_t dim = dataset.dim();
   const size_t row_bytes = dim * sizeof(float);
   const KernelTable& table = Kernels();
-  size_t reported = 0;
-  const auto report = [&](uint32_t id) {
-    out->push_back(id);
-    ++reported;
+  const auto each = [&](auto key_of) {
+    for (size_t j = 0; j < count; ++j) {
+      if (j + kPrefetchAhead < count) {
+        PrefetchRow(dataset.point(ids[j + kPrefetchAhead]), row_bytes);
+      }
+      const uint32_t id = ids[j];
+      emit(j, key_of(dataset.point(id), id));
+    }
   };
 
+  // Each kernel pointer is read once, before its loop: emit may write
+  // memory, after which a pointer read through `table` would be reloaded
+  // for every candidate.
   switch (metric) {
     case data::Metric::kL2: {
-      const double r2 = radius * radius;
-      for (size_t j = 0; j < count; ++j) {
-        if (j + kPrefetchAhead < count) {
-          PrefetchRow(dataset.point(ids[j + kPrefetchAhead]), row_bytes);
-        }
-        const uint32_t id = ids[j];
-        if (static_cast<double>(table.l2sq(dataset.point(id), query, dim)) <=
-            r2) {
-          report(id);
-        }
-      }
-      return reported;
+      const auto l2sq = table.l2sq;
+      each([&](const float* row, uint32_t) { return l2sq(row, query, dim); });
+      return;
     }
     case data::Metric::kL1: {
-      for (size_t j = 0; j < count; ++j) {
-        if (j + kPrefetchAhead < count) {
-          PrefetchRow(dataset.point(ids[j + kPrefetchAhead]), row_bytes);
-        }
-        const uint32_t id = ids[j];
-        if (static_cast<double>(table.l1(dataset.point(id), query, dim)) <=
-            radius) {
-          report(id);
-        }
-      }
-      return reported;
+      const auto l1 = table.l1;
+      each([&](const float* row, uint32_t) { return l1(row, query, dim); });
+      return;
     }
-    case data::Metric::kCosine: {
+    case data::Metric::kCosine:
       if (dataset.has_norms()) {
         // Fast path: one dot product per candidate; the candidate's norm
         // comes from the dataset cache, the query's is computed once.
+        const auto dot = table.dot;
         const std::span<const float> norms = dataset.norms();
-        const float query_norm = std::sqrt(table.dot(query, query, dim));
-        for (size_t j = 0; j < count; ++j) {
-          if (j + kPrefetchAhead < count) {
-            PrefetchRow(dataset.point(ids[j + kPrefetchAhead]), row_bytes);
-          }
-          const uint32_t id = ids[j];
-          const float dot = table.dot(dataset.point(id), query, dim);
-          const float dist = CosineFromParts(dot, norms[id] * query_norm);
-          if (static_cast<double>(dist) <= radius) report(id);
-        }
+        const float query_norm = std::sqrt(dot(query, query, dim));
+        each([&](const float* row, uint32_t id) {
+          return CosineFromParts(dot(row, query, dim), norms[id] * query_norm);
+        });
       } else {
-        for (size_t j = 0; j < count; ++j) {
-          if (j + kPrefetchAhead < count) {
-            PrefetchRow(dataset.point(ids[j + kPrefetchAhead]), row_bytes);
-          }
-          const uint32_t id = ids[j];
-          const float dist = table.cosine(dataset.point(id), query, dim);
-          if (static_cast<double>(dist) <= radius) report(id);
-        }
+        const auto cosine = table.cosine;
+        each([&](const float* row, uint32_t) {
+          return cosine(row, query, dim);
+        });
       }
-      return reported;
-    }
+      return;
     default:
-      HLSH_CHECK(false && "VerifyBlock: metric does not apply to dense rows");
-      return 0;
+      HLSH_CHECK(false && "dense kernels: metric does not apply to dense rows");
+  }
+}
+
+/// Dense verification over a flat id buffer.
+size_t VerifyDenseImpl(const data::DenseDataset& dataset, data::Metric metric,
+                       const float* query, std::span<const uint32_t> ids,
+                       double radius, std::vector<uint32_t>* out) {
+  const double threshold = VerifyThreshold(metric, radius);
+  size_t reported = 0;
+  ForEachDenseKey(dataset, metric, query, ids, [&](size_t j, float key) {
+    if (static_cast<double>(key) <= threshold) {
+      out->push_back(ids[j]);
+      ++reported;
+    }
+  });
+  return reported;
+}
+
+/// The binary verify key, Hamming distance, defined once like
+/// ForEachDenseKey.
+template <typename Emit>
+void ForEachBinaryKey(const data::BinaryDataset& dataset,
+                      const uint64_t* query, std::span<const uint32_t> ids,
+                      Emit&& emit) {
+  const size_t count = ids.size();
+  const size_t words = dataset.words_per_code();
+  const size_t row_bytes = words * sizeof(uint64_t);
+  const auto hamming = Kernels().hamming;
+  for (size_t j = 0; j < count; ++j) {
+    if (j + kPrefetchAhead < count) {
+      PrefetchRow(dataset.point(ids[j + kPrefetchAhead]), row_bytes);
+    }
+    emit(j, hamming(dataset.point(ids[j]), query, words));
   }
 }
 
 size_t VerifyBinaryImpl(const data::BinaryDataset& dataset,
                         const uint64_t* query, std::span<const uint32_t> ids,
                         double radius, std::vector<uint32_t>* out) {
-  const size_t count = ids.size();
-  const size_t words = dataset.words_per_code();
-  const size_t row_bytes = words * sizeof(uint64_t);
-  const KernelTable& table = Kernels();
   size_t reported = 0;
-  for (size_t j = 0; j < count; ++j) {
-    if (j + kPrefetchAhead < count) {
-      PrefetchRow(dataset.point(ids[j + kPrefetchAhead]), row_bytes);
-    }
-    const uint32_t id = ids[j];
-    const uint32_t dist = table.hamming(dataset.point(id), query, words);
-    if (static_cast<double>(dist) <= radius) {
-      out->push_back(id);
+  ForEachBinaryKey(dataset, query, ids, [&](size_t j, uint32_t key) {
+    if (static_cast<double>(key) <= radius) {
+      out->push_back(ids[j]);
       ++reported;
     }
-  }
+  });
   return reported;
 }
 
@@ -1193,6 +1200,13 @@ size_t VerifyBlock(const data::DenseDataset& dataset, data::Metric metric,
     ids = survivors;
   }
   return VerifyDenseImpl(dataset, metric, query, ids, radius, out);
+}
+
+void ScoreBlock(const data::DenseDataset& dataset, data::Metric metric,
+                const float* query, std::span<const uint32_t> ids,
+                double* keys) {
+  ForEachDenseKey(dataset, metric, query, ids,
+                  [&](size_t j, float key) { keys[j] = key; });
 }
 
 size_t VerifyBlockQuantized(const data::DenseDataset& dataset,
@@ -1530,6 +1544,12 @@ size_t VerifyBlock(const data::BinaryDataset& dataset, const uint64_t* query,
     ids = survivors;
   }
   return VerifyBinaryImpl(dataset, query, ids, radius, out);
+}
+
+void ScoreBlock(const data::BinaryDataset& dataset, const uint64_t* query,
+                std::span<const uint32_t> ids, double* keys) {
+  ForEachBinaryKey(dataset, query, ids,
+                   [&](size_t j, uint32_t key) { keys[j] = key; });
 }
 
 }  // namespace kernels

@@ -21,7 +21,10 @@
 //     path's deduplicated candidates, the linear path's live ids), which
 //     picks the typed block path per dataset container (dense with or
 //     without the int8 screen, packed binary) and falls back to per-id
-//     Family::Distance elsewhere (sparse Jaccard).
+//     Family::Distance elsewhere (sparse Jaccard);
+//   * ScoreBlock / ScoreCandidates: the verify's own per-candidate loop,
+//     storing each candidate's key (the value the verify compares with
+//     its threshold) instead of testing it — a fused query's score stage.
 //
 // Every tier of every float kernel follows the canonical 8-lane
 // accumulation order documented in util/simd.h, so scalar-forced
@@ -41,6 +44,7 @@
 #ifndef HYBRIDLSH_CORE_KERNELS_H_
 #define HYBRIDLSH_CORE_KERNELS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -230,7 +234,60 @@ size_t VerifyBlock(const data::BinaryDataset& dataset, const uint64_t* query,
                    std::vector<uint32_t>* out,
                    const util::BitVector* filter = nullptr);
 
-// --- Generic entry point for the engine. ------------------------------------
+// --- Score pass (a fused query's score stage). ------------------------------
+// A candidate's verify key is the value the verify compares against its
+// threshold: the squared distance under L2, the distance under L1, cosine
+// and Hamming, Family::Distance under Jaccard. The verify and the score
+// pass compute it through one definition (kernels.cc), so a key passes
+// `key <= VerifyThreshold(metric, radius)` exactly when the verify at that
+// radius reports its id, and every tier computes the same key bits.
+
+/// The threshold a verify key is compared against: radius^2 under L2, the
+/// radius otherwise.
+inline double VerifyThreshold(data::Metric metric, double radius) {
+  return metric == data::Metric::kL2 ? radius * radius : radius;
+}
+
+/// The distance a verify key stands for: the double sqrt of the squared
+/// distance under L2, the key itself otherwise. Strictly increasing over
+/// the keys the kernels produce (a float squared distance has no
+/// neighbouring float whose double sqrt rounds to the same value), so a
+/// list ranked by key is ranked by distance.
+inline double KeyToDistance(data::Metric metric, double key) {
+  return metric == data::Metric::kL2 ? std::sqrt(key) : key;
+}
+
+/// keys[k] = the verify key of dense row ids[k] under `metric` (kL1, kL2
+/// or kCosine; cosine with the cached norms when present), in one pass that
+/// prefetches rows ahead like VerifyBlock's.
+void ScoreBlock(const data::DenseDataset& dataset, data::Metric metric,
+                const float* query, std::span<const uint32_t> ids,
+                double* keys);
+
+/// keys[k] = the Hamming distance of packed code ids[k].
+void ScoreBlock(const data::BinaryDataset& dataset, const uint64_t* query,
+                std::span<const uint32_t> ids, double* keys);
+
+// --- Generic entry points for the engine. -----------------------------------
+
+/// Scores a flat id buffer per container, like VerifyCandidatesQuantized
+/// verifies it: dense rows under `metric` (the index's own or an override),
+/// packed codes under Hamming, anything else (sparse Jaccard) per id
+/// through Index::Distance. `metric` is read for dense datasets only.
+template <typename Index, typename Dataset>
+void ScoreCandidates(const Index& index, const Dataset& dataset,
+                     data::Metric metric, typename Index::Point query,
+                     std::span<const uint32_t> ids, double* keys) {
+  if constexpr (std::is_same_v<Dataset, data::DenseDataset>) {
+    ScoreBlock(dataset, metric, query, ids, keys);
+  } else if constexpr (std::is_same_v<Dataset, data::BinaryDataset>) {
+    ScoreBlock(dataset, query, ids, keys);
+  } else {
+    for (size_t k = 0; k < ids.size(); ++k) {
+      keys[k] = index.Distance(dataset.point(ids[k]), query);
+    }
+  }
+}
 
 /// Verifies a flat candidate-id buffer — the LSH path's deduplicated
 /// candidates (VisitedSet::touched()) or the linear path's live ids —

@@ -21,10 +21,13 @@
 //           cost model (BuildFilterContext below, once per query);
 //   verify  the kernels of core/kernels.h with the filter pushed down —
 //           a candidate pays a bit test before it pays a distance;
-//   score   one exact distance per fused hit with the scalar data/metric.h
-//           references (tier-independent), then one flat-key sort into
-//           rank order; narrower clauses are carved out of the shared
-//           walk's hits by re-verifying them at their own radius;
+//   score   one prefetched pass of the dispatched kernels gives every
+//           fused hit the key its verify compared (d^2 under L2, the
+//           distance otherwise; core::kernels::ScoreCandidates, the same
+//           bits on every tier), and one flat-key sort ranks the shared
+//           walk on it; each narrower clause is the ranked prefix whose
+//           keys pass the verify's test at its radius, and keys become
+//           distances only after that carve;
 //   merge   deterministic RRF / LINEAR fusion (core/fusion.h) with stable
 //           tie-breaks.
 //

@@ -80,8 +80,9 @@
 // pushes a BitVector filter into the verify kernels (candidates pay a bit
 // test before a distance, and the cost model prices the linear scan at
 // LinearCost(live, selectivity)); fusion runs all its same-metric radius
-// clauses as ONE ordinary radius query at the widest radius, carves each
-// narrower clause out of that walk's hits by re-verifying them at its own
+// clauses as ONE ordinary radius query at the widest radius, scores that
+// walk's hits in one pass of the verify kernels and ranks them once, carves
+// each narrower clause as the ranked prefix whose verify keys pass at its
 // radius, and merges with deterministic RRF / LINEAR scoring
 // (core/fusion.h). Attach an AttributeStore (row == global id) with
 // AttachAttributes before issuing filtered specs.
@@ -165,6 +166,12 @@ struct ShardedQueryStats {
   double filter_seconds = 0.0;
   /// Fusion clauses executed (0 for plain queries).
   size_t fusion_subqueries = 0;
+  /// Fused queries' stage seconds (0 for plain queries): the score stage
+  /// (the score pass over the shared walk's hits, its rank sort, and every
+  /// clause's list: the carve, metric-override scans, attribute-only
+  /// lists) and the merge (core::FuseScoredLists).
+  double score_seconds = 0.0;
+  double merge_seconds = 0.0;
   /// Per-shard detail, indexed by shard ordinal. On fused queries it
   /// describes the one shared walk at the widest same-metric radius (all
   /// zero when no clause walks the index).
@@ -890,7 +897,7 @@ class ShardedEngine {
     lsh::PlanScratch plan_scratch;   // hash-once S1 workspace
     lsh::ProbePlan plan;             // the query's plan, shared by all shards
     util::BitVector filter;          // filter stage: predicate ∧ ¬tombstone
-    core::ScoredList walk_hits;      // fused: the shared walk's scored hits
+    core::ScoredList walk_hits;      // fused: the shared walk's hits, keyed
     std::vector<core::ScoredList> sub_lists;  // fused per-subquery results
     core::FusionScratch fusion;      // score + merge workspace
   };
@@ -1104,22 +1111,27 @@ class ShardedEngine {
   ///
   /// Gather: every same-metric radius clause runs inside ONE ordinary
   /// radius query at the widest such radius (RunQuery, on this context),
-  /// so each shard walks, decides, gathers and verifies once. A
-  /// narrower clause is carved out by re-verifying the
-  /// walk's hits at its own radius. That is exact: the Algorithm 2
-  /// decision does not read the radius, so a separate query at the
-  /// narrower radius would verify the same candidates, and every verify
-  /// test (d^2 <= r^2, or d <= r; the int8 screen is bit-identical to the
-  /// float verify) is monotone in the radius. Metric-override clauses scan
-  /// the snapshots that walk used; attribute-only clauses report the
-  /// composed filter's survivors.
+  /// so each shard walks, decides, gathers and verifies once.
+  /// Metric-override clauses scan the snapshots that walk used;
+  /// attribute-only clauses report the composed filter's survivors.
   ///
-  /// Score: one scalar reference distance per hit (data/metric.h —
-  /// tier-independent, so fused scores reproduce bit-for-bit), then one
-  /// flat-key sort into rank order. The re-verify preserves candidate
-  /// order, so every clause's list comes out already ranked: RRF reads the
-  /// ranks off as is, and in both modes the fused hits reach the final
-  /// ranking nearly in order (core/fusion.h).
+  /// Score: one prefetched pass of the dispatched kernels gives every hit
+  /// its verify key (core::kernels::ScoreCandidates: d^2 under L2, the
+  /// distance otherwise), and one flat-key sort ranks the walk on it. A
+  /// same-metric clause is then the ranked prefix whose keys pass the
+  /// verify's own test at its radius (key <= VerifyThreshold). That is
+  /// exact: the Algorithm 2 decision does not read the radius, so a
+  /// separate query at the narrower radius would verify the same
+  /// candidates, computing the same keys (the int8 screen's verdicts equal
+  /// the float verify's). Only then do keys become distances
+  /// (KeyToDistance), which keeps the rank order, so every clause's list
+  /// comes out already ranked. Every tier computes the same key bits
+  /// (core/kernels.h), so fused scores do not depend on the tier.
+  /// Metric-override scans score their live ids with the same pass under
+  /// the override metric and keep the keys that pass its verify test.
+  ///
+  /// Merge: RRF reads the ranks off as is, and in both modes the fused hits
+  /// reach the final ranking nearly in order (core/fusion.h).
   util::Status RunFused(Point query, const QuerySpec& spec,
                         QueryContext* context,
                         std::vector<core::FusedHit>* out,
@@ -1152,10 +1164,8 @@ class ShardedEngine {
       }
     }
 
-    walk.distances.resize(walk.ids.size());
-    for (size_t k = 0; k < walk.ids.size(); ++k) {
-      walk.distances[k] = ExactDistance(query, walk.ids[k], engine_metric);
-    }
+    util::WallTimer score_timer;
+    ScoreKeys(query, engine_metric, &walk);
     core::RankScoredList(&walk, &context->fusion);
 
     auto& lists = context->sub_lists;
@@ -1164,13 +1174,24 @@ class ShardedEngine {
       const SubquerySpec& sub = spec.subqueries[j];
       core::ScoredList& list = lists[j];
       list.weight = sub.weight;
-      if (walks_index(sub) && sub.radius == *widest) {
-        list.ids = walk.ids;
-        list.distances = walk.distances;
-        continue;
-      }
       list.ids.clear();
       list.distances.clear();
+      if (walks_index(sub)) {
+        // The ranked prefix whose keys pass the verify at this radius,
+        // carved on keys and only then mapped to distances.
+        const double threshold =
+            core::kernels::VerifyThreshold(engine_metric, sub.radius);
+        const size_t hits = static_cast<size_t>(
+            std::partition_point(walk.distances.begin(), walk.distances.end(),
+                                 [&](double key) { return key <= threshold; }) -
+            walk.distances.begin());
+        list.ids.assign(walk.ids.begin(), walk.ids.begin() + hits);
+        for (size_t k = 0; k < hits; ++k) {
+          list.distances.push_back(
+              core::kernels::KeyToDistance(engine_metric, walk.distances[k]));
+        }
+        continue;
+      }
       if (sub.attribute_only) {
         // Every composed-filter survivor, distance 0: the predicate IS the
         // clause. Ascending ids at one distance — already in rank order.
@@ -1179,33 +1200,49 @@ class ShardedEngine {
               list.ids.push_back(static_cast<uint32_t>(id));
               list.distances.push_back(0.0);
             });
-      } else if (!walks_index(sub)) {
-        for (ShardSlot& slot : context->shards) {
-          ExecuteOverrideScan(slot.snapshot, query, sub, fctx, &slot.live_ids,
-                              &list);
-        }
-        core::RankScoredList(&list, &context->fusion);
-      } else {
-        // A narrower clause: its hits are the walk's hits that pass the
-        // verify at its radius, emitted in the walk's order — so the
-        // distances pair up in one forward pass.
-        core::kernels::VerifyCandidatesQuantized(
-            *shards_[0].index, *dataset_, mirror_.get(), query, walk.ids,
-            sub.radius, &list.ids);
-        size_t k = 0;
-        for (const uint32_t id : list.ids) {
-          while (walk.ids[k] != id) ++k;
-          list.distances.push_back(walk.distances[k]);
+        continue;
+      }
+      // A metric override: the index's buckets hash the engine's family,
+      // so the clause scans every shard's live (filter-passing) ids, keeps
+      // those whose key passes the verify at its radius and ranks them.
+      // Dense datasets only (enforced by ValidateSpec).
+      for (const ShardSlot& slot : context->shards) {
+        slot.snapshot.GatherLiveIds(fctx.filter, &list.ids);
+      }
+      ScoreKeys(query, *sub.metric, &list);
+      const double threshold =
+          core::kernels::VerifyThreshold(*sub.metric, sub.radius);
+      size_t kept = 0;
+      for (size_t k = 0; k < list.ids.size(); ++k) {
+        if (list.distances[k] <= threshold) {
+          list.ids[kept] = list.ids[k];
+          list.distances[kept++] =
+              core::kernels::KeyToDistance(*sub.metric, list.distances[k]);
         }
       }
+      list.ids.resize(kept);
+      list.distances.resize(kept);
+      core::RankScoredList(&list, &context->fusion);
     }
+    s->score_seconds = score_timer.ElapsedSeconds();
 
+    util::WallTimer merge_timer;
     HLSH_RETURN_IF_ERROR(
         core::FuseScoredLists(lists, spec.fusion, &context->fusion, out));
+    s->merge_seconds = merge_timer.ElapsedSeconds();
     s->fusion_subqueries = spec.subqueries.size();
     s->output_size = out->size();  // fused hits, not the walk's
     s->total_seconds = timer.ElapsedSeconds();
     return util::Status::Ok();
+  }
+
+  /// The score pass over list->ids: list->distances receives each id's
+  /// verify key under `metric` (core::kernels::ScoreCandidates).
+  void ScoreKeys(Point query, data::Metric metric,
+                 core::ScoredList* list) const {
+    list->distances.resize(list->ids.size());
+    core::kernels::ScoreCandidates(*shards_[0].index, *dataset_, metric,
+                                   query, list->ids, list->distances.data());
   }
 
   /// S1 once per query: all shards sample identical functions from the
@@ -1401,54 +1438,6 @@ class ShardedEngine {
     st->output_size += core::kernels::VerifyCandidatesQuantized(
         *shard.index, *dataset_, mirror_.get(), query, slot->live_ids,
         radius, &slot->out);
-  }
-
-  /// Linear scan of one shard's snapshot under a metric override — the
-  /// index's buckets hash the engine's family, so a different metric can
-  /// only scan. Scores with the scalar reference kernels (the same ones
-  /// the fused score stage uses), appending (id, distance) pairs directly:
-  /// override clauses never need a rescore pass. Dense datasets only
-  /// (enforced by ValidateSpec).
-  void ExecuteOverrideScan(const typename ShardIndex::SegmentSnapshot& snap,
-                           Point query, const SubquerySpec& sub,
-                           const FilterContext& fctx,
-                           std::vector<uint32_t>* live_ids,
-                           core::ScoredList* list) const {
-    live_ids->clear();
-    snap.GatherLiveIds(fctx.filter, live_ids);
-    for (const uint32_t id : *live_ids) {
-      const double distance = ExactDistance(query, id, *sub.metric);
-      if (distance <= sub.radius) {
-        list->ids.push_back(id);
-        list->distances.push_back(distance);
-      }
-    }
-  }
-
-  /// The score stage's distance: the scalar reference implementations of
-  /// data/metric.h, independent of the SIMD tier and of the quantized
-  /// screen, so fused scores compare bit-for-bit across machines.
-  double ExactDistance(Point query, uint32_t id, data::Metric metric) const {
-    if constexpr (std::is_same_v<Dataset, data::DenseDataset>) {
-      const float* point = dataset_->point(id);
-      const size_t dim = dataset_->dim();
-      switch (metric) {
-        case data::Metric::kL1:
-          return data::L1Distance(query, point, dim);
-        case data::Metric::kL2:
-          return data::L2Distance(query, point, dim);
-        case data::Metric::kCosine:
-          return data::CosineDistance(query, point, dim);
-        default:
-          HLSH_CHECK(false && "metric does not apply to dense points");
-          return 0.0;
-      }
-    } else if constexpr (std::is_same_v<Dataset, data::BinaryDataset>) {
-      return data::HammingDistance(query, dataset_->point(id),
-                                   dataset_->words_per_code());
-    } else {
-      return data::JaccardDistance(query, dataset_->point(id));
-    }
   }
 
   /// Validates a spec against this engine before anything executes: every

@@ -15,22 +15,27 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <random>
+#include <span>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/fusion.h"
 #include "core/hybridlsh.h"
+#include "core/kernels.h"
 #include "data/attributes.h"
 #include "engine/query_pipeline.h"
 #include "engine/search_engine.h"
 #include "engine/sharded_engine.h"
 #include "engine_oracle.h"
+#include "util/simd.h"
 
 namespace hybridlsh {
 namespace engine {
@@ -82,6 +87,46 @@ SubquerySpec Clause(double radius, double weight) {
   sub.radius = radius;
   sub.weight = weight;
   return sub;
+}
+
+/// One row of the shared-walk table: a fused spec shape and the engine it
+/// runs on.
+struct FusedCase {
+  const char* name;
+  core::FusionMode mode;
+  std::vector<SubquerySpec> clauses;
+  bool filtered;
+  core::ForcedStrategy forced;
+  bool churn;  // inserts, removes and CompactAll before querying
+};
+
+std::vector<FusedCase> FusedCases() {
+  using core::ForcedStrategy;
+  using core::FusionMode;
+  const double r = kRadius;
+  return {
+      {"rrf", FusionMode::kRrf, {Clause(r, 1.0), Clause(1.5 * r, 0.5)},
+       true, ForcedStrategy::kAuto, false},
+      {"linear", FusionMode::kLinear, {Clause(r, 1.0), Clause(1.5 * r, 0.5)},
+       false, ForcedStrategy::kAuto, false},
+      {"radii_out_of_order", FusionMode::kRrf,
+       {Clause(1.5 * r, 0.5), Clause(r, 1.0)}, false,
+       ForcedStrategy::kAlwaysLsh, false},
+      {"duplicate_radii", FusionMode::kLinear,
+       {Clause(r, 1.0), Clause(r, 0.25)}, true,
+       ForcedStrategy::kAlwaysLinear, false},
+      {"three_clauses", FusionMode::kRrf,
+       {Clause(r, 1.0), Clause(1.5 * r, 0.5), Clause(0.5 * r, 2.0)}, false,
+       ForcedStrategy::kAlwaysLinear, false},
+      {"three_clauses_duplicate_widest", FusionMode::kLinear,
+       {Clause(1.5 * r, 0.5), Clause(0.75 * r, 1.0), Clause(1.5 * r, 0.75)},
+       true, ForcedStrategy::kAlwaysLsh, false},
+      {"after_churn", FusionMode::kRrf, {Clause(r, 1.0), Clause(1.5 * r, 0.5)},
+       true, ForcedStrategy::kAuto, true},
+      {"after_churn_linear", FusionMode::kLinear,
+       {Clause(1.5 * r, 1.0), Clause(r, 0.5)}, false,
+       ForcedStrategy::kAlwaysLsh, true},
+  };
 }
 
 /// A rank-ordered copy of `list`, sorted with a plain comparator: the
@@ -255,8 +300,31 @@ class FilteredFusionTest : public ::testing::Test {
     return bits;
   }
 
-  double ScalarL2(const float* a, const float* b) const {
-    return data::L2Distance(a, b, kDim);
+  /// The distance the engine's score stage gives row `id` of `dataset`
+  /// under `metric`: the kernels' verify key (core::kernels::ScoreBlock,
+  /// the pass the engine runs) mapped to a distance.
+  static double KernelDistance(const data::DenseDataset& dataset,
+                               data::Metric metric, const float* query,
+                               uint32_t id) {
+    double key = 0.0;
+    core::kernels::ScoreBlock(dataset, metric, query,
+                              std::span<const uint32_t>(&id, 1), &key);
+    return core::kernels::KeyToDistance(metric, key);
+  }
+
+  /// An engine for one row of the shared-walk table over *working (a copy
+  /// of dataset_) and *attributes (filled here), on `num_threads` pool
+  /// workers, churned when the row asks.
+  Engine MakeCaseEngine(const FusedCase& c, size_t num_threads,
+                        data::DenseDataset* working,
+                        data::AttributeStore* attributes) const {
+    FillAttributes(attributes, working->size());
+    auto built =
+        Engine::Build(Family(), working, MakeOptions(3, c.forced, num_threads));
+    HLSH_CHECK(built.ok());
+    built->AttachAttributes(attributes);
+    if (c.churn) Churn(&*built, attributes);
+    return std::move(*built);
   }
 
   data::DenseDataset dataset_;
@@ -699,63 +767,18 @@ TEST_F(FilteredFusionTest, FuseIdsNearUint32Max) {
 
 // --- Deterministic fusion: engine path == hand-composed. --------------------
 
-// One row of the shared-walk table: a fused spec shape and the engine it
-// runs on. Every row runs on a 4-worker pool (the fanned-out walk) and on a
-// 1-worker twin (the in-order walk).
-struct FusedCase {
-  const char* name;
-  core::FusionMode mode;
-  std::vector<SubquerySpec> clauses;
-  bool filtered;
-  core::ForcedStrategy forced;
-  bool churn;  // inserts, removes and CompactAll before querying
-};
-
+// The shared-walk table (FusedCases) runs on a 4-worker pool (the
+// fanned-out walk) and on a 1-worker twin (the in-order walk).
 TEST_F(FilteredFusionTest, EngineFusedTwoRadiiEqualsHandComposition) {
-  using core::ForcedStrategy;
-  using core::FusionMode;
-  const double r = kRadius;
-  const std::vector<FusedCase> cases = {
-      {"rrf", FusionMode::kRrf, {Clause(r, 1.0), Clause(1.5 * r, 0.5)},
-       true, ForcedStrategy::kAuto, false},
-      {"linear", FusionMode::kLinear, {Clause(r, 1.0), Clause(1.5 * r, 0.5)},
-       false, ForcedStrategy::kAuto, false},
-      {"radii_out_of_order", FusionMode::kRrf,
-       {Clause(1.5 * r, 0.5), Clause(r, 1.0)}, false,
-       ForcedStrategy::kAlwaysLsh, false},
-      {"duplicate_radii", FusionMode::kLinear,
-       {Clause(r, 1.0), Clause(r, 0.25)}, true,
-       ForcedStrategy::kAlwaysLinear, false},
-      {"three_clauses", FusionMode::kRrf,
-       {Clause(r, 1.0), Clause(1.5 * r, 0.5), Clause(0.5 * r, 2.0)}, false,
-       ForcedStrategy::kAlwaysLinear, false},
-      {"three_clauses_duplicate_widest", FusionMode::kLinear,
-       {Clause(1.5 * r, 0.5), Clause(0.75 * r, 1.0), Clause(1.5 * r, 0.75)},
-       true, ForcedStrategy::kAlwaysLsh, false},
-      {"after_churn", FusionMode::kRrf, {Clause(r, 1.0), Clause(1.5 * r, 0.5)},
-       true, ForcedStrategy::kAuto, true},
-      {"after_churn_linear", FusionMode::kLinear,
-       {Clause(1.5 * r, 1.0), Clause(r, 0.5)}, false,
-       ForcedStrategy::kAlwaysLsh, true},
-  };
   const data::Predicate pred = data::Predicate::Between(1, 0, 599);
-
-  for (const FusedCase& c : cases) {
+  for (const FusedCase& c : FusedCases()) {
     SCOPED_TRACE(c.name);
     // The same build and churn on both pools: one engine per walk branch,
     // each with its own dataset copy and attribute rows.
     data::DenseDataset working[2] = {dataset_, dataset_};
     data::AttributeStore attributes[2];
-    std::vector<Engine> engines;
-    for (size_t e = 0; e < 2; ++e) {
-      FillAttributes(&attributes[e], working[e].size());
-      EngineOptions options = MakeOptions(3, c.forced, e == 0 ? 4 : 1);
-      auto built = Engine::Build(Family(), &working[e], options);
-      ASSERT_TRUE(built.ok());
-      engines.push_back(std::move(*built));
-      engines.back().AttachAttributes(&attributes[e]);
-      if (c.churn) Churn(&engines.back(), &attributes[e]);
-    }
+    const Engine fanned = MakeCaseEngine(c, 4, &working[0], &attributes[0]);
+    const Engine in_order = MakeCaseEngine(c, 1, &working[1], &attributes[1]);
 
     QuerySpec fused;
     fused.fusion.mode = c.mode;
@@ -765,8 +788,8 @@ TEST_F(FilteredFusionTest, EngineFusedTwoRadiiEqualsHandComposition) {
       SCOPED_TRACE(q);
       const float* query = queries_.point(q);
       ExpectFusedMatchesHandComposition(
-          engines[0], engines[1], query, fused, [&](uint32_t id) {
-            return ScalarL2(query, working[0].point(id));
+          fanned, in_order, query, fused, [&](uint32_t id) {
+            return KernelDistance(working[0], data::Metric::kL2, query, id);
           });
     }
   }
@@ -897,29 +920,28 @@ TEST_F(FilteredFusionTest, EngineFusedMetricOverrideScansExactly) {
   ASSERT_TRUE(engine.QueryFused(query, fused, &got).ok());
 
   // Hand composition: clause 0 is the engine's own L2 result; clause 1 is
-  // an exact cosine scan of every id.
+  // an exact cosine scan of every id (the cosine key is the distance, so
+  // the verify's test is d <= radius).
   std::vector<core::ScoredList> lists(2);
   lists[0].weight = 1.0;
   engine.Query(query, kRadius, &lists[0].ids);
   for (const uint32_t id : lists[0].ids) {
-    lists[0].distances.push_back(ScalarL2(query, dataset_.point(id)));
+    lists[0].distances.push_back(
+        KernelDistance(dataset_, data::Metric::kL2, query, id));
   }
   lists[1].weight = 1.0;
   for (uint32_t id = 0; id < dataset_.size(); ++id) {
-    const double d = data::CosineDistance(query, dataset_.point(id), kDim);
+    const double d = KernelDistance(dataset_, data::Metric::kCosine, query, id);
     if (d <= cosine_radius) {
       lists[1].ids.push_back(id);
       lists[1].distances.push_back(d);
     }
   }
+  ASSERT_FALSE(lists[1].ids.empty());
   std::vector<core::FusedHit> expected;
   ASSERT_TRUE(
       core::FuseScoredLists(lists, fused.fusion, nullptr, &expected).ok());
-  ASSERT_EQ(got.size(), expected.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].id, expected[i].id) << "pos=" << i;
-    EXPECT_DOUBLE_EQ(got[i].score, expected[i].score);
-  }
+  ExpectSameHits(got, expected);
 }
 
 TEST_F(FilteredFusionTest, EngineFusedAttributeOnlyClause) {
@@ -942,7 +964,8 @@ TEST_F(FilteredFusionTest, EngineFusedAttributeOnlyClause) {
   single.predicate = &pred;
   ASSERT_TRUE(engine.Query(query, single, &lists[0].ids).ok());
   for (const uint32_t id : lists[0].ids) {
-    lists[0].distances.push_back(ScalarL2(query, dataset_.point(id)));
+    lists[0].distances.push_back(
+        KernelDistance(dataset_, data::Metric::kL2, query, id));
   }
   lists[1].weight = 0.25;
   filter.ForEachSetBitInRange(0, filter.size(), [&](size_t id) {
@@ -952,10 +975,167 @@ TEST_F(FilteredFusionTest, EngineFusedAttributeOnlyClause) {
   std::vector<core::FusedHit> expected;
   ASSERT_TRUE(
       core::FuseScoredLists(lists, fused.fusion, nullptr, &expected).ok());
-  ASSERT_EQ(got.size(), expected.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].id, expected[i].id) << "pos=" << i;
-    EXPECT_DOUBLE_EQ(got[i].score, expected[i].score);
+  ExpectSameHits(got, expected);
+}
+
+// The score stage runs the dispatched kernels, whose every tier follows
+// one canonical 8-lane order (util/simd.h): a fused spec with narrower
+// clauses and metric overrides, run under each tier this machine supports,
+// gives bit-identical hits and scores in both fusion modes.
+TEST_F(FilteredFusionTest, EngineFusedIdenticalOnEveryTier) {
+  const util::simd::Tier entry_tier = util::simd::ResolvedTier();
+  struct TierGuard {
+    util::simd::Tier saved;
+    ~TierGuard() { util::simd::SetResolvedTierForTest(saved); }
+  } guard{entry_tier};
+  const auto engine = MakeEngine(3);
+  const data::Predicate pred = data::Predicate::Between(1, 0, 599);
+  QuerySpec fused;
+  fused.predicate = &pred;
+  fused.subqueries = {Clause(kRadius, 1.0), Clause(1.5 * kRadius, 0.5),
+                      Clause(0.5 * kRadius, 2.0)};
+  fused.subqueries.push_back({0.15, 1.0, data::Metric::kCosine, false});
+  fused.subqueries.push_back({1.5, 0.5, data::Metric::kL1, false});
+  for (const auto mode : {core::FusionMode::kRrf, core::FusionMode::kLinear}) {
+    fused.fusion.mode = mode;
+    for (size_t q = 0; q < queries_.size(); ++q) {
+      SCOPED_TRACE(q);
+      std::vector<core::FusedHit> reference;
+      for (const util::simd::Tier tier : util::simd::SupportedTiers()) {
+        SCOPED_TRACE(util::simd::TierName(tier));
+        util::simd::SetResolvedTierForTest(tier);
+        std::vector<core::FusedHit> hits;
+        ASSERT_TRUE(engine.QueryFused(queries_.point(q), fused, &hits).ok());
+        if (tier == util::simd::Tier::kScalar) {
+          reference = std::move(hits);
+        } else {
+          ExpectSameHits(hits, reference);
+        }
+      }
+      EXPECT_FALSE(reference.empty());
+    }
+  }
+}
+
+/// The engine's ranking of clause j of `fused` alone, through the fused
+/// path (the shared walk and its carve): with every other clause weighted
+/// 0, a hit's RRF score is 1 / (rrf_k + its rank in clause j), or 0 when
+/// clause j did not report it.
+template <typename Engine>
+std::vector<uint32_t> EngineClauseRanking(const Engine& engine,
+                                          const float* query, QuerySpec fused,
+                                          size_t j) {
+  fused.fusion.mode = core::FusionMode::kRrf;
+  for (size_t i = 0; i < fused.subqueries.size(); ++i) {
+    fused.subqueries[i].weight = i == j ? 1.0 : 0.0;
+  }
+  std::vector<core::FusedHit> hits;
+  HLSH_CHECK(engine.QueryFused(query, fused, &hits).ok());
+  std::vector<uint32_t> ranked;
+  for (const core::FusedHit& hit : hits) {
+    if (hit.score > 0.0) ranked.push_back(hit.id);
+  }
+  return ranked;
+}
+
+// Against the scalar reference the score stage ran before it used the
+// kernels (data::L2Distance per hit, ranked by distance then id): every
+// clause of every row of the shared-walk table reports the same ids, and
+// two hits change order only at a near tie. The kernel's 8-lane float sum
+// and the reference's sequential one each lie within about
+// dim * FLT_EPSILON / 2 of the exact squared distance, relative, so two
+// hits can swap only when their reference distances differ by less than
+// 2 * dim * FLT_EPSILON of the larger (with margin for the square roots).
+// The swaps seen on this data are reference ties: data::L2Distance rounds
+// its square root to float, which maps some pairs of distinct squared
+// distances to one distance, so the reference ranks the pair by id while
+// the kernel keys keep them apart (ids 21 and 1709 on query 8 of
+// three_clauses). The test records how many ranks moved.
+TEST_F(FilteredFusionTest, EngineFusedClausesMatchScalarReferenceUpToNearTies) {
+  const data::Predicate pred = data::Predicate::Between(1, 0, 599);
+  size_t moved = 0;
+  for (const FusedCase& c : FusedCases()) {
+    SCOPED_TRACE(c.name);
+    data::DenseDataset working = dataset_;
+    data::AttributeStore attributes;
+    const Engine engine = MakeCaseEngine(c, 4, &working, &attributes);
+    QuerySpec fused;
+    fused.subqueries = c.clauses;
+    if (c.filtered) fused.predicate = &pred;
+    for (size_t q = 0; q < queries_.size(); ++q) {
+      const float* query = queries_.point(q);
+      for (size_t j = 0; j < c.clauses.size(); ++j) {
+        SCOPED_TRACE(testing::Message() << "query=" << q << " clause=" << j);
+        QuerySpec single = QuerySpec::Radius(c.clauses[j].radius);
+        single.predicate = fused.predicate;
+        core::ScoredList reference;
+        ASSERT_TRUE(engine.Query(query, single, &reference.ids).ok());
+        for (const uint32_t id : reference.ids) {
+          reference.distances.push_back(
+              data::L2Distance(query, working.point(id), kDim));
+        }
+        core::RankScoredList(&reference, nullptr);
+        const std::vector<uint32_t> ranked =
+            EngineClauseRanking(engine, query, fused, j);
+        ASSERT_EQ(Sorted(ranked), Sorted(reference.ids));
+
+        // Every hit the engine ranks after one of larger reference distance
+        // is in a swapped pair; the farthest earlier hit is its worst one.
+        std::unordered_map<uint32_t, double> reference_distance;
+        for (size_t k = 0; k < reference.ids.size(); ++k) {
+          reference_distance[reference.ids[k]] = reference.distances[k];
+          if (ranked[k] != reference.ids[k]) ++moved;
+        }
+        double farthest = 0.0;
+        uint32_t farthest_id = 0;
+        for (const uint32_t id : ranked) {
+          const double d = reference_distance[id];
+          EXPECT_LE(farthest - d, 2.0 * kDim * FLT_EPSILON * farthest)
+              << "ids " << farthest_id << " and " << id;
+          if (d > farthest) {
+            farthest = d;
+            farthest_id = id;
+          }
+        }
+      }
+    }
+  }
+  RecordProperty("moved_ranks", static_cast<int>(moved));
+}
+
+// The fused stage timers: 0 on plain queries (a plain query after a fused
+// one on the same stats resets them), and on fused queries the score and
+// merge stages are disjoint parts of the query's wall time.
+TEST_F(FilteredFusionTest, FusedStageTimersCoverScoreAndMerge) {
+  const auto engine = MakeEngine(3);
+  QuerySpec fused;
+  fused.subqueries = {Clause(kRadius, 1.0), Clause(1.5 * kRadius, 0.5)};
+  double score = 0.0, merge = 0.0;
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    SCOPED_TRACE(q);
+    const float* query = queries_.point(q);
+    std::vector<core::FusedHit> hits;
+    ShardedQueryStats stats;
+    ASSERT_TRUE(engine.QueryFused(query, fused, &hits, &stats).ok());
+    EXPECT_GE(stats.score_seconds, 0.0);
+    EXPECT_GE(stats.merge_seconds, 0.0);
+    EXPECT_LE(stats.score_seconds + stats.merge_seconds, stats.total_seconds);
+    score += stats.score_seconds;
+    merge += stats.merge_seconds;
+
+    std::vector<uint32_t> ids;
+    ASSERT_TRUE(engine.Query(query, QuerySpec::Radius(kRadius), &ids, &stats)
+                    .ok());
+    EXPECT_EQ(stats.score_seconds, 0.0);
+    EXPECT_EQ(stats.merge_seconds, 0.0);
+  }
+  EXPECT_GT(score, 0.0);
+  EXPECT_GT(merge, 0.0);
+  auto batch = engine.QueryBatch(queries_, QuerySpec::Radius(kRadius));
+  ASSERT_TRUE(batch.ok());
+  for (const ShardedBatchResult& result : *batch) {
+    EXPECT_EQ(result.stats.score_seconds, 0.0);
+    EXPECT_EQ(result.stats.merge_seconds, 0.0);
   }
 }
 

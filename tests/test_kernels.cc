@@ -407,6 +407,62 @@ TEST_F(VerifyBlockTest, CosineNormFastPathMatchesFusedPath) {
   EXPECT_EQ(fused, with_norms);
 }
 
+// The score pass stores the key the verify compares, so carving by
+// `key <= VerifyThreshold` reproduces the verify (float and int8-screened)
+// at any radius, including radii placed exactly on a candidate's distance;
+// keys are bit-identical across tiers, and mapping them to distances keeps
+// their order strictly.
+TEST_F(VerifyBlockTest, ScoreKeysCarveExactlyWhatVerifyReports) {
+  TierGuard guard;
+  const data::QuantizedMirror mirror = data::QuantizedMirror::Build(dataset_);
+  ASSERT_TRUE(mirror.enabled());
+  for (const bool norms : {false, true}) {
+    if (norms) dataset_.PrecomputeNorms();
+    for (const data::Metric metric :
+         {data::Metric::kL2, data::Metric::kL1, data::Metric::kCosine}) {
+      SCOPED_TRACE(testing::Message() << data::MetricName(metric)
+                                      << " norms=" << norms);
+      std::vector<double> reference_keys;
+      for (Tier tier : SupportedTiers()) {
+        util::simd::SetResolvedTierForTest(tier);
+        std::vector<double> keys(ids_.size());
+        kernels::ScoreBlock(dataset_, metric, query_.data(), ids_,
+                            keys.data());
+        if (tier == Tier::kScalar) {
+          reference_keys = keys;
+        } else {
+          EXPECT_EQ(keys, reference_keys) << util::simd::TierName(tier);
+        }
+        std::vector<double> radii = {PickRadius(metric)};
+        for (size_t k = 0; k < ids_.size(); k += 37) {
+          radii.push_back(kernels::KeyToDistance(metric, keys[k]));
+        }
+        for (const double radius : radii) {
+          const double threshold = kernels::VerifyThreshold(metric, radius);
+          std::vector<uint32_t> carved, verified, screened;
+          for (size_t k = 0; k < ids_.size(); ++k) {
+            if (keys[k] <= threshold) carved.push_back(ids_[k]);
+          }
+          kernels::VerifyBlock(dataset_, metric, query_.data(), ids_, radius,
+                               &verified);
+          kernels::VerifyBlockQuantized(dataset_, mirror, metric,
+                                        query_.data(), ids_, radius,
+                                        &screened);
+          EXPECT_EQ(carved, verified) << "radius=" << radius;
+          EXPECT_EQ(carved, screened) << "radius=" << radius;
+        }
+      }
+      std::vector<double> sorted = reference_keys;
+      std::sort(sorted.begin(), sorted.end());
+      for (size_t k = 1; k < sorted.size(); ++k) {
+        if (sorted[k - 1] == sorted[k]) continue;
+        EXPECT_LT(kernels::KeyToDistance(metric, sorted[k - 1]),
+                  kernels::KeyToDistance(metric, sorted[k]));
+      }
+    }
+  }
+}
+
 TEST_F(VerifyBlockTest, BinaryBlockMatchesNaive) {
   data::BinaryDataset codes = data::MakeRandomCodes(400, 64, 49);
   const uint64_t query = codes.point(7)[0];
@@ -424,6 +480,12 @@ TEST_F(VerifyBlockTest, BinaryBlockMatchesNaive) {
     std::vector<uint32_t> got;
     kernels::VerifyBlock(codes, &query, ids, 20.0, &got);
     EXPECT_EQ(got, expected) << util::simd::TierName(tier);
+    // The score pass's key is the Hamming distance the verify compares.
+    std::vector<double> keys(ids.size());
+    kernels::ScoreBlock(codes, &query, ids, keys.data());
+    for (size_t k = 0; k < ids.size(); ++k) {
+      EXPECT_EQ(keys[k], data::HammingDistance(codes.point(ids[k]), &query, 1));
+    }
   }
 }
 
